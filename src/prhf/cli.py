@@ -37,7 +37,7 @@ from .errors import (
 )
 from .model import AtomSystem, SolverOptions, validate_system
 from .radial import build_grid, kinetic_operator
-from .scf import fock_build, solve_scf
+from .scf import fock_build, resolve_options, solve_scf
 
 log = logging.getLogger("prhf")
 
@@ -204,13 +204,24 @@ def _write_solution(outdir: Path, cfg: dict, report, gamma, grid, certificates) 
     _write_csv(outdir / "energy_trace.csv", header, rows)
 
 
-def _load_solution(outdir: Path, cfg: dict):
-    """Rebuild (report_dict, gamma, grid) from a completed solve directory."""
+def _load_solution(outdir: Path, sys_: AtomSystem, options: SolverOptions):
+    """Rebuild (report_dict, gamma, grid) from a completed solve directory.
+
+    None unless that solve converged for an equal system and equal options.
+    """
     report_path = outdir / "report.json"
     orbitals_path = outdir / "orbitals.csv"
     if not (report_path.is_file() and orbitals_path.is_file()):
         return None
     payload = json.loads(report_path.read_text())
+    try:
+        stored = payload["config"]
+        same = (_system_from_config(stored) == sys_
+                and _options_from_config(stored) == options)
+    except (KeyError, SolverError):
+        same = False
+    if not (same and payload["report"]["converged"]):
+        return None
     grid = build_grid(payload["grid"]["n"], payload["grid"]["r_max"])
     with open(orbitals_path) as fh:
         header = fh.readline().strip().split(",")
@@ -231,8 +242,8 @@ def _load_solution(outdir: Path, cfg: dict):
     return payload, DensityMatrix(dm_blocks), grid
 
 
-def _solve_pipeline(cfg: dict):
-    """Shared by solve and verify: returns (exit_code, report, gamma, grid)."""
+def _solve_pipeline(cfg: dict) -> int:
+    """Shared by solve and verify: solve, certify, write; returns the exit code."""
     sys_ = _system_from_config(cfg)
     options = _options_from_config(cfg)
     outdir = Path(cfg["output_dir"])
@@ -245,23 +256,20 @@ def _solve_pipeline(cfg: dict):
         if exc.report is not None and exc.density is not None:
             _write_solution(outdir, cfg, exc.report, exc.density, grid,
                             {"passed": False, "clauses": {}, "skipped": "not converged"})
-        return EXIT_NOT_CONVERGED, None, None, grid
-    fock = fock_build(gamma, grid, sys_, ell_max=max(gamma.max_ell(), 0), kinetic=options.kinetic)
-    cert = analysis.minimizer_certificate(gamma, fock, sys_)
+        return EXIT_NOT_CONVERGED
+    cert = analysis.minimizer_certificate(gamma, report.fock, sys_)
     _write_solution(outdir, cfg, report, gamma, grid, cert.as_dict())
     log.info(
         "converged=%s iterations=%d total=%.12f certificate=%s",
         report.converged, report.iterations, report.energy.total, cert.passed,
     )
-    code = EXIT_OK if cert.passed else EXIT_CERTIFICATE
-    return code, report, gamma, grid
+    return EXIT_OK if cert.passed else EXIT_CERTIFICATE
 
 
 def run_solve(config_path: str | Path) -> int:
     try:
         cfg = parse_config(config_path)
-        code, _report, _gamma, _grid = _solve_pipeline(cfg)
-        return code
+        return _solve_pipeline(cfg)
     except NotConverged:
         return EXIT_NOT_CONVERGED
     except SolverError as exc:
@@ -272,21 +280,19 @@ def run_solve(config_path: str | Path) -> int:
 # --- verification suites ----------------------------------------------------
 
 
-def _suite_minimizer(gamma, grid, sys_, cfg) -> dict:
-    fock = fock_build(gamma, grid, sys_, ell_max=gamma.max_ell())
+def _suite_minimizer(gamma, fock, sys_) -> dict:
     cert = analysis.minimizer_certificate(gamma, fock, sys_)
     out = cert.as_dict()
     out["status"] = "passed" if cert.passed else "failed"
     return out
 
 
-def _suite_decay(gamma, grid, sys_, report_dict, cfg) -> dict:
-    ainv = sys_.alpha_inv
+def _suite_decay(gamma, fock, sys_, report_dict, cfg) -> dict:
+    grid = fock.grid
     occupied = []
     for occ in report_dict["report"]["occupations"]:
         key = (occ["ell"], occ["spin"])
         occupied.append((key, occ["index"], occ["f"]))
-    fock = fock_build(gamma, grid, sys_, ell_max=gamma.max_ell())
     fits = []
     eps_list = []
     window = None
@@ -330,6 +336,22 @@ def _suite_decay(gamma, grid, sys_, report_dict, cfg) -> dict:
     }
 
 
+def _solution_suites(gamma, grid, sys_, options, payload, cfg) -> dict:
+    """Minimizer and decay suites on one Fock operator of the loaded solution.
+
+    The operator is built with the channel set and kinetic energy that
+    solve_scf used, and is released before the remaining suites run.
+    """
+    resolved = resolve_options(sys_, options)
+    fock = fock_build(gamma, grid, sys_, ell_max=resolved.ell_max, kinetic=resolved.kinetic)
+    suites = {}
+    if cfg["verify_minimizer"]:
+        suites["minimizer"] = _suite_minimizer(gamma, fock, sys_)
+    if cfg["verify_decay"]:
+        suites["decay"] = _suite_decay(gamma, fock, sys_, payload, cfg)
+    return suites
+
+
 def _suite_kato(grid, sys_, cfg) -> dict:
     battery = analysis.random_smooth_battery(grid, cfg["kato_samples"], cfg["kato_seed"])
     worst = -np.inf
@@ -359,10 +381,12 @@ def _greens_battery(grid):
     return [np.exp(-(((grid.nodes - c) / s) ** 2)) for (c, s) in widths]
 
 
-def _suite_greens(cfg, sys_, eps_homo: float | None) -> dict:
-    """Standalone kernel suite on a fixed n=400 grid; no SCF solution needed."""
+def _suite_greens(cfg, sys_, eps_homo: float | None):
+    """Standalone kernel suite on a fixed n=400 grid; no SCF solution needed.
+
+    Returns (suite dict, the tabulated kernel it checked).
+    """
     alpha = sys_.alpha
-    ainv = sys_.alpha_inv
     E = cfg.get("greens_energy")
     if E is None:
         E = eps_homo if eps_homo is not None else greens.energy_of_nu(1.0, alpha)
@@ -428,18 +452,19 @@ def _suite_greens(cfg, sys_, eps_homo: float | None) -> dict:
         "E": E, "nu": nu,
         "checks": checks,
         "kernel_mesh_size": int(kernel.mesh.size),
-    }
+    }, kernel
 
 
-def _suite_binding(cfg, sys_) -> dict:
+def _suite_binding(cfg, sys_, options, known) -> dict:
     n_max = cfg.get("binding_n_max")
     if n_max is None:
         n_max = sys_.N
     n_max = min(n_max, int(np.floor(sys_.Z)))   # stay inside N < Z + 1
     if n_max < 1:
         return {"status": "passed", "rows": [], "note": "no bound runs in range"}
-    options = _options_from_config(cfg)
-    rows, ok = analysis.binding_monotonicity(sys_.Z, sys_.alpha, n_max, options, q=sys_.q)
+    rows, ok = analysis.binding_monotonicity(
+        sys_.Z, sys_.alpha, n_max, options, q=sys_.q, _known=known,
+    )
     return {"status": "passed" if ok else "failed", "rows": rows}
 
 
@@ -447,6 +472,7 @@ def run_verify(config_path: str | Path) -> int:
     try:
         cfg = parse_config(config_path)
         sys_ = _system_from_config(cfg)
+        options = _options_from_config(cfg)
     except SolverError as exc:
         log.error("%s", exc)
         return EXIT_CONFIG
@@ -454,29 +480,28 @@ def run_verify(config_path: str | Path) -> int:
     outdir.mkdir(parents=True, exist_ok=True)
 
     needs_solution = cfg["verify_minimizer"] or cfg["verify_decay"]
-    loaded = _load_solution(outdir, cfg) if needs_solution else None
+    loaded = _load_solution(outdir, sys_, options) if needs_solution else None
     if needs_solution and loaded is None:
-        log.info("no completed solve in %s; solving first", outdir)
-        code, _report, _gamma, _grid = _solve_pipeline(cfg)
-        if code == EXIT_NOT_CONVERGED:
-            return code
-        loaded = _load_solution(outdir, cfg)
+        log.info("no converged solve of this configuration in %s; solving first", outdir)
+        if _solve_pipeline(cfg) == EXIT_NOT_CONVERGED:
+            return EXIT_NOT_CONVERGED
+        loaded = _load_solution(outdir, sys_, options)
         if loaded is None:
             log.error("solve completed but outputs are unreadable")
             return EXIT_CONFIG
 
     suites: dict = {}
     eps_homo = None
+    known = None
     if loaded is not None:
         payload, gamma, grid = loaded
         occ_eps = [
             e["value"] for e in payload["report"]["eigenvalues"] if e["occupation"] > 0.5
         ]
-        eps_homo = max(occ_eps) if occ_eps else None
-        if cfg["verify_minimizer"]:
-            suites["minimizer"] = _suite_minimizer(gamma, grid, sys_, cfg)
-        if cfg["verify_decay"]:
-            suites["decay"] = _suite_decay(gamma, grid, sys_, payload, cfg)
+        if occ_eps:
+            eps_homo = max(occ_eps)
+            known = {sys_.N: (payload["report"]["energy"]["total"], eps_homo)}
+        suites.update(_solution_suites(gamma, grid, sys_, options, payload, cfg))
     else:
         grid = build_grid(cfg["n"], cfg["r_max"])
 
@@ -485,10 +510,10 @@ def run_verify(config_path: str | Path) -> int:
     if cfg["verify_herbst"]:
         suites["herbst"] = _suite_herbst(grid, sys_, cfg)
     if cfg["verify_greens"]:
-        suites["greens"] = _suite_greens(cfg, sys_, eps_homo)
+        suites["greens"], _kernel = _suite_greens(cfg, sys_, eps_homo)
     if cfg["verify_binding"]:
         try:
-            suites["binding"] = _suite_binding(cfg, sys_)
+            suites["binding"] = _suite_binding(cfg, sys_, options, known)
         except NotConverged as exc:
             log.error("binding sweep did not converge: %s", exc)
             return EXIT_NOT_CONVERGED
@@ -517,10 +542,7 @@ def run_greens(config_path: str | Path) -> int:
         return EXIT_CONFIG
     outdir = Path(cfg["output_dir"])
     outdir.mkdir(parents=True, exist_ok=True)
-    suite = _suite_greens(cfg, sys_, None)
-
-    E = suite["E"]
-    kernel = greens.greens_kernel(E, sys_.alpha)
+    suite, kernel = _suite_greens(cfg, sys_, None)
     header = ["u", "G", "term1", "term2", "term3"]
     rows = (
         [_fmt(kernel.mesh[i]), _fmt(kernel.values[i]), _fmt(kernel.term1[i]),

@@ -21,8 +21,8 @@ pins this normalization).
 
 from __future__ import annotations
 
+import functools
 import math
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -170,28 +170,14 @@ def _k_values(ell_a: int, ell_b: int):
     return range(abs(ell_a - ell_b), ell_a + ell_b + 1, 2)
 
 
-_KERNEL_CACHE: dict = {}
-_KERNEL_LOCK = threading.Lock()
-_KERNEL_CACHE_MAX = 8
-
-
+@functools.lru_cache(maxsize=8)
 def multipole_kernel(grid: RadialGrid, k: int) -> np.ndarray:
     """Dense pair kernel min(r_i,r_j)^k / max(r_i,r_j)^{k+1}, cached."""
-    key = (grid.n, grid.r_max, k)
-    with _KERNEL_LOCK:
-        ker = _KERNEL_CACHE.get(key)
-    if ker is None:
-        r = grid.nodes
-        mx = np.maximum.outer(r, r)
-        if k == 0:
-            ker = 1.0 / mx
-        else:
-            ker = np.minimum.outer(r, r) ** k / mx ** (k + 1)
-        with _KERNEL_LOCK:
-            if len(_KERNEL_CACHE) >= _KERNEL_CACHE_MAX:
-                _KERNEL_CACHE.pop(next(iter(_KERNEL_CACHE)))
-            _KERNEL_CACHE[key] = ker
-    return ker
+    r = grid.nodes
+    mx = np.maximum.outer(r, r)
+    if k == 0:
+        return 1.0 / mx
+    return np.minimum.outer(r, r) ** k / mx ** (k + 1)
 
 
 def exchange_matrix(gamma: DensityMatrix, ell: int, spin: int, grid: RadialGrid) -> np.ndarray:

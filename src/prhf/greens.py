@@ -25,7 +25,7 @@ diagonal of the reduced kernel under control.
 
 from __future__ import annotations
 
-import threading
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -266,11 +266,6 @@ def exp_moment(kernel: GreensKernel, beta: float) -> tuple[float, float]:
 
 # --- resolvent application on the SCF grid ---------------------------------
 
-_RESOLVENT_CACHE: dict = {}
-_RESOLVENT_LOCK = threading.Lock()
-_RESOLVENT_CACHE_MAX = 4
-
-
 def _itk0(x):
     """int_0^x K0, clamped: the integral saturates at pi/2 within 1e-16 by x=35."""
     return iti0k0(np.minimum(x, 35.0))[1]
@@ -291,24 +286,15 @@ def _abs_interval(r, a, b, F):
     return np.where(r >= b, ra - rb, np.where(r <= a, rb - ra, ra + rb))
 
 
+@functools.lru_cache(maxsize=4)
 def _conv_cumulatives(E: float, alpha: float, u_max: float):
-    """Tabulated first and second cumulative of u * term3(u)."""
-    key = (round(E, 14), round(alpha, 16), round(u_max, 6))
-    with _RESOLVENT_LOCK:
-        hit = _RESOLVENT_CACHE.get(key)
-    if hit is not None:
-        return hit
+    """Tabulated first and second cumulative of u * term3(u), cached."""
     mesh = default_kernel_mesh(E, alpha, u_max=u_max, n_far=2600)
     ker = greens_kernel(E, alpha, mesh=mesh)
     ug3 = mesh * ker.term3
     T3 = np.concatenate([[0.0], cumulative_trapezoid(ug3, mesh)])
     A3 = np.concatenate([[0.0], cumulative_trapezoid(T3, mesh)])
-    hit = (mesh, T3, A3, ker)
-    with _RESOLVENT_LOCK:
-        if len(_RESOLVENT_CACHE) >= _RESOLVENT_CACHE_MAX:
-            _RESOLVENT_CACHE.pop(next(iter(_RESOLVENT_CACHE)))
-        _RESOLVENT_CACHE[key] = hit
-    return hit
+    return mesh, T3, A3, ker
 
 
 def resolvent_apply(f: np.ndarray, E: float, alpha: float, grid: RadialGrid) -> np.ndarray:

@@ -14,6 +14,7 @@ tridiagonal channel Laplacian. Eigenvector bases are cached per
 
 from __future__ import annotations
 
+import functools
 import threading
 from dataclasses import dataclass, field
 
@@ -121,45 +122,22 @@ def spectral_function(op: ChannelOperator, f) -> ChannelOperator:
     return result
 
 
-# caches keyed on hashable grid identity; bounded to keep memory flat
-_LAPLACIAN_CACHE: dict = {}
-_KINETIC_CACHE: dict = {}
-_CACHE_LOCK = threading.Lock()
-_LAPLACIAN_CACHE_MAX = 8
-_KINETIC_CACHE_MAX = 12
-
-
+# caches keyed on the grid, which hashes and compares on (n, r_max)
+@functools.lru_cache(maxsize=8)
 def _cached_laplacian(grid: RadialGrid, ell: int) -> ChannelOperator:
-    key = (grid.n, grid.r_max, ell)
-    with _CACHE_LOCK:
-        op = _LAPLACIAN_CACHE.get(key)
-    if op is None:
-        op = channel_laplacian(grid, ell)
-        op.eigensystem()
-        with _CACHE_LOCK:
-            if len(_LAPLACIAN_CACHE) >= _LAPLACIAN_CACHE_MAX:
-                _LAPLACIAN_CACHE.pop(next(iter(_LAPLACIAN_CACHE)))
-            _LAPLACIAN_CACHE[key] = op
+    op = channel_laplacian(grid, ell)
+    op.eigensystem()
     return op
 
 
+@functools.lru_cache(maxsize=12)
 def kinetic_operator(grid: RadialGrid, ell: int, alpha: float) -> ChannelOperator:
     """T_ell = sqrt(L_ell + alpha^-2) - alpha^-1, built spectrally and cached."""
     if alpha <= 0:
         raise BadGrid(f"alpha={alpha} must be positive")
-    key = (grid.n, grid.r_max, ell, alpha)
-    with _CACHE_LOCK:
-        op = _KINETIC_CACHE.get(key)
-    if op is not None:
-        return op
     ainv = 1.0 / alpha
     lap = _cached_laplacian(grid, ell)
-    op = spectral_function(lap, lambda lam: np.sqrt(lam + ainv**2) - ainv)
-    with _CACHE_LOCK:
-        if len(_KINETIC_CACHE) >= _KINETIC_CACHE_MAX:
-            _KINETIC_CACHE.pop(next(iter(_KINETIC_CACHE)))
-        _KINETIC_CACHE[key] = op
-    return op
+    return spectral_function(lap, lambda lam: np.sqrt(lam + ainv**2) - ainv)
 
 
 def nonrelativistic_kinetic(grid: RadialGrid, ell: int, alpha: float) -> ChannelOperator:

@@ -38,13 +38,18 @@ PURITY_TOL = 1e-6
 
 @dataclass
 class FockOperator:
-    """Per-channel dense Fock matrices T - Z*alpha/r + alpha*(R - K)."""
+    """Per-channel dense Fock matrices T - Z*alpha/r + alpha*(R - K).
+
+    The matrices are never modified after the build, so the lowest
+    eigenpairs are computed once per requested count and kept.
+    """
 
     system: AtomSystem
     grid: RadialGrid
     matrices: dict[tuple[int, int], np.ndarray]
     gamma: DensityMatrix
     kinetic: str = "pseudorelativistic"
+    _spectra: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def channel(self, ell: int, spin: int) -> np.ndarray:
         return self.matrices[(ell, spin)]
@@ -70,6 +75,8 @@ class SCFReport:
     max_orbital_residual: float = float("nan")
     anion_regime: bool = False
     message: str = ""
+    # the operator of the final density; not serialized
+    fock: FockOperator | None = field(default=None, repr=False, compare=False)
 
     def as_dict(self) -> dict:
         return {
@@ -163,8 +170,14 @@ def fock_build(
 
 
 def _channel_spectra(fock: FockOperator, count: int):
-    """Lowest `count` eigenpairs per channel, sharing work across equal matrices."""
-    spectra: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
+    """Lowest `count` eigenpairs per channel, sharing work across equal matrices.
+
+    Memoized on the operator per `count`; callers must not modify the arrays.
+    """
+    spectra = fock._spectra.get(count)
+    if spectra is not None:
+        return spectra
+    spectra = {}
     seen: list[tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]] = []
     n = fock.grid.n
     k = min(count, n)
@@ -183,6 +196,7 @@ def _channel_spectra(fock: FockOperator, count: int):
             hit = (vals, vecs / np.sqrt(fock.grid.h))
             seen.append((H, hit))
         spectra[key] = hit
+    fock._spectra[count] = spectra
     return spectra
 
 
@@ -414,6 +428,15 @@ def _final_eigen_table(fock: FockOperator, gamma: DensityMatrix, count: int):
     return table
 
 
+def resolve_options(sys: AtomSystem, options: SolverOptions) -> SolverOptions:
+    """Validated options with ell_max fixed; unset, it is the largest seed-shell ell."""
+    options = options.validated()
+    if options.ell_max is not None:
+        return options
+    shells = default_shells(sys, include_p=options.include_p_shells)
+    return options.with_(ell_max=max(s.ell for s in shells))
+
+
 def solve_scf(sys: AtomSystem, options: SolverOptions) -> tuple[SCFReport, DensityMatrix]:
     """Minimize the functional; returns the report and the final density.
 
@@ -421,13 +444,9 @@ def solve_scf(sys: AtomSystem, options: SolverOptions) -> tuple[SCFReport, Densi
     tolerances are not met within max_iter iterations.
     """
     sys = validate_system(sys)
-    options = options.validated()
-    grid = build_grid(options.n, options.r_max)
-    shells = default_shells(sys, include_p=options.include_p_shells)
-    ell_max = options.ell_max
-    if ell_max is None:
-        ell_max = max(s.ell for s in shells)
-    opts = options.with_(ell_max=ell_max)
+    opts = resolve_options(sys, options)
+    ell_max = opts.ell_max
+    grid = build_grid(opts.n, opts.r_max)
 
     gamma = _initial_density(sys, grid, opts, ell_max)
     energy = total_energy(gamma, grid, sys, kinetic=opts.kinetic)
@@ -498,6 +517,7 @@ def solve_scf(sys: AtomSystem, options: SolverOptions) -> tuple[SCFReport, Densi
         max_orbital_residual=max(orb_res) if orb_res else 0.0,
         anion_regime=sys.N >= sys.Z + 1,
         message="" if converged else "iteration cap reached",
+        fock=final_fock,
     )
     if not converged:
         raise NotConverged(

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from prhf import (
     AtomSystem,
@@ -70,6 +71,16 @@ def test_decay_fit_auto_window():
 
 def test_certificate_passes_on_converged(he_small):
     cert = minimizer_certificate(he_small.gamma, he_small.fock, he_small.sys)
+    assert cert.passed, cert.clauses
+
+
+def test_certificate_reuses_the_final_spectrum(he_small, monkeypatch):
+    # solve_scf's eigenvalue table already diagonalized the final operator
+    def no_eigh(*args, **kwargs):
+        raise AssertionError("the final Fock operator was diagonalized again")
+
+    monkeypatch.setattr(scipy.linalg, "eigh", no_eigh)
+    cert = minimizer_certificate(he_small.gamma, he_small.report.fock, he_small.sys)
     assert cert.passed, cert.clauses
 
 

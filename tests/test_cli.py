@@ -3,7 +3,9 @@ from pathlib import Path
 
 import pytest
 
-from prhf import ConfigError
+import prhf.analysis
+from prhf import ConfigError, SolverOptions
+from prhf.analysis import binding_monotonicity
 from prhf.cli import (
     EXIT_CERTIFICATE,
     EXIT_CONFIG,
@@ -139,6 +141,48 @@ def test_verify_reuses_existing_solution(tmp_path):
     stamp = (outdir / "report.json").stat().st_mtime_ns
     assert run_verify(cfg) == EXIT_OK
     assert (outdir / "report.json").stat().st_mtime_ns == stamp
+
+
+def test_verify_nonrelativistic_kinetic(tmp_path):
+    # the verify suites must certify with the kinetic energy the solve used
+    outdir = tmp_path / "out"
+    cfg = _write_config(tmp_path, outdir, alpha=0.05, n=400, kinetic="nonrelativistic")
+    assert run_verify(cfg) == EXIT_OK
+    verify = json.loads((outdir / "verify.json").read_text())
+    assert verify["suites"]["minimizer"]["clauses"]["hf_equations"]["passed"] is True
+
+
+@pytest.mark.parametrize("stored, requested", [
+    ({"n": 240}, {"n": 300}),
+    ({"Z": 2.0}, {"Z": 3.0}),
+])
+def test_verify_resolves_a_stale_solution(tmp_path, stored, requested):
+    outdir = tmp_path / "out"
+    assert run_solve(_write_config(tmp_path, outdir, **stored)) == EXIT_OK
+    assert run_verify(_write_config(tmp_path, outdir, **requested)) == EXIT_OK
+    report = json.loads((outdir / "report.json").read_text())
+    assert report["grid"]["n"] == requested.get("n", 240)
+    assert report["config"]["Z"] == requested.get("Z", 2.0)
+
+
+def test_verify_binding_row_from_solution(tmp_path, monkeypatch):
+    outdir = tmp_path / "out"
+    cfg = _write_config(tmp_path, outdir, verify_binding="true")
+    assert run_solve(cfg) == EXIT_OK
+    solved = []
+    solve_scf = prhf.analysis.solve_scf
+
+    def counting_solve(sys, options):
+        solved.append(sys.N)
+        return solve_scf(sys, options)
+
+    monkeypatch.setattr(prhf.analysis, "solve_scf", counting_solve)
+    assert run_verify(cfg) == EXIT_OK
+    assert solved == [1]        # N = 2 comes from the stored solve
+    monkeypatch.undo()
+    rows, ok = binding_monotonicity(2.0, 1.0 / 137.036, 2, SolverOptions(n=240, r_max=14.0))
+    verify = json.loads((outdir / "verify.json").read_text())
+    assert ok and verify["suites"]["binding"]["rows"] == rows
 
 
 def test_verify_wall_window_inconclusive(tmp_path):
