@@ -149,10 +149,9 @@ def minimizer_certificate(
         blk = gamma.blocks.get((ell, spin))
         cap_used = 0.0
         if blk is not None and blk.m:
-            H = fock.matrices[(ell, spin)]
             for a in range(blk.m):
                 Pa = blk.orbitals[:, a]
-                occ_eps.append(float(grid.h * (Pa @ (H @ Pa))))
+                occ_eps.append(float(grid.h * (Pa @ fock.apply((ell, spin), Pa))))
             overlaps = grid.h * blk.orbitals.T @ vecs   # (m, k)
             proj = np.sum(overlaps**2, axis=0)
         else:

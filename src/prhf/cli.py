@@ -302,8 +302,7 @@ def _suite_decay(gamma, fock, sys_, report_dict, cfg) -> dict:
         for (ell, spin), idx, f in occupied:
             blk = gamma.blocks[(ell, spin)]
             P = blk.orbitals[:, idx]
-            H = fock.matrices[(ell, spin)]
-            eps = grid.h * float(P @ (H @ P))
+            eps = grid.h * float(P @ fock.apply((ell, spin), P))
             fit = analysis.decay_fit(
                 P, eps, grid, sys_.alpha, window=window,
                 orbital_id=_orbital_label(ell, spin, idx),

@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import NonFiniteEnergy
 from .model import AtomSystem
-from .radial import RadialGrid, kinetic_operator, nonrelativistic_kinetic
+from .radial import RadialGrid, channel_kinetic
 
 ORTHO_TOL = 1e-10
 
@@ -127,13 +127,16 @@ def slater_yk(P_a: np.ndarray, P_b: np.ndarray, k: int, grid: RadialGrid) -> np.
 
     Y^k(r) = r * int ( min(r,s)^k / max(r,s)^{k+1} ) P_a(s) P_b(s) ds,
     evaluated with two cumulative sweeps (the node r itself is counted in
-    the inner sweep, matching the double-sum kernel convention).
+    the inner sweep, matching the double-sum kernel convention). P_a and
+    P_b are node vectors or column blocks (nodes on axis 0) that
+    broadcast against each other; each column is swept independently.
     """
-    r, h = grid.nodes, grid.h
+    h = grid.h
     rho = P_a * P_b
-    inside = np.cumsum(rho * r**k) * h          # sum_{s <= r} s^k rho
+    r = grid.nodes.reshape((-1,) + (1,) * (rho.ndim - 1))
+    inside = np.cumsum(rho * r**k, axis=0) * h          # sum_{s <= r} s^k rho
     tail = rho / r ** (k + 1)
-    outer = np.cumsum(tail[::-1])[::-1] * h - tail * h
+    outer = np.cumsum(tail[::-1], axis=0)[::-1] * h - tail * h
     return inside / r**k + r ** (k + 1) * outer
 
 
@@ -205,6 +208,29 @@ def exchange_matrix(gamma: DensityMatrix, ell: int, spin: int, grid: RadialGrid)
     return 0.5 * (K + K.T)
 
 
+def exchange_apply(
+    gamma: DensityMatrix, ell: int, spin: int, X: np.ndarray, grid: RadialGrid
+) -> np.ndarray:
+    """K^(ell,spin) X without the n x n matrix of exchange_matrix.
+
+    (K x)(r) = sum_a f_a sum_k (3j)^2 P_a(r) Y^k[P_a x](r) / r: one
+    slater_yk sweep per shell and multipole, O(n m) per column of X.
+    """
+    out = np.zeros(X.shape)
+    for (ell_b, spin_b), blk in gamma.blocks.items():
+        if spin_b != spin:
+            continue
+        for k in _k_values(ell, ell_b):
+            wk = exchange_multipole_weight(ell, ell_b, k)
+            if wk == 0.0:
+                continue
+            for P, f in zip(blk.orbitals.T, blk.occupations):
+                P = P if X.ndim == 1 else P[:, None]
+                out += (wk * f) * P * slater_yk(P, X, k, grid)
+    r = grid.nodes if X.ndim == 1 else grid.nodes[:, None]
+    return out / r
+
+
 def slater_rk(prod_left: np.ndarray, prod_right: np.ndarray, k: int, grid: RadialGrid) -> float:
     """Two-electron radial integral of two node products against kernel k.
 
@@ -244,12 +270,6 @@ def exchange_energy(gamma: DensityMatrix, grid: RadialGrid) -> float:
     return total
 
 
-def _kinetic_op(grid: RadialGrid, ell: int, sys: AtomSystem, kinetic: str):
-    if kinetic == "nonrelativistic":
-        return nonrelativistic_kinetic(grid, ell, sys.alpha)
-    return kinetic_operator(grid, ell, sys.alpha)
-
-
 def energy_terms(
     gamma: DensityMatrix,
     grid: RadialGrid,
@@ -262,10 +282,13 @@ def energy_terms(
     energy assembly applies it.
     """
     r, h = grid.nodes, grid.h
+    # densities with a p or higher block keep the dense products for every
+    # block, so their energies do not move by a roundoff change
+    s_only = all(ell == 0 for (ell, _spin) in gamma.blocks)
     tr_T = 0.0
     for (ell, _spin), blk in gamma.blocks.items():
-        T = _kinetic_op(grid, ell, sys, kinetic).matrix
-        TP = T @ blk.orbitals
+        T = channel_kinetic(grid, ell, sys.alpha, kinetic)
+        TP = T.apply(blk.orbitals) if s_only else T.matrix @ blk.orbitals
         tr_T += float(h * np.sum(blk.occupations * np.einsum("ia,ia->a", blk.orbitals, TP)))
     w = reduced_density(gamma, grid)
     tr_V = sys.z_alpha * float(h * np.sum(w / r))

@@ -75,8 +75,7 @@ def total_energy(
 
 
 def _orbital_energy(fock, ell: int, spin: int, u: np.ndarray, grid: RadialGrid) -> float:
-    H = fock.channel(ell, spin)
-    return inner(grid, u, H @ u)
+    return inner(grid, u, fock.apply((ell, spin), u))
 
 
 def _added_blocks(entries) -> DensityMatrix:
@@ -187,8 +186,7 @@ def line_coefficients(
     a = 0.0
     for dm, sign in ((gamma_target, 1.0), (gamma, -1.0)):
         for (ell, spin), blk in dm.blocks.items():
-            H = fock.channel(ell, spin)
-            HP = H @ blk.orbitals
+            HP = fock.apply((ell, spin), blk.orbitals)
             vals = grid.h * np.einsum("ia,ia->a", blk.orbitals, HP)
             a += sign * float(np.sum(blk.occupations * vals))
     a *= sys.alpha_inv

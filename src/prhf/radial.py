@@ -7,9 +7,12 @@ nodes; integrals are h-weighted sums (rectangle and trapezoid coincide
 under the Dirichlet endpoints).
 
 The kinetic operator sqrt(-d^2/dr^2 + ell(ell+1)/r^2 + alpha^-2) - alpha^-1
-is realized spectrally from the dense eigendecomposition of the
-tridiagonal channel Laplacian. Eigenvector bases are cached per
-(n, r_max, ell) and reused across alpha values.
+is a function of the tridiagonal channel Laplacian. On ell = 0 the
+DST-I diagonalizes that Laplacian exactly, so the operator is applied
+in O(n log n) from its symbol. The dense matrix is realized spectrally
+from the Laplacian's eigendecomposition, only when first asked for;
+eigenvector bases are cached per (n, r_max, ell) and reused across
+alpha values.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ import threading
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.fft
 import scipy.linalg
 
 from .errors import BadGrid, EigFailure, LengthMismatch
@@ -122,6 +126,62 @@ def spectral_function(op: ChannelOperator, f) -> ChannelOperator:
     return result
 
 
+def laplacian_symbol(grid: RadialGrid) -> np.ndarray:
+    """Eigenvalues of the ell = 0 channel Laplacian in DST-I mode order.
+
+    (2/h sin(j pi / (2(n+1))))^2 for j = 1..n, ascending; mode j is
+    sin(i j pi / (n+1)), the j-th DST-I basis vector.
+    """
+    j = np.arange(1, grid.n + 1)
+    return (2.0 / grid.h * np.sin(j * np.pi / (2 * (grid.n + 1)))) ** 2
+
+
+def dst(X: np.ndarray) -> np.ndarray:
+    """Orthonormal DST-I of node vectors (one vector, or columns); its own inverse."""
+    return scipy.fft.dst(X, type=1, norm="ortho", axis=0)
+
+
+class KineticOperator:
+    """A scalar function f of one channel Laplacian L_ell.
+
+    `apply` multiplies node vectors by f(L_ell): on ell = 0 through the
+    DST-I symbol with no n x n matrix, otherwise through the dense
+    matrix. The dense operator (`matrix`, `eigensystem()`) is built on
+    first use only.
+    """
+
+    def __init__(self, grid: RadialGrid, ell: int, f, dense):
+        self.grid = grid
+        self.ell = int(ell)
+        self._f = f
+        self._build_dense = dense
+
+    @functools.cached_property
+    def dense(self) -> ChannelOperator:
+        return self._build_dense()
+
+    @property
+    def matrix(self) -> np.ndarray:
+        return self.dense.matrix
+
+    def eigensystem(self):
+        return self.dense.eigensystem()
+
+    @functools.cached_property
+    def symbol(self) -> np.ndarray:
+        """f at the ell = 0 Laplacian eigenvalues, in DST-I mode order."""
+        if self.ell != 0:
+            raise BadGrid(f"no DST-I symbol on channel ell={self.ell}")
+        return np.asarray(self._f(laplacian_symbol(self.grid)), dtype=float)
+
+    def apply(self, X: np.ndarray) -> np.ndarray:
+        if self.ell != 0:
+            return self.matrix @ X
+        coef = dst(X)
+        coef *= self.symbol if coef.ndim == 1 else self.symbol[:, None]
+        return dst(coef)
+
+
 # caches keyed on the grid, which hashes and compares on (n, r_max)
 @functools.lru_cache(maxsize=8)
 def _cached_laplacian(grid: RadialGrid, ell: int) -> ChannelOperator:
@@ -131,23 +191,41 @@ def _cached_laplacian(grid: RadialGrid, ell: int) -> ChannelOperator:
 
 
 @functools.lru_cache(maxsize=12)
-def kinetic_operator(grid: RadialGrid, ell: int, alpha: float) -> ChannelOperator:
-    """T_ell = sqrt(L_ell + alpha^-2) - alpha^-1, built spectrally and cached."""
+def kinetic_operator(grid: RadialGrid, ell: int, alpha: float) -> KineticOperator:
+    """T_ell = sqrt(L_ell + alpha^-2) - alpha^-1; cached, dense form built on first use."""
     if alpha <= 0:
         raise BadGrid(f"alpha={alpha} must be positive")
     ainv = 1.0 / alpha
-    lap = _cached_laplacian(grid, ell)
-    return spectral_function(lap, lambda lam: np.sqrt(lam + ainv**2) - ainv)
+
+    def f(lam):
+        return np.sqrt(lam + ainv**2) - ainv
+
+    return KineticOperator(
+        grid, ell, f, lambda: spectral_function(_cached_laplacian(grid, ell), f)
+    )
 
 
-def nonrelativistic_kinetic(grid: RadialGrid, ell: int, alpha: float) -> ChannelOperator:
+def nonrelativistic_kinetic(grid: RadialGrid, ell: int, alpha: float) -> KineticOperator:
     """alpha*L_ell/2; comparison operator satisfying T_ell <= alpha*L_ell/2."""
-    lap = _cached_laplacian(grid, ell)
-    op = ChannelOperator(ell, 0.5 * alpha * lap.matrix)
-    if lap._eig is not None:
-        vals, vecs = lap._eig
-        op._eig = (0.5 * alpha * vals, vecs)
-    return op
+
+    def dense():
+        lap = _cached_laplacian(grid, ell)
+        op = ChannelOperator(ell, 0.5 * alpha * lap.matrix)
+        if lap._eig is not None:
+            vals, vecs = lap._eig
+            op._eig = (0.5 * alpha * vals, vecs)
+        return op
+
+    return KineticOperator(grid, ell, lambda lam: 0.5 * alpha * lam, dense)
+
+
+def channel_kinetic(
+    grid: RadialGrid, ell: int, alpha: float, kinetic: str = "pseudorelativistic"
+) -> KineticOperator:
+    """The kinetic operator of one channel for a `kinetic` mode of the solver."""
+    if kinetic == "nonrelativistic":
+        return nonrelativistic_kinetic(grid, ell, alpha)
+    return kinetic_operator(grid, ell, alpha)
 
 
 def momentum_operator(grid: RadialGrid, ell: int = 0) -> ChannelOperator:

@@ -11,15 +11,19 @@ bug. A Roothaan path with level shifting is available for comparison.
 
 from __future__ import annotations
 
+import functools
 import logging
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
+from scipy.sparse.linalg import lobpcg
 
 from .coulomb import (
     ChannelBlock,
     DensityMatrix,
+    exchange_apply,
     exchange_matrix,
     hartree_potential,
     reduced_density,
@@ -27,39 +31,81 @@ from .coulomb import (
 from .errors import EigFailure, LineSearchFailure, NotConverged
 from .functional import EnergyBreakdown, line_coefficients, total_energy
 from .model import AtomSystem, SolverOptions, default_shells, validate_system
-from .radial import RadialGrid, build_grid, kinetic_operator, nonrelativistic_kinetic
+from .radial import RadialGrid, build_grid, channel_kinetic, dst
 
 log = logging.getLogger(__name__)
 
 OCC_DROP = 1e-13          # discard mixed eigenvalues below this weight
 DESCENT_SLACK = 1e-12     # per-step slack on monotone descent
 PURITY_TOL = 1e-6
+# LOBPCG on matrix-free channels: preconditioner shift in units of alpha,
+# residual tolerance relative to the operator's norm (orbital tails must
+# hold down to 1e-11 of their peak for the decay fits), iteration cap,
+# seed of the start block, and the factor on the tolerance above which a
+# residual hands the channel to the dense eigensolve
+LOBPCG_SIGMA = 0.4
+LOBPCG_RTOL = 5e-15
+LOBPCG_MAXITER = 200
+LOBPCG_SEED = 20240817
+LOBPCG_SLACK = 10.0
 
 
 @dataclass
 class FockOperator:
-    """Per-channel dense Fock matrices T - Z*alpha/r + alpha*(R - K).
+    """Per-channel Fock operator T - Z*alpha/r + alpha*(R - K) of one density.
 
-    The matrices are never modified after the build, so the lowest
-    eigenpairs are computed once per requested count and kept.
+    An operator whose channels are all s-channels (ell_max = 0) is
+    matrix-free: `apply` takes T through the DST-I, the local potential
+    as a vector and exchange through slater_yk sweeps, and its levels
+    come from LOBPCG. Any other operator is a set of dense matrices,
+    assembled by fock_build. `matrices` of a matrix-free operator are
+    assembled on first access only. Nothing is modified after the build,
+    so the lowest eigenpairs are computed once per requested count and
+    kept.
     """
 
     system: AtomSystem
     grid: RadialGrid
-    matrices: dict[tuple[int, int], np.ndarray]
     gamma: DensityMatrix
-    kinetic: str = "pseudorelativistic"
+    kinetic: list           # kinetic operator of channel ell, ell = 0..ell_max
+    potential: np.ndarray   # -Z*alpha/r + alpha*R on the nodes
+    groups: list            # spins with equal channel content share work
     _spectra: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-
-    def channel(self, ell: int, spin: int) -> np.ndarray:
-        return self.matrices[(ell, spin)]
 
     @property
     def ell_max(self) -> int:
-        return max(ell for (ell, _s) in self.matrices)
+        return len(self.kinetic) - 1
 
-    def channels(self):
-        return sorted(self.matrices)
+    @property
+    def matrix_free(self) -> bool:
+        return self.ell_max == 0
+
+    @functools.cached_property
+    def matrices(self) -> dict[tuple[int, int], np.ndarray]:
+        """Dense channel matrices; spins of one group share one array."""
+        matrices: dict[tuple[int, int], np.ndarray] = {}
+        for ell, kin in enumerate(self.kinetic):
+            T = kin.matrix
+            for grp in self.groups:
+                H = T + np.diag(self.potential)
+                K = exchange_matrix(self.gamma, ell, grp[0], self.grid)
+                H = H - self.system.alpha * K
+                H = 0.5 * (H + H.T)
+                for spin in grp:
+                    matrices[(ell, spin)] = H
+        return matrices
+
+    def apply(self, key: tuple[int, int], X: np.ndarray) -> np.ndarray:
+        """The channel operator times a node vector or a block of columns."""
+        if not self.matrix_free:
+            return self.matrices[key] @ X
+        return self.kinetic[key[0]].apply(X) + self.potential_apply(key, X)
+
+    def potential_apply(self, key: tuple[int, int], X: np.ndarray) -> np.ndarray:
+        """Everything but the kinetic energy, applied matrix-free."""
+        ell, spin = key
+        local = self.potential if X.ndim == 1 else self.potential[:, None]
+        return local * X - self.system.alpha * exchange_apply(self.gamma, ell, spin, X, self.grid)
 
 
 @dataclass
@@ -104,12 +150,6 @@ class SCFReport:
         }
 
 
-def _kinetic_matrix(grid: RadialGrid, ell: int, sys: AtomSystem, kinetic: str) -> np.ndarray:
-    if kinetic == "nonrelativistic":
-        return nonrelativistic_kinetic(grid, ell, sys.alpha).matrix
-    return kinetic_operator(grid, ell, sys.alpha).matrix
-
-
 def _spin_groups(gamma: DensityMatrix, q: int):
     """Group spins whose channel content is identical, to share work."""
     groups: list[list[int]] = []
@@ -147,30 +187,79 @@ def fock_build(
     ell_max: int | None = None,
     kinetic: str = "pseudorelativistic",
 ) -> FockOperator:
-    """Assemble per-channel Fock matrices for all ell <= ell_max, all spins."""
+    """Fock operator on all channels ell <= ell_max, all spins.
+
+    Dense operators (ell_max >= 1) are assembled here; a matrix-free one
+    holds only node vectors.
+    """
     if ell_max is None:
         ell_max = gamma.max_ell()
-    r = grid.nodes
     w = reduced_density(gamma, grid)
     R = hartree_potential(w, grid)
-    diag = -sys.z_alpha / r + sys.alpha * R
-    matrices: dict[tuple[int, int], np.ndarray] = {}
-    groups = _spin_groups(gamma, sys.q)
-    for ell in range(ell_max + 1):
-        T = _kinetic_matrix(grid, ell, sys, kinetic)
-        for grp in groups:
-            ref = grp[0]
-            H = T + np.diag(diag)
-            K = exchange_matrix(gamma, ell, ref, grid)
-            H = H - sys.alpha * K
-            H = 0.5 * (H + H.T)
-            for spin in grp:
-                matrices[(ell, spin)] = H
-    return FockOperator(system=sys, grid=grid, matrices=matrices, gamma=gamma, kinetic=kinetic)
+    fock = FockOperator(
+        system=sys, grid=grid, gamma=gamma,
+        kinetic=[channel_kinetic(grid, ell, sys.alpha, kinetic) for ell in range(ell_max + 1)],
+        potential=-sys.z_alpha / grid.nodes + sys.alpha * R,
+        groups=_spin_groups(gamma, sys.q),
+    )
+    if not fock.matrix_free:
+        fock.matrices  # dense channels are assembled with the build
+    return fock
+
+
+def _dense_levels(H: np.ndarray, k: int):
+    try:
+        return scipy.linalg.eigh(H, subset_by_index=(0, k - 1))
+    except scipy.linalg.LinAlgError as exc:  # pragma: no cover
+        raise EigFailure(str(exc)) from exc
+
+
+def _lobpcg_levels(fock: FockOperator, key: tuple[int, int], k: int):
+    """Lowest k eigenpairs of a matrix-free channel by preconditioned LOBPCG.
+
+    The iteration runs in DST-I coordinates y = S x (S is its own
+    inverse), where the kinetic energy and the preconditioner
+    (T + sigma)^-1, the discrete resolvent of the kinetic energy, are
+    diagonal: one transform pair per operator apply and none per
+    preconditioner apply. The start is a seeded Gaussian block, so
+    repeated solves agree bit for bit. A solve whose residuals exceed the
+    tolerance by more than LOBPCG_SLACK falls back to dense eigh.
+    """
+    n = fock.grid.n
+    t = fock.kinetic[key[0]].symbol[:, None]
+    inv = 1.0 / (t + LOBPCG_SIGMA * fock.system.alpha)
+    tol = LOBPCG_RTOL * (t.max() + np.abs(fock.potential).max())
+
+    def op(Y):      # lobpcg passes blocks of columns
+        return t * Y + dst(fock.potential_apply(key, dst(Y)))
+
+    Y0 = np.random.default_rng(LOBPCG_SEED).standard_normal((n, k))
+    try:
+        with warnings.catch_warnings():
+            # non-convergence is judged below from the residuals themselves
+            warnings.simplefilter("ignore", UserWarning)
+            vals, vecs = lobpcg(
+                op, Y0, M=lambda Y: inv * Y, tol=tol, maxiter=LOBPCG_MAXITER, largest=False
+            )
+    except (np.linalg.LinAlgError, ValueError):    # its Rayleigh-Ritz broke down
+        vals, vecs = np.full(k, np.nan), Y0
+    order = np.argsort(vals, kind="stable")
+    vals, vecs = vals[order], dst(vecs[:, order])
+    # sign convention P > 0 at the first node, so the orbitals written
+    # out do not depend on the start block or the iteration count
+    vecs *= np.where(vecs[0] < 0.0, -1.0, 1.0)
+    worst = float(np.max(np.linalg.norm(fock.apply(key, vecs) - vecs * vals, axis=0)))
+    if not worst <= LOBPCG_SLACK * tol:     # also catches a NaN residual
+        log.warning(
+            "LOBPCG on channel %s left residual %.3e above %.3e; using dense eigh",
+            key, worst, LOBPCG_SLACK * tol,
+        )
+        return _dense_levels(fock.matrices[key], k)
+    return vals, vecs
 
 
 def _channel_spectra(fock: FockOperator, count: int):
-    """Lowest `count` eigenpairs per channel, sharing work across equal matrices.
+    """Lowest `count` eigenpairs per channel, one eigensolve per spin group.
 
     Memoized on the operator per `count`; callers must not modify the arrays.
     """
@@ -178,24 +267,18 @@ def _channel_spectra(fock: FockOperator, count: int):
     if spectra is not None:
         return spectra
     spectra = {}
-    seen: list[tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]] = []
-    n = fock.grid.n
-    k = min(count, n)
-    for key in fock.channels():
-        H = fock.matrices[key]
-        hit = None
-        for mat, res in seen:
-            if mat is H:
-                hit = res
-                break
-        if hit is None:
-            try:
-                vals, vecs = scipy.linalg.eigh(H, subset_by_index=(0, k - 1))
-            except scipy.linalg.LinAlgError as exc:  # pragma: no cover
-                raise EigFailure(str(exc)) from exc
-            hit = (vals, vecs / np.sqrt(fock.grid.h))
-            seen.append((H, hit))
-        spectra[key] = hit
+    k = min(count, fock.grid.n)
+    for ell in range(fock.ell_max + 1):
+        for grp in fock.groups:
+            key = (ell, grp[0])
+            if fock.matrix_free:
+                vals, vecs = _lobpcg_levels(fock, key, k)
+            else:
+                vals, vecs = _dense_levels(fock.matrices[key], k)
+            level = (vals, vecs / np.sqrt(fock.grid.h))
+            for spin in grp:
+                spectra[(ell, spin)] = level
+    spectra = dict(sorted(spectra.items()))
     fock._spectra[count] = spectra
     return spectra
 
@@ -282,12 +365,11 @@ def commutator_residual(fock: FockOperator, gamma: DensityMatrix) -> float:
     h = grid.h
     total = 0.0
     for (ell, spin), blk in gamma.blocks.items():
-        H = fock.matrices.get((ell, spin))
-        if H is None:
+        if ell > fock.ell_max:
             continue
         C = blk.orbitals
         lam = blk.occupations / (2 * ell + 1)
-        W = H @ C
+        W = fock.apply((ell, spin), C)
         A = W * lam
         AtA = A.T @ A          # = lam W^T W lam
         CtA = (C.T @ A) * h
@@ -302,10 +384,9 @@ def orbital_residuals(fock: FockOperator, gamma: DensityMatrix) -> list[float]:
     grid = fock.grid
     out = []
     for (ell, spin), blk in gamma.blocks.items():
-        H = fock.matrices[(ell, spin)]
         for a in range(blk.m):
             P = blk.orbitals[:, a]
-            HP = H @ P
+            HP = fock.apply((ell, spin), P)
             eps = grid.h * (P @ HP)
             res = HP - eps * P
             out.append(float(np.sqrt(grid.h * (res @ res))))
@@ -316,8 +397,7 @@ def _tr_h_gamma(fock: FockOperator, gamma: DensityMatrix) -> float:
     grid = fock.grid
     acc = 0.0
     for (ell, spin), blk in gamma.blocks.items():
-        H = fock.matrices[(ell, spin)]
-        HP = H @ blk.orbitals
+        HP = fock.apply((ell, spin), blk.orbitals)
         vals = grid.h * np.einsum("ia,ia->a", blk.orbitals, HP)
         acc += float(np.sum(blk.occupations * vals))
     return acc
@@ -531,18 +611,19 @@ def solve_scf(sys: AtomSystem, options: SolverOptions) -> tuple[SCFReport, Densi
 
 def _roothaan_step(gamma, fock, grid, sys, options, shift):
     """Aufbau on the level-shifted Fock operator (shift on the virtual space)."""
-    shifted = {}
-    for (ell, spin), H in fock.matrices.items():
-        blk = gamma.blocks.get((ell, spin))
-        Hs = H + shift * np.eye(grid.n)
-        if blk is not None and blk.m:
-            C = blk.orbitals
-            lam = blk.occupations / (2 * ell + 1)
-            Hs = Hs - shift * grid.h * (C * lam) @ C.T
-        shifted[(ell, spin)] = 0.5 * (Hs + Hs.T)
-    shifted_fock = FockOperator(
-        system=fock.system, grid=grid, matrices=shifted, gamma=gamma, kinetic=fock.kinetic
-    )
-    nxt = aufbau_projection(shifted_fock, sys.N, sys.q)
+    spectra = {}
+    k = min(_levels_needed(sys.N), grid.n)
+    for ell in range(fock.ell_max + 1):
+        for grp in fock.groups:
+            Hs = fock.matrices[(ell, grp[0])] + shift * np.eye(grid.n)
+            blk = gamma.blocks.get((ell, grp[0]))
+            if blk is not None and blk.m:
+                C = blk.orbitals
+                lam = blk.occupations / (2 * ell + 1)
+                Hs = Hs - shift * grid.h * (C * lam) @ C.T
+            vals, vecs = _dense_levels(0.5 * (Hs + Hs.T), k)
+            for spin in grp:
+                spectra[(ell, spin)] = (vals, vecs / np.sqrt(grid.h))
+    nxt = _fill_lowest(spectra, sys.N, sys.q)
     e_next = total_energy(nxt, grid, sys, kinetic=options.kinetic)
     return nxt, e_next

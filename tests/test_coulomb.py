@@ -11,11 +11,13 @@ from prhf import (
     exchange_matrix,
     hartree_potential,
     inner,
+    kinetic_operator,
     reduced_density,
     slater_yk,
 )
 from prhf.coulomb import (
     _threej000_sq,
+    exchange_apply,
     exchange_energy,
     exchange_multipole_weight,
     multipole_kernel,
@@ -143,6 +145,15 @@ def test_yk_against_double_sum(grid200, k):
     assert np.allclose(y / grid200.nodes, direct, rtol=1e-9, atol=1e-12 * np.max(np.abs(direct)))
 
 
+def test_yk_column_blocks_sweep_each_column(grid200, rng):
+    Pa = _normalized(grid200, grid200.nodes * np.exp(-grid200.nodes))
+    X = rng.standard_normal((grid200.n, 3))
+    for k in (0, 1, 2):
+        block = slater_yk(Pa[:, None], X, k, grid200)
+        for j in range(X.shape[1]):
+            assert np.array_equal(block[:, j], slater_yk(Pa, X[:, j], k, grid200))
+
+
 # --- angular coefficients ----------------------------------------------------
 
 
@@ -237,6 +248,22 @@ def test_exchange_matrix_psd_and_dominated(grid200, rng):
         assert ku <= ru * (1.0 + 1e-10)
 
 
+def test_exchange_apply_matches_matrix(grid200, rng):
+    gamma = _s_density(grid200, [np.array([1.0, 0.5]), np.array([0.8])])
+    P = _normalized(grid200, grid200.nodes**2 * np.exp(-grid200.nodes))
+    blocks = dict(gamma.blocks)
+    blocks[(1, 0)] = ChannelBlock(P[:, None], np.array([2.0]))
+    gamma = DensityMatrix(blocks)
+    X = rng.standard_normal((grid200.n, 3))
+    for ell in (0, 1):
+        for spin in (0, 1):
+            K = exchange_matrix(gamma, ell, spin, grid200)
+            KX = exchange_apply(gamma, ell, spin, X, grid200)
+            assert np.linalg.norm(KX - K @ X) <= 1e-12 * np.linalg.norm(K @ X)
+            Kx = exchange_apply(gamma, ell, spin, X[:, 0], grid200)
+            assert np.allclose(Kx, KX[:, 0], rtol=0, atol=1e-15 * np.abs(KX).max())
+
+
 # --- energy terms ------------------------------------------------------------
 
 
@@ -297,3 +324,14 @@ def test_direct_dominates_exchange_random(grid200, rng):
         gamma = _s_density(grid200, [fs0, fs1])
         _, _, D, Ex = energy_terms(gamma, grid200, sys)
         assert D - Ex >= -1e-12 * (1.0 + D)
+
+
+def test_energy_terms_s_kinetic_trace_matches_dense(grid200):
+    sys = AtomSystem(Z=2.0, N=2, alpha=ALPHA)
+    gamma = _s_density(grid200, [np.array([1.0, 0.5]), np.array([0.8])])
+    T = kinetic_operator(grid200, 0, ALPHA).matrix
+    dense = sum(
+        grid200.h * float(np.sum(blk.occupations * np.einsum("ia,ia->a", blk.orbitals, T @ blk.orbitals)))
+        for blk in gamma.blocks.values()
+    )
+    assert energy_terms(gamma, grid200, sys)[0] == pytest.approx(dense, rel=1e-13)

@@ -11,7 +11,7 @@ from prhf import (
     kinetic_operator,
     spectral_function,
 )
-from prhf.radial import nonrelativistic_kinetic
+from prhf.radial import dst, laplacian_symbol, nonrelativistic_kinetic
 
 ALPHA = 1.0 / 137.036
 
@@ -80,6 +80,20 @@ def test_laplacian_spectrum_analytic():
     k = np.arange(1, grid.n + 1)
     exact = (4.0 / grid.h**2) * np.sin(k * np.pi / (2 * (grid.n + 1))) ** 2
     assert np.allclose(np.sort(vals), np.sort(exact), rtol=1e-10)
+    assert np.allclose(laplacian_symbol(grid), exact, rtol=1e-14, atol=0)
+
+
+def test_dst_diagonalizes_s_laplacian():
+    # the orthonormal DST-I is its own inverse and its modes are the
+    # ell = 0 eigenvectors, in the order of laplacian_symbol
+    grid = build_grid(180, 9.0)
+    S = dst(np.eye(grid.n))
+    assert np.allclose(S @ S, np.eye(grid.n), rtol=0, atol=1e-13)
+    lap = channel_laplacian(grid, 0).matrix
+    D = S @ lap @ S
+    sym = laplacian_symbol(grid)
+    assert np.allclose(np.diag(D), sym, rtol=1e-12, atol=0)
+    assert np.max(np.abs(D - np.diag(np.diag(D)))) <= 1e-12 * sym.max()
 
 
 def test_laplacian_box_ground_state():
@@ -200,3 +214,37 @@ def test_nonrelativistic_kinetic_dominates():
     Tnr = nonrelativistic_kinetic(grid, 0, ALPHA).matrix
     vals = np.linalg.eigvalsh(Tnr - T)
     assert vals[0] >= -1e-10
+
+
+@pytest.mark.parametrize("make", [kinetic_operator, nonrelativistic_kinetic])
+def test_kinetic_dst_apply_matches_dense(make, rng):
+    grid = build_grid(300, 15.0)
+    op = make(grid, 0, ALPHA)
+    X = rng.standard_normal((grid.n, 4))
+    for Y in (X, X[:, 0]):
+        dense = op.matrix @ Y
+        assert np.linalg.norm(op.apply(Y) - dense) <= 1e-13 * np.linalg.norm(dense)
+    # T u of a smooth u is small beside |T| |u|: compare on the operator's scale
+    u = grid.nodes * np.exp(-grid.nodes)
+    scale = np.linalg.norm(op.matrix @ X) / np.linalg.norm(X) * np.linalg.norm(u)
+    assert np.linalg.norm(op.apply(u) - op.matrix @ u) <= 1e-13 * scale
+
+
+def test_kinetic_apply_is_dense_off_the_s_channel(rng):
+    grid = build_grid(150, 10.0)
+    op = kinetic_operator(grid, 1, ALPHA)
+    X = rng.standard_normal((grid.n, 2))
+    assert np.array_equal(op.apply(X), op.matrix @ X)
+    with pytest.raises(BadGrid):
+        op.symbol
+
+
+def test_kinetic_dense_form_is_lazy_and_unchanged():
+    grid = build_grid(170, 11.0)       # a grid no other test builds
+    op = kinetic_operator(grid, 0, ALPHA)
+    op.apply(grid.nodes)
+    assert "dense" not in vars(op)
+    ainv = 1.0 / ALPHA
+    ref = spectral_function(channel_laplacian(grid, 0), lambda lam: np.sqrt(lam + ainv**2) - ainv)
+    assert np.array_equal(op.matrix, ref.matrix)
+    assert all(np.array_equal(a, b) for a, b in zip(op.eigensystem(), ref.eigensystem()))

@@ -1,3 +1,5 @@
+import logging
+
 import numpy as np
 import pytest
 
@@ -16,7 +18,8 @@ from prhf import (
     validate_system,
 )
 from prhf.coulomb import exchange_matrix, hartree_potential, reduced_density
-from prhf.scf import _mix_blocks, density_from_shells
+from prhf import radial, scf
+from prhf.scf import _channel_spectra, _levels_needed, _mix_blocks, density_from_shells
 from prhf.model import ShellSpec
 import scipy.linalg
 
@@ -81,6 +84,108 @@ def test_fock_min_eigenvalue_grows_with_density(he_small):
     e_bare = scipy.linalg.eigh(bare.matrices[(0, 0)], subset_by_index=(0, 0), eigvals_only=True)[0]
     e_full = scipy.linalg.eigh(he_small.fock.matrices[(0, 0)], subset_by_index=(0, 0), eigvals_only=True)[0]
     assert e_full >= e_bare - 1e-12
+
+
+@pytest.mark.parametrize("name", ["he_small", "li_solution"])
+def test_fock_apply_matches_matrices(name, request, rng):
+    sol = request.getfixturevalue(name)
+    fock = fock_build(sol.gamma, sol.grid, sol.sys)
+    assert fock.matrix_free
+    assert len(fock.groups) == (1 if sol.sys.N == 2 else 2)
+    X = rng.standard_normal((sol.grid.n, 4))
+    P = sol.gamma.blocks[(0, 0)].orbitals
+    for key, H in fock.matrices.items():
+        HX = H @ X
+        assert np.linalg.norm(fock.apply(key, X) - HX) <= 1e-13 * np.linalg.norm(HX)
+        assert np.linalg.norm(fock.apply(key, X[:, 0]) - HX[:, 0]) <= 1e-13 * np.linalg.norm(HX[:, 0])
+        # H P of a smooth orbital is small beside |H| |P|; the roundoff of
+        # either form is on the operator's scale
+        scale = np.linalg.norm(HX) / np.linalg.norm(X) * np.linalg.norm(P)
+        assert np.linalg.norm(fock.apply(key, P) - H @ P) <= 1e-13 * scale
+
+
+@pytest.mark.parametrize("name", ["he_small", "li_solution"])
+def test_lobpcg_levels_match_dense(name, request, caplog):
+    """At a fixed density the matrix-free levels are the dense eigh levels."""
+    sol = request.getfixturevalue(name)
+    fock = fock_build(sol.gamma, sol.grid, sol.sys)
+    k = _levels_needed(sol.sys.N)
+    with caplog.at_level(logging.WARNING, logger="prhf.scf"):
+        spectra = _channel_spectra(fock, k)
+    assert not caplog.records              # no fallback to the dense eigensolve
+    for key, (vals, vecs) in spectra.items():
+        dense, dvecs = scipy.linalg.eigh(fock.matrices[key], subset_by_index=(0, k - 1))
+        assert np.max(np.abs(vals - dense)) / sol.sys.alpha <= 1e-10
+        overlap = np.abs(np.sum(vecs * dvecs, axis=0)) * np.sqrt(sol.grid.h)
+        assert np.allclose(overlap[:2], 1.0, rtol=0, atol=1e-10)
+        assert np.all(vecs[0] > 0.0)       # signed positive at the first node
+
+
+def _broken_lobpcg(*args, **kwargs):
+    raise ValueError("eigh has failed in lobpcg postprocessing")
+
+
+@pytest.mark.parametrize("patch", [("LOBPCG_MAXITER", 1), ("lobpcg", _broken_lobpcg)],
+                         ids=["maxiter", "breakdown"])
+def test_lobpcg_nonconvergence_falls_back_to_dense(patch, he_small, monkeypatch, caplog):
+    monkeypatch.setattr(scf, *patch)
+    fock = fock_build(he_small.gamma, he_small.grid, he_small.sys)
+    k = _levels_needed(he_small.sys.N)
+    with caplog.at_level(logging.WARNING, logger="prhf.scf"):
+        spectra = _channel_spectra(fock, k)
+    assert len(caplog.records) == 1       # one eigensolve for the one spin group
+    assert "using dense eigh" in caplog.text
+    vals, vecs = scipy.linalg.eigh(fock.matrices[(0, 0)], subset_by_index=(0, k - 1))
+    for key in ((0, 0), (0, 1)):
+        assert np.array_equal(spectra[key][0], vals)
+        assert np.array_equal(spectra[key][1], vecs / np.sqrt(he_small.grid.h))
+
+
+def test_s_only_solve_builds_no_dense_operator(monkeypatch):
+    """Solve and certificate of an s-only system never form an n x n matrix."""
+    from prhf import minimizer_certificate
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("dense operator built on an s-only system")
+
+    monkeypatch.setattr(scf, "exchange_matrix", refuse)
+    monkeypatch.setattr(radial, "spectral_function", refuse)
+    sys = validate_system(AtomSystem(Z=3.0, N=3, alpha=ALPHA))
+    report, gamma = solve_scf(sys, SolverOptions(n=250, r_max=13.0))  # a grid no other test builds
+    assert report.converged
+    assert "matrices" not in vars(report.fock)
+    assert minimizer_certificate(gamma, report.fock, sys).passed
+
+
+# total energy and occupied eigenvalues (Ha) of the conftest solutions, as
+# the dense eigensolver on every channel gave them; (ell, spin, index) keys
+DENSE_REFERENCE = {
+    "he_solution": (-2.861417886925893, {
+        (0, 0, 0): -0.9177941403429798, (0, 1, 0): -0.9177941403429798,
+    }),
+    "li_solution": (-7.4285432504058715, {
+        (0, 0, 0): -2.484633601253703, (0, 0, 1): -0.19634624589093974,
+        (0, 1, 0): -2.4666114950441766,
+    }),
+    "be_solution": (-14.54746888552658, {
+        (0, 0, 0): -4.720815837542795, (0, 0, 1): -0.3091290089676937,
+        (0, 1, 0): -4.720815837542795, (0, 1, 1): -0.3091290089676937,
+    }),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DENSE_REFERENCE))
+def test_solution_matches_dense_reference(name, request):
+    sol = request.getfixturevalue(name)
+    total, occupied = DENSE_REFERENCE[name]
+    assert abs(sol.report.energy.total - total) <= 1e-10
+    got = {
+        (ell, spin, idx): val_h
+        for (ell, spin, idx, _val, val_h, occ) in sol.report.eigenvalues if occ > 0.5
+    }
+    assert set(got) == set(occupied)
+    for key, val in occupied.items():
+        assert abs(got[key] - val) <= 1e-10
 
 
 def test_aufbau_single_electron(grid200):
