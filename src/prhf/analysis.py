@@ -11,14 +11,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coulomb import DensityMatrix
+from .coulomb import DensityMatrix, empty_density
 from .errors import BoundViolated, CertificateFailure, WindowTooNoisy
 from .greens import nu_of_energy
 from .model import AtomSystem, SolverOptions, validate_system
-from .radial import RadialGrid, _cached_laplacian, kinetic_operator
-from .scf import FockOperator, _channel_spectra, _levels_needed, orbital_residuals, solve_scf
+from .radial import RadialGrid, dst, laplacian_symbol
+from .scf import (
+    FockOperator, _channel_spectra, _levels_needed, fock_build, orbital_residuals, solve_scf,
+)
 
 NOISE_FLOOR_REL = 1e-14
+# the automatic fit window ends where |P| falls below this fraction of
+# its peak: far enough above the 1e-14 roundoff of the eigensolvers that
+# a roundoff-size change of the orbital does not move the fitted rate
+WINDOW_END_REL = 1e-9
 MIN_WINDOW_POINTS = 20
 EFOLD_SPAN = 6.5
 
@@ -48,8 +54,7 @@ class DecayFit:
 def _auto_window(P: np.ndarray, grid: RadialGrid, nu_est: float) -> tuple[float, float]:
     """Rightmost clean window: away from the Dirichlet wall, above noise."""
     absP = np.abs(P)
-    floor = NOISE_FLOOR_REL * float(absP.max())
-    usable = absP > 1e3 * floor
+    usable = absP > WINDOW_END_REL * float(absP.max())
     r_hi_wall = 0.7 * grid.r_max
     idx = np.nonzero(usable & (grid.nodes <= r_hi_wall))[0]
     if idx.size == 0:
@@ -196,14 +201,13 @@ def minimizer_certificate(
 def kato_probe(u: np.ndarray, grid: RadialGrid, alpha: float) -> tuple[float, float]:
     """(int u^2/r dr, (pi/2) <u, |p| u>) for an s-channel function u.
 
-    The coupling inequality lhs <= rhs holds up to discretization slack
-    (5e-3 is the acceptance tolerance).
+    |p| is the square root of the ell = 0 Laplacian, diagonal under the
+    DST-I. The coupling inequality lhs <= rhs holds up to discretization
+    slack (5e-3 is the acceptance tolerance).
     """
     u = np.asarray(u, dtype=float)
-    lap = _cached_laplacian(grid, 0)
-    vals, vecs = lap.eigensystem()
-    coef = vecs.T @ u
-    rhs = 0.5 * np.pi * grid.h * float(coef @ (np.sqrt(vals) * coef))
+    coef = dst(u)
+    rhs = 0.5 * np.pi * grid.h * float(coef @ (np.sqrt(laplacian_symbol(grid)) * coef))
     lhs = grid.h * float(np.sum(u * u / grid.nodes))
     return lhs, rhs
 
@@ -226,21 +230,17 @@ def herbst_bound_check(
 ) -> dict:
     """Lowest discretized eigenvalue of h0 against the analytic lower bound.
 
-    Bound: alpha^-1 (sqrt(1 - (pi Z alpha / 2)^2) - 1). Violation raises
-    BoundViolated (it would signal an inconsistent discretization).
+    h0 = T - Z alpha/r is the Fock operator of the empty density, the
+    operator the `h0` initial guess diagonalizes. Bound: alpha^-1
+    (sqrt(1 - (pi Z alpha / 2)^2) - 1). Violation raises BoundViolated
+    (it would signal an inconsistent discretization).
     """
-    import scipy.linalg
-
     ainv = sys.alpha_inv
     if tol is None:
         tol = 1e-8 * ainv
     bound = ainv * (np.sqrt(max(1.0 - (np.pi * sys.z_alpha / 2.0) ** 2, 0.0)) - 1.0)
-    lowest = np.inf
-    for ell in range(ell_max + 1):
-        T = kinetic_operator(grid, ell, sys.alpha).matrix
-        H = T - np.diag(sys.z_alpha / grid.nodes)
-        val = scipy.linalg.eigh(H, subset_by_index=(0, 0), eigvals_only=True)[0]
-        lowest = min(lowest, float(val))
+    spectra = _channel_spectra(fock_build(empty_density(), grid, sys, ell_max=ell_max), 1)
+    lowest = min(float(vals[0]) for vals, _vecs in spectra.values())
     ok = lowest >= bound - tol
     report = {
         "Z": sys.Z, "alpha": sys.alpha, "bound": bound,

@@ -36,7 +36,7 @@ from .errors import (
     WindowTooNoisy,
 )
 from .model import AtomSystem, SolverOptions, validate_system
-from .radial import build_grid, kinetic_operator
+from .radial import build_grid, dst, kinetic_operator
 from .scf import fock_build, resolve_options, solve_scf
 
 log = logging.getLogger("prhf")
@@ -101,6 +101,8 @@ _SCHEMA = {
     "decay_window_lo": (_parse_auto_float, None),
     "decay_window_hi": (_parse_auto_float, None),
 }
+# counts that, when set, must be at least 1
+_COUNTS = ("kato_samples", "binding_n_max", "sweep_n_max")
 
 
 def parse_config(path: str | Path) -> dict:
@@ -135,6 +137,9 @@ def parse_config(path: str | Path) -> dict:
         if default is _REQUIRED:
             raise ConfigError(f"missing required configuration key: {key}")
         values[key] = default
+    for key in _COUNTS:
+        if values[key] is not None and values[key] < 1:
+            raise ConfigError(f"{key} = {values[key]} must be at least 1")
     return values
 
 
@@ -431,16 +436,16 @@ def _suite_greens(cfg, sys_, eps_homo: float | None):
         "tail_fraction": tail_frac,
     }
 
-    # resolvent round trip against the dense discrete operator at n=400
+    # resolvent round trip against the discrete operator at n=400; T - E
+    # is diagonal under the DST-I, so its exact inverse is a division
     rgrid = build_grid(400, 40.0)
-    T = kinetic_operator(rgrid, 0, alpha).matrix
-    A = T - E * np.eye(rgrid.n)
+    T = kinetic_operator(rgrid, 0, alpha)
     worst_rt, worst_dense = 0.0, 0.0
     for f in _greens_battery(rgrid):
         v = greens.resolvent_apply(f, E, alpha, rgrid)
-        rt = float(np.linalg.norm(A @ v - f) / np.linalg.norm(f))
-        dense = np.linalg.solve(A, f)
-        dv = float(np.linalg.norm(v - dense) / np.linalg.norm(dense))
+        rt = float(np.linalg.norm(T.apply(v) - E * v - f) / np.linalg.norm(f))
+        exact = dst(dst(f) / (T.symbol - E))
+        dv = float(np.linalg.norm(v - exact) / np.linalg.norm(exact))
         worst_rt, worst_dense = max(worst_rt, rt), max(worst_dense, dv)
     checks["resolvent_roundtrip"] = {"passed": worst_rt <= 1e-3, "worst": worst_rt}
     checks["resolvent_vs_dense"] = {"passed": worst_dense <= 1e-3, "worst": worst_dense}

@@ -18,7 +18,6 @@ alpha values.
 from __future__ import annotations
 
 import functools
-import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -72,26 +71,22 @@ def inner(grid: RadialGrid, a, b) -> float:
 class ChannelOperator:
     """Dense symmetric operator on one angular channel.
 
-    The eigendecomposition is computed on first use under a lock and
-    then shared read-only.
+    The eigendecomposition is computed on first use and then shared
+    read-only.
     """
 
     def __init__(self, ell: int, matrix: np.ndarray):
         self.ell = int(ell)
         self.matrix = matrix
         self._eig = None
-        self._lock = threading.Lock()
 
     def eigensystem(self):
         """Return (eigenvalues ascending, orthonormal eigenvector columns)."""
         if self._eig is None:
-            with self._lock:
-                if self._eig is None:
-                    try:
-                        vals, vecs = scipy.linalg.eigh(self.matrix)
-                    except scipy.linalg.LinAlgError as exc:  # pragma: no cover
-                        raise EigFailure(str(exc)) from exc
-                    self._eig = (vals, vecs)
+            try:
+                self._eig = scipy.linalg.eigh(self.matrix)
+            except scipy.linalg.LinAlgError as exc:  # pragma: no cover
+                raise EigFailure(str(exc)) from exc
         return self._eig
 
     @property
@@ -226,8 +221,3 @@ def channel_kinetic(
     if kinetic == "nonrelativistic":
         return nonrelativistic_kinetic(grid, ell, alpha)
     return kinetic_operator(grid, ell, alpha)
-
-
-def momentum_operator(grid: RadialGrid, ell: int = 0) -> ChannelOperator:
-    """|p| on one channel: the spectral square root of the channel Laplacian."""
-    return spectral_function(_cached_laplacian(grid, ell), np.sqrt)

@@ -18,6 +18,7 @@ from prhf import (
 )
 from prhf.analysis import binding_monotonicity, random_smooth_battery
 from prhf.greens import energy_of_nu
+from prhf.radial import channel_laplacian, kinetic_operator
 from prhf.scf import fock_build
 
 ALPHA = 1.0 / 137.036
@@ -67,6 +68,21 @@ def test_decay_fit_auto_window():
     r1, r2 = fit.window
     assert 0.0 < r1 < r2 <= 0.75 * grid.r_max
     assert fit.efolds >= 5.0
+
+
+def test_decay_fit_auto_window_is_above_roundoff(hydrogen_limit_solution):
+    # the dense eigensolve's orbital agrees with the solver's to 2.5e-13 of
+    # the peak; a window that ends in that roundoff moves the rate by 1e-4
+    sol = hydrogen_limit_solution
+    P = sol.gamma.blocks[(0, 0)].orbitals[:, 0]
+    _vals, vecs = scipy.linalg.eigh(sol.fock.matrices[(0, 0)], subset_by_index=(0, 0))
+    dense = vecs[:, 0] * np.sign(vecs[0, 0] * P[0]) / np.sqrt(sol.grid.h)
+    assert np.abs(dense - P).max() <= 1e-12 * np.abs(P).max()
+    eps = min(e for (_l, _s, _i, e, _eh, occ) in sol.report.eigenvalues if occ > 0.5)
+    fit = decay_fit(P, eps, sol.grid, sol.sys.alpha)
+    fit_dense = decay_fit(dense, eps, sol.grid, sol.sys.alpha)
+    assert fit_dense.window == fit.window
+    assert abs(fit_dense.beta_hat - fit.beta_hat) <= 1e-5 * fit.beta_hat
 
 
 def test_certificate_passes_on_converged(he_small):
@@ -135,6 +151,45 @@ def test_kato_probe_far_concentration(grid200):
     u /= np.sqrt(grid200.h * (u @ u))
     lhs, rhs = kato_probe(u, grid200, ALPHA)
     assert lhs / rhs < 0.2
+
+
+def _dense_kato_probe(u, grid):
+    """kato_probe through a dense eigendecomposition of the ell = 0 Laplacian."""
+    vals, vecs = scipy.linalg.eigh(channel_laplacian(grid, 0).matrix)
+    coef = vecs.T @ u
+    rhs = 0.5 * np.pi * grid.h * float(coef @ (np.sqrt(vals) * coef))
+    return grid.h * float(np.sum(u * u / grid.nodes)), rhs
+
+
+def _dense_herbst_lowest(sys, grid, ell_max=0):
+    """Lowest eigenvalue of T - Z alpha/r over the channels, by dense eigh."""
+    lowest = np.inf
+    for ell in range(ell_max + 1):
+        H = kinetic_operator(grid, ell, sys.alpha).matrix - np.diag(sys.z_alpha / grid.nodes)
+        val = scipy.linalg.eigh(H, subset_by_index=(0, 0), eigvals_only=True)[0]
+        lowest = min(lowest, float(val))
+    return lowest
+
+
+def test_kato_probe_matches_dense_oracle():
+    grid = build_grid(1200, 20.0)
+    for u in random_smooth_battery(grid, 20, seed=20240817):
+        lhs, rhs = kato_probe(u, grid, ALPHA)
+        lhs_ref, rhs_ref = _dense_kato_probe(u, grid)
+        assert lhs == lhs_ref
+        assert rhs == pytest.approx(rhs_ref, rel=1e-10)
+
+
+@pytest.mark.parametrize("Z, n, r_max, ell_max", [
+    (2.0, 1200, 20.0, 0),       # the helium grid: LOBPCG converges
+    (50.0, 1200, 30.0, 0),      # under-resolved: falls back to dense eigh
+    (1.0, 200, 12.0, 1),        # a p channel: dense throughout
+])
+def test_herbst_bound_matches_dense_oracle(Z, n, r_max, ell_max):
+    sys = validate_system(AtomSystem(Z=Z, N=1, alpha=ALPHA))
+    grid = build_grid(n, r_max)
+    rep = herbst_bound_check(sys, grid, ell_max=ell_max)
+    assert rep["min_eigenvalue"] == pytest.approx(_dense_herbst_lowest(sys, grid, ell_max), abs=1e-10)
 
 
 def test_herbst_bound_hydrogen(grid200):

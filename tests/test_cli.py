@@ -1,9 +1,12 @@
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
+import scipy.linalg
 
 import prhf.analysis
+import prhf.radial
 from prhf import ConfigError, SolverOptions
 from prhf.analysis import binding_monotonicity
 from prhf.cli import (
@@ -183,6 +186,33 @@ def test_verify_binding_row_from_solution(tmp_path, monkeypatch):
     rows, ok = binding_monotonicity(2.0, 1.0 / 137.036, 2, SolverOptions(n=240, r_max=14.0))
     verify = json.loads((outdir / "verify.json").read_text())
     assert ok and verify["suites"]["binding"]["rows"] == rows
+
+
+def test_verify_s_only_forms_no_dense_matrix(tmp_path, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a dense n x n path ran")
+
+    monkeypatch.setattr(scipy.linalg, "eigh", refuse)
+    monkeypatch.setattr(np.linalg, "solve", refuse)
+    monkeypatch.setattr(prhf.radial, "spectral_function", refuse)
+    outdir = tmp_path / "out"
+    cfg = _write_config(tmp_path, outdir, verify_greens="true", verify_binding="true")
+    assert run_verify(cfg) == EXIT_OK
+    verify = json.loads((outdir / "verify.json").read_text())
+    assert verify["all_passed"] is True
+    assert set(verify["suites"]) == {"minimizer", "decay", "kato", "herbst", "greens", "binding"}
+
+
+@pytest.mark.parametrize("runner, key, value", [
+    (run_verify, "kato_samples", 0),
+    (run_verify, "binding_n_max", 0),
+    (run_sweep, "sweep_n_max", -1),
+])
+def test_counts_below_one_exit_1(tmp_path, runner, key, value):
+    outdir = tmp_path / "out"
+    cfg = _write_config(tmp_path, outdir, verify_binding="true", **{key: value})
+    assert runner(cfg) == EXIT_CONFIG
+    assert not outdir.exists()
 
 
 def test_verify_wall_window_inconclusive(tmp_path):
