@@ -73,8 +73,14 @@ def decay_fit(
     alpha: float,
     window: tuple[float, float] | None = None,
     orbital_id: str = "",
+    charge: float | None = None,
 ) -> DecayFit:
     """Fit log|P(r)/r| ~ -beta r on a tail window; compare against nu(eps).
+
+    With the asymptotic charge Z - N + 1 given, the Coulomb power law of
+    the tail, P/r ~ r^p e^{-nu r} with p = (1 + alpha eps) charge / nu - 1,
+    is removed before the fit; without it the tail is taken as a pure
+    exponential.
 
     Raises WindowTooNoisy when the tail magnitude reaches the quadrature
     noise floor inside the window (or the window collapses).
@@ -97,9 +103,11 @@ def decay_fit(
     if np.any(vals <= floor):
         raise WindowTooNoisy("tail magnitude reaches the noise floor inside the window")
     y = np.log(vals / r)
+    efolds = float(y[0] - y[-1])
+    if charge is not None:
+        y -= ((1.0 + alpha * eps) * charge / nu_pred - 1.0) * np.log(r)
     slope, intercept = np.polyfit(r, y, 1)
     resid = float(np.sqrt(np.mean((y - (slope * r + intercept)) ** 2)))
-    efolds = float(y[0] - y[-1])
     return DecayFit(
         orbital_id=orbital_id,
         window=(float(r1), float(r2)),

@@ -310,7 +310,7 @@ def _suite_decay(gamma, fock, sys_, report_dict, cfg) -> dict:
             eps = grid.h * float(P @ fock.apply((ell, spin), P))
             fit = analysis.decay_fit(
                 P, eps, grid, sys_.alpha, window=window,
-                orbital_id=_orbital_label(ell, spin, idx),
+                orbital_id=_orbital_label(ell, spin, idx), charge=sys_.Z - sys_.N + 1,
             )
             fits.append(fit)
             eps_list.append(eps)
@@ -442,7 +442,7 @@ def _suite_greens(cfg, sys_, eps_homo: float | None):
     T = kinetic_operator(rgrid, 0, alpha)
     worst_rt, worst_dense = 0.0, 0.0
     for f in _greens_battery(rgrid):
-        v = greens.resolvent_apply(f, E, alpha, rgrid)
+        v = greens.resolvent_apply(f, kernel, rgrid)
         rt = float(np.linalg.norm(T.apply(v) - E * v - f) / np.linalg.norm(f))
         exact = dst(dst(f) / (T.symbol - E))
         dv = float(np.linalg.norm(v - exact) / np.linalg.norm(exact))

@@ -58,9 +58,6 @@ class DensityMatrix:
     def max_ell(self) -> int:
         return max((ell for (ell, _s) in self.blocks), default=0)
 
-    def spins(self):
-        return sorted({s for (_l, s) in self.blocks})
-
     def occupation_list(self):
         """Flat [(ell, spin, index, f, lambda)] in deterministic order."""
         out = []

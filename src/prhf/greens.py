@@ -18,24 +18,26 @@ bound on the convolution term).
 
 resolvent_apply realizes v = G_E * f for reduced s-channel functions
 through exact per-cell integrals of the first two kernel terms (they
-have elementary/Bessel antiderivatives) plus a tabulated double
-cumulative for the convolution term; this keeps the log-singular
-diagonal of the reduced kernel under control.
+have elementary/Bessel antiderivatives) plus a double cumulative of the
+tabulated convolution term; this keeps the log-singular diagonal of the
+reduced kernel under control.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import cumulative_simpson, cumulative_trapezoid, quad
-from scipy.special import iti0k0, k0 as _sk0, k1 as _sk1
+from scipy.special import iti0k0, k0 as _sk0, k1 as _sk1, kve
 
 from .errors import DomainError
 from .radial import RadialGrid
 
 _CONV_CHUNK = 256
+# the default kernel mesh ends at nu*u = 80, where the exponential
+# kernel terms have decayed by e^-80
+_NU_U_MAX = 80.0
 
 
 def bessel_k(order: int, t):
@@ -79,25 +81,20 @@ def energy_of_nu(nu: float, alpha: float) -> float:
     return float(-(nu**2) / (np.sqrt(ainv**2 - nu**2) + ainv))
 
 
-def default_kernel_mesh(
-    E: float, alpha: float, u_max: float | None = None,
-    n_far: int = 2400, u_min: float | None = None,
-) -> np.ndarray:
-    """Log-refined near zero (the kernel diverges like 1/u^2), uniform beyond.
+def default_kernel_mesh(E: float, alpha: float) -> np.ndarray:
+    """Log-refined near zero (the kernel diverges like 1/u^2), uniform to nu*u = 80.
 
     The mesh floor scales with alpha: the K1 ingredient has a
     log-divergent cumulative at the origin and a fixed floor would lose
     an O(u_min/alpha) fraction of the short-range mass.
     """
     nu = nu_of_energy(E, alpha)
-    if u_max is None:
-        u_max = 80.0 / nu
-    if u_min is None:
-        u_min = min(1e-6, 1e-5 * alpha)
+    u_max = _NU_U_MAX / nu
+    u_min = min(1e-6, 1e-5 * alpha)
     u_switch = min(1.0, 0.2 * u_max)
     n_log = max(400, int(np.ceil(85.0 * np.log10(u_switch / u_min))))
     head = np.geomspace(u_min, u_switch, n_log)
-    tail = np.linspace(u_switch, u_max, n_far + 1)[1:]
+    tail = np.linspace(u_switch, u_max, 2401)[1:]
     return np.concatenate([head, tail])
 
 
@@ -107,6 +104,16 @@ def _cell_edges(mesh: np.ndarray) -> np.ndarray:
     edges[0] = max(mesh[0] - 0.5 * (mesh[1] - mesh[0]), 0.0)
     edges[-1] = mesh[-1] + 0.5 * (mesh[-1] - mesh[-2])
     return edges
+
+
+def _abs_interval(r, a, b, F):
+    """int_a^b g(|r - s|) ds given the antiderivative F(x) = int_0^x g.
+
+    Three cases: cell entirely left of r, entirely right, or straddling.
+    """
+    ra = F(np.abs(r - a))
+    rb = F(np.abs(r - b))
+    return np.where(r >= b, ra - rb, np.where(r <= a, rb - ra, ra + rb))
 
 
 def radial_convolution(f: np.ndarray, g: np.ndarray, mesh: np.ndarray) -> np.ndarray:
@@ -169,9 +176,7 @@ def radial_convolution(f: np.ndarray, g: np.ndarray, mesh: np.ndarray) -> np.nda
         a = lo_edge[None, :]
         b = hi_edge[None, :]
         plus = A(r + b) - A(r + a)
-        ra = A(np.abs(r - a))
-        rb = A(np.abs(r - b))
-        minus = np.where(r >= b, ra - rb, np.where(r <= a, rb - ra, ra + rb))
+        minus = _abs_interval(r, a, b, A)
         out[lo:hi] = (sf[None, :] * (plus - minus)).sum(axis=1)
     return 2.0 * np.pi * out / mesh
 
@@ -180,7 +185,9 @@ def est1_constant(E: float, alpha: float) -> float:
     """Envelope constant C: (E+a) plus the Newton bound on the convolution term."""
     ainv = 1.0 / alpha
     nu = nu_of_energy(E, alpha)
-    integrand = lambda s: _sk1(ainv * s) * np.exp(nu * s) * s
+    # K1(a s) e^{nu s} = kve(1, a s) e^{(nu - a) s}: the unscaled product
+    # is 0 * inf far out once nu exceeds about 2
+    integrand = lambda s: kve(1, ainv * s) * np.exp((nu - ainv) * s) * s
     cut = 50.0 * alpha
     part1 = quad(integrand, 0.0, cut, limit=200)[0]
     part2 = quad(integrand, cut, np.inf, limit=200)[0]
@@ -276,29 +283,8 @@ def _interval_k0(a, b, ainv):
     return (_itk0(ainv * b) - _itk0(ainv * a)) / ainv
 
 
-def _abs_interval(r, a, b, F):
-    """int_a^b g(|r - s|) ds given the antiderivative F(x) = int_0^x g.
-
-    Three cases: cell entirely left of r, entirely right, or straddling.
-    """
-    ra = F(np.abs(r - a))
-    rb = F(np.abs(r - b))
-    return np.where(r >= b, ra - rb, np.where(r <= a, rb - ra, ra + rb))
-
-
-@functools.lru_cache(maxsize=4)
-def _conv_cumulatives(E: float, alpha: float, u_max: float):
-    """Tabulated first and second cumulative of u * term3(u), cached."""
-    mesh = default_kernel_mesh(E, alpha, u_max=u_max, n_far=2600)
-    ker = greens_kernel(E, alpha, mesh=mesh)
-    ug3 = mesh * ker.term3
-    T3 = np.concatenate([[0.0], cumulative_trapezoid(ug3, mesh)])
-    A3 = np.concatenate([[0.0], cumulative_trapezoid(T3, mesh)])
-    return mesh, T3, A3, ker
-
-
-def resolvent_apply(f: np.ndarray, E: float, alpha: float, grid: RadialGrid) -> np.ndarray:
-    """Apply (T - E)^{-1} to a reduced s-channel function via the kernel.
+def resolvent_apply(f: np.ndarray, kernel: GreensKernel, grid: RadialGrid) -> np.ndarray:
+    """Apply (T - E)^{-1} at the kernel's energy to a reduced s-channel function.
 
     v(r) = int M(r,s) f(s) ds with the reduced pair kernel
 
@@ -308,19 +294,28 @@ def resolvent_apply(f: np.ndarray, E: float, alpha: float, grid: RadialGrid) -> 
 
     integrated cell-by-cell (the K0 part is log-singular on the diagonal
     and concentrated below the grid spacing, so per-cell antiderivatives
-    are required rather than point sampling).
+    are required rather than point sampling). G3 is the kernel's
+    tabulated term3; past the mesh end T3 is taken as constant, exact
+    to e^-80 on a mesh that reaches nu*u = 80.
     """
     f = np.asarray(f, dtype=float)
     if f.shape != (grid.n,):
         raise DomainError("f must be tabulated on the grid nodes")
-    nu = nu_of_energy(E, alpha)
+    E, alpha, nu, mesh = kernel.E, kernel.alpha, kernel.nu, kernel.mesh
+    if mesh[-1] < _NU_U_MAX / nu and mesh[-1] < 2.0 * grid.r_max + grid.h:
+        raise DomainError(
+            f"kernel mesh ends at u={mesh[-1]:.4g}, short of both nu*u = {_NU_U_MAX:g} "
+            f"and the grid's reach 2*r_max + h"
+        )
     ainv = 1.0 / alpha
     r = grid.nodes
     h = grid.h
-    u_max = 2.0 * grid.r_max + 4.0 * h
-    mesh, T3, A3, _ker = _conv_cumulatives(E, alpha, u_max)
-    T3f = lambda x: np.interp(x, mesh, T3)
-    A3f = lambda x: np.interp(x, mesh, A3)
+    T3 = np.concatenate([[0.0], cumulative_trapezoid(mesh * kernel.term3, mesh)])
+    A3 = np.concatenate([[0.0], cumulative_trapezoid(T3, mesh)])
+
+    def A3f(x):
+        return np.interp(x, mesh, A3) + np.maximum(x - mesh[-1], 0.0) * T3[-1]
+
     c1 = (E + ainv) / (2.0 * nu)
 
     def cum_exp(x):

@@ -89,10 +89,6 @@ class ChannelOperator:
                 raise EigFailure(str(exc)) from exc
         return self._eig
 
-    @property
-    def n(self) -> int:
-        return self.matrix.shape[0]
-
 
 def channel_laplacian(grid: RadialGrid, ell: int) -> ChannelOperator:
     """-d^2/dr^2 + ell(ell+1)/r^2 with Dirichlet ends, second-order stencil."""

@@ -152,32 +152,14 @@ class SCFReport:
 
 def _spin_groups(gamma: DensityMatrix, q: int):
     """Group spins whose channel content is identical, to share work."""
-    groups: list[list[int]] = []
+    groups: dict[tuple, list[int]] = {}
     for spin in range(q):
-        placed = False
-        for grp in groups:
-            ref = grp[0]
-            same = True
-            ells = {ell for (ell, s) in gamma.blocks if s in (spin, ref)}
-            for ell in ells:
-                ba = gamma.blocks.get((ell, ref))
-                bb = gamma.blocks.get((ell, spin))
-                if (ba is None) != (bb is None):
-                    same = False
-                    break
-                if ba is not None and not (
-                    np.array_equal(ba.occupations, bb.occupations)
-                    and np.array_equal(ba.orbitals, bb.orbitals)
-                ):
-                    same = False
-                    break
-            if same:
-                grp.append(spin)
-                placed = True
-                break
-        if not placed:
-            groups.append([spin])
-    return groups
+        key = tuple(
+            (ell, blk.orbitals.shape, blk.occupations.tobytes(), blk.orbitals.tobytes())
+            for (ell, s), blk in gamma.blocks.items() if s == spin
+        )
+        groups.setdefault(key, []).append(spin)
+    return list(groups.values())
 
 
 def fock_build(
@@ -391,16 +373,6 @@ def orbital_residuals(fock: FockOperator, gamma: DensityMatrix) -> list[float]:
             res = HP - eps * P
             out.append(float(np.sqrt(grid.h * (res @ res))))
     return out
-
-
-def _tr_h_gamma(fock: FockOperator, gamma: DensityMatrix) -> float:
-    grid = fock.grid
-    acc = 0.0
-    for (ell, spin), blk in gamma.blocks.items():
-        HP = fock.apply((ell, spin), blk.orbitals)
-        vals = grid.h * np.einsum("ia,ia->a", blk.orbitals, HP)
-        acc += float(np.sum(blk.occupations * vals))
-    return acc
 
 
 @dataclass

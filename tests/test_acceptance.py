@@ -181,7 +181,7 @@ def test_c09_greens_kernel():
     worst_rt = worst_dense = 0.0
     for c, s in [(10.0, 1.5), (14.0, 2.0), (8.0, 1.5), (12.0, 2.5), (16.0, 1.8)]:
         f = np.exp(-(((grid.nodes - c) / s) ** 2))
-        v = resolvent_apply(f, E, ALPHA, grid)
+        v = resolvent_apply(f, kernel, grid)
         worst_rt = max(worst_rt, float(np.linalg.norm(A @ v - f) / np.linalg.norm(f)))
         dense = np.linalg.solve(A, f)
         worst_dense = max(worst_dense, float(np.linalg.norm(v - dense) / np.linalg.norm(dense)))

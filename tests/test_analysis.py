@@ -43,6 +43,20 @@ def test_decay_fit_modulated_exponential():
     assert fit.residual > 1e-4
 
 
+def test_decay_fit_removes_coulomb_power_law():
+    grid = build_grid(1000, 30.0)
+    nu, charge = 0.6, 1.0
+    eps = energy_of_nu(nu, ALPHA)
+    p = (1.0 + ALPHA * eps) * charge / nu - 1.0
+    P = grid.nodes ** (p + 1.0) * np.exp(-nu * grid.nodes)
+    fit = decay_fit(P, eps, grid, ALPHA, window=(8.0, 20.0), charge=charge)
+    assert fit.beta_hat == pytest.approx(nu, rel=1e-9)
+    assert fit.residual <= 1e-9
+    # a pure exponential fit reads the power law as a slower decay
+    plain = decay_fit(P, eps, grid, ALPHA, window=(8.0, 20.0))
+    assert plain.beta_hat < 0.95 * nu
+
+
 def test_decay_fit_rejects_wall_window():
     grid = build_grid(1000, 30.0)
     P = grid.nodes * np.exp(-0.5 * grid.nodes)

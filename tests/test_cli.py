@@ -6,6 +6,7 @@ import pytest
 import scipy.linalg
 
 import prhf.analysis
+import prhf.greens
 import prhf.radial
 from prhf import ConfigError, SolverOptions
 from prhf.analysis import binding_monotonicity
@@ -237,6 +238,43 @@ def test_verify_greens_only_without_solution(tmp_path):
     assert not (outdir / "orbitals.csv").exists()
     verify = json.loads((outdir / "verify.json").read_text())
     assert verify["suites"]["greens"]["status"] == "passed"
+
+
+def test_verify_tabulates_the_kernel_once(tmp_path, monkeypatch):
+    calls = []
+    greens_kernel = prhf.greens.greens_kernel
+
+    def counting_kernel(*args, **kwargs):
+        calls.append(args)
+        return greens_kernel(*args, **kwargs)
+
+    monkeypatch.setattr(prhf.greens, "greens_kernel", counting_kernel)
+    outdir = tmp_path / "out"
+    cfg = _write_config(
+        tmp_path, outdir,
+        verify_minimizer="false", verify_decay="false", verify_kato="false",
+        verify_herbst="false", verify_greens="true", verify_binding="false",
+    )
+    assert run_verify(cfg) == EXIT_OK
+    assert len(calls) == 1
+
+
+def test_verify_every_shipped_config(tmp_path):
+    configs = sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.cfg"))
+    assert configs
+    failed = {}
+    for shipped in configs:
+        outdir = tmp_path / shipped.stem
+        lines = [
+            f"output_dir = {outdir}" if line.split("=")[0].strip() == "output_dir" else line
+            for line in shipped.read_text().splitlines()
+        ]
+        cfg = tmp_path / shipped.name
+        cfg.write_text("\n".join(lines) + "\n")
+        code = run_verify(cfg)
+        if code != EXIT_OK:
+            failed[shipped.stem] = code
+    assert failed == {}
 
 
 def test_greens_command(tmp_path):

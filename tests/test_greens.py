@@ -176,6 +176,13 @@ def test_kernel_est1_envelope(kernel):
     assert np.all(kernel.values <= env)
 
 
+def test_kernel_est1_envelope_fast_decay():
+    # at nu >= 2 the unscaled integrand of the envelope constant is 0 * inf
+    strong = greens_kernel(energy_of_nu(3.0, ALPHA), ALPHA)
+    assert np.isfinite(strong.c_bound)
+    assert np.all(strong.values <= strong.envelope())
+
+
 def test_kernel_third_term_coefficient(kernel):
     # alpha^-2 - nu^2 equals (E + alpha^-1)^2 as an identity
     lhs = AINV**2 - kernel.nu**2
@@ -198,21 +205,26 @@ def test_kernel_tail_slope(kernel):
 # --- resolvent application ---------------------------------------------------
 
 
-def test_resolvent_zero():
+def test_resolvent_zero(kernel):
     grid = build_grid(64, 20.0)
-    E = energy_of_nu(1.0, ALPHA)
-    v = resolvent_apply(np.zeros(64), E, ALPHA, grid)
+    v = resolvent_apply(np.zeros(64), kernel, grid)
     assert np.all(v == 0.0)
 
 
-def test_resolvent_roundtrip_and_dense():
-    grid = build_grid(400, 40.0)
+def test_resolvent_rejects_short_kernel_mesh():
     E = energy_of_nu(1.0, ALPHA)
+    short = greens_kernel(E, ALPHA, mesh=np.geomspace(1e-6, 10.0, 300))
+    with pytest.raises(DomainError):
+        resolvent_apply(np.ones(64), short, build_grid(64, 20.0))
+
+
+def test_resolvent_roundtrip_and_dense(kernel):
+    grid = build_grid(400, 40.0)
     T = kinetic_operator(grid, 0, ALPHA).matrix
-    A = T - E * np.eye(grid.n)
+    A = T - kernel.E * np.eye(grid.n)
     for c, s in [(10.0, 1.5), (14.0, 2.0), (8.0, 1.5), (12.0, 2.5), (16.0, 1.8)]:
         f = np.exp(-(((grid.nodes - c) / s) ** 2))
-        v = resolvent_apply(f, E, ALPHA, grid)
+        v = resolvent_apply(f, kernel, grid)
         roundtrip = np.linalg.norm(A @ v - f) / np.linalg.norm(f)
         assert roundtrip <= 1e-3
         dense = np.linalg.solve(A, f)
