@@ -140,6 +140,10 @@ def parse_config(path: str | Path) -> dict:
     for key in _COUNTS:
         if values[key] is not None and values[key] < 1:
             raise ConfigError(f"{key} = {values[key]} must be at least 1")
+    E, alpha = values["greens_energy"], values["alpha"]
+    # a non-positive alpha is rejected with the system
+    if E is not None and alpha > 0.0 and not (-1.0 / alpha < E < 0.0):
+        raise ConfigError(f"greens_energy = {E} must lie in (-alpha^-1, 0)")
     return values
 
 

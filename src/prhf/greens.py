@@ -17,10 +17,13 @@ where C is recorded on the tabulated kernel (computed from the Newton
 bound on the convolution term).
 
 resolvent_apply realizes v = G_E * f for reduced s-channel functions
-through exact per-cell integrals of the first two kernel terms (they
-have elementary/Bessel antiderivatives) plus a double cumulative of the
-tabulated convolution term; this keeps the log-singular diagonal of the
-reduced kernel under control.
+through exact per-cell integrals of the reduced pair kernel
+M(r, s) = g(|r - s|) - g(r + s): the first two kernel terms have
+elementary/Bessel antiderivatives and the convolution term a double
+cumulative of its tabulation, which keeps the log-singular diagonal
+under control. On the uniform grid the |r - s| cell integrals depend on
+i - j only and the r + s ones on i + j only, so one antiderivative of g
+evaluated at O(n) offsets fills the whole Toeplitz-minus-Hankel matrix.
 """
 
 from __future__ import annotations
@@ -154,8 +157,6 @@ def radial_convolution(f: np.ndarray, g: np.ndarray, mesh: np.ndarray) -> np.nda
         outer, inner = f, g
 
     edges = _cell_edges(mesh)
-    lo_edge = edges[:-1]
-    hi_edge = edges[1:]
     # T~(x) = int_0^x t * inner dt - total  (tends to 0 at the far end, so
     # far-field differences are free of cancellation)
     tg = cumulative_simpson(mesh * inner, x=mesh, initial=0.0)
@@ -165,18 +166,31 @@ def radial_convolution(f: np.ndarray, g: np.ndarray, mesh: np.ndarray) -> np.nda
 
     def A(x):
         # linear continuation below the mesh start; plain clamping there
-        # drops near-diagonal mass of short-range profiles
-        return np.interp(x, mesh, acc) + np.minimum(x - m0, 0.0) * t0
+        # drops near-diagonal mass of short-range profiles. r + edge never
+        # falls below the mesh start, so only |r - edge| needs it.
+        out = np.interp(x, mesh, acc)
+        below = x < m0
+        out[below] += (x[below] - m0) * t0
+        return out
 
     sf = mesh * outer
+    cols = np.arange(mesh.size)
     out = np.empty_like(mesh)
     for lo in range(0, mesh.size, _CONV_CHUNK):
         hi = min(lo + _CONV_CHUNK, mesh.size)
-        r = mesh[lo:hi, None]
-        a = lo_edge[None, :]
-        b = hi_edge[None, :]
-        plus = A(r + b) - A(r + a)
-        minus = _abs_interval(r, a, b, A)
+        r = mesh[lo:hi]
+        # each edge is shared by two neighbouring cells: one A per edge
+        P = np.interp(r[:, None] + edges, mesh, acc)
+        Q = A(np.abs(r[:, None] - edges))
+        plus = P[:, 1:] - P[:, :-1]
+        # int_cell g(|r - s|) ds: Q[b] - Q[a] right of r, Q[a] - Q[b] left
+        # of r (b <= r), Q[a] + Q[b] for the cell straddling r
+        minus = Q[:, 1:] - Q[:, :-1]
+        k = np.searchsorted(edges, r, side="right")        # edges <= r
+        np.negative(minus, out=minus, where=cols < (k - 1)[:, None])
+        rows = np.flatnonzero((k < edges.size) & (edges[k - 1] < r))
+        j = k[rows] - 1
+        minus[rows, j] = Q[rows, j] + Q[rows, j + 1]
         out[lo:hi] = (sf[None, :] * (plus - minus)).sum(axis=1)
     return 2.0 * np.pi * out / mesh
 
@@ -278,25 +292,23 @@ def _itk0(x):
     return iti0k0(np.minimum(x, 35.0))[1]
 
 
-def _interval_k0(a, b, ainv):
-    """int_a^b K0(ainv*s) ds for 0 <= a <= b, elementwise."""
-    return (_itk0(ainv * b) - _itk0(ainv * a)) / ainv
-
-
 def resolvent_apply(f: np.ndarray, kernel: GreensKernel, grid: RadialGrid) -> np.ndarray:
     """Apply (T - E)^{-1} at the kernel's energy to a reduced s-channel function.
 
     v(r) = int M(r,s) f(s) ds with the reduced pair kernel
 
-        M(r,s) = (E+a)/(2 nu) [e^{-nu|r-s|} - e^{-nu(r+s)}]
-               + (1/pi) [K0(a|r-s|) - K0(a(r+s))]
-               + 2 pi [T3(r+s) - T3(|r-s|)],   T3(x) = int_0^x t G3(t) dt,
+        M(r,s) = g(|r-s|) - g(r+s),
+        g(x) = (E+a)/(2 nu) e^{-nu x} + (1/pi) K0(a x) - 2 pi T3(x),
+        T3(x) = int_0^x t G3(t) dt,
 
     integrated cell-by-cell (the K0 part is log-singular on the diagonal
     and concentrated below the grid spacing, so per-cell antiderivatives
     are required rather than point sampling). G3 is the kernel's
     tabulated term3; past the mesh end T3 is taken as constant, exact
-    to e^-80 on a mesh that reaches nu*u = 80.
+    to e^-80 on a mesh that reaches nu*u = 80. With nodes r_i = i h and
+    cells [r_j - h/2, r_j + h/2] the cell integrals of g(|r - s|) form a
+    Toeplitz matrix and those of g(r + s) a Hankel one, both read from
+    the antiderivative of g at the half-integer offsets (k + 1/2) h.
     """
     f = np.asarray(f, dtype=float)
     if f.shape != (grid.n,):
@@ -308,42 +320,21 @@ def resolvent_apply(f: np.ndarray, kernel: GreensKernel, grid: RadialGrid) -> np
             f"and the grid's reach 2*r_max + h"
         )
     ainv = 1.0 / alpha
-    r = grid.nodes
-    h = grid.h
+    n, h = grid.n, grid.h
     T3 = np.concatenate([[0.0], cumulative_trapezoid(mesh * kernel.term3, mesh)])
     A3 = np.concatenate([[0.0], cumulative_trapezoid(T3, mesh)])
-
-    def A3f(x):
-        return np.interp(x, mesh, A3) + np.maximum(x - mesh[-1], 0.0) * T3[-1]
-
     c1 = (E + ainv) / (2.0 * nu)
 
-    def cum_exp(x):
-        # int_0^x e^{-nu t} dt
-        return (1.0 - np.exp(-nu * x)) / nu
+    def phi(x):
+        # int_0^x g
+        a3 = np.interp(x, mesh, A3) + np.maximum(x - mesh[-1], 0.0) * T3[-1]
+        return (c1 * (1.0 - np.exp(-nu * x)) / nu + _itk0(ainv * x) / (ainv * np.pi)
+                - 2.0 * np.pi * a3)
 
-    def cum_k0(x):
-        return _itk0(ainv * x) / ainv
-
-    v = np.empty(grid.n)
-    a_cell = r - 0.5 * h
-    b_cell = r + 0.5 * h
-    for lo in range(0, grid.n, _CONV_CHUNK):
-        hi = min(lo + _CONV_CHUNK, grid.n)
-        ri = r[lo:hi, None]
-        a = a_cell[None, :]
-        b = b_cell[None, :]
-        # term1: c1 * (int e^{-nu|r-s|} - int e^{-nu(r+s)})
-        J1 = _abs_interval(ri, a, b, cum_exp)
-        J2 = np.exp(-nu * ri) * (np.exp(-nu * a) - np.exp(-nu * b)) / nu
-        W = c1 * (J1 - J2)
-        # term2: (1/pi) (int K0(a|r-s|) - int K0(a(r+s)))
-        I1 = _abs_interval(ri, a, b, cum_k0)
-        I2 = _interval_k0(ri + a, ri + b, ainv)
-        W += (I1 - I2) / np.pi
-        # term3: 2 pi (int T3(r+s) - int T3(|r-s|))
-        K2 = A3f(ri + b) - A3f(ri + a)
-        K1_ = _abs_interval(ri, a, b, A3f)
-        W += 2.0 * np.pi * (K2 - K1_)
-        v[lo:hi] = W @ f
-    return v
+    i = np.arange(n)                            # node r = (i + 1) h
+    toeplitz = _abs_interval(h * np.arange(1 - n, n), -0.5 * h, 0.5 * h, phi)
+    # the r + s cell of nodes i, j spans (i + j + 3/2) h to (i + j + 5/2) h
+    ends = phi(h * (np.arange(2 * n) + 1.5))
+    hankel = ends[1:] - ends[:-1]
+    W = toeplitz[i[:, None] - i + (n - 1)] - hankel[i[:, None] + i]
+    return W @ f

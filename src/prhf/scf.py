@@ -493,7 +493,8 @@ def solve_scf(sys: AtomSystem, options: SolverOptions) -> tuple[SCFReport, Densi
     """Minimize the functional; returns the report and the final density.
 
     Raises NotConverged (with the best iterate attached) when the
-    tolerances are not met within max_iter iterations.
+    tolerances are not met within max_iter iterations, or when an
+    optimal-damping step takes t = 0 without meeting them.
     """
     sys = validate_system(sys)
     opts = resolve_options(sys, options)
@@ -510,6 +511,7 @@ def solve_scf(sys: AtomSystem, options: SolverOptions) -> tuple[SCFReport, Densi
     shift = shift_hartree * sys.alpha
 
     converged = False
+    stalled = False
     residual = float("inf")
     iterations = 0
     for it in range(1, opts.max_iter + 1):
@@ -539,6 +541,11 @@ def solve_scf(sys: AtomSystem, options: SolverOptions) -> tuple[SCFReport, Densi
         if abs(dE) < opts.tol_energy and residual < opts.tol_commutator:
             converged = True
             break
+        if algorithm == "optimal-damping" and step.t <= 0.0:
+            # a t = 0 step keeps gamma, and every solve is deterministic,
+            # so each later iteration would repeat this one bit for bit
+            stalled = True
+            break
 
     # purity finish: adopt the aufbau projection when it does not raise
     # energy; also clears stray near-zero occupations left by the last mix
@@ -554,6 +561,12 @@ def solve_scf(sys: AtomSystem, options: SolverOptions) -> tuple[SCFReport, Densi
     residual = commutator_residual(final_fock, gamma)
     orb_res = orbital_residuals(final_fock, gamma)
     table = _final_eigen_table(final_fock, gamma, _levels_needed(sys.N))
+    if converged:
+        message = ""
+    elif stalled:
+        message = f"optimal damping stalled at iteration {iterations} (t = 0)"
+    else:
+        message = "iteration cap reached"
     report = SCFReport(
         converged=converged,
         iterations=iterations,
@@ -568,13 +581,13 @@ def solve_scf(sys: AtomSystem, options: SolverOptions) -> tuple[SCFReport, Densi
         commutator_residual=residual,
         max_orbital_residual=max(orb_res) if orb_res else 0.0,
         anion_regime=sys.N >= sys.Z + 1,
-        message="" if converged else "iteration cap reached",
+        message=message,
         fock=final_fock,
     )
     if not converged:
+        reason = message if stalled else f"no convergence within {opts.max_iter} iterations"
         raise NotConverged(
-            f"no convergence within {opts.max_iter} iterations "
-            f"(|dE| tol {opts.tol_energy}, commutator tol {opts.tol_commutator})",
+            f"{reason} (|dE| tol {opts.tol_energy}, commutator tol {opts.tol_commutator})",
             report=report,
             density=gamma,
         )

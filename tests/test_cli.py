@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -6,8 +9,10 @@ import pytest
 import scipy.linalg
 
 import prhf.analysis
+import prhf.cli
 import prhf.greens
 import prhf.radial
+import prhf.scf
 from prhf import ConfigError, SolverOptions
 from prhf.analysis import binding_monotonicity
 from prhf.cli import (
@@ -214,6 +219,63 @@ def test_counts_below_one_exit_1(tmp_path, runner, key, value):
     cfg = _write_config(tmp_path, outdir, verify_binding="true", **{key: value})
     assert runner(cfg) == EXIT_CONFIG
     assert not outdir.exists()
+
+
+@pytest.mark.parametrize("runner", [run_verify, run_greens])
+@pytest.mark.parametrize("energy", [0.5, -200.0])
+def test_bad_greens_energy_exits_1_before_any_work(tmp_path, monkeypatch, runner, energy):
+    def no_work(*args, **kwargs):
+        raise AssertionError("ran work for an invalid greens_energy")
+
+    monkeypatch.setattr(prhf.cli, "solve_scf", no_work)
+    monkeypatch.setattr(prhf.greens, "greens_kernel", no_work)
+    outdir = tmp_path / "out"
+    cfg = _write_config(tmp_path, outdir, verify_greens="true", greens_energy=energy)
+    assert runner(cfg) == EXIT_CONFIG
+    assert not outdir.exists()
+    # inside (-alpha^-1, 0) the value parses
+    cfg = _write_config(tmp_path, outdir, greens_energy=-0.01)
+    assert parse_config(cfg)["greens_energy"] == -0.01
+
+
+def test_stalled_optimal_damping_exits_2(tmp_path, monkeypatch):
+    # a line with a >= 0 and b > 0 gives t = 0: the step keeps gamma
+    monkeypatch.setattr(prhf.scf, "line_coefficients", lambda *args, **kwargs: (1.0, 1.0))
+    outdir = tmp_path / "out"
+    cfg = _write_config(tmp_path, outdir, n=200, max_iter=50)
+    assert main(["solve", str(cfg)]) == EXIT_NOT_CONVERGED
+    report = json.loads((outdir / "report.json").read_text())["report"]
+    assert report["converged"] is False
+    assert report["iterations"] == 1
+    assert report["message"] == "optimal damping stalled at iteration 1 (t = 0)"
+
+
+def test_neon_tight_tolerance_ends_by_iteration_40(tmp_path):
+    """Neon at tol 1e-12 reaches t = 0 near iteration 33 with one BLAS thread.
+
+    The commutator residual reads roundoff at this tolerance, so whether
+    the run stalls or is declared converged depends on the BLAS build and
+    its thread count; either way it must end long before max_iter.
+    """
+    outdir = tmp_path / "out"
+    cfg = _write_config(
+        tmp_path, outdir, Z=10.0, N=10, n=200, r_max=15.0, ell_max=1,
+        tol_energy=1e-12, tol_commutator=1e-12, max_iter=300,
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    for key in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+        env[key] = "1"
+    proc = subprocess.run(
+        [sys.executable, "-m", "prhf.cli", "solve", str(cfg)],
+        env=env, capture_output=True, timeout=120,
+    )
+    report = json.loads((outdir / "report.json").read_text())["report"]
+    assert report["iterations"] <= 40
+    if proc.returncode != EXIT_OK:
+        assert proc.returncode == EXIT_NOT_CONVERGED
+        assert report["message"].startswith("optimal damping stalled")
 
 
 def test_verify_wall_window_inconclusive(tmp_path):

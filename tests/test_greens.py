@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from scipy.integrate import quad
+from scipy.integrate import cumulative_simpson, cumulative_trapezoid, quad
 from scipy.special import kv
 
 from prhf import (
@@ -13,7 +13,14 @@ from prhf import (
     radial_convolution,
     resolvent_apply,
 )
-from prhf.greens import default_kernel_mesh, energy_of_nu, exp_moment, tail_slope
+from prhf.greens import (
+    _cell_edges,
+    _itk0,
+    default_kernel_mesh,
+    energy_of_nu,
+    exp_moment,
+    tail_slope,
+)
 
 ALPHA = 1.0 / 137.036
 AINV = 137.036
@@ -22,6 +29,78 @@ AINV = 137.036
 def g3(s, sig):
     """Normalized 3D Gaussian profile: integral against 4 pi s^2 ds is 1."""
     return (2.0 * np.pi * sig**2) ** -1.5 * np.exp(-(s**2) / (2.0 * sig**2))
+
+
+def _abs_interval_oracle(r, a, b, F):
+    ra = F(np.abs(r - a))
+    rb = F(np.abs(r - b))
+    return np.where(r >= b, ra - rb, np.where(r <= a, rb - ra, ra + rb))
+
+
+def _radial_convolution_oracle(f, g, mesh):
+    """radial_convolution as a row-chunked sweep with four A calls per cell."""
+    def _rms_range(p):
+        mass = np.trapezoid(np.abs(p) * mesh**2, mesh)
+        if mass <= 0.0:
+            return 0.0
+        return float(np.sqrt(np.trapezoid(np.abs(p) * mesh**4, mesh) / mass))
+
+    rf, rg = _rms_range(f), _rms_range(g)
+    if rf < rg or (rf == rg and f.tobytes() <= g.tobytes()):
+        outer, inner = g, f
+    else:
+        outer, inner = f, g
+    edges = _cell_edges(mesh)
+    tg = cumulative_simpson(mesh * inner, x=mesh, initial=0.0)
+    tg -= tg[-1]
+    acc = cumulative_simpson(tg, x=mesh, initial=0.0)
+    m0, t0 = mesh[0], tg[0]
+
+    def A(x):
+        return np.interp(x, mesh, acc) + np.minimum(x - m0, 0.0) * t0
+
+    sf = mesh * outer
+    out = np.empty_like(mesh)
+    for lo in range(0, mesh.size, 256):
+        hi = min(lo + 256, mesh.size)
+        r = mesh[lo:hi, None]
+        a = edges[None, :-1]
+        b = edges[None, 1:]
+        plus = A(r + b) - A(r + a)
+        minus = _abs_interval_oracle(r, a, b, A)
+        out[lo:hi] = (sf[None, :] * (plus - minus)).sum(axis=1)
+    return 2.0 * np.pi * out / mesh
+
+
+def _resolvent_apply_oracle(f, kernel, grid):
+    """resolvent_apply with the three kernel terms integrated cell by cell."""
+    E, nu, mesh = kernel.E, kernel.nu, kernel.mesh
+    ainv = 1.0 / kernel.alpha
+    r, h = grid.nodes, grid.h
+    T3 = np.concatenate([[0.0], cumulative_trapezoid(mesh * kernel.term3, mesh)])
+    A3 = np.concatenate([[0.0], cumulative_trapezoid(T3, mesh)])
+
+    def A3f(x):
+        return np.interp(x, mesh, A3) + np.maximum(x - mesh[-1], 0.0) * T3[-1]
+
+    def cum_exp(x):
+        return (1.0 - np.exp(-nu * x)) / nu
+
+    def cum_k0(x):
+        return _itk0(ainv * x) / ainv
+
+    c1 = (E + ainv) / (2.0 * nu)
+    ri = r[:, None]
+    a = (r - 0.5 * h)[None, :]
+    b = (r + 0.5 * h)[None, :]
+    J1 = _abs_interval_oracle(ri, a, b, cum_exp)
+    J2 = np.exp(-nu * ri) * (np.exp(-nu * a) - np.exp(-nu * b)) / nu
+    I1 = _abs_interval_oracle(ri, a, b, cum_k0)
+    I2 = (_itk0(ainv * (ri + b)) - _itk0(ainv * (ri + a))) / ainv
+    K2 = A3f(ri + b) - A3f(ri + a)
+    K1 = _abs_interval_oracle(ri, a, b, A3f)
+    W = c1 * (J1 - J2) + (I1 - I2) / np.pi + 2.0 * np.pi * (K2 - K1)
+    return W @ f
 
 
 # --- Bessel functions --------------------------------------------------------
@@ -158,6 +237,27 @@ def test_convolution_matches_quadrature_oracle():
         assert conv[i] == pytest.approx(oracle(mesh[i]), rel=1e-3)
 
 
+def _default_mesh_pair():
+    E = energy_of_nu(1.0, ALPHA)
+    mesh = default_kernel_mesh(E, ALPHA)
+    return bessel_k(1, AINV * mesh) / mesh, np.exp(-mesh) / (4.0 * np.pi * mesh), mesh
+
+
+def _gaussian_pair(n, u_max, sig_f, sig_g):
+    mesh = np.linspace(1e-6, u_max, n)
+    return g3(mesh, sig_f), g3(mesh, sig_g), mesh
+
+
+@pytest.mark.parametrize("f, g, mesh", [
+    _default_mesh_pair(),
+    _gaussian_pair(4000, 16.0, 0.8, 1.1),
+    _gaussian_pair(6000, 16.0, 1.2, 0.02),
+    _gaussian_pair(1500, 12.0, 0.7, 1.9),
+], ids=["default_kernel_mesh", "n4000", "n6000_bump", "n1500"])
+def test_convolution_equals_loop_oracle(f, g, mesh):
+    assert np.array_equal(radial_convolution(f, g, mesh), _radial_convolution_oracle(f, g, mesh))
+
+
 # --- tabulated kernel --------------------------------------------------------
 
 
@@ -230,3 +330,15 @@ def test_resolvent_roundtrip_and_dense(kernel):
         dense = np.linalg.solve(A, f)
         agree = np.linalg.norm(v - dense) / np.linalg.norm(dense)
         assert agree <= 1e-3
+
+
+@pytest.mark.parametrize("n, r_max", [(400, 40.0), (63, 20.0)])
+def test_resolvent_matches_cellwise_oracle(kernel, n, r_max):
+    grid = build_grid(n, r_max)
+    battery = [np.exp(-(((grid.nodes - c) / s) ** 2))
+               for (c, s) in [(10.0, 1.5), (14.0, 2.0), (8.0, 1.5), (12.0, 2.5), (16.0, 1.8)]]
+    battery.append(np.random.default_rng(63).standard_normal(n))
+    for f in battery:
+        v = resolvent_apply(f, kernel, grid)
+        ref = _resolvent_apply_oracle(f, kernel, grid)
+        assert np.max(np.abs(v - ref)) <= 1e-12 * np.max(np.abs(ref))
