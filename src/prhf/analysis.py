@@ -7,7 +7,7 @@ is auditable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -238,16 +238,17 @@ def herbst_bound_check(
 ) -> dict:
     """Lowest discretized eigenvalue of h0 against the analytic lower bound.
 
-    h0 = T - Z alpha/r is the Fock operator of the empty density, the
-    operator the `h0` initial guess diagonalizes. Bound: alpha^-1
-    (sqrt(1 - (pi Z alpha / 2)^2) - 1). Violation raises BoundViolated
-    (it would signal an inconsistent discretization).
+    h0 = T - Z alpha/r is the Fock operator of the empty density with the
+    paper's square-root T, whatever kinetic law `sys` carries. Bound:
+    alpha^-1 (sqrt(1 - (pi Z alpha / 2)^2) - 1). Violation raises
+    BoundViolated (it would signal an inconsistent discretization).
     """
     ainv = sys.alpha_inv
     if tol is None:
         tol = 1e-8 * ainv
     bound = ainv * (np.sqrt(max(1.0 - (np.pi * sys.z_alpha / 2.0) ** 2, 0.0)) - 1.0)
-    spectra = _channel_spectra(fock_build(empty_density(), grid, sys, ell_max=ell_max), 1)
+    h0 = fock_build(empty_density(), grid, replace(sys, kinetic="pseudorelativistic"), ell_max)
+    spectra = _channel_spectra(h0, 1)
     lowest = min(float(vals[0]) for vals, _vecs in spectra.values())
     ok = lowest >= bound - tol
     report = {
@@ -262,16 +263,19 @@ def herbst_bound_check(
 
 
 def binding_monotonicity(
-    Z: float, alpha: float, N_max: int, options: SolverOptions, q: int = 2,
+    system: AtomSystem, N_max: int, options: SolverOptions,
     _known: dict[int, tuple[float, float]] | None = None,
 ) -> tuple[list[dict], bool]:
-    """E(N) table for N = 1..N_max with strict-decrease checks.
+    """E(N) table for N = 1..N_max of `system` with strict-decrease checks.
 
-    Each step must gain at least half the (Hartree-scale) frontier
-    eigenvalue of the larger-N run. Propagates NotConverged. `_known`
-    maps N to the (total, HOMO eigenvalue) of a converged solve with
-    these options, which then is not solved again.
+    Every row is `system` with its electron count replaced, so Z, alpha,
+    q and the kinetic law are the template's. Each step must gain at
+    least half the (Hartree-scale) frontier eigenvalue of the larger-N
+    run. Propagates NotConverged. `_known` maps N to the (total, HOMO
+    eigenvalue) of a converged solve with these options, which then is
+    not solved again.
     """
+    alpha = system.alpha
     rows = []
     prev_total = None
     all_ok = True
@@ -279,8 +283,7 @@ def binding_monotonicity(
         if _known and N in _known:
             total, eps_homo = _known[N]
         else:
-            sys = validate_system(AtomSystem(Z=Z, N=N, alpha=alpha, q=q))
-            report, _gamma = solve_scf(sys, options)
+            report, _gamma = solve_scf(validate_system(replace(system, N=N)), options)
             occ_eps = [e for (ell, s, i, e, eh, occ) in report.eigenvalues if occ > 0.5]
             total = report.energy.total
             eps_homo = max(occ_eps) if occ_eps else float("nan")

@@ -17,6 +17,7 @@ else is read from the environment.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import datetime
 import json
 import logging
@@ -49,6 +50,9 @@ EXIT_CERTIFICATE = 3
 _DECAY_RATE_TOL = 0.05
 _KATO_TOL = 5e-3
 
+# the one SCF algorithm, which the `algorithm` key may name
+_ALGORITHM = "optimal-damping"
+
 # key -> (parser, default); required keys carry the REQUIRED sentinel
 _REQUIRED = object()
 
@@ -70,22 +74,28 @@ def _parse_auto_int(text: str):
     return None if text.strip().lower() == "auto" else int(text)
 
 
+def _parse_algorithm(text: str) -> str:
+    if text != _ALGORITHM:
+        raise ValueError(f"unknown algorithm {text!r}; the solver runs {_ALGORITHM!r}")
+    return text
+
+
+def _fields_schema(cls, **parsers) -> dict:
+    """Schema entries for the fields of a model dataclass, with its defaults."""
+    return {
+        f.name: (parsers[f.name], _REQUIRED if f.default is dataclasses.MISSING else f.default)
+        for f in dataclasses.fields(cls)
+    }
+
+
 _SCHEMA = {
-    "Z": (float, _REQUIRED),
-    "N": (int, _REQUIRED),
-    "alpha": (float, 1.0 / 137.036),
-    "q": (int, 2),
-    "n": (int, 1200),
-    "r_max": (float, 30.0),
-    "max_iter": (int, 200),
-    "tol_energy": (float, 1e-10),
-    "tol_commutator": (float, 1e-6),
-    "algorithm": (str, "optimal-damping"),
-    "level_shift": (_parse_auto_float, None),
-    "initial_guess": (str, "h0"),
-    "ell_max": (_parse_auto_int, None),
-    "kinetic": (str, "pseudorelativistic"),
-    "include_p_shells": (_parse_bool, False),
+    **_fields_schema(AtomSystem, Z=float, N=int, alpha=float, q=int, kinetic=str),
+    **_fields_schema(
+        SolverOptions, n=int, r_max=float, max_iter=int, tol_energy=float,
+        tol_commutator=float, initial_guess=str, ell_max=_parse_auto_int,
+        include_p_shells=_parse_bool,
+    ),
+    "algorithm": (_parse_algorithm, _ALGORITHM),
     "output_dir": (str, _REQUIRED),
     "verify_minimizer": (_parse_bool, True),
     "verify_decay": (_parse_bool, True),
@@ -144,29 +154,21 @@ def parse_config(path: str | Path) -> dict:
     # a non-positive alpha is rejected with the system
     if E is not None and alpha > 0.0 and not (-1.0 / alpha < E < 0.0):
         raise ConfigError(f"greens_energy = {E} must lie in (-alpha^-1, 0)")
+    if (values["decay_window_lo"] is None) != (values["decay_window_hi"] is None):
+        raise ConfigError("decay_window_lo and decay_window_hi must be set together")
     return values
 
 
+def _from_config(cls, cfg: dict):
+    return cls(**{f.name: cfg[f.name] for f in dataclasses.fields(cls)})
+
+
 def _system_from_config(cfg: dict) -> AtomSystem:
-    return validate_system(
-        AtomSystem(Z=cfg["Z"], N=cfg["N"], alpha=cfg["alpha"], q=cfg["q"])
-    )
+    return validate_system(_from_config(AtomSystem, cfg))
 
 
 def _options_from_config(cfg: dict) -> SolverOptions:
-    return SolverOptions(
-        n=cfg["n"],
-        r_max=cfg["r_max"],
-        max_iter=cfg["max_iter"],
-        tol_energy=cfg["tol_energy"],
-        tol_commutator=cfg["tol_commutator"],
-        algorithm=cfg["algorithm"],
-        level_shift=cfg["level_shift"],
-        initial_guess=cfg["initial_guess"],
-        ell_max=cfg["ell_max"],
-        kinetic=cfg["kinetic"],
-        include_p_shells=cfg["include_p_shells"],
-    ).validated()
+    return _from_config(SolverOptions, cfg).validated()
 
 
 def _fmt(x: float) -> str:
@@ -216,31 +218,35 @@ def _write_solution(outdir: Path, cfg: dict, report, gamma, grid, certificates) 
 def _load_solution(outdir: Path, sys_: AtomSystem, options: SolverOptions):
     """Rebuild (report_dict, gamma, grid) from a completed solve directory.
 
-    None unless that solve converged for an equal system and equal options.
+    None unless that solve converged for an equal system and equal options
+    and its files read back whole: a damaged solve counts as absent.
     """
     report_path = outdir / "report.json"
     orbitals_path = outdir / "orbitals.csv"
     if not (report_path.is_file() and orbitals_path.is_file()):
         return None
-    payload = json.loads(report_path.read_text())
     try:
+        payload = json.loads(report_path.read_text())
         stored = payload["config"]
-        same = (_system_from_config(stored) == sys_
-                and _options_from_config(stored) == options)
-    except (KeyError, SolverError):
-        same = False
-    if not (same and payload["report"]["converged"]):
+        if not (payload["report"]["converged"]
+                and _system_from_config(stored) == sys_
+                and _options_from_config(stored) == options):
+            return None
+        grid = build_grid(payload["grid"]["n"], payload["grid"]["r_max"])
+        with open(orbitals_path) as fh:
+            header = fh.readline().strip().split(",")
+        data = np.loadtxt(orbitals_path, delimiter=",", skiprows=1, ndmin=2)
+        if data.shape != (grid.n, len(header)):
+            raise ValueError(f"orbitals.csv is {data.shape}, expected ({grid.n}, {len(header)})")
+        cols = {name: data[:, i] for i, name in enumerate(header)}
+        blocks: dict = {}
+        for occ in payload["report"]["occupations"]:
+            key = (occ["ell"], occ["spin"])
+            label = _orbital_label(occ["ell"], occ["spin"], occ["index"])
+            blocks.setdefault(key, []).append((occ["index"], cols[label], occ["f"]))
+    except (ValueError, KeyError, TypeError, SolverError) as exc:
+        log.warning("ignoring the damaged solve in %s: %s: %s", outdir, type(exc).__name__, exc)
         return None
-    grid = build_grid(payload["grid"]["n"], payload["grid"]["r_max"])
-    with open(orbitals_path) as fh:
-        header = fh.readline().strip().split(",")
-    data = np.loadtxt(orbitals_path, delimiter=",", skiprows=1)
-    cols = {name: data[:, i] for i, name in enumerate(header)}
-    blocks: dict = {}
-    for occ in payload["report"]["occupations"]:
-        key = (occ["ell"], occ["spin"])
-        label = _orbital_label(occ["ell"], occ["spin"], occ["index"])
-        blocks.setdefault(key, []).append((occ["index"], cols[label], occ["f"]))
     dm_blocks = {}
     for key, entries in blocks.items():
         entries.sort()
@@ -305,7 +311,7 @@ def _suite_decay(gamma, fock, sys_, report_dict, cfg) -> dict:
     fits = []
     eps_list = []
     window = None
-    if cfg.get("decay_window_lo") is not None and cfg.get("decay_window_hi") is not None:
+    if cfg["decay_window_lo"] is not None:      # parse_config sets both or neither
         window = (cfg["decay_window_lo"], cfg["decay_window_hi"])
     try:
         for (ell, spin), idx, f in occupied:
@@ -347,11 +353,10 @@ def _suite_decay(gamma, fock, sys_, report_dict, cfg) -> dict:
 def _solution_suites(gamma, grid, sys_, options, payload, cfg) -> dict:
     """Minimizer and decay suites on one Fock operator of the loaded solution.
 
-    The operator is built with the channel set and kinetic energy that
-    solve_scf used, and is released before the remaining suites run.
+    The operator is built on the channel set that solve_scf used, and is
+    released before the remaining suites run.
     """
-    resolved = resolve_options(sys_, options)
-    fock = fock_build(gamma, grid, sys_, ell_max=resolved.ell_max, kinetic=resolved.kinetic)
+    fock = fock_build(gamma, grid, sys_, ell_max=resolve_options(sys_, options).ell_max)
     suites = {}
     if cfg["verify_minimizer"]:
         suites["minimizer"] = _suite_minimizer(gamma, fock, sys_)
@@ -470,9 +475,7 @@ def _suite_binding(cfg, sys_, options, known) -> dict:
     n_max = min(n_max, int(np.floor(sys_.Z)))   # stay inside N < Z + 1
     if n_max < 1:
         return {"status": "passed", "rows": [], "note": "no bound runs in range"}
-    rows, ok = analysis.binding_monotonicity(
-        sys_.Z, sys_.alpha, n_max, options, q=sys_.q, _known=known,
-    )
+    rows, ok = analysis.binding_monotonicity(sys_, n_max, options, _known=known)
     return {"status": "passed" if ok else "failed", "rows": rows}
 
 
@@ -581,7 +584,7 @@ def run_sweep(config_path: str | Path) -> int:
     outdir.mkdir(parents=True, exist_ok=True)
     n_max = cfg.get("sweep_n_max") or sys_.N
     try:
-        rows, ok = analysis.binding_monotonicity(sys_.Z, sys_.alpha, n_max, options, q=sys_.q)
+        rows, ok = analysis.binding_monotonicity(sys_, n_max, options)
     except NotConverged as exc:
         log.error("sweep did not converge: %s", exc)
         return EXIT_NOT_CONVERGED

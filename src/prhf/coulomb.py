@@ -268,10 +268,7 @@ def exchange_energy(gamma: DensityMatrix, grid: RadialGrid) -> float:
 
 
 def energy_terms(
-    gamma: DensityMatrix,
-    grid: RadialGrid,
-    sys: AtomSystem,
-    kinetic: str = "pseudorelativistic",
+    gamma: DensityMatrix, grid: RadialGrid, sys: AtomSystem
 ) -> tuple[float, float, float, float]:
     """(Tr[T gamma], Tr[V gamma], D(gamma), Ex(gamma)) in operator units.
 
@@ -284,7 +281,7 @@ def energy_terms(
     s_only = all(ell == 0 for (ell, _spin) in gamma.blocks)
     tr_T = 0.0
     for (ell, _spin), blk in gamma.blocks.items():
-        T = channel_kinetic(grid, ell, sys.alpha, kinetic)
+        T = channel_kinetic(grid, ell, sys)
         TP = T.apply(blk.orbitals) if s_only else T.matrix @ blk.orbitals
         tr_T += float(h * np.sum(blk.occupations * np.einsum("ia,ia->a", blk.orbitals, TP)))
     w = reduced_density(gamma, grid)

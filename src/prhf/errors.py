@@ -46,10 +46,11 @@ class LineSearchFailure(SolverError):
 
 
 class NotConverged(SolverError):
-    """SCF iteration hit the iteration cap.
+    """SCF iteration ended without meeting its tolerances.
 
-    Carries the best iterate and its diagnostics so callers can inspect
-    or resume.
+    Either the iteration cap was reached or an optimal-damping step
+    took t = 0 (a stall: every later step would repeat it). Carries the
+    best iterate and its diagnostics so callers can inspect or resume.
     """
 
     def __init__(self, message, report=None, density=None):

@@ -49,19 +49,14 @@ class EnergyBreakdown:
         }
 
 
-def total_energy(
-    gamma: DensityMatrix,
-    grid: RadialGrid,
-    sys: AtomSystem,
-    kinetic: str = "pseudorelativistic",
-) -> EnergyBreakdown:
+def total_energy(gamma: DensityMatrix, grid: RadialGrid, sys: AtomSystem) -> EnergyBreakdown:
     """Assemble the functional value with the alpha^-1 one-body prefactor.
 
     Enforces the global floor total >= -alpha^-2 * Tr[gamma] as a hard
     runtime assertion; a breach signals an implementation bug, not a
     data condition.
     """
-    tr_T, tr_V, D, Ex = energy_terms(gamma, grid, sys, kinetic=kinetic)
+    tr_T, tr_V, D, Ex = energy_terms(gamma, grid, sys)
     ainv = sys.alpha_inv
     kin = ainv * tr_T
     nuc = ainv * tr_V
@@ -164,7 +159,6 @@ def line_coefficients(
     fock=None,
     e_gamma: EnergyBreakdown | None = None,
     e_target: EnergyBreakdown | None = None,
-    kinetic: str = "pseudorelativistic",
 ) -> tuple[float, float]:
     """Exact quadratic profile along the segment (1-t) gamma + t gamma_target.
 
@@ -178,11 +172,8 @@ def line_coefficients(
     if fock is None:
         from .scf import fock_build
 
-        fock = fock_build(
-            gamma, grid, sys,
-            ell_max=max(gamma.max_ell(), gamma_target.max_ell()),
-            kinetic=kinetic,
-        )
+        ell_max = max(gamma.max_ell(), gamma_target.max_ell())
+        fock = fock_build(gamma, grid, sys, ell_max=ell_max)
     a = 0.0
     for dm, sign in ((gamma_target, 1.0), (gamma, -1.0)):
         for (ell, spin), blk in dm.blocks.items():
@@ -191,8 +182,8 @@ def line_coefficients(
             a += sign * float(np.sum(blk.occupations * vals))
     a *= sys.alpha_inv
     if e_gamma is None:
-        e_gamma = total_energy(gamma, grid, sys, kinetic=kinetic)
+        e_gamma = total_energy(gamma, grid, sys)
     if e_target is None:
-        e_target = total_energy(gamma_target, grid, sys, kinetic=kinetic)
+        e_target = total_energy(gamma_target, grid, sys)
     b = e_target.total - e_gamma.total - a
     return a, b

@@ -3,7 +3,8 @@
 Unit convention: hbar = e = m = 1 throughout. The kinetic operator is
 sqrt(-Delta + alpha^-2) - alpha^-1 and one-body terms carry an alpha^-1
 prefactor in the total energy, so reported totals come out on a
-Hartree-like scale.
+Hartree-like scale. The nonrelativistic comparison operator alpha*(-Delta)/2
+is a model choice of the system, not a solver setting.
 """
 
 from __future__ import annotations
@@ -17,15 +18,21 @@ TWO_OVER_PI = 2.0 / math.pi
 
 FINE_STRUCTURE_ALPHA = 1.0 / 137.036
 
+KINETICS = ("pseudorelativistic", "nonrelativistic")
+
 
 @dataclass(frozen=True)
 class AtomSystem:
-    """An atom: nuclear charge Z, N electrons, coupling alpha, q spin states."""
+    """An atom: nuclear charge Z, N electrons, coupling alpha, q spin states.
+
+    `kinetic` is the kinetic law its electrons carry, one of KINETICS.
+    """
 
     Z: float
     N: int
     alpha: float = FINE_STRUCTURE_ALPHA
     q: int = 2
+    kinetic: str = "pseudorelativistic"
 
     @property
     def alpha_inv(self) -> float:
@@ -47,11 +54,9 @@ class ShellSpec:
 
 @dataclass(frozen=True)
 class SolverOptions:
-    """Numerical knobs for the SCF run.
+    """Numerical knobs of the optimal-damping SCF run.
 
-    level_shift is on the reported Hartree-like energy scale; None means
-    0.5 at runtime (Roothaan path only). ell_max None means the largest
-    ell present in the initial shells.
+    ell_max None means the largest ell present in the initial shells.
     """
 
     n: int = 1200
@@ -59,16 +64,11 @@ class SolverOptions:
     max_iter: int = 200
     tol_energy: float = 1e-10
     tol_commutator: float = 1e-6
-    algorithm: str = "optimal-damping"
-    level_shift: float | None = None
     initial_guess: str = "h0"
     ell_max: int | None = None
-    kinetic: str = "pseudorelativistic"
     include_p_shells: bool = False
 
-    _ALGORITHMS = ("optimal-damping", "roothaan-levelshift")
     _GUESSES = ("h0", "screened", "shells")
-    _KINETICS = ("pseudorelativistic", "nonrelativistic")
 
     def validated(self) -> "SolverOptions":
         if self.n < 16:
@@ -79,12 +79,8 @@ class SolverOptions:
             raise BadCount("tolerances must be positive")
         if self.max_iter < 1:
             raise BadCount("max_iter must be at least 1")
-        if self.algorithm not in self._ALGORITHMS:
-            raise BadCount(f"unknown algorithm {self.algorithm!r}")
         if self.initial_guess not in self._GUESSES:
             raise BadCount(f"unknown initial guess {self.initial_guess!r}")
-        if self.kinetic not in self._KINETICS:
-            raise BadCount(f"unknown kinetic mode {self.kinetic!r}")
         return self
 
     def with_(self, **kw) -> "SolverOptions":
@@ -105,6 +101,8 @@ def validate_system(sys: AtomSystem) -> AtomSystem:
         raise BadCount(f"alpha={sys.alpha} must be positive")
     if sys.Z < 0:
         raise BadCount(f"nuclear charge Z={sys.Z} must be non-negative")
+    if sys.kinetic not in KINETICS:
+        raise BadCount(f"unknown kinetic mode {sys.kinetic!r}")
     if sys.z_alpha >= TWO_OVER_PI:
         raise SubcriticalityViolated(
             f"Z*alpha = {sys.z_alpha:.12g} >= 2/pi = {TWO_OVER_PI:.12g}; "

@@ -25,6 +25,7 @@ import scipy.fft
 import scipy.linalg
 
 from .errors import BadGrid, EigFailure, LengthMismatch
+from .model import AtomSystem
 
 
 @dataclass(frozen=True)
@@ -210,10 +211,8 @@ def nonrelativistic_kinetic(grid: RadialGrid, ell: int, alpha: float) -> Kinetic
     return KineticOperator(grid, ell, lambda lam: 0.5 * alpha * lam, dense)
 
 
-def channel_kinetic(
-    grid: RadialGrid, ell: int, alpha: float, kinetic: str = "pseudorelativistic"
-) -> KineticOperator:
-    """The kinetic operator of one channel for a `kinetic` mode of the solver."""
-    if kinetic == "nonrelativistic":
-        return nonrelativistic_kinetic(grid, ell, alpha)
-    return kinetic_operator(grid, ell, alpha)
+def channel_kinetic(grid: RadialGrid, ell: int, sys: AtomSystem) -> KineticOperator:
+    """The kinetic operator of one channel under the system's kinetic law."""
+    if sys.kinetic == "nonrelativistic":
+        return nonrelativistic_kinetic(grid, ell, sys.alpha)
+    return kinetic_operator(grid, ell, sys.alpha)

@@ -1,12 +1,12 @@
 """Fock operator and self-consistent minimization over density matrices.
 
-The minimization walks the convex set {0 <= gamma <= Id, Tr gamma = N}.
-The default algorithm is optimal damping: each iteration diagonalizes
-the current Fock operator, fills the lowest levels (aufbau), and takes
-the exact minimizer of the quadratic energy restriction along the
-segment towards that trial. Energy descent is monotone by construction;
-a violation raises LineSearchFailure because it can only come from a
-bug. A Roothaan path with level shifting is available for comparison.
+The minimization walks the convex set {0 <= gamma <= Id, Tr gamma = N}
+by optimal damping (Cances and Le Bris, IJQC 79 (2000)): each iteration
+diagonalizes the current Fock operator, fills the lowest levels
+(aufbau), and takes the exact minimizer of the quadratic energy
+restriction along the segment towards that trial. Energy descent is
+monotone by construction; a violation raises LineSearchFailure because
+it can only come from a bug.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from __future__ import annotations
 import functools
 import logging
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.linalg
@@ -112,7 +112,6 @@ class FockOperator:
 class SCFReport:
     converged: bool
     iterations: int
-    algorithm: str
     energy: EnergyBreakdown
     energy_trace: list = field(default_factory=list)
     eigenvalues: list = field(default_factory=list)
@@ -128,7 +127,7 @@ class SCFReport:
         return {
             "converged": self.converged,
             "iterations": self.iterations,
-            "algorithm": self.algorithm,
+            "algorithm": "optimal-damping",
             "energy": self.energy.as_dict(),
             "energy_trace": [e.as_dict() for e in self.energy_trace],
             "eigenvalues": [
@@ -167,7 +166,6 @@ def fock_build(
     grid: RadialGrid,
     sys: AtomSystem,
     ell_max: int | None = None,
-    kinetic: str = "pseudorelativistic",
 ) -> FockOperator:
     """Fock operator on all channels ell <= ell_max, all spins.
 
@@ -180,7 +178,7 @@ def fock_build(
     R = hartree_potential(w, grid)
     fock = FockOperator(
         system=sys, grid=grid, gamma=gamma,
-        kinetic=[channel_kinetic(grid, ell, sys.alpha, kinetic) for ell in range(ell_max + 1)],
+        kinetic=[channel_kinetic(grid, ell, sys) for ell in range(ell_max + 1)],
         potential=-sys.z_alpha / grid.nodes + sys.alpha * R,
         groups=_spin_groups(gamma, sys.q),
     )
@@ -265,8 +263,17 @@ def _channel_spectra(fock: FockOperator, count: int):
     return spectra
 
 
-def _fill_lowest(spectra, N: float, q: int) -> DensityMatrix:
-    """Bathtub fill of the merged spectrum, capacity 2*ell+1 per level."""
+def _levels_needed(N: float) -> int:
+    # worst case all electrons in one channel with unit capacity
+    return int(np.ceil(N)) + 4
+
+
+def aufbau_projection(fock: FockOperator, N: float, q: int) -> DensityMatrix:
+    """Occupy the N lowest Fock levels across channels (ties: lower ell, spin).
+
+    A bathtub fill of the merged spectrum, capacity 2*ell+1 per level.
+    """
+    spectra = _channel_spectra(fock, _levels_needed(N))
     levels = []
     for (ell, spin), (vals, _vecs) in spectra.items():
         for idx, val in enumerate(vals):
@@ -289,17 +296,6 @@ def _fill_lowest(spectra, N: float, q: int) -> DensityMatrix:
         occs = np.array([f for (_i, f) in picks])
         blocks[key] = ChannelBlock(orbitals=vecs[:, idxs].copy(), occupations=occs)
     return DensityMatrix(blocks)
-
-
-def _levels_needed(N: float) -> int:
-    # worst case all electrons in one channel with unit capacity
-    return int(np.ceil(N)) + 4
-
-
-def aufbau_projection(fock: FockOperator, N: float, q: int) -> DensityMatrix:
-    """Occupy the N lowest Fock levels across channels (ties: lower ell, spin)."""
-    spectra = _channel_spectra(fock, _levels_needed(N))
-    return _fill_lowest(spectra, N, q)
 
 
 def _mix_blocks(
@@ -342,9 +338,16 @@ def _mix_blocks(
 
 
 def commutator_residual(fock: FockOperator, gamma: DensityMatrix) -> float:
-    """Frobenius norm of [h, gamma] summed over channels with multiplicity."""
-    grid = fock.grid
-    h = grid.h
+    """Frobenius norm of [F, gamma] summed over channels with multiplicity.
+
+    On a channel gamma = h C Lambda C^T with h C^T C = I. With
+    M = h C^T F C and P the projector onto the columns of C, the squared
+    norm is 2h |(1 - P) F C Lambda|^2 (occupied to virtual) plus
+    |M Lambda - Lambda M|^2 (within the occupied span, nonzero only for
+    fractional occupations). Both are sums of squares, so the norm does
+    not cancel as a difference of traces would.
+    """
+    h = fock.grid.h
     total = 0.0
     for (ell, spin), blk in gamma.blocks.items():
         if ell > fock.ell_max:
@@ -352,12 +355,10 @@ def commutator_residual(fock: FockOperator, gamma: DensityMatrix) -> float:
         C = blk.orbitals
         lam = blk.occupations / (2 * ell + 1)
         W = fock.apply((ell, spin), C)
-        A = W * lam
-        AtA = A.T @ A          # = lam W^T W lam
-        CtA = (C.T @ A) * h
-        # |h (A C^T - C A^T)|_F^2 with C^T C = I/h
-        fro2 = h * h * 2.0 * (np.trace(AtA) / h - np.trace(CtA @ CtA) / (h * h))
-        total += (2 * ell + 1) * max(fro2, 0.0)
+        M = h * (C.T @ W)
+        virtual = (W - C @ M) * lam
+        occupied = M * (lam[None, :] - lam[:, None])
+        total += (2 * ell + 1) * (2.0 * h * np.sum(virtual**2) + np.sum(occupied**2))
     return float(np.sqrt(total))
 
 
@@ -394,15 +395,12 @@ def oda_step(
 ) -> tuple[DensityMatrix, StepInfo]:
     """One optimal-damping step: aufbau trial, exact line search, mix."""
     if fock is None:
-        fock = fock_build(gamma, grid, sys, ell_max=options.ell_max, kinetic=options.kinetic)
+        fock = fock_build(gamma, grid, sys, ell_max=options.ell_max)
     if e_gamma is None:
-        e_gamma = total_energy(gamma, grid, sys, kinetic=options.kinetic)
+        e_gamma = total_energy(gamma, grid, sys)
     trial = aufbau_projection(fock, sys.N, sys.q)
-    e_trial = total_energy(trial, grid, sys, kinetic=options.kinetic)
-    a, b = line_coefficients(
-        gamma, trial, grid, sys,
-        fock=fock, e_gamma=e_gamma, e_target=e_trial, kinetic=options.kinetic,
-    )
+    e_trial = total_energy(trial, grid, sys)
+    a, b = line_coefficients(gamma, trial, grid, sys, fock=fock, e_gamma=e_gamma, e_target=e_trial)
     if b > 0.0:
         t = min(1.0, max(0.0, -a / (2.0 * b)))
     else:
@@ -413,7 +411,7 @@ def oda_step(
         nxt, e_next = gamma, e_gamma
     else:
         nxt = _mix_blocks(gamma, trial, t, grid)
-        e_next = total_energy(nxt, grid, sys, kinetic=options.kinetic)
+        e_next = total_energy(nxt, grid, sys)
     if e_next.total > e_gamma.total + DESCENT_SLACK * (1.0 + abs(e_gamma.total)):
         raise LineSearchFailure(
             f"energy rose from {e_gamma.total!r} to {e_next.total!r} at t={t}"
@@ -421,13 +419,13 @@ def oda_step(
     return nxt, StepInfo(t=t, a=a, b=b, energy=e_next, trial_energy=e_trial)
 
 
-def _initial_density(sys: AtomSystem, grid: RadialGrid, options: SolverOptions, ell_max: int) -> DensityMatrix:
+def _initial_density(
+    sys: AtomSystem, grid: RadialGrid, options: SolverOptions, ell_max: int
+) -> DensityMatrix:
     guess = options.initial_guess
     if guess in ("h0", "screened"):
         Z_eff = sys.Z if guess == "h0" else max(sys.Z - 0.5 * max(sys.N - 1, 0), 0.5)
-        bare = DensityMatrix({})
-        sys_eff = AtomSystem(Z=Z_eff, N=sys.N, alpha=sys.alpha, q=sys.q)
-        fock = fock_build(bare, grid, sys_eff, ell_max=ell_max, kinetic=options.kinetic)
+        fock = fock_build(DensityMatrix({}), grid, replace(sys, Z=Z_eff), ell_max=ell_max)
         return aufbau_projection(fock, sys.N, sys.q)
     # hydrogenic radial seeds on the shells of the aufbau ordering
     shells = default_shells(sys, include_p=options.include_p_shells)
@@ -502,46 +500,28 @@ def solve_scf(sys: AtomSystem, options: SolverOptions) -> tuple[SCFReport, Densi
     grid = build_grid(opts.n, opts.r_max)
 
     gamma = _initial_density(sys, grid, opts, ell_max)
-    energy = total_energy(gamma, grid, sys, kinetic=opts.kinetic)
+    energy = total_energy(gamma, grid, sys)
     trace = [energy]
-    algorithm = opts.algorithm
-    # level shift is configured on the reported (Hartree-like) scale;
-    # the Fock spectrum lives on the alpha-scaled operator scale
-    shift_hartree = opts.level_shift if opts.level_shift is not None else 0.5
-    shift = shift_hartree * sys.alpha
 
     converged = False
     stalled = False
-    residual = float("inf")
     iterations = 0
     for it in range(1, opts.max_iter + 1):
         iterations = it
-        fock = fock_build(gamma, grid, sys, ell_max=ell_max, kinetic=opts.kinetic)
+        fock = fock_build(gamma, grid, sys, ell_max=ell_max)
         residual = commutator_residual(fock, gamma)
-        if algorithm == "optimal-damping":
-            gamma_next, step = oda_step(gamma, grid, sys, opts, fock=fock, e_gamma=energy)
-            e_next = step.energy
-            log.debug(
-                "iter %3d  E=%.12f  dE=%.3e  t=%.3f  resid=%.3e",
-                it, e_next.total, energy.total - e_next.total, step.t, residual,
-            )
-        else:
-            gamma_next, e_next = _roothaan_step(
-                gamma, fock, grid, sys, opts, shift
-            )
-            if e_next.total > energy.total + DESCENT_SLACK * (1 + abs(energy.total)):
-                shift *= 0.5  # oscillation guard: damp the virtual shift
-            log.debug(
-                "iter %3d  E=%.12f  dE=%.3e  shift=%.3e  resid=%.3e",
-                it, e_next.total, energy.total - e_next.total, shift, residual,
-            )
-        dE = energy.total - e_next.total
-        gamma, energy = gamma_next, e_next
+        gamma_next, step = oda_step(gamma, grid, sys, opts, fock=fock, e_gamma=energy)
+        dE = energy.total - step.energy.total
+        log.debug(
+            "iter %3d  E=%.12f  dE=%.3e  t=%.3f  resid=%.3e",
+            it, step.energy.total, dE, step.t, residual,
+        )
+        gamma, energy = gamma_next, step.energy
         trace.append(energy)
         if abs(dE) < opts.tol_energy and residual < opts.tol_commutator:
             converged = True
             break
-        if algorithm == "optimal-damping" and step.t <= 0.0:
+        if step.t <= 0.0:
             # a t = 0 step keeps gamma, and every solve is deterministic,
             # so each later iteration would repeat this one bit for bit
             stalled = True
@@ -550,14 +530,14 @@ def solve_scf(sys: AtomSystem, options: SolverOptions) -> tuple[SCFReport, Densi
     # purity finish: adopt the aufbau projection when it does not raise
     # energy; also clears stray near-zero occupations left by the last mix
     if gamma.max_impurity() > 0.0:
-        fock = fock_build(gamma, grid, sys, ell_max=ell_max, kinetic=opts.kinetic)
+        fock = fock_build(gamma, grid, sys, ell_max=ell_max)
         pure = aufbau_projection(fock, sys.N, sys.q)
-        e_pure = total_energy(pure, grid, sys, kinetic=opts.kinetic)
+        e_pure = total_energy(pure, grid, sys)
         if e_pure.total <= energy.total + DESCENT_SLACK * (1 + abs(energy.total)):
             gamma, energy = pure, e_pure
             trace.append(energy)
 
-    final_fock = fock_build(gamma, grid, sys, ell_max=ell_max, kinetic=opts.kinetic)
+    final_fock = fock_build(gamma, grid, sys, ell_max=ell_max)
     residual = commutator_residual(final_fock, gamma)
     orb_res = orbital_residuals(final_fock, gamma)
     table = _final_eigen_table(final_fock, gamma, _levels_needed(sys.N))
@@ -570,7 +550,6 @@ def solve_scf(sys: AtomSystem, options: SolverOptions) -> tuple[SCFReport, Densi
     report = SCFReport(
         converged=converged,
         iterations=iterations,
-        algorithm=algorithm,
         energy=energy,
         energy_trace=trace,
         eigenvalues=table,
@@ -593,22 +572,3 @@ def solve_scf(sys: AtomSystem, options: SolverOptions) -> tuple[SCFReport, Densi
         )
     return report, gamma
 
-
-def _roothaan_step(gamma, fock, grid, sys, options, shift):
-    """Aufbau on the level-shifted Fock operator (shift on the virtual space)."""
-    spectra = {}
-    k = min(_levels_needed(sys.N), grid.n)
-    for ell in range(fock.ell_max + 1):
-        for grp in fock.groups:
-            Hs = fock.matrices[(ell, grp[0])] + shift * np.eye(grid.n)
-            blk = gamma.blocks.get((ell, grp[0]))
-            if blk is not None and blk.m:
-                C = blk.orbitals
-                lam = blk.occupations / (2 * ell + 1)
-                Hs = Hs - shift * grid.h * (C * lam) @ C.T
-            vals, vecs = _dense_levels(0.5 * (Hs + Hs.T), k)
-            for spin in grp:
-                spectra[(ell, spin)] = (vals, vecs / np.sqrt(grid.h))
-    nxt = _fill_lowest(spectra, sys.N, sys.q)
-    e_next = total_energy(nxt, grid, sys, kinetic=options.kinetic)
-    return nxt, e_next

@@ -20,10 +20,7 @@ class Solution:
     @property
     def fock(self):
         if self._fock is None:
-            self._fock = fock_build(
-                self.gamma, self.grid, self.sys,
-                ell_max=self.gamma.max_ell(), kinetic=self.options.kinetic,
-            )
+            self._fock = fock_build(self.gamma, self.grid, self.sys, ell_max=self.gamma.max_ell())
         return self._fock
 
     def occupied(self):

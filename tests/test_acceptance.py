@@ -195,7 +195,7 @@ def test_c09_greens_kernel():
 
 def test_c10_binding_monotonicity():
     options = SolverOptions(n=800, r_max=25.0)
-    rows, ok = binding_monotonicity(3.0, ALPHA, 3, options)
+    rows, ok = binding_monotonicity(AtomSystem(Z=3.0, N=3, alpha=ALPHA), 3, options)
     for row in rows:
         print(
             f"C10 N={row['N']}: E = {row['total']:.8f}"

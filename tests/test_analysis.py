@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -231,12 +233,30 @@ def test_herbst_bound_neutral_kinetic(grid200):
     assert rep["min_eigenvalue"] >= -1e-12
 
 
+def test_herbst_bound_checks_the_square_root_operator(grid200):
+    # the bound is the paper's, so a nonrelativistic system is checked
+    # against the same pseudorelativistic h0
+    sys = AtomSystem(Z=2.0, N=2, alpha=ALPHA)
+    nonrel = herbst_bound_check(replace(sys, kinetic="nonrelativistic"), grid200)
+    assert nonrel == herbst_bound_check(sys, grid200)
+
+
 def test_binding_single_row():
     opts = SolverOptions(n=240, r_max=14.0)
-    rows, ok = binding_monotonicity(1.0, ALPHA, 1, opts)
+    rows, ok = binding_monotonicity(AtomSystem(Z=1.0, N=1, alpha=ALPHA), 1, opts)
     assert ok
     assert len(rows) == 1
     assert rows[0]["gap_prev"] is None
+
+
+def test_binding_rows_keep_the_kinetic_law():
+    # the square root lies below alpha*(-Delta)/2, so every row of a sweep
+    # that kept the nonrelativistic law lies above its relativistic twin
+    opts = SolverOptions(n=240, r_max=14.0)
+    nonrel = AtomSystem(Z=2.0, N=2, alpha=0.05, kinetic="nonrelativistic")
+    rows, _ok = binding_monotonicity(nonrel, 2, opts)
+    rel_rows, _ok = binding_monotonicity(replace(nonrel, kinetic="pseudorelativistic"), 2, opts)
+    assert all(r["total"] < nr["total"] for r, nr in zip(rel_rows, rows))
 
 
 def test_grid_refinement_stability(he_solution):

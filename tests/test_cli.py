@@ -13,7 +13,7 @@ import prhf.cli
 import prhf.greens
 import prhf.radial
 import prhf.scf
-from prhf import ConfigError, SolverOptions
+from prhf import AtomSystem, ConfigError, SolverOptions
 from prhf.analysis import binding_monotonicity
 from prhf.cli import (
     EXIT_CERTIFICATE,
@@ -101,10 +101,16 @@ def test_solve_supercritical_exits_1(tmp_path):
     assert run_solve(cfg) == EXIT_CONFIG
 
 
-def test_solve_unknown_key_exits_1(tmp_path):
-    cfg = tmp_path / "bad.cfg"
-    cfg.write_text("Z = 2\nN = 2\noutput_dir = out\nfrobnicate = 1\n")
-    assert run_solve(cfg) == EXIT_CONFIG
+@pytest.mark.parametrize("key, value, code", [
+    ("frobnicate", "1", EXIT_CONFIG),
+    ("level_shift", "0.5", EXIT_CONFIG),            # the Roothaan path is gone
+    ("algorithm", "roothaan-levelshift", EXIT_CONFIG),
+    ("algorithm", "optimal-damping", EXIT_OK),
+])
+def test_solve_unknown_key_exits_1(tmp_path, key, value, code):
+    outdir = tmp_path / "out"
+    assert run_solve(_write_config(tmp_path, outdir, **{key: value})) == code
+    assert outdir.exists() == (code == EXIT_OK)
 
 
 def test_solve_not_converged_exits_2(tmp_path):
@@ -152,6 +158,42 @@ def test_verify_reuses_existing_solution(tmp_path):
     assert (outdir / "report.json").stat().st_mtime_ns == stamp
 
 
+def _truncate_report(outdir):
+    text = (outdir / "report.json").read_text()
+    (outdir / "report.json").write_text(text[: len(text) // 2])
+
+
+def _truncate_orbitals(outdir):
+    lines = (outdir / "orbitals.csv").read_text().splitlines()
+    (outdir / "orbitals.csv").write_text("\n".join(lines[:100]) + "\n")
+
+
+def _drop_orbital_column(outdir):
+    lines = (outdir / "orbitals.csv").read_text().splitlines()
+    rows = [lines[0]] + [line.rsplit(",", 1)[0] for line in lines[1:]]
+    (outdir / "orbitals.csv").write_text("\n".join(rows) + "\n")
+
+
+@pytest.mark.parametrize("damage", [_truncate_report, _truncate_orbitals, _drop_orbital_column])
+def test_verify_resolves_a_damaged_solution(tmp_path, damage):
+    outdir = tmp_path / "out"
+    cfg = _write_config(tmp_path, outdir)
+    assert run_solve(cfg) == EXIT_OK
+    whole = (outdir / "orbitals.csv").read_bytes()
+    damage(outdir)
+    assert run_verify(cfg) == EXIT_OK
+    assert (outdir / "orbitals.csv").read_bytes() == whole
+    assert json.loads((outdir / "verify.json").read_text())["all_passed"] is True
+
+
+@pytest.mark.parametrize("key", ["decay_window_lo", "decay_window_hi"])
+def test_half_set_decay_window_exits_1(tmp_path, key):
+    outdir = tmp_path / "out"
+    cfg = _write_config(tmp_path, outdir, **{key: 8.0})
+    assert run_verify(cfg) == EXIT_CONFIG
+    assert not outdir.exists()
+
+
 def test_verify_nonrelativistic_kinetic(tmp_path):
     # the verify suites must certify with the kinetic energy the solve used
     outdir = tmp_path / "out"
@@ -189,7 +231,8 @@ def test_verify_binding_row_from_solution(tmp_path, monkeypatch):
     assert run_verify(cfg) == EXIT_OK
     assert solved == [1]        # N = 2 comes from the stored solve
     monkeypatch.undo()
-    rows, ok = binding_monotonicity(2.0, 1.0 / 137.036, 2, SolverOptions(n=240, r_max=14.0))
+    system = AtomSystem(Z=2.0, N=2, alpha=1.0 / 137.036)
+    rows, ok = binding_monotonicity(system, 2, SolverOptions(n=240, r_max=14.0))
     verify = json.loads((outdir / "verify.json").read_text())
     assert ok and verify["suites"]["binding"]["rows"] == rows
 
@@ -250,12 +293,14 @@ def test_stalled_optimal_damping_exits_2(tmp_path, monkeypatch):
     assert report["message"] == "optimal damping stalled at iteration 1 (t = 0)"
 
 
-def test_neon_tight_tolerance_ends_by_iteration_40(tmp_path):
-    """Neon at tol 1e-12 reaches t = 0 near iteration 33 with one BLAS thread.
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_neon_tight_tolerance_ends_by_iteration_40(tmp_path, threads):
+    """Neon at tol 1e-12 ends long before max_iter, whatever the BLAS threads.
 
-    The commutator residual reads roundoff at this tolerance, so whether
-    the run stalls or is declared converged depends on the BLAS build and
-    its thread count; either way it must end long before max_iter.
+    Whether the run stalls at t = 0 or converges depends on the BLAS build
+    and its thread count. A run that exits 0 must carry a final commutator
+    residual within tol_commutator: the residual is a sum of squares, so
+    roundoff cannot make it read below the tolerance on a state above it.
     """
     outdir = tmp_path / "out"
     cfg = _write_config(
@@ -266,14 +311,17 @@ def test_neon_tight_tolerance_ends_by_iteration_40(tmp_path):
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=path)
     for key in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-        env[key] = "1"
+        env[key] = threads
     proc = subprocess.run(
         [sys.executable, "-m", "prhf.cli", "solve", str(cfg)],
         env=env, capture_output=True, timeout=120,
     )
-    report = json.loads((outdir / "report.json").read_text())["report"]
+    payload = json.loads((outdir / "report.json").read_text())
+    report = payload["report"]
     assert report["iterations"] <= 40
-    if proc.returncode != EXIT_OK:
+    if proc.returncode == EXIT_OK:
+        assert report["commutator_residual"] <= payload["config"]["tol_commutator"]
+    else:
         assert proc.returncode == EXIT_NOT_CONVERGED
         assert report["message"].startswith("optimal damping stalled")
 

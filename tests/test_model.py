@@ -80,5 +80,11 @@ def test_options_validation():
     with pytest.raises(BadCount):
         SolverOptions(r_max=-1.0).validated()
     with pytest.raises(BadCount):
-        SolverOptions(algorithm="diis").validated()
+        SolverOptions(initial_guess="random").validated()
     SolverOptions().validated()
+
+
+def test_validate_kinetic_law():
+    validate_system(AtomSystem(Z=2.0, N=2, alpha=ALPHA, kinetic="nonrelativistic"))
+    with pytest.raises(BadCount):
+        validate_system(AtomSystem(Z=2.0, N=2, alpha=ALPHA, kinetic="dirac"))

@@ -1,4 +1,5 @@
 import logging
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -19,7 +20,10 @@ from prhf import (
 )
 from prhf.coulomb import exchange_matrix, hartree_potential, reduced_density
 from prhf import radial, scf
-from prhf.scf import _channel_spectra, _levels_needed, _mix_blocks, density_from_shells
+from prhf.scf import (
+    _channel_spectra, _levels_needed, _mix_blocks, commutator_residual, density_from_shells,
+    orbital_residuals,
+)
 from prhf.model import ShellSpec
 import scipy.linalg
 
@@ -157,6 +161,48 @@ def test_s_only_solve_builds_no_dense_operator(monkeypatch):
     assert minimizer_certificate(gamma, report.fock, sys).passed
 
 
+def _commutator_trace_oracle(fock, gamma):
+    """|[F, gamma]|_F as 2h Tr[A^T A] - 2 Tr[(h C^T A)^2], A = F C Lambda; cancels near 0."""
+    h = fock.grid.h
+    total = 0.0
+    for (ell, spin), blk in gamma.blocks.items():
+        C = blk.orbitals
+        A = fock.apply((ell, spin), C) * (blk.occupations / (2 * ell + 1))
+        CtA = h * (C.T @ A)
+        total += (2 * ell + 1) * 2.0 * (h * np.sum(A * A) - np.trace(CtA @ CtA))
+    return np.sqrt(total)
+
+
+def test_commutator_residual_matches_trace_and_dense_forms(grid200):
+    """Away from the fixed point, with fractional occupations, all three forms agree."""
+    sys = AtomSystem(Z=3.0, N=3, alpha=ALPHA)
+    gamma0 = aufbau_projection(fock_build(DensityMatrix({}), grid200, sys), sys.N, sys.q)
+    trial = aufbau_projection(fock_build(gamma0, grid200, sys), sys.N, sys.q)
+    gamma = _mix_blocks(gamma0, trial, 0.3, grid200)
+    assert 0.01 < gamma.max_impurity() < 0.5
+    fock = fock_build(gamma, grid200, sys)
+    residual = commutator_residual(fock, gamma)
+    dense = 0.0
+    for (ell, spin), blk in gamma.blocks.items():
+        F = fock.matrices[(ell, spin)]
+        G = grid200.h * (blk.orbitals * (blk.occupations / (2 * ell + 1))) @ blk.orbitals.T
+        dense += (2 * ell + 1) * np.sum((F @ G - G @ F) ** 2)
+    assert residual > 1e-3
+    assert residual == pytest.approx(_commutator_trace_oracle(fock, gamma), rel=1e-10)
+    assert residual == pytest.approx(np.sqrt(dense), rel=1e-10)
+
+
+def test_commutator_residual_resolves_an_eigenstate(grid200):
+    """On eigenvectors of F it is the orbital residuals, far below the trace form's noise."""
+    sys = AtomSystem(Z=2.0, N=2, alpha=ALPHA)
+    bare = fock_build(DensityMatrix({}), grid200, sys)
+    gamma = aufbau_projection(bare, sys.N, sys.q)
+    residual = commutator_residual(bare, gamma)
+    expected = np.sqrt(2.0 * np.sum(np.square(orbital_residuals(bare, gamma))))
+    assert residual == pytest.approx(expected, rel=1e-10)
+    assert residual < 1e-9
+
+
 # total energy and occupied eigenvalues (Ha) of the conftest solutions, as
 # the dense eigensolver on every channel gave them; (ell, spin, index) keys
 DENSE_REFERENCE = {
@@ -290,7 +336,7 @@ def test_solve_relativistic_below_nonrelativistic(grid200):
     sys = validate_system(AtomSystem(Z=2.0, N=2, alpha=ALPHA))
     opts = SolverOptions(n=grid200.n, r_max=grid200.r_max)
     rel, _ = solve_scf(sys, opts)
-    nonrel, _ = solve_scf(sys, opts.with_(kinetic="nonrelativistic"))
+    nonrel, _ = solve_scf(replace(sys, kinetic="nonrelativistic"), opts)
     assert rel.energy.total <= nonrel.energy.total + 1e-12
 
 
@@ -318,18 +364,6 @@ def test_solve_not_converged_carries_report(grid200):
     assert info.value.report is not None
     assert info.value.density is not None
     assert not info.value.report.converged
-
-
-def test_solve_roothaan_levelshift(grid200):
-    sys = validate_system(AtomSystem(Z=2.0, N=2, alpha=ALPHA))
-    opts = SolverOptions(
-        n=grid200.n, r_max=grid200.r_max, algorithm="roothaan-levelshift",
-        tol_energy=1e-9,
-    )
-    report, gamma = solve_scf(sys, opts)
-    assert report.converged
-    oda_report, _ = solve_scf(sys, SolverOptions(n=grid200.n, r_max=grid200.r_max))
-    assert report.energy.total == pytest.approx(oda_report.energy.total, abs=5e-8)
 
 
 def test_solve_anion_regime_flag(grid200):
