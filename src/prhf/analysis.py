@@ -27,6 +27,8 @@ NOISE_FLOOR_REL = 1e-14
 WINDOW_END_REL = 1e-9
 MIN_WINDOW_POINTS = 20
 EFOLD_SPAN = 6.5
+# a fit window must end this fraction of r_max short of the Dirichlet wall
+WINDOW_REACH = 0.75
 
 
 @dataclass(frozen=True)
@@ -49,6 +51,14 @@ class DecayFit:
             "nu_predicted": self.nu_predicted,
             "efolds": self.efolds,
         }
+
+
+def window_error(window: tuple[float, float], r_max: float) -> str | None:
+    """Why a decay-fit window cannot be fitted on a box of radius r_max; None if it can."""
+    r1, r2 = window
+    if 0.0 < r1 < r2 <= WINDOW_REACH * r_max + 1e-12:
+        return None
+    return f"window [{r1:.3g}, {r2:.3g}] must sit inside (0, {WINDOW_REACH}*r_max]"
 
 
 def _auto_window(P: np.ndarray, grid: RadialGrid, nu_est: float) -> tuple[float, float]:
@@ -90,10 +100,9 @@ def decay_fit(
     if window is None:
         window = _auto_window(P, grid, nu_pred)
     r1, r2 = window
-    if not (0.0 < r1 < r2 <= 0.75 * grid.r_max + 1e-12):
-        raise WindowTooNoisy(
-            f"window [{r1:.3g}, {r2:.3g}] must sit inside (0, 0.75*r_max]"
-        )
+    problem = window_error(window, grid.r_max)
+    if problem is not None:
+        raise WindowTooNoisy(problem)
     sel = (grid.nodes >= r1) & (grid.nodes <= r2)
     if np.count_nonzero(sel) < MIN_WINDOW_POINTS:
         raise WindowTooNoisy("fewer than 20 nodes in the fit window")

@@ -154,8 +154,13 @@ def parse_config(path: str | Path) -> dict:
     # a non-positive alpha is rejected with the system
     if E is not None and alpha > 0.0 and not (-1.0 / alpha < E < 0.0):
         raise ConfigError(f"greens_energy = {E} must lie in (-alpha^-1, 0)")
-    if (values["decay_window_lo"] is None) != (values["decay_window_hi"] is None):
+    window = (values["decay_window_lo"], values["decay_window_hi"])
+    if (window[0] is None) != (window[1] is None):
         raise ConfigError("decay_window_lo and decay_window_hi must be set together")
+    if window[0] is not None:
+        problem = analysis.window_error(window, values["r_max"])
+        if problem is not None:
+            raise ConfigError(f"decay {problem}")
     return values
 
 
@@ -384,8 +389,11 @@ def _suite_herbst(grid, sys_, cfg) -> dict:
     try:
         rep = analysis.herbst_bound_check(sys_, grid)
     except BoundViolated as exc:
-        return {"status": "failed", "reason": str(exc)}
-    rep["status"] = "passed"
+        rep = {"status": "failed", "reason": str(exc)}
+    else:
+        rep["status"] = "passed"
+    # the bound is on the square-root h0, whatever kinetic law the system carries
+    rep["kinetic"] = "pseudorelativistic"
     return rep
 
 
@@ -532,7 +540,9 @@ def run_verify(config_path: str | Path) -> int:
     all_passed = all(s.get("status") == "passed" for s in suites.values())
     payload = {
         "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
-        "system": {"Z": sys_.Z, "N": sys_.N, "alpha": sys_.alpha, "q": sys_.q},
+        "system": {
+            "Z": sys_.Z, "N": sys_.N, "alpha": sys_.alpha, "q": sys_.q, "kinetic": sys_.kinetic,
+        },
         "suites": suites,
         "all_passed": all_passed,
     }

@@ -13,11 +13,19 @@ in O(n log n) from its symbol. The dense matrix is realized spectrally
 from the Laplacian's eigendecomposition, only when first asked for;
 eigenvector bases are cached per (n, r_max, ell) and reused across
 alpha values.
+
+The DST-I of length n is taken by Rader's algorithm (Proc. IEEE 56
+(1968) 1107) when p = n + 1 is an odd prime, as on the helium and
+beryllium grids (n = 1200, 1600, 4800). For such lengths pocketfft
+falls back to Bluestein's algorithm and is several times slower; Rader
+turns the transform into real cyclic correlations of length n, and n is
+smooth on those grids. Every other n goes to scipy.fft.dst unchanged.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -128,9 +136,95 @@ def laplacian_symbol(grid: RadialGrid) -> np.ndarray:
     return (2.0 / grid.h * np.sin(j * np.pi / (2 * (grid.n + 1)))) ** 2
 
 
+def _is_odd_prime(p: int) -> bool:
+    if p < 3 or p % 2 == 0:
+        return False
+    return all(p % d for d in range(3, math.isqrt(p) + 1, 2))
+
+
+def _primitive_root(p: int) -> int:
+    """Least generator of the multiplicative group mod the prime p."""
+    m, factors, d = p - 1, [], 2
+    while d * d <= m:
+        if m % d == 0:
+            factors.append(d)
+            while m % d == 0:
+                m //= d
+        d += 1
+    if m > 1:
+        factors.append(m)
+    g = 2
+    while any(pow(g, (p - 1) // q, p) == 1 for q in factors):
+        g += 1
+    return g
+
+
+@dataclass(frozen=True)
+class _RaderPlan:
+    gather: np.ndarray      # node index of j = g^r, r = 0..n-1
+    signs: np.ndarray       # (-1)^(j+1) at j = g^r
+    spectrum: np.ndarray    # rfft of the kernel sin(2 pi g^-q / p), times sqrt(2/p)
+    scatter: np.ndarray     # mode k -> row of the two stacked correlations
+
+
+@functools.lru_cache(maxsize=8)
+def _rader_plan(n: int) -> _RaderPlan | None:
+    """Permutations and kernel spectrum of the length-n DST-I; None unless n + 1 is an odd prime.
+
+    With p = n + 1 and g a primitive root mod p, write j = g^r and
+    m = g^-s. An even mode k = 2m is sum_j x_j sin(2 pi j m / p); an odd
+    mode k = p - 2m is the same sum over (-1)^(j+1) x_j. Both are cyclic
+    correlations of length n in r with the kernel sin(2 pi g^(r-s) / p).
+    """
+    p = n + 1
+    if not _is_odd_prime(p):
+        return None
+    g = _primitive_root(p)
+    # g^r mod p for r = 0..n-1 by doubling; products stay below p^2
+    powers = np.ones(n, dtype=np.int64)
+    span, step = 1, g
+    while span < n:
+        m = min(span, n - span)
+        powers[span:span + m] = powers[:m] * step % p
+        span, step = span + m, step * step % p
+    r = np.arange(n)
+    kernel = np.sin(2.0 * np.pi * powers[-r % n] / p)
+    log = np.empty(p, dtype=np.int64)
+    log[powers] = r
+    m = np.arange(1, n // 2 + 1)
+    s = -log[m] % n
+    scatter = np.empty(n, dtype=np.int64)
+    scatter[2 * m - 1] = s              # k = 2m, from the plain correlation
+    scatter[p - 2 * m - 1] = n + s      # k = p - 2m, from the signed one
+    return _RaderPlan(
+        gather=powers - 1,
+        signs=np.where(powers % 2 == 1, 1.0, -1.0),
+        spectrum=scipy.fft.rfft(kernel) * np.sqrt(2.0 / p),
+        scatter=scatter,
+    )
+
+
 def dst(X: np.ndarray) -> np.ndarray:
-    """Orthonormal DST-I of node vectors (one vector, or columns); its own inverse."""
-    return scipy.fft.dst(X, type=1, norm="ortho", axis=0)
+    """Orthonormal DST-I of node vectors (one vector, or columns); its own inverse.
+
+    float64 input whose length n has n + 1 an odd prime goes by Rader's
+    algorithm, both correlations of every column in one rfft/irfft pair;
+    anything else goes to scipy.fft.dst.
+    """
+    X = np.asarray(X)
+    plan = _rader_plan(X.shape[0]) if X.ndim in (1, 2) and X.dtype == np.float64 else None
+    if plan is None:
+        return scipy.fft.dst(X, type=1, norm="ortho", axis=0)
+    n = X.shape[0]
+    cols = X.reshape(n, -1)
+    k = cols.shape[1]
+    Z = np.empty((2, n, k))
+    np.take(cols, plan.gather, axis=0, out=Z[0])
+    np.multiply(Z[0], plan.signs[:, None], out=Z[1])
+    F = scipy.fft.rfft(Z, axis=1)
+    F *= plan.spectrum[:, None]
+    C = scipy.fft.irfft(F, n, axis=1, overwrite_x=True)
+    return np.take(C.reshape(2 * n, k), plan.scatter, axis=0).reshape(X.shape)
 
 
 class KineticOperator:

@@ -537,7 +537,9 @@ def solve_scf(sys: AtomSystem, options: SolverOptions) -> tuple[SCFReport, Densi
             gamma, energy = pure, e_pure
             trace.append(energy)
 
-    final_fock = fock_build(gamma, grid, sys, ell_max=ell_max)
+    # after a t = 0 step or a rejected purity finish, `fock` is already the
+    # operator of the final density, with its levels computed
+    final_fock = fock if fock.gamma is gamma else fock_build(gamma, grid, sys, ell_max=ell_max)
     residual = commutator_residual(final_fock, gamma)
     orb_res = orbital_residuals(final_fock, gamma)
     table = _final_eigen_table(final_fock, gamma, _levels_needed(sys.N))

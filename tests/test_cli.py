@@ -201,6 +201,9 @@ def test_verify_nonrelativistic_kinetic(tmp_path):
     assert run_verify(cfg) == EXIT_OK
     verify = json.loads((outdir / "verify.json").read_text())
     assert verify["suites"]["minimizer"]["clauses"]["hf_equations"]["passed"] is True
+    # the output names the law it certified; the herbst bound is on the square-root h0
+    assert verify["system"]["kinetic"] == "nonrelativistic"
+    assert verify["suites"]["herbst"]["kinetic"] == "pseudorelativistic"
 
 
 @pytest.mark.parametrize("stored, requested", [
@@ -326,12 +329,24 @@ def test_neon_tight_tolerance_ends_by_iteration_40(tmp_path, threads):
         assert report["message"].startswith("optimal damping stalled")
 
 
-def test_verify_wall_window_inconclusive(tmp_path):
+@pytest.mark.parametrize("lo, hi", [(10.0, 5.0), (8.0, 13.9), (0.0, 5.0)],
+                         ids=["reversed", "wall", "origin"])
+def test_bad_decay_window_exits_1(tmp_path, monkeypatch, lo, hi):
+    # r_max = 14: a window must sit inside (0, 10.5]
+    def refuse(*args, **kwargs):
+        raise AssertionError("solved a configuration with a bad decay window")
+
+    monkeypatch.setattr(prhf.cli, "solve_scf", refuse)
     outdir = tmp_path / "out"
-    cfg = _write_config(
-        tmp_path, outdir,
-        decay_window_lo=8.0, decay_window_hi=13.9,
-    )
+    cfg = _write_config(tmp_path, outdir, decay_window_lo=lo, decay_window_hi=hi)
+    assert run_verify(cfg) == EXIT_CONFIG
+    assert not outdir.exists()
+
+
+def test_verify_narrow_window_inconclusive(tmp_path):
+    # a valid window with fewer than 20 nodes (h = 14/241) cannot be fitted
+    outdir = tmp_path / "out"
+    cfg = _write_config(tmp_path, outdir, decay_window_lo=8.0, decay_window_hi=8.5)
     assert run_verify(cfg) == EXIT_CERTIFICATE
     verify = json.loads((outdir / "verify.json").read_text())
     assert verify["suites"]["decay"]["status"] == "inconclusive"

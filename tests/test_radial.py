@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.fft
 
 from prhf import (
     BadGrid,
@@ -94,6 +95,47 @@ def test_dst_diagonalizes_s_laplacian():
     sym = laplacian_symbol(grid)
     assert np.allclose(np.diag(D), sym, rtol=1e-12, atol=0)
     assert np.max(np.abs(D - np.diag(np.diag(D)))) <= 1e-12 * sym.max()
+
+
+def _scipy_dst(X):
+    return scipy.fft.dst(X, type=1, norm="ortho", axis=0)
+
+
+# n + 1 prime: 17, 241, 401, 1201, 1601, 4801
+@pytest.mark.parametrize("n", [16, 240, 400, 1200, 1600, 4800])
+def test_dst_prime_length_matches_scipy(n, rng):
+    base = rng.standard_normal((2 * n, 12))
+    for X in (base[:n, 0], base[:n, :6].copy(), np.asfortranarray(base[:n, :6]), base[::2, 1::2]):
+        ref = _scipy_dst(X)
+        out = dst(X)
+        assert out.shape == ref.shape and out.dtype == ref.dtype
+        assert np.max(np.abs(out - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+
+# n + 1 composite: 18, 200, 801 = 9*89, 1501 = 19*79, 1600
+@pytest.mark.parametrize("n", [17, 199, 800, 1500, 1599])
+def test_dst_composite_length_is_scipy(n, rng):
+    for X in (rng.standard_normal(n), rng.standard_normal((n, 6))):
+        assert np.array_equal(dst(X), _scipy_dst(X))
+
+
+@pytest.mark.parametrize("n", [240, 1200, 800])
+def test_dst_is_an_involution(n, rng):
+    X = rng.standard_normal((n, 3))
+    assert np.max(np.abs(dst(dst(X)) - X)) <= 1e-14 * np.max(np.abs(X))
+
+
+def test_dst_prime_length_takes_the_rader_path(rng, monkeypatch):
+    x = rng.standard_normal(240)
+    ref = _scipy_dst(x)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("scipy.fft.dst called")
+
+    monkeypatch.setattr(scipy.fft, "dst", refuse)
+    assert np.max(np.abs(dst(x) - ref)) <= 1e-14 * np.max(np.abs(ref))
+    with pytest.raises(AssertionError, match="scipy.fft.dst called"):
+        dst(x[:-1])     # n + 1 = 240 is composite
 
 
 def test_laplacian_box_ground_state():

@@ -161,6 +161,30 @@ def test_s_only_solve_builds_no_dense_operator(monkeypatch):
     assert minimizer_certificate(gamma, report.fock, sys).passed
 
 
+def test_solve_keeps_the_operator_of_a_kept_density(monkeypatch):
+    """After a t = 0 step the last Fock operator is the final one: no rebuild, same report."""
+    builds = []
+    build = scf.fock_build
+
+    def counting_build(*args, **kwargs):
+        builds.append(build(*args, **kwargs))
+        return builds[-1]
+
+    monkeypatch.setattr(scf, "fock_build", counting_build)
+    # pin the line search to t = 0 (for one electron its sign is roundoff);
+    # He+ then converges at iteration 1 on the density of its h0 guess
+    monkeypatch.setattr(scf, "line_coefficients", lambda *args, **kwargs: (0.0, 1.0))
+    sys = validate_system(AtomSystem(Z=2.0, N=1, alpha=ALPHA))
+    report, gamma = solve_scf(sys, SolverOptions(n=240, r_max=14.0))
+    assert report.converged and report.iterations == 1
+    assert len(builds) == 2         # the h0 guess and iteration 1
+    assert report.fock is builds[1] and report.fock.gamma is gamma
+    fresh = build(gamma, report.fock.grid, sys)
+    assert report.eigenvalues == scf._final_eigen_table(fresh, gamma, _levels_needed(sys.N))
+    assert report.commutator_residual == commutator_residual(fresh, gamma)
+    assert report.max_orbital_residual == max(orbital_residuals(fresh, gamma))
+
+
 def _commutator_trace_oracle(fock, gamma):
     """|[F, gamma]|_F as 2h Tr[A^T A] - 2 Tr[(h C^T A)^2], A = F C Lambda; cancels near 0."""
     h = fock.grid.h
