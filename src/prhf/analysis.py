@@ -42,16 +42,6 @@ class DecayFit:
     nu_predicted: float
     efolds: float
 
-    def as_dict(self) -> dict:
-        return {
-            "orbital_id": self.orbital_id,
-            "window": list(self.window),
-            "beta_hat": self.beta_hat,
-            "residual": self.residual,
-            "nu_predicted": self.nu_predicted,
-            "efolds": self.efolds,
-        }
-
 
 def window_error(window: tuple[float, float], r_max: float) -> str | None:
     """Why a decay-fit window cannot be fitted on a box of radius r_max; None if it can."""
@@ -132,9 +122,6 @@ class CertificateReport:
     clauses: dict
     passed: bool
 
-    def as_dict(self) -> dict:
-        return {"passed": self.passed, "clauses": self.clauses}
-
 
 def minimizer_certificate(
     gamma: DensityMatrix,
@@ -163,17 +150,15 @@ def minimizer_certificate(
         "passed": tr_err <= 1e-9, "measured": tr_err, "tolerance": 1e-9,
     }
 
-    # occupied Rayleigh values and the lowest levels orthogonal to them
-    occ_eps = []
+    # occupied Rayleigh values and residuals, and the lowest levels
+    # orthogonal to the occupied orbitals
+    occupied = orbital_residuals(fock, gamma)
+    occ_eps = [eps for _key, _idx, eps, _res in occupied]
     unocc_eps = []
     spectra = _channel_spectra(fock, _levels_needed(sys.N))
-    for (ell, spin), (vals, vecs) in spectra.items():
-        blk = gamma.blocks.get((ell, spin))
-        cap_used = 0.0
+    for key, (vals, vecs) in spectra.items():
+        blk = gamma.blocks.get(key)
         if blk is not None and blk.m:
-            for a in range(blk.m):
-                Pa = blk.orbitals[:, a]
-                occ_eps.append(float(grid.h * (Pa @ fock.apply((ell, spin), Pa))))
             overlaps = grid.h * blk.orbitals.T @ vecs   # (m, k)
             proj = np.sum(overlaps**2, axis=0)
         else:
@@ -199,8 +184,7 @@ def minimizer_certificate(
         "tolerance": [0.0, -ainv],
     }
 
-    res = orbital_residuals(fock, gamma)
-    worst_res = max(res) if res else 0.0
+    worst_res = max((res for *_, res in occupied), default=0.0)
     clauses["hf_equations"] = {
         "passed": worst_res <= 1e-7 * ainv,
         "measured": worst_res,

@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import datetime
+import functools
 import json
 import logging
 import sys as _sys
@@ -38,7 +39,7 @@ from .errors import (
 )
 from .model import AtomSystem, SolverOptions, validate_system
 from .radial import build_grid, dst, kinetic_operator
-from .scf import fock_build, resolve_options, solve_scf
+from .scf import fock_build, orbital_residuals, resolve_options, solve_scf
 
 log = logging.getLogger("prhf")
 
@@ -191,17 +192,22 @@ def _orbital_label(ell: int, spin: int, idx: int) -> str:
     return f"P_l{ell}_s{spin}_{idx}"
 
 
-def _write_solution(outdir: Path, cfg: dict, report, gamma, grid, certificates) -> None:
-    payload = {
-        "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
+def _write_json(path: Path, payload: dict) -> None:
+    """Stamp a result document with the UTC time and write it as sorted JSON."""
+    payload = {"timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(), **payload}
+    with open(path, "w", newline="\n") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
+def _write_solution(outdir: Path, cfg: dict, report, gamma, certificates) -> None:
+    grid = report.fock.grid
+    _write_json(outdir / "report.json", {
         "config": {k: cfg[k] for k in sorted(cfg)},
         "grid": {"n": grid.n, "r_max": grid.r_max, "h": grid.h},
         "report": report.as_dict(),
         "certificates": certificates,
-    }
-    with open(outdir / "report.json", "w", newline="\n") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    })
 
     labels = ["r"]
     columns = [grid.nodes]
@@ -224,7 +230,8 @@ def _load_solution(outdir: Path, sys_: AtomSystem, options: SolverOptions):
     """Rebuild (report_dict, gamma, grid) from a completed solve directory.
 
     None unless that solve converged for an equal system and equal options
-    and its files read back whole: a damaged solve counts as absent.
+    and its files read back whole, with orthonormal orbitals and admissible
+    occupations: a damaged solve counts as absent.
     """
     report_path = outdir / "report.json"
     orbitals_path = outdir / "orbitals.csv"
@@ -249,36 +256,61 @@ def _load_solution(outdir: Path, sys_: AtomSystem, options: SolverOptions):
             key = (occ["ell"], occ["spin"])
             label = _orbital_label(occ["ell"], occ["spin"], occ["index"])
             blocks.setdefault(key, []).append((occ["index"], cols[label], occ["f"]))
+        for key, entries in blocks.items():
+            entries.sort()
+            blocks[key] = ChannelBlock(
+                orbitals=np.column_stack([v for (_i, v, _f) in entries]),
+                occupations=np.array([f for (_i, _v, f) in entries]),
+            )
+        gamma = DensityMatrix(blocks).validate(grid, sys_.N)
     except (ValueError, KeyError, TypeError, SolverError) as exc:
         log.warning("ignoring the damaged solve in %s: %s: %s", outdir, type(exc).__name__, exc)
         return None
-    dm_blocks = {}
-    for key, entries in blocks.items():
-        entries.sort()
-        dm_blocks[key] = ChannelBlock(
-            orbitals=np.column_stack([v for (_i, v, _f) in entries]),
-            occupations=np.array([f for (_i, _v, f) in entries]),
-        )
-    return payload, DensityMatrix(dm_blocks), grid
+    return payload, gamma, grid
 
 
-def _solve_pipeline(cfg: dict) -> int:
-    """Shared by solve and verify: solve, certify, write; returns the exit code."""
-    sys_ = _system_from_config(cfg)
-    options = _options_from_config(cfg)
-    outdir = Path(cfg["output_dir"])
-    outdir.mkdir(parents=True, exist_ok=True)
-    grid = build_grid(options.n, options.r_max)
+def _command(pipeline):
+    """A command on a config path from a body `pipeline(cfg, sys_, options, outdir)`.
+
+    The config, the system and the solver options are checked before the
+    output directory is made and the body runs. NotConverged exits 2 and
+    any other SolverError exits 1; otherwise the body's exit code stands.
+    """
+
+    @functools.wraps(pipeline)
+    def command(config_path: str | Path) -> int:
+        try:
+            cfg = parse_config(config_path)
+            sys_ = _system_from_config(cfg)
+            options = _options_from_config(cfg)
+            outdir = Path(cfg["output_dir"])
+            outdir.mkdir(parents=True, exist_ok=True)
+            return pipeline(cfg, sys_, options, outdir)
+        except NotConverged as exc:
+            log.error("SCF did not converge: %s", exc)
+            return EXIT_NOT_CONVERGED
+        except SolverError as exc:
+            log.error("%s", exc)
+            return EXIT_CONFIG
+
+    return command
+
+
+def _solve_pipeline(cfg: dict, sys_: AtomSystem, options: SolverOptions, outdir: Path) -> int:
+    """Shared by solve and verify: solve, certify, write; returns the exit code.
+
+    An unconverged solve is written with its certificate skipped, and its
+    NotConverged is raised again.
+    """
     try:
         report, gamma = solve_scf(sys_, options)
     except NotConverged as exc:
-        log.error("SCF did not converge: %s", exc)
         if exc.report is not None and exc.density is not None:
-            _write_solution(outdir, cfg, exc.report, exc.density, grid,
+            _write_solution(outdir, cfg, exc.report, exc.density,
                             {"passed": False, "clauses": {}, "skipped": "not converged"})
-        return EXIT_NOT_CONVERGED
+        raise
     cert = analysis.minimizer_certificate(gamma, report.fock, sys_)
-    _write_solution(outdir, cfg, report, gamma, grid, cert.as_dict())
+    _write_solution(outdir, cfg, report, gamma, dataclasses.asdict(cert))
     log.info(
         "converged=%s iterations=%d total=%.12f certificate=%s",
         report.converged, report.iterations, report.energy.total, cert.passed,
@@ -286,15 +318,7 @@ def _solve_pipeline(cfg: dict) -> int:
     return EXIT_OK if cert.passed else EXIT_CERTIFICATE
 
 
-def run_solve(config_path: str | Path) -> int:
-    try:
-        cfg = parse_config(config_path)
-        return _solve_pipeline(cfg)
-    except NotConverged:
-        return EXIT_NOT_CONVERGED
-    except SolverError as exc:
-        log.error("%s", exc)
-        return EXIT_CONFIG
+run_solve = _command(_solve_pipeline)
 
 
 # --- verification suites ----------------------------------------------------
@@ -302,36 +326,26 @@ def run_solve(config_path: str | Path) -> int:
 
 def _suite_minimizer(gamma, fock, sys_) -> dict:
     cert = analysis.minimizer_certificate(gamma, fock, sys_)
-    out = cert.as_dict()
-    out["status"] = "passed" if cert.passed else "failed"
-    return out
+    return {**dataclasses.asdict(cert), "status": "passed" if cert.passed else "failed"}
 
 
-def _suite_decay(gamma, fock, sys_, report_dict, cfg) -> dict:
-    grid = fock.grid
-    occupied = []
-    for occ in report_dict["report"]["occupations"]:
-        key = (occ["ell"], occ["spin"])
-        occupied.append((key, occ["index"], occ["f"]))
-    fits = []
-    eps_list = []
+def _suite_decay(gamma, fock, sys_, cfg) -> dict:
+    occupied = orbital_residuals(fock, gamma)
     window = None
     if cfg["decay_window_lo"] is not None:      # parse_config sets both or neither
         window = (cfg["decay_window_lo"], cfg["decay_window_hi"])
+    fits = []
     try:
-        for (ell, spin), idx, f in occupied:
-            blk = gamma.blocks[(ell, spin)]
-            P = blk.orbitals[:, idx]
-            eps = grid.h * float(P @ fock.apply((ell, spin), P))
-            fit = analysis.decay_fit(
-                P, eps, grid, sys_.alpha, window=window,
-                orbital_id=_orbital_label(ell, spin, idx), charge=sys_.Z - sys_.N + 1,
-            )
-            fits.append(fit)
-            eps_list.append(eps)
+        for (ell, spin), idx, eps, _res in occupied:
+            fits.append(analysis.decay_fit(
+                gamma.blocks[(ell, spin)].orbitals[:, idx], eps, fock.grid, sys_.alpha,
+                window=window, orbital_id=_orbital_label(ell, spin, idx),
+                charge=sys_.Z - sys_.N + 1,
+            ))
     except WindowTooNoisy as exc:
-        return {"status": "inconclusive", "reason": str(exc), "fits": [f.as_dict() for f in fits]}
-    eps_arr = np.array(eps_list)
+        return {"status": "inconclusive", "reason": str(exc),
+                "fits": [dataclasses.asdict(f) for f in fits]}
+    eps_arr = np.array([eps for _key, _idx, eps, _res in occupied])
     homo_pos = int(np.argmax(eps_arr))
     nu_homo = analysis.nu_of_energy(float(eps_arr[homo_pos]), sys_.alpha)
     homo_ok = abs(fits[homo_pos].beta_hat - nu_homo) <= _DECAY_RATE_TOL * nu_homo
@@ -351,11 +365,11 @@ def _suite_decay(gamma, fock, sys_, report_dict, cfg) -> dict:
         "ordering_ok": ordering_ok,
         "nu_homo": nu_homo,
         "tolerance": _DECAY_RATE_TOL,
-        "fits": [f.as_dict() for f in fits],
+        "fits": [dataclasses.asdict(f) for f in fits],
     }
 
 
-def _solution_suites(gamma, grid, sys_, options, payload, cfg) -> dict:
+def _solution_suites(gamma, grid, sys_, options, cfg) -> dict:
     """Minimizer and decay suites on one Fock operator of the loaded solution.
 
     The operator is built on the channel set that solve_scf used, and is
@@ -366,7 +380,7 @@ def _solution_suites(gamma, grid, sys_, options, payload, cfg) -> dict:
     if cfg["verify_minimizer"]:
         suites["minimizer"] = _suite_minimizer(gamma, fock, sys_)
     if cfg["verify_decay"]:
-        suites["decay"] = _suite_decay(gamma, fock, sys_, payload, cfg)
+        suites["decay"] = _suite_decay(gamma, fock, sys_, cfg)
     return suites
 
 
@@ -487,23 +501,13 @@ def _suite_binding(cfg, sys_, options, known) -> dict:
     return {"status": "passed" if ok else "failed", "rows": rows}
 
 
-def run_verify(config_path: str | Path) -> int:
-    try:
-        cfg = parse_config(config_path)
-        sys_ = _system_from_config(cfg)
-        options = _options_from_config(cfg)
-    except SolverError as exc:
-        log.error("%s", exc)
-        return EXIT_CONFIG
-    outdir = Path(cfg["output_dir"])
-    outdir.mkdir(parents=True, exist_ok=True)
-
+@_command
+def run_verify(cfg: dict, sys_: AtomSystem, options: SolverOptions, outdir: Path) -> int:
     needs_solution = cfg["verify_minimizer"] or cfg["verify_decay"]
     loaded = _load_solution(outdir, sys_, options) if needs_solution else None
     if needs_solution and loaded is None:
         log.info("no converged solve of this configuration in %s; solving first", outdir)
-        if _solve_pipeline(cfg) == EXIT_NOT_CONVERGED:
-            return EXIT_NOT_CONVERGED
+        _solve_pipeline(cfg, sys_, options, outdir)
         loaded = _load_solution(outdir, sys_, options)
         if loaded is None:
             log.error("solve completed but outputs are unreadable")
@@ -520,7 +524,7 @@ def run_verify(config_path: str | Path) -> int:
         if occ_eps:
             eps_homo = max(occ_eps)
             known = {sys_.N: (payload["report"]["energy"]["total"], eps_homo)}
-        suites.update(_solution_suites(gamma, grid, sys_, options, payload, cfg))
+        suites.update(_solution_suites(gamma, grid, sys_, options, cfg))
     else:
         grid = build_grid(cfg["n"], cfg["r_max"])
 
@@ -531,38 +535,23 @@ def run_verify(config_path: str | Path) -> int:
     if cfg["verify_greens"]:
         suites["greens"], _kernel = _suite_greens(cfg, sys_, eps_homo)
     if cfg["verify_binding"]:
-        try:
-            suites["binding"] = _suite_binding(cfg, sys_, options, known)
-        except NotConverged as exc:
-            log.error("binding sweep did not converge: %s", exc)
-            return EXIT_NOT_CONVERGED
+        suites["binding"] = _suite_binding(cfg, sys_, options, known)
 
     all_passed = all(s.get("status") == "passed" for s in suites.values())
-    payload = {
-        "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
+    _write_json(outdir / "verify.json", {
         "system": {
             "Z": sys_.Z, "N": sys_.N, "alpha": sys_.alpha, "q": sys_.q, "kinetic": sys_.kinetic,
         },
         "suites": suites,
         "all_passed": all_passed,
-    }
-    with open(outdir / "verify.json", "w", newline="\n") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    })
     for name, suite in suites.items():
         log.info("suite %-10s %s", name, suite.get("status"))
     return EXIT_OK if all_passed else EXIT_CERTIFICATE
 
 
-def run_greens(config_path: str | Path) -> int:
-    try:
-        cfg = parse_config(config_path)
-        sys_ = _system_from_config(cfg)
-    except SolverError as exc:
-        log.error("%s", exc)
-        return EXIT_CONFIG
-    outdir = Path(cfg["output_dir"])
-    outdir.mkdir(parents=True, exist_ok=True)
+@_command
+def run_greens(cfg: dict, sys_: AtomSystem, options: SolverOptions, outdir: Path) -> int:
     suite, kernel = _suite_greens(cfg, sys_, None)
     header = ["u", "G", "term1", "term2", "term3"]
     rows = (
@@ -571,33 +560,15 @@ def run_greens(config_path: str | Path) -> int:
         for i in range(kernel.mesh.size)
     )
     _write_csv(outdir / "greens.csv", header, rows)
-    payload = {
-        "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
-        "suite": suite,
-    }
-    with open(outdir / "greens.json", "w", newline="\n") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(outdir / "greens.json", {"suite": suite})
     log.info("greens suite %s", suite["status"])
     return EXIT_OK if suite["status"] == "passed" else EXIT_CERTIFICATE
 
 
-def run_sweep(config_path: str | Path) -> int:
-    try:
-        cfg = parse_config(config_path)
-        sys_ = _system_from_config(cfg)
-        options = _options_from_config(cfg)
-    except SolverError as exc:
-        log.error("%s", exc)
-        return EXIT_CONFIG
-    outdir = Path(cfg["output_dir"])
-    outdir.mkdir(parents=True, exist_ok=True)
+@_command
+def run_sweep(cfg: dict, sys_: AtomSystem, options: SolverOptions, outdir: Path) -> int:
     n_max = cfg.get("sweep_n_max") or sys_.N
-    try:
-        rows, ok = analysis.binding_monotonicity(sys_, n_max, options)
-    except NotConverged as exc:
-        log.error("sweep did not converge: %s", exc)
-        return EXIT_NOT_CONVERGED
+    rows, ok = analysis.binding_monotonicity(sys_, n_max, options)
     header = ["N", "total", "eps_homo_hartree", "gap_prev", "gap_required"]
     csv_rows = []
     for row in rows:
@@ -607,14 +578,7 @@ def run_sweep(config_path: str | Path) -> int:
             _fmt(row["gap_required"]) if row["gap_required"] is not None else "nan",
         ])
     _write_csv(outdir / "sweep.csv", header, csv_rows)
-    payload = {
-        "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
-        "rows": rows,
-        "monotone": ok,
-    }
-    with open(outdir / "sweep.json", "w", newline="\n") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(outdir / "sweep.json", {"rows": rows, "monotone": ok})
     log.info("sweep monotone=%s over N=1..%d", ok, n_max)
     return EXIT_OK if ok else EXIT_CERTIFICATE
 
@@ -652,11 +616,7 @@ def main(argv=None) -> int:
         "greens": run_greens,
         "sweep": run_sweep,
     }[args.command]
-    try:
-        return runner(args.config)
-    except SolverError as exc:
-        log.error("%s", exc)
-        return EXIT_CONFIG
+    return runner(args.config)
 
 
 if __name__ == "__main__":

@@ -83,7 +83,7 @@ class DensityMatrix:
                     f"occupation out of [0,1] in channel (ell={ell}, spin={spin})"
                 )
             gram = grid.h * blk.orbitals.T @ blk.orbitals
-            if not np.allclose(gram, np.eye(blk.m), atol=ORTHO_TOL):
+            if not np.allclose(gram, np.eye(blk.m), rtol=0.0, atol=ORTHO_TOL):
                 raise NonFiniteEnergy(
                     f"orbitals not orthonormal in channel (ell={ell}, spin={spin})"
                 )

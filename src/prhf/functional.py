@@ -39,15 +39,6 @@ class EnergyBreakdown:
     exchange: float   # Ex(gamma), entered with a minus sign
     total: float
 
-    def as_dict(self) -> dict:
-        return {
-            "kinetic": self.kinetic,
-            "nuclear": self.nuclear,
-            "direct": self.direct,
-            "exchange": self.exchange,
-            "total": self.total,
-        }
-
 
 def total_energy(gamma: DensityMatrix, grid: RadialGrid, sys: AtomSystem) -> EnergyBreakdown:
     """Assemble the functional value with the alpha^-1 one-body prefactor.

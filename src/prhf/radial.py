@@ -230,10 +230,10 @@ def dst(X: np.ndarray) -> np.ndarray:
 class KineticOperator:
     """A scalar function f of one channel Laplacian L_ell.
 
-    `apply` multiplies node vectors by f(L_ell): on ell = 0 through the
-    DST-I symbol with no n x n matrix, otherwise through the dense
-    matrix. The dense operator (`matrix`, `eigensystem()`) is built on
-    first use only.
+    `apply` multiplies node vectors by f(L_0) through the DST-I symbol,
+    with no n x n matrix; on ell >= 1 it raises BadGrid, because L_ell
+    has no DST-I symbol there. The dense operator (`matrix`,
+    `eigensystem()`) is built on first use only.
     """
 
     def __init__(self, grid: RadialGrid, ell: int, f, dense):
@@ -261,10 +261,9 @@ class KineticOperator:
         return np.asarray(self._f(laplacian_symbol(self.grid)), dtype=float)
 
     def apply(self, X: np.ndarray) -> np.ndarray:
-        if self.ell != 0:
-            return self.matrix @ X
+        symbol = self.symbol
         coef = dst(X)
-        coef *= self.symbol if coef.ndim == 1 else self.symbol[:, None]
+        coef *= symbol if coef.ndim == 1 else symbol[:, None]
         return dst(coef)
 
 

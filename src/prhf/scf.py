@@ -14,7 +14,7 @@ from __future__ import annotations
 import functools
 import logging
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 import scipy.linalg
@@ -128,8 +128,8 @@ class SCFReport:
             "converged": self.converged,
             "iterations": self.iterations,
             "algorithm": "optimal-damping",
-            "energy": self.energy.as_dict(),
-            "energy_trace": [e.as_dict() for e in self.energy_trace],
+            "energy": asdict(self.energy),
+            "energy_trace": [asdict(e) for e in self.energy_trace],
             "eigenvalues": [
                 {
                     "ell": ell,
@@ -362,17 +362,20 @@ def commutator_residual(fock: FockOperator, gamma: DensityMatrix) -> float:
     return float(np.sqrt(total))
 
 
-def orbital_residuals(fock: FockOperator, gamma: DensityMatrix) -> list[float]:
-    """L2 residuals |h P_a - <P_a,h P_a> P_a| for every occupied orbital."""
-    grid = fock.grid
+def orbital_residuals(fock: FockOperator, gamma: DensityMatrix) -> list[tuple]:
+    """(channel, index, eps, residual) of every occupied orbital P_a.
+
+    eps = <P_a, F P_a> and residual = |F P_a - eps P_a|, both in the grid
+    inner product, from one blocked apply of F per channel.
+    """
+    h = fock.grid.h
     out = []
-    for (ell, spin), blk in gamma.blocks.items():
-        for a in range(blk.m):
-            P = blk.orbitals[:, a]
-            HP = fock.apply((ell, spin), P)
-            eps = grid.h * (P @ HP)
-            res = HP - eps * P
-            out.append(float(np.sqrt(grid.h * (res @ res))))
+    for key, blk in gamma.blocks.items():
+        C = blk.orbitals
+        FC = fock.apply(key, C)
+        eps = h * np.einsum("ia,ia->a", C, FC)
+        res = np.sqrt(h * np.sum((FC - C * eps) ** 2, axis=0))
+        out.extend((key, a, float(eps[a]), float(res[a])) for a in range(blk.m))
     return out
 
 
@@ -560,7 +563,7 @@ def solve_scf(sys: AtomSystem, options: SolverOptions) -> tuple[SCFReport, Densi
             for (ell, spin, idx, f, lam) in gamma.occupation_list()
         ],
         commutator_residual=residual,
-        max_orbital_residual=max(orb_res) if orb_res else 0.0,
+        max_orbital_residual=max((r for *_, r in orb_res), default=0.0),
         anion_regime=sys.N >= sys.Z + 1,
         message=message,
         fock=final_fock,

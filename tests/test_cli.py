@@ -174,7 +174,20 @@ def _drop_orbital_column(outdir):
     (outdir / "orbitals.csv").write_text("\n".join(rows) + "\n")
 
 
-@pytest.mark.parametrize("damage", [_truncate_report, _truncate_orbitals, _drop_orbital_column])
+def _scale_an_orbital(outdir):
+    # every file still reads back whole; the orbital's norm is off by 1e-6
+    lines = (outdir / "orbitals.csv").read_text().splitlines()
+    rows = [lines[0]]
+    for line in lines[1:]:
+        cells = line.split(",")
+        cells[1] = f"{float(cells[1]) * (1.0 + 1e-6):.16e}"
+        rows.append(",".join(cells))
+    (outdir / "orbitals.csv").write_text("\n".join(rows) + "\n")
+
+
+@pytest.mark.parametrize("damage", [
+    _truncate_report, _truncate_orbitals, _drop_orbital_column, _scale_an_orbital,
+])
 def test_verify_resolves_a_damaged_solution(tmp_path, damage):
     outdir = tmp_path / "out"
     cfg = _write_config(tmp_path, outdir)
@@ -282,6 +295,37 @@ def test_bad_greens_energy_exits_1_before_any_work(tmp_path, monkeypatch, runner
     # inside (-alpha^-1, 0) the value parses
     cfg = _write_config(tmp_path, outdir, greens_energy=-0.01)
     assert parse_config(cfg)["greens_energy"] == -0.01
+
+
+@pytest.mark.parametrize("runner", [run_solve, run_verify, run_greens, run_sweep],
+                         ids=["solve", "verify", "greens", "sweep"])
+def test_invalid_solver_option_exits_1_before_any_work(tmp_path, monkeypatch, runner):
+    def no_work(*args, **kwargs):
+        raise AssertionError("ran work for invalid solver options")
+
+    monkeypatch.setattr(prhf.cli, "solve_scf", no_work)
+    monkeypatch.setattr(prhf.analysis, "solve_scf", no_work)
+    monkeypatch.setattr(prhf.greens, "greens_kernel", no_work)
+    outdir = tmp_path / "out"
+    cfg = _write_config(tmp_path, outdir, n=8, verify_greens="true", verify_binding="true")
+    assert runner(cfg) == EXIT_CONFIG
+    assert not outdir.exists()
+
+
+@pytest.mark.parametrize("runner, overrides, written", [
+    (run_verify, {}, {"report.json", "orbitals.csv", "energy_trace.csv"}),
+    (run_verify, {"verify_minimizer": "false", "verify_decay": "false", "verify_kato": "false",
+                  "verify_herbst": "false", "verify_binding": "true"}, set()),
+    (run_sweep, {"sweep_n_max": 2}, set()),
+], ids=["verify_solves_first", "verify_binding_only", "sweep"])
+def test_not_converged_exits_2(tmp_path, runner, overrides, written):
+    # only the unconverged solve of the configured system is written
+    outdir = tmp_path / "out"
+    cfg = _write_config(tmp_path, outdir, max_iter=1, tol_energy=1e-15, **overrides)
+    assert runner(cfg) == EXIT_NOT_CONVERGED
+    assert {path.name for path in outdir.iterdir()} == written
+    if written:
+        assert json.loads((outdir / "report.json").read_text())["report"]["converged"] is False
 
 
 def test_stalled_optimal_damping_exits_2(tmp_path, monkeypatch):

@@ -272,11 +272,13 @@ def test_kinetic_dst_apply_matches_dense(make, rng):
     assert np.linalg.norm(op.apply(u) - op.matrix @ u) <= 1e-13 * scale
 
 
-def test_kinetic_apply_is_dense_off_the_s_channel(rng):
+def test_kinetic_apply_refuses_the_p_channel(rng):
+    # only ell = 0 has a DST-I symbol; ell >= 1 channels go through the dense matrix
     grid = build_grid(150, 10.0)
     op = kinetic_operator(grid, 1, ALPHA)
     X = rng.standard_normal((grid.n, 2))
-    assert np.array_equal(op.apply(X), op.matrix @ X)
+    with pytest.raises(BadGrid):
+        op.apply(X)
     with pytest.raises(BadGrid):
         op.symbol
 

@@ -182,7 +182,7 @@ def test_solve_keeps_the_operator_of_a_kept_density(monkeypatch):
     fresh = build(gamma, report.fock.grid, sys)
     assert report.eigenvalues == scf._final_eigen_table(fresh, gamma, _levels_needed(sys.N))
     assert report.commutator_residual == commutator_residual(fresh, gamma)
-    assert report.max_orbital_residual == max(orbital_residuals(fresh, gamma))
+    assert report.max_orbital_residual == max(res for *_, res in orbital_residuals(fresh, gamma))
 
 
 def _commutator_trace_oracle(fock, gamma):
@@ -222,9 +222,30 @@ def test_commutator_residual_resolves_an_eigenstate(grid200):
     bare = fock_build(DensityMatrix({}), grid200, sys)
     gamma = aufbau_projection(bare, sys.N, sys.q)
     residual = commutator_residual(bare, gamma)
-    expected = np.sqrt(2.0 * np.sum(np.square(orbital_residuals(bare, gamma))))
+    residuals = [res for *_, res in orbital_residuals(bare, gamma)]
+    expected = np.sqrt(2.0 * np.sum(np.square(residuals)))
     assert residual == pytest.approx(expected, rel=1e-10)
     assert residual < 1e-9
+
+
+@pytest.mark.parametrize("ell_max", [0, 1], ids=["matrix_free", "dense"])
+def test_orbital_residuals_match_a_column_loop(grid200, ell_max):
+    """One blocked apply per channel gives the eps and residual of per-column applies."""
+    sys = AtomSystem(Z=5.0, N=5, alpha=ALPHA)
+    gamma = aufbau_projection(fock_build(DensityMatrix({}), grid200, sys, ell_max), sys.N, sys.q)
+    fock = fock_build(gamma, grid200, sys, ell_max)     # gamma is not its ground state
+    expected = []
+    for key, blk in gamma.blocks.items():
+        for a in range(blk.m):
+            P = blk.orbitals[:, a]
+            FP = fock.apply(key, P)
+            eps = grid200.h * (P @ FP)
+            expected.append((key, a, eps, np.sqrt(grid200.h * np.sum((FP - eps * P) ** 2))))
+    rows = orbital_residuals(fock, gamma)
+    assert [row[:2] for row in rows] == [row[:2] for row in expected]
+    assert min(row[3] for row in rows) > 1e-3
+    np.testing.assert_allclose([row[2:] for row in rows], [row[2:] for row in expected],
+                               rtol=1e-12, atol=0)
 
 
 # total energy and occupied eigenvalues (Ha) of the conftest solutions, as
