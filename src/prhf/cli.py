@@ -296,8 +296,8 @@ def _command(pipeline):
     return command
 
 
-def _solve_pipeline(cfg: dict, sys_: AtomSystem, options: SolverOptions, outdir: Path) -> int:
-    """Shared by solve and verify: solve, certify, write; returns the exit code.
+def _solve_and_write(cfg: dict, sys_: AtomSystem, options: SolverOptions, outdir: Path):
+    """Shared by solve and verify: solve, certify, write; returns (report, gamma, passed).
 
     An unconverged solve is written with its certificate skipped, and its
     NotConverged is raised again.
@@ -315,7 +315,12 @@ def _solve_pipeline(cfg: dict, sys_: AtomSystem, options: SolverOptions, outdir:
         "converged=%s iterations=%d total=%.12f certificate=%s",
         report.converged, report.iterations, report.energy.total, cert.passed,
     )
-    return EXIT_OK if cert.passed else EXIT_CERTIFICATE
+    return report, gamma, cert.passed
+
+
+def _solve_pipeline(cfg: dict, sys_: AtomSystem, options: SolverOptions, outdir: Path) -> int:
+    *_, passed = _solve_and_write(cfg, sys_, options, outdir)
+    return EXIT_OK if passed else EXIT_CERTIFICATE
 
 
 run_solve = _command(_solve_pipeline)
@@ -369,13 +374,14 @@ def _suite_decay(gamma, fock, sys_, cfg) -> dict:
     }
 
 
-def _solution_suites(gamma, grid, sys_, options, cfg) -> dict:
-    """Minimizer and decay suites on one Fock operator of the loaded solution.
+def _solution_suites(gamma, grid, sys_, options, cfg, fock=None) -> dict:
+    """Minimizer and decay suites on one Fock operator of the solution.
 
-    The operator is built on the channel set that solve_scf used, and is
-    released before the remaining suites run.
+    Without the solve's own operator, one is built on the channel set
+    that solve_scf used; it is released before the remaining suites run.
     """
-    fock = fock_build(gamma, grid, sys_, ell_max=resolve_options(sys_, options).ell_max)
+    if fock is None:
+        fock = fock_build(gamma, grid, sys_, ell_max=resolve_options(sys_, options).ell_max)
     suites = {}
     if cfg["verify_minimizer"]:
         suites["minimizer"] = _suite_minimizer(gamma, fock, sys_)
@@ -505,13 +511,12 @@ def _suite_binding(cfg, sys_, options, known) -> dict:
 def run_verify(cfg: dict, sys_: AtomSystem, options: SolverOptions, outdir: Path) -> int:
     needs_solution = cfg["verify_minimizer"] or cfg["verify_decay"]
     loaded = _load_solution(outdir, sys_, options) if needs_solution else None
+    fock = None
     if needs_solution and loaded is None:
         log.info("no converged solve of this configuration in %s; solving first", outdir)
-        _solve_pipeline(cfg, sys_, options, outdir)
-        loaded = _load_solution(outdir, sys_, options)
-        if loaded is None:
-            log.error("solve completed but outputs are unreadable")
-            return EXIT_CONFIG
+        report, gamma, _passed = _solve_and_write(cfg, sys_, options, outdir)
+        fock = report.fock
+        loaded = {"report": report.as_dict()}, gamma, fock.grid
 
     suites: dict = {}
     eps_homo = None
@@ -524,7 +529,7 @@ def run_verify(cfg: dict, sys_: AtomSystem, options: SolverOptions, outdir: Path
         if occ_eps:
             eps_homo = max(occ_eps)
             known = {sys_.N: (payload["report"]["energy"]["total"], eps_homo)}
-        suites.update(_solution_suites(gamma, grid, sys_, options, cfg))
+        suites.update(_solution_suites(gamma, grid, sys_, options, cfg, fock))
     else:
         grid = build_grid(cfg["n"], cfg["r_max"])
 

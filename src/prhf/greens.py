@@ -16,6 +16,13 @@ of radial profiles. The kernel is positive and bounded by
 where C is recorded on the tabulated kernel (computed from the Newton
 bound on the convolution term).
 
+radial_convolution tabulates the third term in O(m * band) interpolations
+on an m-point mesh: the cumulative of the short-range K_1 profile is
+constant to the last bit past a saturation point near u = 33 alpha
+(0.244 bohr at alpha = 1/137), and every cell farther than that from the
+row contributes an exact zero, so only a band of cells around each row
+is evaluated.
+
 resolvent_apply realizes v = G_E * f for reduced s-channel functions
 through exact per-cell integrals of the reduced pair kernel
 M(r, s) = g(|r - s|) - g(r + s): the first two kernel terms have
@@ -37,7 +44,7 @@ from scipy.special import iti0k0, k0 as _sk0, k1 as _sk1, kve
 from .errors import DomainError
 from .radial import RadialGrid
 
-_CONV_CHUNK = 256
+_CONV_CHUNK = 64
 # the default kernel mesh ends at nu*u = 80, where the exponential
 # kernel terms have decayed by e^-80
 _NU_U_MAX = 80.0
@@ -132,6 +139,18 @@ def radial_convolution(f: np.ndarray, g: np.ndarray, mesh: np.ndarray) -> np.nda
     sampling of the inner difference would miss them. The result is
     symmetrized over the two orderings, making the discrete operation
     symmetric by construction.
+
+    The double cumulative acc of the inner profile is bit for bit constant
+    past a saturation point x_sat (_saturation_point), so a cell whose
+    edges all lie at least x_sat from r, on either side, gets P and Q
+    values that are all acc[-1]: its term is sf * (+0.0) exactly (r + s
+    is then at least x_sat too). Each chunk of rows therefore evaluates
+    only its band of cells within x_sat; a short-range inner profile
+    makes that band narrow, one that never settles makes it the whole
+    mesh. The band's terms are written into a full-width row whose other
+    entries are those exact zeros, and the row is summed whole: the sum
+    adds the same values in the same order as a sweep over every cell, so
+    the result does not move by a bit.
     """
     f = np.asarray(f, dtype=float)
     g = np.asarray(g, dtype=float)
@@ -174,25 +193,57 @@ def radial_convolution(f: np.ndarray, g: np.ndarray, mesh: np.ndarray) -> np.nda
         return out
 
     sf = mesh * outer
-    cols = np.arange(mesh.size)
+    # the term of a cell past the band: sf * (+0.0), sign and NaN included
+    far_terms = sf * 0.0
+    x_sat = _saturation_point(mesh, acc)
+    m = mesh.size
+    cols = np.arange(m)
     out = np.empty_like(mesh)
-    for lo in range(0, mesh.size, _CONV_CHUNK):
-        hi = min(lo + _CONV_CHUNK, mesh.size)
+    for lo in range(0, m, _CONV_CHUNK):
+        hi = min(lo + _CONV_CHUNK, m)
         r = mesh[lo:hi]
+        # band of cells [c0, c1): a cell left of it has r - b >= x_sat for
+        # every row, one right of it a - r >= x_sat. Floating-point
+        # subtraction is monotone in both operands, so the first and last
+        # rows decide, evaluated exactly as A and P will see them.
+        c0 = np.count_nonzero(r[0] - edges[1:] >= x_sat)
+        c1 = m - np.count_nonzero(edges[:-1] - r[-1] >= x_sat)
+        e = edges[c0:c1 + 1]
         # each edge is shared by two neighbouring cells: one A per edge
-        P = np.interp(r[:, None] + edges, mesh, acc)
-        Q = A(np.abs(r[:, None] - edges))
+        P = np.interp(r[:, None] + e, mesh, acc)
+        Q = A(np.abs(r[:, None] - e))
         plus = P[:, 1:] - P[:, :-1]
         # int_cell g(|r - s|) ds: Q[b] - Q[a] right of r, Q[a] - Q[b] left
         # of r (b <= r), Q[a] + Q[b] for the cell straddling r
         minus = Q[:, 1:] - Q[:, :-1]
         k = np.searchsorted(edges, r, side="right")        # edges <= r
-        np.negative(minus, out=minus, where=cols < (k - 1)[:, None])
+        np.negative(minus, out=minus, where=cols[c0:c1] < (k - 1)[:, None])
         rows = np.flatnonzero((k < edges.size) & (edges[k - 1] < r))
-        j = k[rows] - 1
+        j = k[rows] - 1 - c0
         minus[rows, j] = Q[rows, j] + Q[rows, j + 1]
-        out[lo:hi] = (sf[None, :] * (plus - minus)).sum(axis=1)
+        terms = np.empty((hi - lo, m))
+        terms[:] = far_terms
+        terms[:, c0:c1] = sf[c0:c1] * (plus - minus)
+        # summed over the full width, the row sees the terms of a sweep over
+        # every cell in the same order, so the sum is bit for bit the same
+        out[lo:hi] = terms.sum(axis=1)
     return 2.0 * np.pi * out / mesh
+
+
+def _saturation_point(mesh: np.ndarray, acc: np.ndarray) -> float:
+    """Smallest x past which np.interp(x, mesh, acc) is acc[-1] bit for bit.
+
+    That is mesh[K] for the first K with acc[K:] all equal to acc[-1]: on
+    a flat stretch np.interp adds a zero slope term to a nonzero table
+    value. A cumulative that still moves at the mesh end gives mesh[-1],
+    and a zero or non-finite acc[-1] gives +inf: either way the band is
+    the whole mesh.
+    """
+    last = acc[-1]
+    if last == 0.0 or not np.isfinite(last):
+        return np.inf
+    moving = np.flatnonzero(acc != last)
+    return float(mesh[moving[-1] + 1]) if moving.size else float(mesh[0])
 
 
 def est1_constant(E: float, alpha: float) -> float:

@@ -37,6 +37,10 @@ log = logging.getLogger(__name__)
 
 OCC_DROP = 1e-13          # discard mixed eigenvalues below this weight
 DESCENT_SLACK = 1e-12     # per-step slack on monotone descent
+# a line whose coefficients a and b are both within this many (1 + |E|)
+# of zero is flat to roundoff: the step keeps gamma (t = 0). A one-electron
+# system's first trial is its h0 density again, and a, b ~ 1e-15 there.
+LINE_ROUNDOFF = 32.0 * np.finfo(float).eps
 PURITY_TOL = 1e-6
 # LOBPCG on matrix-free channels: preconditioner shift in units of alpha,
 # residual tolerance relative to the operator's norm (orbital tails must
@@ -120,6 +124,8 @@ class SCFReport:
     max_orbital_residual: float = float("nan")
     anion_regime: bool = False
     message: str = ""
+    # one record per iteration: E, dE, t, a, b, commutator_residual
+    steps: list = field(default_factory=list)
     # the operator of the final density; not serialized
     fock: FockOperator | None = field(default=None, repr=False, compare=False)
 
@@ -146,6 +152,7 @@ class SCFReport:
             "max_orbital_residual": self.max_orbital_residual,
             "anion_regime": self.anion_regime,
             "message": self.message,
+            "steps": self.steps,
         }
 
 
@@ -404,7 +411,9 @@ def oda_step(
     trial = aufbau_projection(fock, sys.N, sys.q)
     e_trial = total_energy(trial, grid, sys)
     a, b = line_coefficients(gamma, trial, grid, sys, fock=fock, e_gamma=e_gamma, e_target=e_trial)
-    if b > 0.0:
+    if max(abs(a), abs(b)) <= LINE_ROUNDOFF * (1.0 + abs(e_gamma.total)):
+        t = 0.0
+    elif b > 0.0:
         t = min(1.0, max(0.0, -a / (2.0 * b)))
     else:
         t = 1.0 if a + b < 0.0 else 0.0
@@ -505,6 +514,7 @@ def solve_scf(sys: AtomSystem, options: SolverOptions) -> tuple[SCFReport, Densi
     gamma = _initial_density(sys, grid, opts, ell_max)
     energy = total_energy(gamma, grid, sys)
     trace = [energy]
+    steps = []
 
     converged = False
     stalled = False
@@ -521,6 +531,10 @@ def solve_scf(sys: AtomSystem, options: SolverOptions) -> tuple[SCFReport, Densi
         )
         gamma, energy = gamma_next, step.energy
         trace.append(energy)
+        steps.append({
+            "iteration": it, "E": energy.total, "dE": dE, "t": float(step.t),
+            "a": float(step.a), "b": float(step.b), "commutator_residual": residual,
+        })
         if abs(dE) < opts.tol_energy and residual < opts.tol_commutator:
             converged = True
             break
@@ -566,6 +580,7 @@ def solve_scf(sys: AtomSystem, options: SolverOptions) -> tuple[SCFReport, Densi
         max_orbital_residual=max((r for *_, r in orb_res), default=0.0),
         anion_regime=sys.N >= sys.Z + 1,
         message=message,
+        steps=steps,
         fock=final_fock,
     )
     if not converged:

@@ -158,6 +158,48 @@ def test_verify_reuses_existing_solution(tmp_path):
     assert (outdir / "report.json").stat().st_mtime_ns == stamp
 
 
+def test_verify_from_an_empty_directory_reuses_the_solves_operator(tmp_path, monkeypatch):
+    builds = []
+    fock_build = prhf.scf.fock_build
+
+    def counting_build(*args, **kwargs):
+        builds.append(args)
+        return fock_build(*args, **kwargs)
+
+    for module in (prhf.scf, prhf.cli, prhf.analysis):
+        monkeypatch.setattr(module, "fock_build", counting_build)
+    outdir = tmp_path / "out"
+    cfg = _write_config(tmp_path, outdir, verify_kato="false", verify_herbst="false")
+    assert run_verify(cfg) == EXIT_OK
+    assert len(builds) == 10        # the solve's; a rebuild for the suites made 11
+    solved = json.loads((outdir / "verify.json").read_text())
+    builds.clear()
+    assert run_verify(cfg) == EXIT_OK       # on the stored solve: one build
+    assert len(builds) == 1
+    stored = json.loads((outdir / "verify.json").read_text())
+    solved.pop("timestamp"), stored.pop("timestamp")
+    assert solved == stored
+
+
+def test_solve_report_records_every_iteration(tmp_path):
+    outdir = tmp_path / "out"
+    assert run_solve(_write_config(tmp_path, outdir)) == EXIT_OK
+    report = json.loads((outdir / "report.json").read_text())["report"]
+    steps = report["steps"]
+    assert report["iterations"] > 3 and len(steps) == report["iterations"]
+    assert {tuple(sorted(s)) for s in steps} == {
+        ("E", "a", "b", "commutator_residual", "dE", "iteration", "t"),
+    }
+    assert [s["iteration"] for s in steps] == list(range(1, len(steps) + 1))
+    totals = [e["total"] for e in report["energy_trace"]][:len(steps) + 1]
+    assert [s["E"] for s in steps] == totals[1:]
+    assert [s["dE"] for s in steps] == [a - b for a, b in zip(totals, totals[1:])]
+    assert all(0.0 <= s["t"] <= 1.0 and s["commutator_residual"] >= 0.0 for s in steps)
+    # the record stays out of the CSVs
+    trace = (outdir / "energy_trace.csv").read_text().splitlines()
+    assert len(trace) == 1 + len(report["energy_trace"])
+
+
 def _truncate_report(outdir):
     text = (outdir / "report.json").read_text()
     (outdir / "report.json").write_text(text[: len(text) // 2])

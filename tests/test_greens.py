@@ -237,10 +237,17 @@ def test_convolution_matches_quadrature_oracle():
         assert conv[i] == pytest.approx(oracle(mesh[i]), rel=1e-3)
 
 
-def _default_mesh_pair():
-    E = energy_of_nu(1.0, ALPHA)
-    mesh = default_kernel_mesh(E, ALPHA)
-    return bessel_k(1, AINV * mesh) / mesh, np.exp(-mesh) / (4.0 * np.pi * mesh), mesh
+def _default_mesh_pair(nu=1.0, ainv=AINV):
+    """The kernel's convolution pair K1(u/alpha)/u and e^{-nu u}/(4 pi u) on its mesh."""
+    mesh = default_kernel_mesh(energy_of_nu(nu, 1.0 / ainv), 1.0 / ainv)
+    return bessel_k(1, ainv * mesh) / mesh, np.exp(-nu * mesh) / (4.0 * np.pi * mesh), mesh
+
+
+def _unsaturated_pair():
+    # both profiles keep most of their mass past the mesh end: the
+    # cumulatives still move there, and the band is the whole mesh
+    mesh = np.linspace(1e-3, 6.0, 400)
+    return np.exp(-0.1 * mesh) / mesh, np.exp(-0.2 * mesh) / mesh, mesh
 
 
 def _gaussian_pair(n, u_max, sig_f, sig_g):
@@ -253,9 +260,44 @@ def _gaussian_pair(n, u_max, sig_f, sig_g):
     _gaussian_pair(4000, 16.0, 0.8, 1.1),
     _gaussian_pair(6000, 16.0, 1.2, 0.02),
     _gaussian_pair(1500, 12.0, 0.7, 1.9),
-], ids=["default_kernel_mesh", "n4000", "n6000_bump", "n1500"])
+    _default_mesh_pair(nu=0.3),
+    _default_mesh_pair(nu=20.0),
+    _default_mesh_pair(ainv=1e3),
+    _unsaturated_pair(),
+], ids=["default_kernel_mesh", "n4000", "n6000_bump", "n1500",
+        "default_kernel_mesh_nu0.3", "default_kernel_mesh_nu20", "default_kernel_mesh_alpha1e-3",
+        "unsaturated"])
 def test_convolution_equals_loop_oracle(f, g, mesh):
     assert np.array_equal(radial_convolution(f, g, mesh), _radial_convolution_oracle(f, g, mesh))
+
+
+def _interp_points(monkeypatch, f, g, mesh):
+    """The number of points radial_convolution passes to np.interp."""
+    points = []
+    interp = np.interp
+
+    def counting_interp(x, *args, **kwargs):
+        points.append(np.size(x))
+        return interp(x, *args, **kwargs)
+
+    monkeypatch.setattr(np, "interp", counting_interp)
+    radial_convolution(f, g, mesh)
+    monkeypatch.undo()
+    return sum(points)
+
+
+def test_convolution_evaluates_only_the_band(monkeypatch):
+    # a sweep over every cell interpolates 2 m (m + 1) points; past the
+    # saturation of the K1 cumulative (u = 0.244) every cell is an exact zero
+    f, g, mesh = _default_mesh_pair()
+    m = mesh.size
+    assert _interp_points(monkeypatch, f, g, mesh) < 0.1 * 2 * m * (m + 1)
+
+
+def test_convolution_band_of_an_unsaturated_pair_is_the_whole_mesh(monkeypatch):
+    f, g, mesh = _unsaturated_pair()
+    m = mesh.size
+    assert _interp_points(monkeypatch, f, g, mesh) == 2 * m * (m + 1)
 
 
 # --- tabulated kernel --------------------------------------------------------

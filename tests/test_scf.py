@@ -185,6 +185,28 @@ def test_solve_keeps_the_operator_of_a_kept_density(monkeypatch):
     assert report.max_orbital_residual == max(res for *_, res in orbital_residuals(fresh, gamma))
 
 
+@pytest.mark.parametrize("n", [240, 241, 300])
+def test_one_electron_solve_ends_on_its_flat_first_line(monkeypatch, n):
+    """For N = 1 the first trial is the h0 density again: a and b are roundoff, t = 0."""
+    builds = []
+    build = scf.fock_build
+
+    def counting_build(*args, **kwargs):
+        builds.append(build(*args, **kwargs))
+        return builds[-1]
+
+    monkeypatch.setattr(scf, "fock_build", counting_build)
+    sys = validate_system(AtomSystem(Z=2.0, N=1, alpha=ALPHA))
+    report, _gamma = solve_scf(sys, SolverOptions(n=n, r_max=14.0))
+    assert report.converged and report.iterations == 1
+    assert len(builds) == 2         # the h0 guess and iteration 1
+    assert len(report.steps) == report.iterations
+    step = report.steps[0]
+    assert step["iteration"] == 1 and step["t"] == 0.0 and step["dE"] == 0.0
+    flat = scf.LINE_ROUNDOFF * (1.0 + abs(step["E"]))
+    assert abs(step["a"]) <= flat and abs(step["b"]) <= flat
+
+
 def _commutator_trace_oracle(fock, gamma):
     """|[F, gamma]|_F as 2h Tr[A^T A] - 2 Tr[(h C^T A)^2], A = F C Lambda; cancels near 0."""
     h = fock.grid.h
