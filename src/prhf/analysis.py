@@ -11,7 +11,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .coulomb import DensityMatrix, empty_density
+from .coulomb import DensityMatrix
 from .errors import BoundViolated, CertificateFailure, WindowTooNoisy
 from .greens import nu_of_energy
 from .model import AtomSystem, SolverOptions, validate_system
@@ -240,7 +240,7 @@ def herbst_bound_check(
     if tol is None:
         tol = 1e-8 * ainv
     bound = ainv * (np.sqrt(max(1.0 - (np.pi * sys.z_alpha / 2.0) ** 2, 0.0)) - 1.0)
-    h0 = fock_build(empty_density(), grid, replace(sys, kinetic="pseudorelativistic"), ell_max)
+    h0 = fock_build(DensityMatrix({}), grid, replace(sys, kinetic="pseudorelativistic"), ell_max)
     spectra = _channel_spectra(h0, 1)
     lowest = min(float(vals[0]) for vals, _vecs in spectra.values())
     ok = lowest >= bound - tol

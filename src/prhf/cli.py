@@ -297,7 +297,7 @@ def _command(pipeline):
 
 
 def _solve_and_write(cfg: dict, sys_: AtomSystem, options: SolverOptions, outdir: Path):
-    """Shared by solve and verify: solve, certify, write; returns (report, gamma, passed).
+    """Shared by solve and verify: solve, certify, write; returns (report, gamma, certificate).
 
     An unconverged solve is written with its certificate skipped, and its
     NotConverged is raised again.
@@ -315,12 +315,12 @@ def _solve_and_write(cfg: dict, sys_: AtomSystem, options: SolverOptions, outdir
         "converged=%s iterations=%d total=%.12f certificate=%s",
         report.converged, report.iterations, report.energy.total, cert.passed,
     )
-    return report, gamma, cert.passed
+    return report, gamma, cert
 
 
 def _solve_pipeline(cfg: dict, sys_: AtomSystem, options: SolverOptions, outdir: Path) -> int:
-    *_, passed = _solve_and_write(cfg, sys_, options, outdir)
-    return EXIT_OK if passed else EXIT_CERTIFICATE
+    *_, cert = _solve_and_write(cfg, sys_, options, outdir)
+    return EXIT_OK if cert.passed else EXIT_CERTIFICATE
 
 
 run_solve = _command(_solve_pipeline)
@@ -329,8 +329,9 @@ run_solve = _command(_solve_pipeline)
 # --- verification suites ----------------------------------------------------
 
 
-def _suite_minimizer(gamma, fock, sys_) -> dict:
-    cert = analysis.minimizer_certificate(gamma, fock, sys_)
+def _suite_minimizer(gamma, fock, sys_, cert=None) -> dict:
+    if cert is None:
+        cert = analysis.minimizer_certificate(gamma, fock, sys_)
     return {**dataclasses.asdict(cert), "status": "passed" if cert.passed else "failed"}
 
 
@@ -374,17 +375,18 @@ def _suite_decay(gamma, fock, sys_, cfg) -> dict:
     }
 
 
-def _solution_suites(gamma, grid, sys_, options, cfg, fock=None) -> dict:
+def _solution_suites(gamma, grid, sys_, options, cfg, fock=None, cert=None) -> dict:
     """Minimizer and decay suites on one Fock operator of the solution.
 
     Without the solve's own operator, one is built on the channel set
     that solve_scf used; it is released before the remaining suites run.
+    A certificate the solve already computed on that operator is reused.
     """
     if fock is None:
         fock = fock_build(gamma, grid, sys_, ell_max=resolve_options(sys_, options).ell_max)
     suites = {}
     if cfg["verify_minimizer"]:
-        suites["minimizer"] = _suite_minimizer(gamma, fock, sys_)
+        suites["minimizer"] = _suite_minimizer(gamma, fock, sys_, cert)
     if cfg["verify_decay"]:
         suites["decay"] = _suite_decay(gamma, fock, sys_, cfg)
     return suites
@@ -511,10 +513,10 @@ def _suite_binding(cfg, sys_, options, known) -> dict:
 def run_verify(cfg: dict, sys_: AtomSystem, options: SolverOptions, outdir: Path) -> int:
     needs_solution = cfg["verify_minimizer"] or cfg["verify_decay"]
     loaded = _load_solution(outdir, sys_, options) if needs_solution else None
-    fock = None
+    fock = cert = None
     if needs_solution and loaded is None:
         log.info("no converged solve of this configuration in %s; solving first", outdir)
-        report, gamma, _passed = _solve_and_write(cfg, sys_, options, outdir)
+        report, gamma, cert = _solve_and_write(cfg, sys_, options, outdir)
         fock = report.fock
         loaded = {"report": report.as_dict()}, gamma, fock.grid
 
@@ -529,7 +531,7 @@ def run_verify(cfg: dict, sys_: AtomSystem, options: SolverOptions, outdir: Path
         if occ_eps:
             eps_homo = max(occ_eps)
             known = {sys_.N: (payload["report"]["energy"]["total"], eps_homo)}
-        suites.update(_solution_suites(gamma, grid, sys_, options, cfg, fock))
+        suites.update(_solution_suites(gamma, grid, sys_, options, cfg, fock, cert))
     else:
         grid = build_grid(cfg["n"], cfg["r_max"])
 

@@ -47,7 +47,7 @@ class ChannelBlock:
 
 
 class DensityMatrix:
-    """Per-channel convex-set density matrix, 0 <= gamma <= Id."""
+    """Per-channel density matrix: 0 <= gamma <= Id, or a signed `combine` of such."""
 
     def __init__(self, blocks: dict[tuple[int, int], ChannelBlock]):
         self.blocks = dict(sorted(blocks.items()))
@@ -94,8 +94,27 @@ class DensityMatrix:
         return self
 
 
-def empty_density() -> DensityMatrix:
-    return DensityMatrix({})
+def combine(terms) -> DensityMatrix:
+    """The signed linear combination sum_i c_i gamma_i of (c_i, gamma_i) pairs.
+
+    Per channel, the blocks' columns are concatenated in term order and
+    their occupations scaled by c_i; terms with c_i = 0 are dropped. No
+    validation and no re-diagonalization: the result is meant for maps
+    that are linear in gamma, such as the two-body part of the Fock
+    operator, or for a caller that re-diagonalizes it.
+    """
+    parts: dict[tuple[int, int], list[ChannelBlock]] = {}
+    for c, gamma in terms:
+        if c != 0.0:
+            for key, blk in gamma.blocks.items():
+                parts.setdefault(key, []).append(ChannelBlock(blk.orbitals, c * blk.occupations))
+    return DensityMatrix({
+        key: ChannelBlock(
+            np.column_stack([b.orbitals for b in blks]),
+            np.concatenate([b.occupations for b in blks]),
+        )
+        for key, blks in parts.items()
+    })
 
 
 def reduced_density(gamma: DensityMatrix, grid: RadialGrid) -> np.ndarray:

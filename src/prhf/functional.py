@@ -14,14 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coulomb import (
-    ChannelBlock,
-    DensityMatrix,
-    direct_energy,
-    energy_terms,
-    exchange_energy,
-    reduced_density,
-)
+from .coulomb import ChannelBlock, DensityMatrix, combine, energy_terms
 from .errors import EnergyBoundViolated, NotAdmissible, TraceMismatch
 from .model import AtomSystem
 from .radial import RadialGrid, inner
@@ -60,25 +53,11 @@ def total_energy(gamma: DensityMatrix, grid: RadialGrid, sys: AtomSystem) -> Ene
     return EnergyBreakdown(kinetic=kin, nuclear=nuc, direct=D, exchange=Ex, total=tot)
 
 
-def _orbital_energy(fock, ell: int, spin: int, u: np.ndarray, grid: RadialGrid) -> float:
-    return inner(grid, u, fock.apply((ell, spin), u))
-
-
-def _added_blocks(entries) -> DensityMatrix:
-    """Density matrix made of bare perturbation shells (may carry f<0 weights
-    temporarily; only used inside quadratic forms)."""
-    blocks: dict[tuple[int, int], ChannelBlock] = {}
-    for u, ell, spin, f in entries:
-        key = (ell, spin)
-        if key in blocks:
-            blk = blocks[key]
-            blocks[key] = ChannelBlock(
-                orbitals=np.column_stack([blk.orbitals, u]),
-                occupations=np.append(blk.occupations, f),
-            )
-        else:
-            blocks[key] = ChannelBlock(orbitals=u[:, None], occupations=np.array([f]))
-    return DensityMatrix(blocks)
+def _shell_traces(apply, dm: DensityMatrix, grid: RadialGrid):
+    """Per channel of dm, sum_a f_a <P_a, A P_a> for A given by its blocked apply."""
+    for key, blk in dm.blocks.items():
+        vals = grid.h * np.einsum("ia,ia->a", blk.orbitals, apply(key, blk.orbitals))
+        yield float(np.sum(blk.occupations * vals))
 
 
 def rank2_delta(
@@ -103,10 +82,14 @@ def rank2_delta(
 
         alpha^-1 eps1 <u1,h u1> + alpha^-1 eps2 <u2,h u2> + eps1 eps2 R_u
 
-    with R_u the antisymmetrized pair repulsion. The returned value
-    equals total_energy(gamma~) - total_energy(gamma) exactly (to
-    rounding) because the functional is quadratic.
+    with R_u the antisymmetrized pair repulsion. In general it is
+    alpha^-1 (Tr[F delta] + Tr[G(delta) delta] / 2) for delta = gamma~ -
+    gamma, F the Fock operator of gamma and G the two-body part of the
+    operator of delta. Because the functional is quadratic, this equals
+    total_energy(gamma~) - total_energy(gamma) exactly (to rounding).
     """
+    from .scf import fock_build
+
     for u, ell, spin, eps in ((u1, ell1, spin1, eps1), (u2, ell2, spin2, eps2)):
         if abs(inner(grid, u, u) - 1.0) > 1e-8:
             raise NotAdmissible("perturbation orbitals must be normalized")
@@ -126,20 +109,14 @@ def rank2_delta(
         raise NotAdmissible("perturbation orbitals must be mutually orthogonal")
 
     if fock is None:
-        from .scf import fock_build
-
         fock = fock_build(gamma, grid, sys, ell_max=max(gamma.max_ell(), ell1, ell2))
-    ainv = sys.alpha_inv
-    f1 = eps1 * (2 * ell1 + 1)
-    f2 = eps2 * (2 * ell2 + 1)
-    linear = ainv * (
-        f1 * _orbital_energy(fock, ell1, spin1, u1, grid)
-        + f2 * _orbital_energy(fock, ell2, spin2, u2, grid)
+    delta = combine(
+        (eps, DensityMatrix({(ell, spin): ChannelBlock(u[:, None], np.array([2.0 * ell + 1]))}))
+        for u, ell, spin, eps in ((u1, ell1, spin1, eps1), (u2, ell2, spin2, eps2))
     )
-    delta = _added_blocks([(u1, ell1, spin1, f1), (u2, ell2, spin2, f2)])
-    w_delta = reduced_density(delta, grid)
-    quad = direct_energy(w_delta, grid) - exchange_energy(delta, grid)
-    return linear + quad
+    g = fock_build(delta, grid, sys).two_body_apply
+    linear = sum(_shell_traces(fock.apply, delta, grid))
+    return sys.alpha_inv * (linear + 0.5 * sum(_shell_traces(g, delta, grid)))
 
 
 def line_coefficients(
@@ -167,10 +144,8 @@ def line_coefficients(
         fock = fock_build(gamma, grid, sys, ell_max=ell_max)
     a = 0.0
     for dm, sign in ((gamma_target, 1.0), (gamma, -1.0)):
-        for (ell, spin), blk in dm.blocks.items():
-            HP = fock.apply((ell, spin), blk.orbitals)
-            vals = grid.h * np.einsum("ia,ia->a", blk.orbitals, HP)
-            a += sign * float(np.sum(blk.occupations * vals))
+        for tr in _shell_traces(fock.apply, dm, grid):
+            a += sign * tr
     a *= sys.alpha_inv
     if e_gamma is None:
         e_gamma = total_energy(gamma, grid, sys)

@@ -71,11 +71,12 @@ class SolverOptions:
     _GUESSES = ("h0", "screened", "shells")
 
     def validated(self) -> "SolverOptions":
+        # every comparison is written so that NaN fails it
         if self.n < 16:
             raise BadCount(f"grid size n={self.n} below minimum 16")
-        if self.r_max <= 0:
-            raise BadCount(f"box radius r_max={self.r_max} must be positive")
-        if self.tol_energy <= 0 or self.tol_commutator <= 0:
+        if not 0 < self.r_max < math.inf:
+            raise BadCount(f"box radius r_max={self.r_max} must be positive and finite")
+        if not (self.tol_energy > 0 and self.tol_commutator > 0):
             raise BadCount("tolerances must be positive")
         if self.max_iter < 1:
             raise BadCount("max_iter must be at least 1")
@@ -91,19 +92,19 @@ def validate_system(sys: AtomSystem) -> AtomSystem:
     """Check the admissibility gates and return the system unchanged.
 
     The subcritical condition Z*alpha < 2/pi is strict; the boundary case
-    is refused.
+    is refused. Every comparison is written so that NaN fails it.
     """
     if sys.N < 1:
         raise BadCount(f"electron count N={sys.N} must be >= 1")
     if sys.q < 1:
         raise BadCount(f"spin multiplicity q={sys.q} must be >= 1")
-    if sys.alpha <= 0:
-        raise BadCount(f"alpha={sys.alpha} must be positive")
-    if sys.Z < 0:
+    if not 0 < sys.alpha < math.inf:
+        raise BadCount(f"alpha={sys.alpha} must be positive and finite")
+    if not sys.Z >= 0:
         raise BadCount(f"nuclear charge Z={sys.Z} must be non-negative")
     if sys.kinetic not in KINETICS:
         raise BadCount(f"unknown kinetic mode {sys.kinetic!r}")
-    if sys.z_alpha >= TWO_OVER_PI:
+    if not sys.z_alpha < TWO_OVER_PI:
         raise SubcriticalityViolated(
             f"Z*alpha = {sys.z_alpha:.12g} >= 2/pi = {TWO_OVER_PI:.12g}; "
             "the solver requires the strictly subcritical regime"

@@ -290,8 +290,9 @@ def kinetic_operator(grid: RadialGrid, ell: int, alpha: float) -> KineticOperato
     )
 
 
+@functools.lru_cache(maxsize=12)
 def nonrelativistic_kinetic(grid: RadialGrid, ell: int, alpha: float) -> KineticOperator:
-    """alpha*L_ell/2; comparison operator satisfying T_ell <= alpha*L_ell/2."""
+    """alpha*L_ell/2, comparison operator with T_ell <= alpha*L_ell/2; cached like kinetic_operator."""
 
     def dense():
         lap = _cached_laplacian(grid, ell)

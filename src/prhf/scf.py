@@ -23,6 +23,7 @@ from scipy.sparse.linalg import lobpcg
 from .coulomb import (
     ChannelBlock,
     DensityMatrix,
+    combine,
     exchange_apply,
     exchange_matrix,
     hartree_potential,
@@ -56,16 +57,17 @@ LOBPCG_SLACK = 10.0
 
 @dataclass
 class FockOperator:
-    """Per-channel Fock operator T - Z*alpha/r + alpha*(R - K) of one density.
+    """Per-channel Fock operator F = h0 + G(gamma) of one density gamma.
 
+    h0 = T - Z*alpha/r is the one-body part; G(gamma) = alpha*(R - K) is
+    the two-body part, linear in gamma, which `two_body_apply` applies.
     An operator whose channels are all s-channels (ell_max = 0) is
     matrix-free: `apply` takes T through the DST-I, the local potential
     as a vector and exchange through slater_yk sweeps, and its levels
-    come from LOBPCG. Any other operator is a set of dense matrices,
-    assembled by fock_build. `matrices` of a matrix-free operator are
-    assembled on first access only. Nothing is modified after the build,
-    so the lowest eigenpairs are computed once per requested count and
-    kept.
+    come from LOBPCG. Any other operator applies its dense `matrices`,
+    which are assembled on first access only. Nothing is modified after
+    the build, so the lowest eigenpairs are computed once per requested
+    count and kept.
     """
 
     system: AtomSystem
@@ -73,6 +75,7 @@ class FockOperator:
     gamma: DensityMatrix
     kinetic: list           # kinetic operator of channel ell, ell = 0..ell_max
     potential: np.ndarray   # -Z*alpha/r + alpha*R on the nodes
+    hartree: np.ndarray     # alpha*R on the nodes, the local part of G(gamma)
     groups: list            # spins with equal channel content share work
     _spectra: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
@@ -107,8 +110,15 @@ class FockOperator:
 
     def potential_apply(self, key: tuple[int, int], X: np.ndarray) -> np.ndarray:
         """Everything but the kinetic energy, applied matrix-free."""
+        return self._minus_exchange(self.potential, key, X)
+
+    def two_body_apply(self, key: tuple[int, int], X: np.ndarray) -> np.ndarray:
+        """G(gamma) X = alpha R X - alpha K[gamma] X, matrix-free on any channel."""
+        return self._minus_exchange(self.hartree, key, X)
+
+    def _minus_exchange(self, local, key, X):
         ell, spin = key
-        local = self.potential if X.ndim == 1 else self.potential[:, None]
+        local = local if X.ndim == 1 else local[:, None]
         return local * X - self.system.alpha * exchange_apply(self.gamma, ell, spin, X, self.grid)
 
 
@@ -176,22 +186,18 @@ def fock_build(
 ) -> FockOperator:
     """Fock operator on all channels ell <= ell_max, all spins.
 
-    Dense operators (ell_max >= 1) are assembled here; a matrix-free one
-    holds only node vectors.
+    gamma may be any signed `combine` of density matrices. The build
+    holds node vectors only; dense channel matrices wait for first use.
     """
     if ell_max is None:
         ell_max = gamma.max_ell()
-    w = reduced_density(gamma, grid)
-    R = hartree_potential(w, grid)
-    fock = FockOperator(
+    hartree = sys.alpha * hartree_potential(reduced_density(gamma, grid), grid)
+    return FockOperator(
         system=sys, grid=grid, gamma=gamma,
         kinetic=[channel_kinetic(grid, ell, sys) for ell in range(ell_max + 1)],
-        potential=-sys.z_alpha / grid.nodes + sys.alpha * R,
+        potential=-sys.z_alpha / grid.nodes + hartree, hartree=hartree,
         groups=_spin_groups(gamma, sys.q),
     )
-    if not fock.matrix_free:
-        fock.matrices  # dense channels are assembled with the build
-    return fock
 
 
 def _dense_levels(H: np.ndarray, k: int):
@@ -310,23 +316,14 @@ def _mix_blocks(
 ) -> DensityMatrix:
     """Convex combination (1-t) ga + t gb, re-diagonalized per channel.
 
-    Works in the joint column span, so the result is an exact
-    eigendecomposition of the mixed operator (symmetric orthogonalization
-    comes for free) at O(n m^2) cost.
+    Works in the joint column span of the `combine`d blocks, so the
+    result is an exact eigendecomposition of the mixed operator
+    (symmetric orthogonalization comes for free) at O(n m^2) cost.
     """
     out = {}
     sqh = np.sqrt(grid.h)
-    for key in sorted(set(ga.blocks) | set(gb.blocks)):
-        cols, weights = [], []
-        for dm, fac in ((ga, 1.0 - t), (gb, t)):
-            blk = dm.blocks.get(key)
-            if blk is not None and fac > 0.0:
-                cols.append(blk.orbitals)
-                weights.append(fac * blk.occupations)
-        if not cols:
-            continue
-        B = np.column_stack(cols)
-        fv = np.concatenate(weights)
+    for key, blk in combine([(1.0 - t, ga), (t, gb)]).blocks.items():
+        B, fv = blk.orbitals, blk.occupations
         Q, _ = np.linalg.qr(B * sqh)
         coef = Q.T @ (B * sqh)           # columns of B in the Q basis
         M = (coef * fv) @ coef.T

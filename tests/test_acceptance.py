@@ -34,8 +34,7 @@ from prhf import (
     validate_system,
 )
 from prhf.analysis import binding_monotonicity, random_smooth_battery
-from prhf.coulomb import multipole_kernel
-from prhf.functional import _added_blocks
+from prhf.coulomb import ChannelBlock, DensityMatrix, combine, multipole_kernel
 from prhf.greens import energy_of_nu
 from prhf.scf import _mix_blocks, aufbau_projection
 
@@ -233,18 +232,11 @@ def test_c12_rank2_and_line(he_solution, rng):
             u /= np.sqrt(grid.h * (u @ u))
         eps1, eps2 = rng.uniform(0.05, 0.95, size=2)
         delta = rank2_delta(gamma, u1, u2, eps1, eps2, grid, sys, fock=sol.fock)
-        perturbed = _added_blocks([(u1, 0, 0, eps1), (u2, 0, 1, eps2)])
-        combined = {k: b for k, b in gamma.blocks.items()}
-        for k, b in perturbed.blocks.items():
-            base = combined[k]
-            combined[k] = type(base)(
-                orbitals=np.column_stack([base.orbitals, b.orbitals]),
-                occupations=np.concatenate([base.occupations, b.occupations]),
-            )
-        direct = (
-            total_energy(type(gamma)(combined), grid, sys).total
-            - total_energy(gamma, grid, sys).total
-        )
+        perturbed = combine([(1.0, gamma)] + [
+            (eps, DensityMatrix({(0, spin): ChannelBlock(u[:, None], np.array([1.0]))}))
+            for spin, u, eps in ((0, u1, eps1), (1, u2, eps2))
+        ])
+        direct = total_energy(perturbed, grid, sys).total - total_energy(gamma, grid, sys).total
         worst = max(worst, abs(delta - direct) / max(abs(direct), 1e-300))
     assert worst <= 1e-10
 

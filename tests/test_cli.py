@@ -159,23 +159,30 @@ def test_verify_reuses_existing_solution(tmp_path):
 
 
 def test_verify_from_an_empty_directory_reuses_the_solves_operator(tmp_path, monkeypatch):
-    builds = []
+    builds, certificates = [], []
     fock_build = prhf.scf.fock_build
+    certificate = prhf.analysis.minimizer_certificate
 
     def counting_build(*args, **kwargs):
         builds.append(args)
         return fock_build(*args, **kwargs)
 
+    def counting_certificate(*args, **kwargs):
+        certificates.append(args)
+        return certificate(*args, **kwargs)
+
     for module in (prhf.scf, prhf.cli, prhf.analysis):
         monkeypatch.setattr(module, "fock_build", counting_build)
+    monkeypatch.setattr(prhf.analysis, "minimizer_certificate", counting_certificate)
     outdir = tmp_path / "out"
     cfg = _write_config(tmp_path, outdir, verify_kato="false", verify_herbst="false")
     assert run_verify(cfg) == EXIT_OK
     assert len(builds) == 10        # the solve's; a rebuild for the suites made 11
+    assert len(certificates) == 1   # the solve's, reused by the minimizer suite
     solved = json.loads((outdir / "verify.json").read_text())
-    builds.clear()
-    assert run_verify(cfg) == EXIT_OK       # on the stored solve: one build
-    assert len(builds) == 1
+    builds.clear(), certificates.clear()
+    assert run_verify(cfg) == EXIT_OK       # on the stored solve: one build, one certificate
+    assert len(builds) == 1 and len(certificates) == 1
     stored = json.loads((outdir / "verify.json").read_text())
     solved.pop("timestamp"), stored.pop("timestamp")
     assert solved == stored
@@ -339,9 +346,18 @@ def test_bad_greens_energy_exits_1_before_any_work(tmp_path, monkeypatch, runner
     assert parse_config(cfg)["greens_energy"] == -0.01
 
 
-@pytest.mark.parametrize("runner", [run_solve, run_verify, run_greens, run_sweep],
-                         ids=["solve", "verify", "greens", "sweep"])
-def test_invalid_solver_option_exits_1_before_any_work(tmp_path, monkeypatch, runner):
+@pytest.mark.parametrize("runner, key, value", [
+    # the grid-size cases keep their plain ids
+    pytest.param(runner, key, value, id=name if key == "n" else f"{name}-{key}={value}")
+    for name, runner in (
+        ("solve", run_solve), ("verify", run_verify), ("greens", run_greens), ("sweep", run_sweep),
+    )
+    for key, value in (
+        ("n", 8), ("r_max", "nan"), ("r_max", "inf"), ("tol_energy", "nan"),
+        ("tol_commutator", "nan"), ("alpha", "nan"), ("Z", "nan"),
+    )
+])
+def test_invalid_solver_option_exits_1_before_any_work(tmp_path, monkeypatch, runner, key, value):
     def no_work(*args, **kwargs):
         raise AssertionError("ran work for invalid solver options")
 
@@ -349,7 +365,7 @@ def test_invalid_solver_option_exits_1_before_any_work(tmp_path, monkeypatch, ru
     monkeypatch.setattr(prhf.analysis, "solve_scf", no_work)
     monkeypatch.setattr(prhf.greens, "greens_kernel", no_work)
     outdir = tmp_path / "out"
-    cfg = _write_config(tmp_path, outdir, n=8, verify_greens="true", verify_binding="true")
+    cfg = _write_config(tmp_path, outdir, verify_greens="true", verify_binding="true", **{key: value})
     assert runner(cfg) == EXIT_CONFIG
     assert not outdir.exists()
 

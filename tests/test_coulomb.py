@@ -1,5 +1,9 @@
+import functools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from prhf import (
     AtomSystem,
@@ -17,11 +21,13 @@ from prhf import (
 )
 from prhf.coulomb import (
     _threej000_sq,
+    combine,
     exchange_apply,
     exchange_energy,
     exchange_multipole_weight,
     multipole_kernel,
 )
+from prhf.scf import aufbau_projection, fock_build
 
 ALPHA = 1.0 / 137.036
 
@@ -335,3 +341,52 @@ def test_energy_terms_s_kinetic_trace_matches_dense(grid200):
         for blk in gamma.blocks.values()
     )
     assert energy_terms(gamma, grid200, sys)[0] == pytest.approx(dense, rel=1e-13)
+
+
+@functools.lru_cache(maxsize=1)
+def _aufbau_densities():
+    """Three aufbau densities with s and p blocks on a small ell_max = 1 grid."""
+    grid = build_grid(80, 12.0)
+    dms = []
+    for Z, N in ((10.0, 10), (7.0, 7), (9.0, 5)):
+        sys = AtomSystem(Z=Z, N=N, alpha=ALPHA)
+        dms.append(aufbau_projection(fock_build(DensityMatrix({}), grid, sys, ell_max=1), N, 2))
+    assert all({ell for ell, _spin in gamma.blocks} == {0, 1} for gamma in dms)
+    return grid, AtomSystem(Z=10.0, N=10, alpha=ALPHA), dms
+
+
+def test_combine_of_one_unit_term_is_bit_identical():
+    for gamma in _aufbau_densities()[2]:
+        same = combine([(1.0, gamma)])
+        assert list(same.blocks) == list(gamma.blocks)
+        for key, blk in gamma.blocks.items():
+            assert np.array_equal(same.blocks[key].orbitals, blk.orbitals)
+            assert np.array_equal(same.blocks[key].occupations, blk.occupations)
+
+
+def test_combine_concatenates_in_term_order_and_drops_zero_terms():
+    ga, gb, gc = _aufbau_densities()[2]
+    out = combine([(0.5, ga), (0.0, gb), (-2.0, gc)])
+    for key, blk in out.blocks.items():
+        parts = [(c, g.blocks[key]) for c, g in ((0.5, ga), (-2.0, gc)) if key in g.blocks]
+        assert np.array_equal(blk.orbitals, np.column_stack([b.orbitals for _c, b in parts]))
+        assert np.array_equal(blk.occupations, np.concatenate([c * b.occupations for c, b in parts]))
+    assert out.trace() == pytest.approx(0.5 * ga.trace() - 2.0 * gc.trace(), rel=1e-15)
+
+
+@settings(deadline=None, max_examples=25)
+@given(
+    coefs=st.lists(st.floats(-2.0, 2.0, allow_nan=False), min_size=2, max_size=3),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_two_body_part_is_linear_in_gamma(coefs, seed):
+    """G(sum_i c_i gamma_i) X equals sum_i c_i G(gamma_i) X on every channel."""
+    grid, sys, dms = _aufbau_densities()
+    terms = list(zip(coefs, dms))
+    X = np.random.default_rng(seed).standard_normal((grid.n, 3))
+    combined = fock_build(combine(terms), grid, sys, ell_max=1)
+    separate = [(c, fock_build(g, grid, sys, ell_max=1)) for c, g in terms]
+    for key in ((0, 0), (0, 1), (1, 0), (1, 1)):
+        parts = [c * fock.two_body_apply(key, X) for c, fock in separate]
+        scale = sum(np.linalg.norm(p) for p in parts)
+        assert np.linalg.norm(combined.two_body_apply(key, X) - sum(parts)) <= 1e-12 * scale

@@ -13,7 +13,8 @@ from prhf import (
     rank2_delta,
     total_energy,
 )
-from prhf.scf import _mix_blocks, aufbau_projection
+from prhf import scf
+from prhf.scf import _mix_blocks, aufbau_projection, fock_build
 
 ALPHA = 1.0 / 137.036
 
@@ -141,6 +142,27 @@ def test_rank2_same_channel_pair_matches(he_small, rng):
     direct = (
         total_energy(_with_added(gamma, [(u1, 0, 0, 0.4), (u2, 0, 0, 0.5)]), grid, sys).total
         - total_energy(gamma, grid, sys).total
+    )
+    assert delta == pytest.approx(direct, rel=1e-10)
+
+
+def test_rank2_p_channel_matches_recompute_without_a_dense_g(grid200, monkeypatch):
+    """A p-shell increment matches recomputation, and G(delta) forms no n x n matrix."""
+    sys = AtomSystem(Z=10.0, N=10, alpha=ALPHA)
+    gamma = aufbau_projection(fock_build(DensityMatrix({}), grid200, sys, ell_max=1), sys.N, sys.q)
+    fock = fock_build(gamma, grid200, sys, ell_max=1)
+    fock.matrices       # the operator of gamma is dense; the one of delta must not be
+    u1 = _orthogonalize(grid200, _normalized(grid200, grid200.nodes**2 * np.exp(-grid200.nodes)), gamma, 1, 0)
+    u2 = _orthogonalize(grid200, _normalized(grid200, np.exp(-(((grid200.nodes - 5.0) / 1.2) ** 2))), gamma, 0, 1)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a dense exchange matrix was formed")
+
+    monkeypatch.setattr(scf, "exchange_matrix", refuse)
+    delta = rank2_delta(gamma, u1, u2, 0.3, 0.6, grid200, sys, ell1=1, spin1=0, fock=fock)
+    direct = (
+        total_energy(_with_added(gamma, [(u1, 1, 0, 0.9), (u2, 0, 1, 0.6)]), grid200, sys).total
+        - total_energy(gamma, grid200, sys).total
     )
     assert delta == pytest.approx(direct, rel=1e-10)
 

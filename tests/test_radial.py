@@ -3,6 +3,7 @@ import pytest
 import scipy.fft
 
 from prhf import (
+    AtomSystem,
     BadGrid,
     LengthMismatch,
     build_grid,
@@ -12,7 +13,7 @@ from prhf import (
     kinetic_operator,
     spectral_function,
 )
-from prhf.radial import dst, laplacian_symbol, nonrelativistic_kinetic
+from prhf.radial import channel_kinetic, dst, laplacian_symbol, nonrelativistic_kinetic
 
 ALPHA = 1.0 / 137.036
 
@@ -256,6 +257,14 @@ def test_nonrelativistic_kinetic_dominates():
     Tnr = nonrelativistic_kinetic(grid, 0, ALPHA).matrix
     vals = np.linalg.eigvalsh(Tnr - T)
     assert vals[0] >= -1e-10
+
+
+def test_nonrelativistic_kinetic_is_cached():
+    grid = build_grid(150, 10.0)
+    sys = AtomSystem(Z=2.0, N=2, alpha=ALPHA, kinetic="nonrelativistic")
+    op = nonrelativistic_kinetic(grid, 1, ALPHA)
+    assert nonrelativistic_kinetic(build_grid(150, 10.0), 1, ALPHA) is op
+    assert channel_kinetic(grid, 1, sys) is op
 
 
 @pytest.mark.parametrize("make", [kinetic_operator, nonrelativistic_kinetic])

@@ -6,6 +6,7 @@ import pytest
 
 from prhf import (
     AtomSystem,
+    ChannelBlock,
     DensityMatrix,
     NotConverged,
     SolverOptions,
@@ -364,6 +365,52 @@ def test_oda_tstar_matches_scan(grid200):
     ]
     t_scan = ts[int(np.argmin(energies))]
     assert abs(step.t - t_scan) <= 0.01 + 1e-12
+
+
+def _mix_blocks_oracle(ga, gb, t, grid):
+    """The convex mix with its own column concatenation, kept as an oracle."""
+    out = {}
+    sqh = np.sqrt(grid.h)
+    for key in sorted(set(ga.blocks) | set(gb.blocks)):
+        cols, weights = [], []
+        for dm, fac in ((ga, 1.0 - t), (gb, t)):
+            blk = dm.blocks.get(key)
+            if blk is not None and fac > 0.0:
+                cols.append(blk.orbitals)
+                weights.append(fac * blk.occupations)
+        if not cols:
+            continue
+        B = np.column_stack(cols)
+        fv = np.concatenate(weights)
+        Q, _ = np.linalg.qr(B * sqh)
+        coef = Q.T @ (B * sqh)
+        M = (coef * fv) @ coef.T
+        lam, V = np.linalg.eigh(0.5 * (M + M.T))
+        cap = 2 * key[0] + 1
+        keep = lam > scf.OCC_DROP * cap
+        if not np.any(keep):
+            continue
+        lam = np.clip(lam[keep], 0.0, cap)
+        V = V[:, keep]
+        order = np.argsort(-lam, kind="stable")
+        out[key] = ChannelBlock(orbitals=(Q @ V)[:, order] / sqh, occupations=lam[order])
+    return DensityMatrix(out)
+
+
+def test_mix_blocks_matches_the_concatenating_oracle(grid200):
+    # neon's h0 density and its first trial carry s and p blocks; dropping
+    # a channel from the trial leaves a channel that only one side holds
+    sys = AtomSystem(Z=10.0, N=10, alpha=ALPHA)
+    gamma0 = aufbau_projection(fock_build(DensityMatrix({}), grid200, sys, ell_max=1), sys.N, sys.q)
+    trial = aufbau_projection(fock_build(gamma0, grid200, sys, ell_max=1), sys.N, sys.q)
+    partial = DensityMatrix({k: b for k, b in trial.blocks.items() if k != (1, 1)})
+    for gb in (trial, partial):
+        for t in (0.0, 1e-9, 0.3, 0.5, 1.0):
+            new, old = _mix_blocks(gamma0, gb, t, grid200), _mix_blocks_oracle(gamma0, gb, t, grid200)
+            assert list(new.blocks) == list(old.blocks)
+            for key, blk in old.blocks.items():
+                assert np.array_equal(new.blocks[key].orbitals, blk.orbitals)
+                assert np.array_equal(new.blocks[key].occupations, blk.occupations)
 
 
 def test_oda_run_monotone_and_admissible(grid200):
