@@ -78,7 +78,8 @@ class DensityMatrix:
     def validate(self, grid: RadialGrid, n_electrons: float | None = None):
         for (ell, spin), blk in self.blocks.items():
             lam = blk.occupations / (2 * ell + 1)
-            if np.any(lam < -1e-12) or np.any(lam > 1 + 1e-12):
+            # written so that a NaN occupation fails
+            if not (np.all(lam >= -1e-12) and np.all(lam <= 1 + 1e-12)):
                 raise NonFiniteEnergy(
                     f"occupation out of [0,1] in channel (ell={ell}, spin={spin})"
                 )
@@ -87,7 +88,7 @@ class DensityMatrix:
                 raise NonFiniteEnergy(
                     f"orbitals not orthonormal in channel (ell={ell}, spin={spin})"
                 )
-        if n_electrons is not None and self.trace() > n_electrons + 1e-9:
+        if n_electrons is not None and not self.trace() <= n_electrons + 1e-9:
             raise NonFiniteEnergy(
                 f"trace {self.trace()} exceeds electron count {n_electrons}"
             )

@@ -43,16 +43,21 @@ DESCENT_SLACK = 1e-12     # per-step slack on monotone descent
 # system's first trial is its h0 density again, and a, b ~ 1e-15 there.
 LINE_ROUNDOFF = 32.0 * np.finfo(float).eps
 PURITY_TOL = 1e-6
-# LOBPCG on matrix-free channels: preconditioner shift in units of alpha,
-# residual tolerance relative to the operator's norm (orbital tails must
-# hold down to 1e-11 of their peak for the decay fits), iteration cap,
-# seed of the start block, and the factor on the tolerance above which a
-# residual hands the channel to the dense eigensolve
+# LOBPCG on matrix-free channels: preconditioner shift in units of alpha;
+# residual tolerances relative to the operator's norm, one for the aufbau
+# fill, whose columns become the orbitals (their tails must hold down to
+# 1e-11 of their peak for the decay fits), and one for level tables, of
+# which only eigenvalues and overlaps are read; iteration cap; seed of the
+# start block; the factor on the tolerance above which a residual hands
+# the channel to the dense eigensolve; and the columns a fill solve asks
+# for beyond the levels it can reach, when it can reach more than one
 LOBPCG_SIGMA = 0.4
-LOBPCG_RTOL = 5e-15
+LOBPCG_RTOL = 1e-15
+LOBPCG_LEVEL_RTOL = 1e-11
 LOBPCG_MAXITER = 200
 LOBPCG_SEED = 20240817
 LOBPCG_SLACK = 10.0
+FILL_GUARD = 2
 
 
 @dataclass
@@ -64,10 +69,15 @@ class FockOperator:
     An operator whose channels are all s-channels (ell_max = 0) is
     matrix-free: `apply` takes T through the DST-I, the local potential
     as a vector and exchange through slater_yk sweeps, and its levels
-    come from LOBPCG. Any other operator applies its dense `matrices`,
-    which are assembled on first access only. Nothing is modified after
-    the build, so the lowest eigenpairs are computed once per requested
-    count and kept.
+    come from LOBPCG: the aufbau fill asks each spin group for the levels
+    it can reach, at the fill tolerance, and a level table asks for its
+    count at the looser level tolerance. Any other operator applies its
+    dense `matrices`, which are assembled on first access only, and
+    computes its fill and its table by one `eigh`. Nothing is modified
+    after the build, so each eigensolve (channel, count, tolerance) runs
+    once and is kept. Every LOBPCG solve appends a (block, iterations,
+    fell back to dense) record to `eigensolves`, a list the caller may
+    share between operators.
     """
 
     system: AtomSystem
@@ -77,6 +87,7 @@ class FockOperator:
     potential: np.ndarray   # -Z*alpha/r + alpha*R on the nodes
     hartree: np.ndarray     # alpha*R on the nodes, the local part of G(gamma)
     groups: list            # spins with equal channel content share work
+    eigensolves: list = field(default_factory=list, repr=False, compare=False)
     _spectra: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
@@ -136,6 +147,8 @@ class SCFReport:
     message: str = ""
     # one record per iteration: E, dE, t, a, b, commutator_residual
     steps: list = field(default_factory=list)
+    # the eigensolver's work over the whole solve (`_eigensolve_summary`)
+    eigensolves: dict = field(default_factory=dict)
     # the operator of the final density; not serialized
     fock: FockOperator | None = field(default=None, repr=False, compare=False)
 
@@ -163,6 +176,7 @@ class SCFReport:
             "anion_regime": self.anion_regime,
             "message": self.message,
             "steps": self.steps,
+            "eigensolves": self.eigensolves,
         }
 
 
@@ -183,11 +197,13 @@ def fock_build(
     grid: RadialGrid,
     sys: AtomSystem,
     ell_max: int | None = None,
+    eigensolves: list | None = None,
 ) -> FockOperator:
     """Fock operator on all channels ell <= ell_max, all spins.
 
     gamma may be any signed `combine` of density matrices. The build
     holds node vectors only; dense channel matrices wait for first use.
+    The operator's LOBPCG records go to `eigensolves` when it is given.
     """
     if ell_max is None:
         ell_max = gamma.max_ell()
@@ -197,6 +213,7 @@ def fock_build(
         kinetic=[channel_kinetic(grid, ell, sys) for ell in range(ell_max + 1)],
         potential=-sys.z_alpha / grid.nodes + hartree, hartree=hartree,
         groups=_spin_groups(gamma, sys.q),
+        eigensolves=[] if eigensolves is None else eigensolves,
     )
 
 
@@ -207,7 +224,7 @@ def _dense_levels(H: np.ndarray, k: int):
         raise EigFailure(str(exc)) from exc
 
 
-def _lobpcg_levels(fock: FockOperator, key: tuple[int, int], k: int):
+def _lobpcg_levels(fock: FockOperator, key: tuple[int, int], k: int, rtol: float):
     """Lowest k eigenpairs of a matrix-free channel by preconditioned LOBPCG.
 
     The iteration runs in DST-I coordinates y = S x (S is its own
@@ -215,13 +232,17 @@ def _lobpcg_levels(fock: FockOperator, key: tuple[int, int], k: int):
     (T + sigma)^-1, the discrete resolvent of the kinetic energy, are
     diagonal: one transform pair per operator apply and none per
     preconditioner apply. The start is a seeded Gaussian block, so
-    repeated solves agree bit for bit. A solve whose residuals exceed the
-    tolerance by more than LOBPCG_SLACK falls back to dense eigh.
+    repeated solves agree bit for bit. The residual tolerance is `rtol`
+    times the operator's norm. A solve whose residuals exceed it by more
+    than LOBPCG_SLACK falls back to dense eigh. The solve is recorded in
+    `fock.eigensolves` with its iteration count, the length of LOBPCG's
+    residual history (one entry per block residual it evaluated; 0 when
+    LOBPCG solved densely itself or broke down).
     """
     n = fock.grid.n
     t = fock.kinetic[key[0]].symbol[:, None]
     inv = 1.0 / (t + LOBPCG_SIGMA * fock.system.alpha)
-    tol = LOBPCG_RTOL * (t.max() + np.abs(fock.potential).max())
+    tol = rtol * (t.max() + np.abs(fock.potential).max())
 
     def op(Y):      # lobpcg passes blocks of columns
         return t * Y + dst(fock.potential_apply(key, dst(Y)))
@@ -229,20 +250,26 @@ def _lobpcg_levels(fock: FockOperator, key: tuple[int, int], k: int):
     Y0 = np.random.default_rng(LOBPCG_SEED).standard_normal((n, k))
     try:
         with warnings.catch_warnings():
-            # non-convergence is judged below from the residuals themselves
+            # non-convergence, and the ill-conditioned Gram matrices LOBPCG
+            # restarts from, are judged below from the residuals themselves
             warnings.simplefilter("ignore", UserWarning)
-            vals, vecs = lobpcg(
-                op, Y0, M=lambda Y: inv * Y, tol=tol, maxiter=LOBPCG_MAXITER, largest=False
+            warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
+            # a grid below 5 k columns is solved densely, without a history
+            vals, vecs, *history = lobpcg(
+                op, Y0, M=lambda Y: inv * Y, tol=tol, maxiter=LOBPCG_MAXITER, largest=False,
+                retResidualNormsHistory=True,
             )
     except (np.linalg.LinAlgError, ValueError):    # its Rayleigh-Ritz broke down
-        vals, vecs = np.full(k, np.nan), Y0
+        vals, vecs, history = np.full(k, np.nan), Y0, []
     order = np.argsort(vals, kind="stable")
     vals, vecs = vals[order], dst(vecs[:, order])
     # sign convention P > 0 at the first node, so the orbitals written
     # out do not depend on the start block or the iteration count
     vecs *= np.where(vecs[0] < 0.0, -1.0, 1.0)
     worst = float(np.max(np.linalg.norm(fock.apply(key, vecs) - vecs * vals, axis=0)))
-    if not worst <= LOBPCG_SLACK * tol:     # also catches a NaN residual
+    fell_back = not worst <= LOBPCG_SLACK * tol     # also catches a NaN residual
+    fock.eigensolves.append((k, len(history[0]) if history else 0, fell_back))
+    if fell_back:
         log.warning(
             "LOBPCG on channel %s left residual %.3e above %.3e; using dense eigh",
             key, worst, LOBPCG_SLACK * tol,
@@ -251,50 +278,115 @@ def _lobpcg_levels(fock: FockOperator, key: tuple[int, int], k: int):
     return vals, vecs
 
 
+def _eigensolve_summary(records: list) -> dict:
+    """The `eigensolves` record of report.json from (block, iterations, fell back) records.
+
+    LOBPCG work is the sum of iterations * (1 + block): each iteration
+    applies the operator to a block of new directions and LOBPCG's cost
+    grows with the block width.
+    """
+    return {
+        "lobpcg_solves": len(records),
+        "lobpcg_blocks": [k for k, _its, _fb in records],
+        "lobpcg_iterations": [its for _k, its, _fb in records],
+        "lobpcg_work": sum(its * (1 + k) for k, its, _fb in records),
+        "dense_fallbacks": sum(fb for *_, fb in records),
+    }
+
+
+def _group_levels(fock: FockOperator, ell: int, grp: list, count: int, rtol: float):
+    """Lowest `count` eigenpairs of channel ell of one spin group, grid-normalized.
+
+    Memoized on the operator; callers must not modify the arrays. The
+    tolerance `rtol` only concerns LOBPCG, so a dense operator keeps one
+    solve per count.
+    """
+    k = min(count, fock.grid.n)
+    memo = (ell, grp[0], k, rtol if fock.matrix_free else None)
+    level = fock._spectra.get(memo)
+    if level is None:
+        key = (ell, grp[0])
+        if fock.matrix_free:
+            vals, vecs = _lobpcg_levels(fock, key, k, rtol)
+        else:
+            vals, vecs = _dense_levels(fock.matrices[key], k)
+        level = fock._spectra[memo] = (vals, vecs / np.sqrt(fock.grid.h))
+    return level
+
+
 def _channel_spectra(fock: FockOperator, count: int):
     """Lowest `count` eigenpairs per channel, one eigensolve per spin group.
 
-    Memoized on the operator per `count`; callers must not modify the arrays.
+    For level tables, of which only eigenvalues and overlaps are read:
+    LOBPCG solves at the level tolerance.
     """
-    spectra = fock._spectra.get(count)
-    if spectra is not None:
-        return spectra
     spectra = {}
-    k = min(count, fock.grid.n)
     for ell in range(fock.ell_max + 1):
         for grp in fock.groups:
-            key = (ell, grp[0])
-            if fock.matrix_free:
-                vals, vecs = _lobpcg_levels(fock, key, k)
-            else:
-                vals, vecs = _dense_levels(fock.matrices[key], k)
-            level = (vals, vecs / np.sqrt(fock.grid.h))
+            level = _group_levels(fock, ell, grp, count, LOBPCG_LEVEL_RTOL)
             for spin in grp:
                 spectra[(ell, spin)] = level
-    spectra = dict(sorted(spectra.items()))
-    fock._spectra[count] = spectra
-    return spectra
+    return dict(sorted(spectra.items()))
 
 
 def _levels_needed(N: float) -> int:
-    # worst case all electrons in one channel with unit capacity
+    # the count of a level table: worst case all electrons in one channel
+    # with unit capacity, plus four unoccupied levels
     return int(np.ceil(N)) + 4
 
 
-def aufbau_projection(fock: FockOperator, N: float, q: int) -> DensityMatrix:
-    """Occupy the N lowest Fock levels across channels (ties: lower ell, spin).
+def _fill_count(N: float, group_size: int, ell: int) -> int:
+    """Levels of channel ell of one spin group that the aufbau fill can reach.
 
-    A bathtub fill of the merged spectrum, capacity 2*ell+1 per level.
+    The spins of a group share one spectrum, and the fill takes levels in
+    (value, ell, spin, index) order. If a channel's levels are strictly
+    increasing, its level j comes after levels 0..j-1 of every spin of
+    the group, and those hold j * group_size * (2 ell + 1) electrons. So
+    only the first b = ceil(N / (group_size (2 ell + 1))) levels can be
+    filled. When b > 1 the top wanted level sits among closely spaced
+    high levels, where a block of b + FILL_GUARD columns converges in
+    fewer applies than a block of b.
     """
-    spectra = _channel_spectra(fock, _levels_needed(N))
+    b = int(np.ceil(N / (group_size * (2 * ell + 1))))
+    return b + FILL_GUARD if b > 1 else b
+
+
+def _fill_spectra(fock: FockOperator, N: float) -> dict:
+    """The spectra an aufbau fill of N electrons reads, per channel.
+
+    A matrix-free operator solves each spin group for its `_fill_count`
+    levels at the fill tolerance, or for the table count when two of the
+    computed levels tie, since the count rests on strict order. A dense
+    operator computes the table count, whose `eigh` the level table then
+    shares: a smaller subset would change the bits of the levels.
+    """
+    if not fock.matrix_free:
+        return _channel_spectra(fock, _levels_needed(N))
+    spectra = {}
+    for ell in range(fock.ell_max + 1):
+        for grp in fock.groups:
+            level = _group_levels(fock, ell, grp, _fill_count(N, len(grp), ell), LOBPCG_RTOL)
+            if not np.all(np.diff(level[0]) > 0.0):
+                level = _group_levels(fock, ell, grp, _levels_needed(N), LOBPCG_RTOL)
+            for spin in grp:
+                spectra[(ell, spin)] = level
+    return dict(sorted(spectra.items()))
+
+
+def _fill(spectra: dict, N: float) -> dict[tuple[int, int], list[tuple[int, float]]]:
+    """Bathtub fill of N electrons: the (index, occupation) picks per channel.
+
+    Levels are taken from the merged spectrum in (value, ell, spin, index)
+    order, capacity 2*ell+1 per level.
+    """
     levels = []
     for (ell, spin), (vals, _vecs) in spectra.items():
         for idx, val in enumerate(vals):
             levels.append((float(val), ell, spin, idx))
-    levels.sort(key=lambda t: (t[0], t[1], t[2], t[3]))
+    levels.sort()
     remaining = float(N)
     chosen: dict[tuple[int, int], list[tuple[int, float]]] = {}
-    for val, ell, spin, idx in levels:
+    for _val, ell, spin, idx in levels:
         if remaining <= 1e-14:
             break
         f = min(float(2 * ell + 1), remaining)
@@ -302,9 +394,15 @@ def aufbau_projection(fock: FockOperator, N: float, q: int) -> DensityMatrix:
         remaining -= f
     if remaining > 1e-12:
         raise EigFailure("not enough levels computed to place all electrons")
+    return chosen
+
+
+def aufbau_projection(fock: FockOperator, N: float, q: int) -> DensityMatrix:
+    """Occupy the N lowest Fock levels across channels (ties: lower ell, spin)."""
+    spectra = _fill_spectra(fock, N)
     blocks = {}
-    for key, picks in chosen.items():
-        vals, vecs = spectra[key]
+    for key, picks in _fill(spectra, N).items():
+        _vals, vecs = spectra[key]
         idxs = [i for (i, _f) in picks]
         occs = np.array([f for (_i, f) in picks])
         blocks[key] = ChannelBlock(orbitals=vecs[:, idxs].copy(), occupations=occs)
@@ -429,12 +527,13 @@ def oda_step(
 
 
 def _initial_density(
-    sys: AtomSystem, grid: RadialGrid, options: SolverOptions, ell_max: int
+    sys: AtomSystem, grid: RadialGrid, options: SolverOptions, ell_max: int, eigensolves: list
 ) -> DensityMatrix:
     guess = options.initial_guess
     if guess in ("h0", "screened"):
         Z_eff = sys.Z if guess == "h0" else max(sys.Z - 0.5 * max(sys.N - 1, 0), 0.5)
-        fock = fock_build(DensityMatrix({}), grid, replace(sys, Z=Z_eff), ell_max=ell_max)
+        fock = fock_build(DensityMatrix({}), grid, replace(sys, Z=Z_eff), ell_max=ell_max,
+                          eigensolves=eigensolves)
         return aufbau_projection(fock, sys.N, sys.q)
     # hydrogenic radial seeds on the shells of the aufbau ordering
     shells = default_shells(sys, include_p=options.include_p_shells)
@@ -508,7 +607,8 @@ def solve_scf(sys: AtomSystem, options: SolverOptions) -> tuple[SCFReport, Densi
     ell_max = opts.ell_max
     grid = build_grid(opts.n, opts.r_max)
 
-    gamma = _initial_density(sys, grid, opts, ell_max)
+    eigensolves: list = []      # one record per LOBPCG solve of every operator built
+    gamma = _initial_density(sys, grid, opts, ell_max, eigensolves)
     energy = total_energy(gamma, grid, sys)
     trace = [energy]
     steps = []
@@ -518,7 +618,7 @@ def solve_scf(sys: AtomSystem, options: SolverOptions) -> tuple[SCFReport, Densi
     iterations = 0
     for it in range(1, opts.max_iter + 1):
         iterations = it
-        fock = fock_build(gamma, grid, sys, ell_max=ell_max)
+        fock = fock_build(gamma, grid, sys, ell_max=ell_max, eigensolves=eigensolves)
         residual = commutator_residual(fock, gamma)
         gamma_next, step = oda_step(gamma, grid, sys, opts, fock=fock, e_gamma=energy)
         dE = energy.total - step.energy.total
@@ -544,7 +644,7 @@ def solve_scf(sys: AtomSystem, options: SolverOptions) -> tuple[SCFReport, Densi
     # purity finish: adopt the aufbau projection when it does not raise
     # energy; also clears stray near-zero occupations left by the last mix
     if gamma.max_impurity() > 0.0:
-        fock = fock_build(gamma, grid, sys, ell_max=ell_max)
+        fock = fock_build(gamma, grid, sys, ell_max=ell_max, eigensolves=eigensolves)
         pure = aufbau_projection(fock, sys.N, sys.q)
         e_pure = total_energy(pure, grid, sys)
         if e_pure.total <= energy.total + DESCENT_SLACK * (1 + abs(energy.total)):
@@ -552,8 +652,10 @@ def solve_scf(sys: AtomSystem, options: SolverOptions) -> tuple[SCFReport, Densi
             trace.append(energy)
 
     # after a t = 0 step or a rejected purity finish, `fock` is already the
-    # operator of the final density, with its levels computed
-    final_fock = fock if fock.gamma is gamma else fock_build(gamma, grid, sys, ell_max=ell_max)
+    # operator of the final density (matrix-free, it then solves its table
+    # beside its fill)
+    final_fock = fock if fock.gamma is gamma else fock_build(
+        gamma, grid, sys, ell_max=ell_max, eigensolves=eigensolves)
     residual = commutator_residual(final_fock, gamma)
     orb_res = orbital_residuals(final_fock, gamma)
     table = _final_eigen_table(final_fock, gamma, _levels_needed(sys.N))
@@ -578,6 +680,7 @@ def solve_scf(sys: AtomSystem, options: SolverOptions) -> tuple[SCFReport, Densi
         anion_regime=sys.N >= sys.Z + 1,
         message=message,
         steps=steps,
+        eigensolves=_eigensolve_summary(eigensolves),
         fock=final_fock,
     )
     if not converged:

@@ -248,6 +248,39 @@ def test_verify_resolves_a_damaged_solution(tmp_path, damage):
     assert json.loads((outdir / "verify.json").read_text())["all_passed"] is True
 
 
+def test_verify_resolves_a_stored_nan_occupation(tmp_path, caplog):
+    """A NaN occupation fails every admissibility comparison: the solve counts as damaged."""
+    outdir = tmp_path / "out"
+    cfg = _write_config(tmp_path, outdir)
+    assert run_solve(cfg) == EXIT_OK
+    payload = json.loads((outdir / "report.json").read_text())
+    payload["report"]["occupations"][0]["f"] = float("nan")
+    (outdir / "report.json").write_text(json.dumps(payload))
+    with caplog.at_level("WARNING", logger="prhf.cli"):
+        assert run_verify(cfg) == EXIT_OK
+    assert "damaged" in caplog.text and "occupation out of [0,1]" in caplog.text
+    stored = json.loads((outdir / "report.json").read_text())["report"]["occupations"]
+    assert all(np.isfinite(occ["f"]) for occ in stored)        # solved again and rewritten
+    assert json.loads((outdir / "verify.json").read_text())["all_passed"] is True
+
+
+def test_report_records_the_eigensolver_work(tmp_path):
+    """He at n = 400: one-column fills, the table at N + 4, no dense fallback; CSVs unchanged."""
+    outdir = tmp_path / "out"
+    cfg = _write_config(tmp_path, outdir, n=400)
+    assert run_solve(cfg) == EXIT_OK
+    record = json.loads((outdir / "report.json").read_text())["report"]["eigensolves"]
+    blocks, iterations = record["lobpcg_blocks"], record["lobpcg_iterations"]
+    *fills, table = blocks
+    assert fills and set(fills) == {1} and table == 2 + 4
+    assert record["lobpcg_solves"] == len(blocks) == len(iterations)
+    assert all(its > 1 for its in iterations)
+    assert record["lobpcg_work"] == sum(its * (1 + k) for k, its in zip(blocks, iterations))
+    assert record["dense_fallbacks"] == 0
+    for name in ("energy_trace.csv", "orbitals.csv"):
+        assert "lobpcg" not in (outdir / name).read_text()
+
+
 @pytest.mark.parametrize("key", ["decay_window_lo", "decay_window_hi"])
 def test_half_set_decay_window_exits_1(tmp_path, key):
     outdir = tmp_path / "out"

@@ -3,6 +3,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from prhf import (
     AtomSystem,
@@ -130,20 +132,123 @@ def _broken_lobpcg(*args, **kwargs):
     raise ValueError("eigh has failed in lobpcg postprocessing")
 
 
-@pytest.mark.parametrize("patch", [("LOBPCG_MAXITER", 1), ("lobpcg", _broken_lobpcg)],
-                         ids=["maxiter", "breakdown"])
-def test_lobpcg_nonconvergence_falls_back_to_dense(patch, he_small, monkeypatch, caplog):
+@pytest.mark.parametrize("patch, fill", [
+    (("LOBPCG_MAXITER", 1), False), (("lobpcg", _broken_lobpcg), False),
+    (("LOBPCG_MAXITER", 1), True), (("lobpcg", _broken_lobpcg), True),
+], ids=["maxiter", "breakdown", "maxiter-fill", "breakdown-fill"])
+def test_lobpcg_nonconvergence_falls_back_to_dense(patch, fill, he_small, monkeypatch, caplog):
     monkeypatch.setattr(scf, *patch)
     fock = fock_build(he_small.gamma, he_small.grid, he_small.sys)
-    k = _levels_needed(he_small.sys.N)
+    # the fill of helium's one spin group asks for one level
+    k = 1 if fill else _levels_needed(he_small.sys.N)
     with caplog.at_level(logging.WARNING, logger="prhf.scf"):
-        spectra = _channel_spectra(fock, k)
+        if fill:
+            spectra = scf._fill_spectra(fock, he_small.sys.N)
+        else:
+            spectra = _channel_spectra(fock, k)
     assert len(caplog.records) == 1       # one eigensolve for the one spin group
     assert "using dense eigh" in caplog.text
+    assert [(block, fell_back) for block, _its, fell_back in fock.eigensolves] == [(k, True)]
     vals, vecs = scipy.linalg.eigh(fock.matrices[(0, 0)], subset_by_index=(0, k - 1))
     for key in ((0, 0), (0, 1)):
         assert np.array_equal(spectra[key][0], vals)
         assert np.array_equal(spectra[key][1], vecs / np.sqrt(he_small.grid.h))
+
+
+def _fill_pair(fock, N):
+    """The fill from group-sized spectra and the fill from the table count."""
+    full = {
+        (0, spin): scf._group_levels(fock, 0, grp, _levels_needed(N), scf.LOBPCG_RTOL)
+        for grp in fock.groups for spin in grp
+    }
+    return scf._fill(scf._fill_spectra(fock, N), N), scf._fill(full, N)
+
+
+@settings(deadline=None, max_examples=30, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    Z=st.integers(1, 10),
+    quarters=st.integers(4, 44),
+    q=st.sampled_from([1, 2]),
+    n=st.integers(80, 160),
+)
+def test_group_sized_fill_picks_the_table_fill(Z, quarters, q, n):
+    """A spin group's level j is reachable only past j |group| electrons per level."""
+    N = min(quarters / 4.0, Z + 1.0)
+    sys = AtomSystem(Z=float(Z), N=N, alpha=ALPHA, q=q)
+    grid = build_grid(n, 10.0)
+    bare = fock_build(DensityMatrix({}), grid, sys, ell_max=0)
+    small, full = _fill_pair(bare, N)
+    assert small == full
+    # an open shell splits the spins into two groups of one
+    fock = fock_build(aufbau_projection(bare, N, q), grid, sys, ell_max=0)
+    small, full = _fill_pair(fock, N)
+    assert small == full
+
+
+def test_fill_asks_for_the_levels_it_can_reach(grid200):
+    """Group sizes 2 and 1 at N = 3: 2 levels (+ guard) for the pair, 3 (+ guard) apart."""
+    sys = AtomSystem(Z=3.0, N=3, alpha=ALPHA)
+    bare = fock_build(DensityMatrix({}), grid200, sys)
+    gamma = aufbau_projection(bare, sys.N, sys.q)
+    assert [block for block, *_ in bare.eigensolves] == [2 + scf.FILL_GUARD]
+    fock = fock_build(gamma, grid200, sys)
+    assert fock.groups == [[0], [1]]
+    aufbau_projection(fock, sys.N, sys.q)
+    assert [block for block, *_ in fock.eigensolves] == [3 + scf.FILL_GUARD] * 2
+
+
+def test_fill_of_tied_levels_takes_the_table_count(he_small, monkeypatch):
+    """The reachable count rests on strictly increasing levels; a tie falls back."""
+    fock = fock_build(he_small.gamma, he_small.grid, he_small.sys)
+    N = 3.0         # two levels for the one group of two spins
+    solve = scf._lobpcg_levels
+
+    def tied(fock, key, k, rtol):
+        vals, vecs = solve(fock, key, k, rtol)
+        vals = vals.copy()
+        vals[1] = vals[0]
+        return vals, vecs
+
+    monkeypatch.setattr(scf, "_lobpcg_levels", tied)
+    spectra = scf._fill_spectra(fock, N)
+    assert spectra[(0, 0)][0].size == _levels_needed(N)
+
+
+def test_helium_solve_asks_one_column_per_fill(monkeypatch):
+    """He: every fill solve is one column; only the final table asks for N + 4."""
+    solves = []
+    solve = scf._lobpcg_levels
+
+    def recording(fock, key, k, rtol):
+        solves.append((k, rtol))
+        return solve(fock, key, k, rtol)
+
+    monkeypatch.setattr(scf, "_lobpcg_levels", recording)
+    sys = validate_system(AtomSystem(Z=2.0, N=2, alpha=ALPHA))
+    report, _gamma = solve_scf(sys, SolverOptions(n=300, r_max=15.0))
+    assert report.converged and report.iterations > 3
+    *fills, table = solves
+    assert set(fills) == {(1, scf.LOBPCG_RTOL)}
+    assert table == (_levels_needed(sys.N), scf.LOBPCG_LEVEL_RTOL)
+    assert report.eigensolves["lobpcg_blocks"] == [k for k, _rtol in solves]
+
+
+def test_neon_fill_and_table_share_one_eigh(grid200, monkeypatch):
+    """A dense operator keeps the table count for its fill: one eigh per channel group."""
+    counts = []
+    dense = scf._dense_levels
+
+    def recording(H, k):
+        counts.append(k)
+        return dense(H, k)
+
+    monkeypatch.setattr(scf, "_dense_levels", recording)
+    sys = AtomSystem(Z=10.0, N=10, alpha=ALPHA)
+    bare = fock_build(DensityMatrix({}), grid200, sys, ell_max=1)
+    gamma = aufbau_projection(bare, sys.N, sys.q)
+    scf._final_eigen_table(bare, gamma, _levels_needed(sys.N))
+    assert counts == [14, 14]            # ell = 0 and 1, one spin group
+    assert bare.eigensolves == []
 
 
 def test_s_only_solve_builds_no_dense_operator(monkeypatch):
