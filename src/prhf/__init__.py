@@ -22,7 +22,6 @@ from .errors import (
     BadCount,
     BadGrid,
     BoundViolated,
-    CertificateFailure,
     ConfigError,
     DomainError,
     EigFailure,

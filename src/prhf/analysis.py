@@ -12,7 +12,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .coulomb import DensityMatrix
-from .errors import BoundViolated, CertificateFailure, WindowTooNoisy
+from .errors import BoundViolated, WindowTooNoisy
 from .greens import nu_of_energy
 from .model import AtomSystem, SolverOptions, validate_system
 from .radial import RadialGrid, dst, laplacian_symbol
@@ -123,21 +123,17 @@ class CertificateReport:
     passed: bool
 
 
-def minimizer_certificate(
-    gamma: DensityMatrix,
-    fock: FockOperator,
-    sys: AtomSystem,
-    strict: bool = False,
-) -> CertificateReport:
-    """Assert the structural properties of a converged minimizer.
+def minimizer_certificate(gamma: DensityMatrix, fock: FockOperator) -> CertificateReport:
+    """Check the structural properties of a converged minimizer.
 
-    (a) occupations within 1e-6 of {0,1}; (b) trace equals N; (c) the
-    occupied levels are the N lowest across channels (tie tolerance
-    1e-8 alpha^-1); (d) occupied eigenvalues in (-alpha^-1, 0); (e)
-    per-orbital eigen-residual below 1e-7 alpha^-1.
+    `fock` is the Fock operator of gamma; the system, the grid and the
+    channels checked are its own. (a) occupations within 1e-6 of {0,1};
+    (b) trace equals N; (c) the occupied levels are the N lowest across
+    channels (tie tolerance 1e-8 alpha^-1); (d) occupied eigenvalues in
+    (-alpha^-1, 0); (e) per-orbital eigen-residual below 1e-7 alpha^-1.
     """
+    sys, grid = fock.system, fock.grid
     ainv = sys.alpha_inv
-    grid = fock.grid
     clauses = {}
 
     impurity = gamma.max_impurity()
@@ -191,12 +187,7 @@ def minimizer_certificate(
         "tolerance": 1e-7 * ainv,
     }
 
-    passed = all(c["passed"] for c in clauses.values())
-    report = CertificateReport(clauses=clauses, passed=passed)
-    if strict and not passed:
-        failed = [k for k, c in clauses.items() if not c["passed"]]
-        raise CertificateFailure(f"certificate clauses failed: {failed}", clauses=clauses)
-    return report
+    return CertificateReport(clauses=clauses, passed=all(c["passed"] for c in clauses.values()))
 
 
 def kato_probe(u: np.ndarray, grid: RadialGrid, alpha: float) -> tuple[float, float]:
@@ -259,7 +250,7 @@ def binding_monotonicity(
     system: AtomSystem, N_max: int, options: SolverOptions,
     _known: dict[int, tuple[float, float]] | None = None,
 ) -> tuple[list[dict], bool]:
-    """E(N) table for N = 1..N_max of `system` with strict-decrease checks.
+    """E(N) table for N = 1..N_max of `system`, checking that E(N) decreases.
 
     Every row is `system` with its electron count replaced, so Z, alpha,
     q and the kinetic law are the template's. Each step must gain at

@@ -39,7 +39,7 @@ from .errors import (
 )
 from .model import AtomSystem, SolverOptions, validate_system
 from .radial import build_grid, dst, kinetic_operator
-from .scf import fock_build, orbital_residuals, resolve_options, solve_scf
+from .scf import fock_build, orbital_residuals, solve_scf
 
 log = logging.getLogger("prhf")
 
@@ -93,8 +93,7 @@ _SCHEMA = {
     **_fields_schema(AtomSystem, Z=float, N=int, alpha=float, q=int, kinetic=str),
     **_fields_schema(
         SolverOptions, n=int, r_max=float, max_iter=int, tol_energy=float,
-        tol_commutator=float, initial_guess=str, ell_max=_parse_auto_int,
-        include_p_shells=_parse_bool,
+        tol_commutator=float, initial_guess=str, ell_max=int,
     ),
     "algorithm": (_parse_algorithm, _ALGORITHM),
     "output_dir": (str, _REQUIRED),
@@ -309,7 +308,7 @@ def _solve_and_write(cfg: dict, sys_: AtomSystem, options: SolverOptions, outdir
             _write_solution(outdir, cfg, exc.report, exc.density,
                             {"passed": False, "clauses": {}, "skipped": "not converged"})
         raise
-    cert = analysis.minimizer_certificate(gamma, report.fock, sys_)
+    cert = analysis.minimizer_certificate(gamma, report.fock)
     _write_solution(outdir, cfg, report, gamma, dataclasses.asdict(cert))
     log.info(
         "converged=%s iterations=%d total=%.12f certificate=%s",
@@ -329,9 +328,9 @@ run_solve = _command(_solve_pipeline)
 # --- verification suites ----------------------------------------------------
 
 
-def _suite_minimizer(gamma, fock, sys_, cert=None) -> dict:
+def _suite_minimizer(gamma, fock, cert=None) -> dict:
     if cert is None:
-        cert = analysis.minimizer_certificate(gamma, fock, sys_)
+        cert = analysis.minimizer_certificate(gamma, fock)
     return {**dataclasses.asdict(cert), "status": "passed" if cert.passed else "failed"}
 
 
@@ -375,21 +374,29 @@ def _suite_decay(gamma, fock, sys_, cfg) -> dict:
     }
 
 
-def _solution_suites(gamma, grid, sys_, options, cfg, fock=None, cert=None) -> dict:
-    """Minimizer and decay suites on one Fock operator of the solution.
+def _solution_suites(cfg: dict, sys_: AtomSystem, options: SolverOptions, outdir: Path):
+    """(report dict, grid, suites): the minimizer and decay suites on a solution.
 
-    Without the solve's own operator, one is built on the channel set
-    that solve_scf used; it is released before the remaining suites run.
-    A certificate the solve already computed on that operator is reused.
+    A converged solve of this configuration stored in outdir is read back
+    and its Fock operator built on the options' channels; otherwise the
+    configuration is solved and written first, and the suites reuse the
+    solve's operator and certificate. The operator is released before the
+    remaining suites run.
     """
-    if fock is None:
-        fock = fock_build(gamma, grid, sys_, ell_max=resolve_options(sys_, options).ell_max)
+    loaded = _load_solution(outdir, sys_, options)
+    if loaded is None:
+        log.info("no converged solve of this configuration in %s; solving first", outdir)
+        report, gamma, cert = _solve_and_write(cfg, sys_, options, outdir)
+        payload, fock = {"report": report.as_dict()}, report.fock
+    else:
+        payload, gamma, grid = loaded
+        fock, cert = fock_build(gamma, grid, sys_, ell_max=options.ell_max), None
     suites = {}
     if cfg["verify_minimizer"]:
-        suites["minimizer"] = _suite_minimizer(gamma, fock, sys_, cert)
+        suites["minimizer"] = _suite_minimizer(gamma, fock, cert)
     if cfg["verify_decay"]:
         suites["decay"] = _suite_decay(gamma, fock, sys_, cfg)
-    return suites
+    return payload, fock.grid, suites
 
 
 def _suite_kato(grid, sys_, cfg) -> dict:
@@ -511,27 +518,17 @@ def _suite_binding(cfg, sys_, options, known) -> dict:
 
 @_command
 def run_verify(cfg: dict, sys_: AtomSystem, options: SolverOptions, outdir: Path) -> int:
-    needs_solution = cfg["verify_minimizer"] or cfg["verify_decay"]
-    loaded = _load_solution(outdir, sys_, options) if needs_solution else None
-    fock = cert = None
-    if needs_solution and loaded is None:
-        log.info("no converged solve of this configuration in %s; solving first", outdir)
-        report, gamma, cert = _solve_and_write(cfg, sys_, options, outdir)
-        fock = report.fock
-        loaded = {"report": report.as_dict()}, gamma, fock.grid
-
     suites: dict = {}
     eps_homo = None
     known = None
-    if loaded is not None:
-        payload, gamma, grid = loaded
+    if cfg["verify_minimizer"] or cfg["verify_decay"]:
+        payload, grid, suites = _solution_suites(cfg, sys_, options, outdir)
         occ_eps = [
             e["value"] for e in payload["report"]["eigenvalues"] if e["occupation"] > 0.5
         ]
         if occ_eps:
             eps_homo = max(occ_eps)
             known = {sys_.N: (payload["report"]["energy"]["total"], eps_homo)}
-        suites.update(_solution_suites(gamma, grid, sys_, options, cfg, fock, cert))
     else:
         grid = build_grid(cfg["n"], cfg["r_max"])
 

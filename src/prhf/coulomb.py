@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonFiniteEnergy
+from .errors import NonFiniteEnergy, NotAdmissible
 from .model import AtomSystem
 from .radial import RadialGrid, channel_kinetic
 
@@ -55,9 +55,6 @@ class DensityMatrix:
     def trace(self) -> float:
         return float(sum(b.occupations.sum() for b in self.blocks.values()))
 
-    def max_ell(self) -> int:
-        return max((ell for (ell, _s) in self.blocks), default=0)
-
     def occupation_list(self):
         """Flat [(ell, spin, index, f, lambda)] in deterministic order."""
         out = []
@@ -80,16 +77,16 @@ class DensityMatrix:
             lam = blk.occupations / (2 * ell + 1)
             # written so that a NaN occupation fails
             if not (np.all(lam >= -1e-12) and np.all(lam <= 1 + 1e-12)):
-                raise NonFiniteEnergy(
+                raise NotAdmissible(
                     f"occupation out of [0,1] in channel (ell={ell}, spin={spin})"
                 )
             gram = grid.h * blk.orbitals.T @ blk.orbitals
             if not np.allclose(gram, np.eye(blk.m), rtol=0.0, atol=ORTHO_TOL):
-                raise NonFiniteEnergy(
+                raise NotAdmissible(
                     f"orbitals not orthonormal in channel (ell={ell}, spin={spin})"
                 )
         if n_electrons is not None and not self.trace() <= n_electrons + 1e-9:
-            raise NonFiniteEnergy(
+            raise NotAdmissible(
                 f"trace {self.trace()} exceeds electron count {n_electrons}"
             )
         return self

@@ -59,14 +59,6 @@ class NotConverged(SolverError):
         self.density = density
 
 
-class CertificateFailure(SolverError):
-    """One or more minimizer certificate clauses failed."""
-
-    def __init__(self, message, clauses=None):
-        super().__init__(message)
-        self.clauses = clauses or {}
-
-
 class WindowTooNoisy(SolverError):
     """Decay-fit window reaches the quadrature noise floor."""
 

@@ -11,6 +11,7 @@ test suite.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -18,6 +19,9 @@ from .coulomb import ChannelBlock, DensityMatrix, combine, energy_terms
 from .errors import EnergyBoundViolated, NotAdmissible, TraceMismatch
 from .model import AtomSystem
 from .radial import RadialGrid, inner
+
+if TYPE_CHECKING:
+    from .scf import FockOperator
 
 LOWER_BOUND_SLACK = 1e-12
 
@@ -62,35 +66,42 @@ def _shell_traces(apply, dm: DensityMatrix, grid: RadialGrid):
 
 def rank2_delta(
     gamma: DensityMatrix,
+    fock: FockOperator,
     u1: np.ndarray,
     u2: np.ndarray,
     eps1: float,
     eps2: float,
-    grid: RadialGrid,
-    sys: AtomSystem,
-    ell1: int = 0,
-    spin1: int = 0,
-    ell2: int = 0,
-    spin2: int = 1,
-    fock=None,
+    ell1: int,
+    spin1: int,
+    ell2: int,
+    spin2: int,
 ) -> float:
     """Energy change from gamma to gamma + eps1*u1u1* + eps2*u2u2*.
 
-    u1, u2 are channel orbitals with eigenvalue weights eps1, eps2 (a
-    shell of 2*ell+1 degenerate orbitals each); for ell = 0 shells this
-    is the literal rank-two increment
+    `fock` is the Fock operator of gamma; the grid, the system and the
+    channel set are its own. u1, u2 are orbitals of channels (ell1,
+    spin1) and (ell2, spin2) with eigenvalue weights eps1, eps2 (a shell
+    of 2*ell+1 degenerate orbitals each); for ell = 0 shells this is the
+    literal rank-two increment
 
         alpha^-1 eps1 <u1,h u1> + alpha^-1 eps2 <u2,h u2> + eps1 eps2 R_u
 
     with R_u the antisymmetrized pair repulsion. In general it is
     alpha^-1 (Tr[F delta] + Tr[G(delta) delta] / 2) for delta = gamma~ -
-    gamma, F the Fock operator of gamma and G the two-body part of the
-    operator of delta. Because the functional is quadratic, this equals
-    total_energy(gamma~) - total_energy(gamma) exactly (to rounding).
+    gamma and G the two-body part of the operator of delta. Because the
+    functional is quadratic, this equals total_energy(gamma~) -
+    total_energy(gamma) exactly (to rounding). A perturbation outside
+    the operator's channels is not admissible.
     """
     from .scf import fock_build
 
+    grid, sys = fock.grid, fock.system
     for u, ell, spin, eps in ((u1, ell1, spin1, eps1), (u2, ell2, spin2, eps2)):
+        if not (0 <= ell <= fock.ell_max and 0 <= spin < sys.q):
+            raise NotAdmissible(
+                f"channel (ell={ell}, spin={spin}) is outside the operator's "
+                f"channels ell <= {fock.ell_max}, spin < {sys.q}"
+            )
         if abs(inner(grid, u, u) - 1.0) > 1e-8:
             raise NotAdmissible("perturbation orbitals must be normalized")
         blk = gamma.blocks.get((ell, spin))
@@ -108,13 +119,11 @@ def rank2_delta(
     if (ell1, spin1) == (ell2, spin2) and abs(inner(grid, u1, u2)) > 1e-8:
         raise NotAdmissible("perturbation orbitals must be mutually orthogonal")
 
-    if fock is None:
-        fock = fock_build(gamma, grid, sys, ell_max=max(gamma.max_ell(), ell1, ell2))
     delta = combine(
         (eps, DensityMatrix({(ell, spin): ChannelBlock(u[:, None], np.array([2.0 * ell + 1]))}))
         for u, ell, spin, eps in ((u1, ell1, spin1, eps1), (u2, ell2, spin2, eps2))
     )
-    g = fock_build(delta, grid, sys).two_body_apply
+    g = fock_build(delta, grid, sys, ell_max=fock.ell_max).two_body_apply
     linear = sum(_shell_traces(fock.apply, delta, grid))
     return sys.alpha_inv * (linear + 0.5 * sum(_shell_traces(g, delta, grid)))
 
@@ -122,34 +131,24 @@ def rank2_delta(
 def line_coefficients(
     gamma: DensityMatrix,
     gamma_target: DensityMatrix,
-    grid: RadialGrid,
-    sys: AtomSystem,
-    fock=None,
-    e_gamma: EnergyBreakdown | None = None,
-    e_target: EnergyBreakdown | None = None,
+    fock: FockOperator,
+    e_gamma: EnergyBreakdown,
+    e_target: EnergyBreakdown,
 ) -> tuple[float, float]:
     """Exact quadratic profile along the segment (1-t) gamma + t gamma_target.
 
     E(t) = E(gamma) + a t + b t^2 with a = alpha^-1 Tr[h_gamma (target -
-    gamma)] and b recovered from one evaluation at t = 1.
+    gamma)], h_gamma = `fock` the Fock operator of gamma, and b recovered
+    from the energies e_gamma and e_target of the two ends.
     """
     if abs(gamma.trace() - gamma_target.trace()) > 1e-9:
         raise TraceMismatch(
             f"traces differ: {gamma.trace()} vs {gamma_target.trace()}"
         )
-    if fock is None:
-        from .scf import fock_build
-
-        ell_max = max(gamma.max_ell(), gamma_target.max_ell())
-        fock = fock_build(gamma, grid, sys, ell_max=ell_max)
     a = 0.0
     for dm, sign in ((gamma_target, 1.0), (gamma, -1.0)):
-        for tr in _shell_traces(fock.apply, dm, grid):
+        for tr in _shell_traces(fock.apply, dm, fock.grid):
             a += sign * tr
-    a *= sys.alpha_inv
-    if e_gamma is None:
-        e_gamma = total_energy(gamma, grid, sys)
-    if e_target is None:
-        e_target = total_energy(gamma_target, grid, sys)
+    a *= fock.system.alpha_inv
     b = e_target.total - e_gamma.total - a
     return a, b

@@ -10,7 +10,7 @@ is a model choice of the system, not a solver setting.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .errors import BadCount, SubcriticalityViolated
 
@@ -56,7 +56,8 @@ class ShellSpec:
 class SolverOptions:
     """Numerical knobs of the optimal-damping SCF run.
 
-    ell_max None means the largest ell present in the initial shells.
+    ell_max sets the channel set: the solver minimizes over the central-field
+    channels ell = 0..ell_max, and every operator of the run carries them.
     """
 
     n: int = 1200
@@ -65,8 +66,7 @@ class SolverOptions:
     tol_energy: float = 1e-10
     tol_commutator: float = 1e-6
     initial_guess: str = "h0"
-    ell_max: int | None = None
-    include_p_shells: bool = False
+    ell_max: int = 0
 
     _GUESSES = ("h0", "screened", "shells")
 
@@ -82,17 +82,16 @@ class SolverOptions:
             raise BadCount("max_iter must be at least 1")
         if self.initial_guess not in self._GUESSES:
             raise BadCount(f"unknown initial guess {self.initial_guess!r}")
+        if not (isinstance(self.ell_max, int) and self.ell_max >= 0):
+            raise BadCount(f"ell_max={self.ell_max!r} must be a non-negative integer")
         return self
-
-    def with_(self, **kw) -> "SolverOptions":
-        return replace(self, **kw)
 
 
 def validate_system(sys: AtomSystem) -> AtomSystem:
     """Check the admissibility gates and return the system unchanged.
 
-    The subcritical condition Z*alpha < 2/pi is strict; the boundary case
-    is refused. Every comparison is written so that NaN fails it.
+    The subcritical condition is Z*alpha < 2/pi; the boundary case is
+    refused. Every comparison is written so that NaN fails it.
     """
     if sys.N < 1:
         raise BadCount(f"electron count N={sys.N} must be >= 1")
@@ -112,27 +111,15 @@ def validate_system(sys: AtomSystem) -> AtomSystem:
     return sys
 
 
-def default_shells(sys: AtomSystem, include_p: bool = False) -> list[ShellSpec]:
+def default_shells(sys: AtomSystem) -> list[ShellSpec]:
     """Seed shell configuration: fill s-shells 1s, 2s, ... across spins.
 
     Each (shell, spin) slot takes at most one electron (2*ell+1 = 1 for
-    ell = 0). p-shells are only used when explicitly requested; they are
-    filled after the first two s-shells in that case.
+    ell = 0).
     """
     shells: list[ShellSpec] = []
     remaining = float(sys.N)
-    shell_index = 0
     while remaining > 0:
-        shell_index += 1
-        if include_p and shell_index == 3:
-            # one p-shell wedged after 1s/2s, capacity 3 per spin
-            for spin in range(sys.q):
-                if remaining <= 0:
-                    break
-                occ = min(3.0, remaining)
-                shells.append(ShellSpec(ell=1, spin=spin, occupation=occ))
-                remaining -= occ
-            continue
         for spin in range(sys.q):
             if remaining <= 0:
                 break

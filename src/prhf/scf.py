@@ -66,7 +66,9 @@ class FockOperator:
 
     h0 = T - Z*alpha/r is the one-body part; G(gamma) = alpha*(R - K) is
     the two-body part, linear in gamma, which `two_body_apply` applies.
-    An operator whose channels are all s-channels (ell_max = 0) is
+    Its channels, ell = 0..ell_max for every spin, are the channel set of
+    the run: the SCF stages and the certificate take the grid, the system
+    and the channels from the operator they are given. An operator whose channels are all s-channels (ell_max = 0) is
     matrix-free: `apply` takes T through the DST-I, the local potential
     as a vector and exchange through slater_yk sweeps, and its levels
     come from LOBPCG: the aufbau fill asks each spin group for the levels
@@ -196,7 +198,7 @@ def fock_build(
     gamma: DensityMatrix,
     grid: RadialGrid,
     sys: AtomSystem,
-    ell_max: int | None = None,
+    ell_max: int,
     eigensolves: list | None = None,
 ) -> FockOperator:
     """Fock operator on all channels ell <= ell_max, all spins.
@@ -205,8 +207,6 @@ def fock_build(
     holds node vectors only; dense channel matrices wait for first use.
     The operator's LOBPCG records go to `eigensolves` when it is given.
     """
-    if ell_max is None:
-        ell_max = gamma.max_ell()
     hartree = sys.alpha * hartree_potential(reduced_density(gamma, grid), grid)
     return FockOperator(
         system=sys, grid=grid, gamma=gamma,
@@ -356,7 +356,7 @@ def _fill_spectra(fock: FockOperator, N: float) -> dict:
 
     A matrix-free operator solves each spin group for its `_fill_count`
     levels at the fill tolerance, or for the table count when two of the
-    computed levels tie, since the count rests on strict order. A dense
+    computed levels tie, since the count rests on increasing levels. A dense
     operator computes the table count, whose `eigh` the level table then
     shares: a smaller subset would change the bits of the levels.
     """
@@ -397,7 +397,7 @@ def _fill(spectra: dict, N: float) -> dict[tuple[int, int], list[tuple[int, floa
     return chosen
 
 
-def aufbau_projection(fock: FockOperator, N: float, q: int) -> DensityMatrix:
+def aufbau_projection(fock: FockOperator, N: float) -> DensityMatrix:
     """Occupy the N lowest Fock levels across channels (ties: lower ell, spin)."""
     spectra = _fill_spectra(fock, N)
     blocks = {}
@@ -452,8 +452,6 @@ def commutator_residual(fock: FockOperator, gamma: DensityMatrix) -> float:
     h = fock.grid.h
     total = 0.0
     for (ell, spin), blk in gamma.blocks.items():
-        if ell > fock.ell_max:
-            continue
         C = blk.orbitals
         lam = blk.occupations / (2 * ell + 1)
         W = fock.apply((ell, spin), C)
@@ -491,21 +489,16 @@ class StepInfo:
 
 
 def oda_step(
-    gamma: DensityMatrix,
-    grid: RadialGrid,
-    sys: AtomSystem,
-    options: SolverOptions,
-    fock: FockOperator | None = None,
-    e_gamma: EnergyBreakdown | None = None,
+    gamma: DensityMatrix, fock: FockOperator, e_gamma: EnergyBreakdown
 ) -> tuple[DensityMatrix, StepInfo]:
-    """One optimal-damping step: aufbau trial, exact line search, mix."""
-    if fock is None:
-        fock = fock_build(gamma, grid, sys, ell_max=options.ell_max)
-    if e_gamma is None:
-        e_gamma = total_energy(gamma, grid, sys)
-    trial = aufbau_projection(fock, sys.N, sys.q)
+    """One optimal-damping step from gamma, whose operator is `fock` and energy e_gamma.
+
+    Aufbau trial on the operator's channels, exact line search, mix.
+    """
+    grid, sys = fock.grid, fock.system
+    trial = aufbau_projection(fock, sys.N)
     e_trial = total_energy(trial, grid, sys)
-    a, b = line_coefficients(gamma, trial, grid, sys, fock=fock, e_gamma=e_gamma, e_target=e_trial)
+    a, b = line_coefficients(gamma, trial, fock, e_gamma, e_trial)
     if max(abs(a), abs(b)) <= LINE_ROUNDOFF * (1.0 + abs(e_gamma.total)):
         t = 0.0
     elif b > 0.0:
@@ -527,17 +520,16 @@ def oda_step(
 
 
 def _initial_density(
-    sys: AtomSystem, grid: RadialGrid, options: SolverOptions, ell_max: int, eigensolves: list
+    sys: AtomSystem, grid: RadialGrid, options: SolverOptions, eigensolves: list
 ) -> DensityMatrix:
     guess = options.initial_guess
     if guess in ("h0", "screened"):
         Z_eff = sys.Z if guess == "h0" else max(sys.Z - 0.5 * max(sys.N - 1, 0), 0.5)
-        fock = fock_build(DensityMatrix({}), grid, replace(sys, Z=Z_eff), ell_max=ell_max,
-                          eigensolves=eigensolves)
-        return aufbau_projection(fock, sys.N, sys.q)
-    # hydrogenic radial seeds on the shells of the aufbau ordering
-    shells = default_shells(sys, include_p=options.include_p_shells)
-    return density_from_shells(shells, sys, grid)
+        fock = fock_build(DensityMatrix({}), grid, replace(sys, Z=Z_eff),
+                          ell_max=options.ell_max, eigensolves=eigensolves)
+        return aufbau_projection(fock, sys.N)
+    # hydrogenic radial seeds on the s-shells of the aufbau ordering
+    return density_from_shells(default_shells(sys), sys, grid)
 
 
 def density_from_shells(shells, sys: AtomSystem, grid: RadialGrid) -> DensityMatrix:
@@ -586,15 +578,6 @@ def _final_eigen_table(fock: FockOperator, gamma: DensityMatrix, count: int):
     return table
 
 
-def resolve_options(sys: AtomSystem, options: SolverOptions) -> SolverOptions:
-    """Validated options with ell_max fixed; unset, it is the largest seed-shell ell."""
-    options = options.validated()
-    if options.ell_max is not None:
-        return options
-    shells = default_shells(sys, include_p=options.include_p_shells)
-    return options.with_(ell_max=max(s.ell for s in shells))
-
-
 def solve_scf(sys: AtomSystem, options: SolverOptions) -> tuple[SCFReport, DensityMatrix]:
     """Minimize the functional; returns the report and the final density.
 
@@ -603,12 +586,12 @@ def solve_scf(sys: AtomSystem, options: SolverOptions) -> tuple[SCFReport, Densi
     optimal-damping step takes t = 0 without meeting them.
     """
     sys = validate_system(sys)
-    opts = resolve_options(sys, options)
+    opts = options.validated()
     ell_max = opts.ell_max
     grid = build_grid(opts.n, opts.r_max)
 
     eigensolves: list = []      # one record per LOBPCG solve of every operator built
-    gamma = _initial_density(sys, grid, opts, ell_max, eigensolves)
+    gamma = _initial_density(sys, grid, opts, eigensolves)
     energy = total_energy(gamma, grid, sys)
     trace = [energy]
     steps = []
@@ -620,7 +603,7 @@ def solve_scf(sys: AtomSystem, options: SolverOptions) -> tuple[SCFReport, Densi
         iterations = it
         fock = fock_build(gamma, grid, sys, ell_max=ell_max, eigensolves=eigensolves)
         residual = commutator_residual(fock, gamma)
-        gamma_next, step = oda_step(gamma, grid, sys, opts, fock=fock, e_gamma=energy)
+        gamma_next, step = oda_step(gamma, fock, energy)
         dE = energy.total - step.energy.total
         log.debug(
             "iter %3d  E=%.12f  dE=%.3e  t=%.3f  resid=%.3e",
@@ -645,7 +628,7 @@ def solve_scf(sys: AtomSystem, options: SolverOptions) -> tuple[SCFReport, Densi
     # energy; also clears stray near-zero occupations left by the last mix
     if gamma.max_impurity() > 0.0:
         fock = fock_build(gamma, grid, sys, ell_max=ell_max, eigensolves=eigensolves)
-        pure = aufbau_projection(fock, sys.N, sys.q)
+        pure = aufbau_projection(fock, sys.N)
         e_pure = total_energy(pure, grid, sys)
         if e_pure.total <= energy.total + DESCENT_SLACK * (1 + abs(energy.total)):
             gamma, energy = pure, e_pure

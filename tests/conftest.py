@@ -20,7 +20,7 @@ class Solution:
     @property
     def fock(self):
         if self._fock is None:
-            self._fock = fock_build(self.gamma, self.grid, self.sys, ell_max=self.gamma.max_ell())
+            self._fock = fock_build(self.gamma, self.grid, self.sys, ell_max=self.options.ell_max)
         return self._fock
 
     def occupied(self):

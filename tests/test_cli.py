@@ -258,7 +258,7 @@ def test_verify_resolves_a_stored_nan_occupation(tmp_path, caplog):
     (outdir / "report.json").write_text(json.dumps(payload))
     with caplog.at_level("WARNING", logger="prhf.cli"):
         assert run_verify(cfg) == EXIT_OK
-    assert "damaged" in caplog.text and "occupation out of [0,1]" in caplog.text
+    assert "damaged" in caplog.text and "NotAdmissible: occupation out of [0,1]" in caplog.text
     stored = json.loads((outdir / "report.json").read_text())["report"]["occupations"]
     assert all(np.isfinite(occ["f"]) for occ in stored)        # solved again and rewritten
     assert json.loads((outdir / "verify.json").read_text())["all_passed"] is True
@@ -312,6 +312,24 @@ def test_verify_resolves_a_stale_solution(tmp_path, stored, requested):
     report = json.loads((outdir / "report.json").read_text())
     assert report["grid"]["n"] == requested.get("n", 240)
     assert report["config"]["Z"] == requested.get("Z", 2.0)
+
+
+def test_verify_solves_a_solve_stored_with_the_old_channel_keys_again_once(tmp_path, caplog):
+    """A report.json with `ell_max = null` and `include_p_shells` is solved again, then reused."""
+    outdir = tmp_path / "out"
+    cfg = _write_config(tmp_path, outdir)
+    assert run_solve(cfg) == EXIT_OK
+    payload = json.loads((outdir / "report.json").read_text())
+    payload["config"].update(ell_max=None, include_p_shells=False)
+    (outdir / "report.json").write_text(json.dumps(payload))
+    with caplog.at_level("WARNING", logger="prhf.cli"):
+        assert run_verify(cfg) == EXIT_OK
+    assert "BadCount: ell_max=None must be a non-negative integer" in caplog.text
+    config = json.loads((outdir / "report.json").read_text())["config"]
+    assert config["ell_max"] == 0 and "include_p_shells" not in config
+    stamp = (outdir / "report.json").stat().st_mtime_ns
+    assert run_verify(cfg) == EXIT_OK
+    assert (outdir / "report.json").stat().st_mtime_ns == stamp
 
 
 def test_verify_binding_row_from_solution(tmp_path, monkeypatch):
@@ -379,18 +397,27 @@ def test_bad_greens_energy_exits_1_before_any_work(tmp_path, monkeypatch, runner
     assert parse_config(cfg)["greens_energy"] == -0.01
 
 
-@pytest.mark.parametrize("runner, key, value", [
+# carbon asking for a p-shell seed on the s channels alone
+_CARBON_P_SEED = {
+    "Z": 6.0, "N": 6, "n": 200, "ell_max": 0, "include_p_shells": "true", "initial_guess": "shells",
+}
+
+
+@pytest.mark.parametrize("runner, overrides", [
     # the grid-size cases keep their plain ids
-    pytest.param(runner, key, value, id=name if key == "n" else f"{name}-{key}={value}")
+    pytest.param(runner, overrides, id=name if case == "n=8" else f"{name}-{case}")
     for name, runner in (
         ("solve", run_solve), ("verify", run_verify), ("greens", run_greens), ("sweep", run_sweep),
     )
-    for key, value in (
-        ("n", 8), ("r_max", "nan"), ("r_max", "inf"), ("tol_energy", "nan"),
-        ("tol_commutator", "nan"), ("alpha", "nan"), ("Z", "nan"),
-    )
+    for case, overrides in [
+        (f"{key}={value}", {key: value}) for key, value in (
+            ("n", 8), ("r_max", "nan"), ("r_max", "inf"), ("tol_energy", "nan"),
+            ("tol_commutator", "nan"), ("alpha", "nan"), ("Z", "nan"), ("ell_max", -1),
+            ("ell_max", "auto"), ("include_p_shells", "true"),
+        )
+    ] + [("carbon_p_seed", _CARBON_P_SEED)]
 ])
-def test_invalid_solver_option_exits_1_before_any_work(tmp_path, monkeypatch, runner, key, value):
+def test_invalid_solver_option_exits_1_before_any_work(tmp_path, monkeypatch, runner, overrides):
     def no_work(*args, **kwargs):
         raise AssertionError("ran work for invalid solver options")
 
@@ -398,7 +425,7 @@ def test_invalid_solver_option_exits_1_before_any_work(tmp_path, monkeypatch, ru
     monkeypatch.setattr(prhf.analysis, "solve_scf", no_work)
     monkeypatch.setattr(prhf.greens, "greens_kernel", no_work)
     outdir = tmp_path / "out"
-    cfg = _write_config(tmp_path, outdir, verify_greens="true", verify_binding="true", **{key: value})
+    cfg = _write_config(tmp_path, outdir, verify_greens="true", verify_binding="true", **overrides)
     assert runner(cfg) == EXIT_CONFIG
     assert not outdir.exists()
 

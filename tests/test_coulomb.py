@@ -9,6 +9,7 @@ from prhf import (
     AtomSystem,
     ChannelBlock,
     DensityMatrix,
+    NotAdmissible,
     angular_coefficient,
     build_grid,
     energy_terms,
@@ -48,6 +49,27 @@ def _s_density(grid, fs):
             orbitals=Q / np.sqrt(grid.h), occupations=np.atleast_1d(np.asarray(f, dtype=float))
         )
     return DensityMatrix(blocks)
+
+
+@pytest.mark.parametrize("case", [
+    "occupation_above_one", "negative_occupation", "nan_occupation", "not_orthonormal",
+    "excess_trace",
+])
+def test_validate_reports_an_inadmissible_density_as_not_admissible(grid200, case):
+    """A density outside 0 <= gamma <= Id, Tr gamma <= N is NotAdmissible; no energy is involved."""
+    P = _normalized(grid200, grid200.nodes * np.exp(-grid200.nodes))
+    orbital, f, n_electrons = {
+        "occupation_above_one": (P, 1.5, None),
+        "negative_occupation": (P, -0.1, None),
+        "nan_occupation": (P, np.nan, None),
+        "not_orthonormal": ((1.0 + 1e-6) * P, 1.0, None),
+        "excess_trace": (P, 1.0, 0.5),
+    }[case]
+    gamma = DensityMatrix({(0, 0): ChannelBlock(orbital[:, None], np.array([f]))})
+    with pytest.raises(NotAdmissible):
+        gamma.validate(grid200, n_electrons)
+    admissible = DensityMatrix({(0, 0): ChannelBlock(P[:, None], np.array([1.0]))})
+    assert admissible.validate(grid200, 1.0) is admissible
 
 
 # --- reduced density --------------------------------------------------------
@@ -350,7 +372,7 @@ def _aufbau_densities():
     dms = []
     for Z, N in ((10.0, 10), (7.0, 7), (9.0, 5)):
         sys = AtomSystem(Z=Z, N=N, alpha=ALPHA)
-        dms.append(aufbau_projection(fock_build(DensityMatrix({}), grid, sys, ell_max=1), N, 2))
+        dms.append(aufbau_projection(fock_build(DensityMatrix({}), grid, sys, ell_max=1), N))
     assert all({ell for ell, _spin in gamma.blocks} == {0, 1} for gamma in dms)
     return grid, AtomSystem(Z=10.0, N=10, alpha=ALPHA), dms
 

@@ -78,7 +78,7 @@ def test_rank2_zero_eps_is_zero(he_small):
     u2 = _normalized(grid, np.exp(-(((grid.nodes - 6.0) / 1.2) ** 2)))
     u1 = _orthogonalize(grid, u1, gamma, 0, 0)
     u2 = _orthogonalize(grid, u2, gamma, 0, 1)
-    assert rank2_delta(gamma, u1, u2, 0.0, 0.0, grid, sys) == 0.0
+    assert rank2_delta(gamma, he_small.fock, u1, u2, 0.0, 0.0, 0, 0, 0, 1) == 0.0
 
 
 def _orthogonalize(grid, u, gamma, ell, spin):
@@ -109,7 +109,7 @@ def test_rank2_single_direction_matches_recompute(he_small):
     u1 = _orthogonalize(grid, _normalized(grid, np.exp(-(((grid.nodes - 4.0) / 1.0) ** 2))), gamma, 0, 0)
     u2 = _orthogonalize(grid, _normalized(grid, np.exp(-(((grid.nodes - 6.0) / 1.2) ** 2))), gamma, 0, 1)
     eps1 = 0.3
-    delta = rank2_delta(gamma, u1, u2, eps1, 0.0, grid, sys)
+    delta = rank2_delta(gamma, he_small.fock, u1, u2, eps1, 0.0, 0, 0, 0, 1)
     direct = (
         total_energy(_with_added(gamma, [(u1, 0, 0, eps1)]), grid, sys).total
         - total_energy(gamma, grid, sys).total
@@ -124,7 +124,7 @@ def test_rank2_full_matches_recompute(he_small, rng):
         u1 = _orthogonalize(grid, _normalized(grid, np.exp(-(((grid.nodes - c1) / w1) ** 2))), gamma, 0, 0)
         u2 = _orthogonalize(grid, _normalized(grid, np.exp(-(((grid.nodes - c2) / w2) ** 2))), gamma, 0, 1)
         eps1, eps2 = rng.uniform(0.05, 0.9, size=2)
-        delta = rank2_delta(gamma, u1, u2, eps1, eps2, grid, sys)
+        delta = rank2_delta(gamma, he_small.fock, u1, u2, eps1, eps2, 0, 0, 0, 1)
         direct = (
             total_energy(_with_added(gamma, [(u1, 0, 0, eps1), (u2, 0, 1, eps2)]), grid, sys).total
             - total_energy(gamma, grid, sys).total
@@ -138,7 +138,7 @@ def test_rank2_same_channel_pair_matches(he_small, rng):
     u2 = _orthogonalize(grid, _normalized(grid, grid.nodes * np.exp(-0.9 * grid.nodes)), gamma, 0, 0)
     u2 = u2 - inner(grid, u1, u2) * u1
     u2 /= np.sqrt(inner(grid, u2, u2))
-    delta = rank2_delta(gamma, u1, u2, 0.4, 0.5, grid, sys, ell1=0, spin1=0, ell2=0, spin2=0)
+    delta = rank2_delta(gamma, he_small.fock, u1, u2, 0.4, 0.5, 0, 0, 0, 0)
     direct = (
         total_energy(_with_added(gamma, [(u1, 0, 0, 0.4), (u2, 0, 0, 0.5)]), grid, sys).total
         - total_energy(gamma, grid, sys).total
@@ -149,7 +149,7 @@ def test_rank2_same_channel_pair_matches(he_small, rng):
 def test_rank2_p_channel_matches_recompute_without_a_dense_g(grid200, monkeypatch):
     """A p-shell increment matches recomputation, and G(delta) forms no n x n matrix."""
     sys = AtomSystem(Z=10.0, N=10, alpha=ALPHA)
-    gamma = aufbau_projection(fock_build(DensityMatrix({}), grid200, sys, ell_max=1), sys.N, sys.q)
+    gamma = aufbau_projection(fock_build(DensityMatrix({}), grid200, sys, ell_max=1), sys.N)
     fock = fock_build(gamma, grid200, sys, ell_max=1)
     fock.matrices       # the operator of gamma is dense; the one of delta must not be
     u1 = _orthogonalize(grid200, _normalized(grid200, grid200.nodes**2 * np.exp(-grid200.nodes)), gamma, 1, 0)
@@ -159,7 +159,7 @@ def test_rank2_p_channel_matches_recompute_without_a_dense_g(grid200, monkeypatc
         raise AssertionError("a dense exchange matrix was formed")
 
     monkeypatch.setattr(scf, "exchange_matrix", refuse)
-    delta = rank2_delta(gamma, u1, u2, 0.3, 0.6, grid200, sys, ell1=1, spin1=0, fock=fock)
+    delta = rank2_delta(gamma, fock, u1, u2, 0.3, 0.6, 1, 0, 0, 1)
     direct = (
         total_energy(_with_added(gamma, [(u1, 1, 0, 0.9), (u2, 0, 1, 0.6)]), grid200, sys).total
         - total_energy(gamma, grid200, sys).total
@@ -172,11 +172,22 @@ def test_rank2_rejects_inadmissible(he_small):
     u1 = _orthogonalize(grid, _normalized(grid, np.exp(-(((grid.nodes - 4.0) / 1.0) ** 2))), gamma, 0, 0)
     u2 = _orthogonalize(grid, _normalized(grid, np.exp(-(((grid.nodes - 6.0) / 1.2) ** 2))), gamma, 0, 1)
     with pytest.raises(NotAdmissible):
-        rank2_delta(gamma, u1, u2, 1.4, 0.0, grid, sys)
+        rank2_delta(gamma, he_small.fock, u1, u2, 1.4, 0.0, 0, 0, 0, 1)
     # occupied direction: adding beyond capacity must also fail
     P = gamma.blocks[(0, 0)].orbitals[:, 0]
     with pytest.raises(NotAdmissible):
-        rank2_delta(gamma, P, u2, 0.2, 0.0, grid, sys)
+        rank2_delta(gamma, he_small.fock, P, u2, 0.2, 0.0, 0, 0, 0, 1)
+
+
+@pytest.mark.parametrize("ell1, spin1", [(1, 0), (0, 2)], ids=["p_channel", "third_spin"])
+def test_rank2_rejects_a_channel_outside_the_operator(he_small, ell1, spin1):
+    """The operator's channels bound the perturbation; they are not widened to fit it."""
+    grid, gamma = he_small.grid, he_small.gamma
+    assert he_small.fock.ell_max == 0 and he_small.sys.q == 2
+    u1 = _normalized(grid, grid.nodes**2 * np.exp(-grid.nodes))
+    u2 = _orthogonalize(grid, _normalized(grid, np.exp(-(((grid.nodes - 6.0) / 1.2) ** 2))), gamma, 0, 1)
+    with pytest.raises(NotAdmissible, match="outside the operator's channels"):
+        rank2_delta(gamma, he_small.fock, u1, u2, 0.3, 0.0, ell1, spin1, 0, 1)
 
 
 def test_homo_removal_first_order(he_small):
@@ -187,7 +198,7 @@ def test_homo_removal_first_order(he_small):
     eps = grid.h * float(P @ (fock.matrices[(0, 0)] @ P))
     delta = 1e-4
     u2 = _orthogonalize(grid, _normalized(grid, np.exp(-(((grid.nodes - 6.0) / 1.2) ** 2))), gamma, 0, 1)
-    change = rank2_delta(gamma, P, u2, -delta, 0.0, grid, sys, fock=fock)
+    change = rank2_delta(gamma, fock, P, u2, -delta, 0.0, 0, 0, 0, 1)
     assert change == pytest.approx(-delta * eps / ALPHA, rel=1e-10)
     direct = (
         total_energy(_scale_orbital(gamma, (0, 0), 0, 1.0 - delta), grid, sys).total
@@ -202,17 +213,23 @@ def _scale_orbital(gamma, key, idx, new_f):
     return DensityMatrix(blocks)
 
 
+def _line(ga, gb, grid, sys):
+    """line_coefficients from ga towards gb on the s-channel operator of ga."""
+    fock = fock_build(ga, grid, sys, ell_max=0)
+    return line_coefficients(ga, gb, fock, total_energy(ga, grid, sys), total_energy(gb, grid, sys))
+
+
 def test_line_coefficients_same_target(he_small):
     grid, sys, gamma = he_small.grid, he_small.sys, he_small.gamma
-    a, b = line_coefficients(gamma, gamma, grid, sys)
+    a, b = _line(gamma, gamma, grid, sys)
     assert abs(a) <= 1e-10
     assert abs(b) <= 1e-10
 
 
 def test_line_midpoint(he_small):
     grid, sys, gamma = he_small.grid, he_small.sys, he_small.gamma
-    trial = aufbau_projection(he_small.fock, sys.N, sys.q)
-    a, b = line_coefficients(gamma, trial, grid, sys)
+    trial = aufbau_projection(he_small.fock, sys.N)
+    a, b = _line(gamma, trial, grid, sys)
     e0 = total_energy(gamma, grid, sys).total
     mid = _mix_blocks(gamma, trial, 0.5, grid)
     e_mid = total_energy(mid, grid, sys).total
@@ -229,7 +246,7 @@ def test_line_quadratic_exactness_random(grid200, rng):
         gb = DensityMatrix({
             k: ChannelBlock(b.orbitals, b.occupations * scale) for k, b in gb.blocks.items()
         })
-        a, b = line_coefficients(ga, gb, grid200, sys)
+        a, b = _line(ga, gb, grid200, sys)
         e0 = total_energy(ga, grid200, sys).total
         for t in rng.uniform(0.0, 1.0, size=5):
             mix = _mix_blocks(ga, gb, float(t), grid200)
@@ -242,4 +259,4 @@ def test_line_trace_mismatch(grid200, rng):
     ga = _random_density(grid200, rng, {(0, 0): [1.0, 1.0]})
     gb = _random_density(grid200, rng, {(0, 0): [1.0]})
     with pytest.raises(TraceMismatch):
-        line_coefficients(ga, gb, grid200, sys)
+        _line(ga, gb, grid200, sys)

@@ -81,7 +81,10 @@ def test_options_validation():
         SolverOptions(r_max=-1.0).validated()
     with pytest.raises(BadCount):
         SolverOptions(initial_guess="random").validated()
-    SolverOptions().validated()
+    for ell_max in (-1, None, 0.5):
+        with pytest.raises(BadCount, match="ell_max"):
+            SolverOptions(ell_max=ell_max).validated()
+    assert SolverOptions().validated().ell_max == 0
 
 
 def test_validate_kinetic_law():
