@@ -230,7 +230,9 @@ def _load_solution(outdir: Path, sys_: AtomSystem, options: SolverOptions):
 
     None unless that solve converged for an equal system and equal options
     and its files read back whole, with orthonormal orbitals and admissible
-    occupations: a damaged solve counts as absent.
+    occupations: a damaged solve counts as absent. So does a solve whose
+    stored config no longer parses, which was written under an older
+    configuration schema.
     """
     report_path = outdir / "report.json"
     orbitals_path = outdir / "orbitals.csv"
@@ -238,10 +240,16 @@ def _load_solution(outdir: Path, sys_: AtomSystem, options: SolverOptions):
         return None
     try:
         payload = json.loads(report_path.read_text())
+        if not payload["report"]["converged"]:
+            return None
         stored = payload["config"]
-        if not (payload["report"]["converged"]
-                and _system_from_config(stored) == sys_
-                and _options_from_config(stored) == options):
+        try:
+            same = _system_from_config(stored) == sys_ and _options_from_config(stored) == options
+        except (ValueError, KeyError, TypeError, SolverError) as exc:
+            log.warning("the solve in %s was written under an older configuration "
+                        "(%s: %s); solving it again", outdir, type(exc).__name__, exc)
+            return None
+        if not same:
             return None
         grid = build_grid(payload["grid"]["n"], payload["grid"]["r_max"])
         with open(orbitals_path) as fh:

@@ -265,7 +265,7 @@ def test_verify_resolves_a_stored_nan_occupation(tmp_path, caplog):
 
 
 def test_report_records_the_eigensolver_work(tmp_path):
-    """He at n = 400: one-column fills, the table at N + 4, no dense fallback; CSVs unchanged."""
+    """He at n = 400: one-column fills, the table at N + 4, warm starts, no fallback; CSVs unchanged."""
     outdir = tmp_path / "out"
     cfg = _write_config(tmp_path, outdir, n=400)
     assert run_solve(cfg) == EXIT_OK
@@ -277,8 +277,12 @@ def test_report_records_the_eigensolver_work(tmp_path):
     assert all(its > 1 for its in iterations)
     assert record["lobpcg_work"] == sum(its * (1 + k) for k, its in zip(blocks, iterations))
     assert record["dense_fallbacks"] == 0
+    # only the fill of the h0 guess, whose density is empty, starts cold
+    assert record["lobpcg_warm"] == [False] + [True] * (len(blocks) - 1)
+    assert record["warm_starts"] == len(blocks) - 1 and record["cold_retries"] == 0
     for name in ("energy_trace.csv", "orbitals.csv"):
-        assert "lobpcg" not in (outdir / name).read_text()
+        text = (outdir / name).read_text()
+        assert "lobpcg" not in text and "warm" not in text
 
 
 @pytest.mark.parametrize("key", ["decay_window_lo", "decay_window_hi"])
@@ -325,11 +329,30 @@ def test_verify_solves_a_solve_stored_with_the_old_channel_keys_again_once(tmp_p
     with caplog.at_level("WARNING", logger="prhf.cli"):
         assert run_verify(cfg) == EXIT_OK
     assert "BadCount: ell_max=None must be a non-negative integer" in caplog.text
+    assert "older configuration" in caplog.text and "damaged" not in caplog.text
     config = json.loads((outdir / "report.json").read_text())["config"]
     assert config["ell_max"] == 0 and "include_p_shells" not in config
     stamp = (outdir / "report.json").stat().st_mtime_ns
     assert run_verify(cfg) == EXIT_OK
     assert (outdir / "report.json").stat().st_mtime_ns == stamp
+
+
+def test_verify_calls_a_stored_null_ell_max_an_older_configuration(tmp_path, caplog):
+    """A whole solve whose stored config no longer parses is not reported as damaged."""
+    outdir = tmp_path / "out"
+    cfg = _write_config(tmp_path, outdir)
+    assert run_solve(cfg) == EXIT_OK
+    whole = (outdir / "orbitals.csv").read_bytes()
+    payload = json.loads((outdir / "report.json").read_text())
+    payload["config"]["ell_max"] = None
+    (outdir / "report.json").write_text(json.dumps(payload))
+    with caplog.at_level("WARNING", logger="prhf.cli"):
+        assert run_verify(cfg) == EXIT_OK
+    [record] = caplog.records
+    assert "written under an older configuration" in record.getMessage()
+    assert "solving it again" in record.getMessage() and "damaged" not in caplog.text
+    assert json.loads((outdir / "report.json").read_text())["config"]["ell_max"] == 0
+    assert (outdir / "orbitals.csv").read_bytes() == whole
 
 
 def test_verify_binding_row_from_solution(tmp_path, monkeypatch):

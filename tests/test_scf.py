@@ -146,13 +146,114 @@ def test_lobpcg_nonconvergence_falls_back_to_dense(patch, fill, he_small, monkey
             spectra = scf._fill_spectra(fock, he_small.sys.N)
         else:
             spectra = _channel_spectra(fock, k)
-    assert len(caplog.records) == 1       # one eigensolve for the one spin group
+    # one eigensolve for the one spin group: its warm start from helium's
+    # orbitals fails, then its cold retry, then dense eigh takes over
+    assert [rec.levelname for rec in caplog.records] == ["WARNING"]
     assert "using dense eigh" in caplog.text
-    assert [(block, fell_back) for block, _its, fell_back in fock.eigensolves] == [(k, True)]
+    assert [(block, warm, fell_back) for block, _its, warm, fell_back in fock.eigensolves] == [
+        (k, True, True), (k, False, True)]
     vals, vecs = scipy.linalg.eigh(fock.matrices[(0, 0)], subset_by_index=(0, k - 1))
     for key in ((0, 0), (0, 1)):
         assert np.array_equal(spectra[key][0], vals)
         assert np.array_equal(spectra[key][1], vecs / np.sqrt(he_small.grid.h))
+
+
+def _cold_only(monkeypatch):
+    """Make every LOBPCG solve start from the seeded Gaussian block, as before warm starts."""
+    starts = scf._start_blocks
+    monkeypatch.setattr(scf, "_start_blocks", lambda *args: starts(*args)[-1:])
+
+
+def _h0_and_converged_levels(sol):
+    """Fill and table of the operators of the h0 guess's density and of the converged one."""
+    N = sol.sys.N
+    bare = fock_build(DensityMatrix({}), sol.grid, sol.sys, ell_max=0)
+    out = []
+    for gamma in (aufbau_projection(bare, N), sol.gamma):
+        fock = fock_build(gamma, sol.grid, sol.sys, ell_max=0)
+        spectra = [scf._fill_spectra(fock, N), _channel_spectra(fock, _levels_needed(N))]
+        out.append((fock.eigensolves, spectra))
+    return out
+
+
+@pytest.mark.parametrize("name", ["he_small", "li_solution", "be_solution"])
+def test_warm_started_levels_match_cold_started_ones(name, request, monkeypatch):
+    """The fill and the table of a warm start are the cold start's levels and spans."""
+    sol = request.getfixturevalue(name)
+    warm = _h0_and_converged_levels(sol)
+    _cold_only(monkeypatch)
+    cold = _h0_and_converged_levels(sol)
+    for (warm_records, warm_spectra), (cold_records, cold_spectra) in zip(warm, cold):
+        assert [(w, fb) for _k, _its, w, fb in warm_records] == [(True, False)] * len(warm_records)
+        assert not any(w for _k, _its, w, _fb in cold_records)
+        for sw, sc in zip(warm_spectra, cold_spectra):
+            for key, (vals, vecs) in sw.items():
+                cvals, cvecs = sc[key]
+                assert np.max(np.abs(vals - cvals) / np.abs(cvals)) <= 1e-12
+                # the spans agree: the projectors onto them coincide
+                assert np.max(np.abs(sol.grid.h * (vecs @ vecs.T - cvecs @ cvecs.T))) <= 1e-10
+
+
+def test_warm_start_repeats_bit_for_bit(he_small):
+    """Two builds of one operator give the same levels, bit for bit."""
+    N = he_small.sys.N
+    levels = []
+    for _ in range(2):
+        fock = fock_build(he_small.gamma, he_small.grid, he_small.sys, ell_max=0)
+        levels.append([scf._fill_spectra(fock, N), _channel_spectra(fock, _levels_needed(N))])
+    for first, again in zip(*levels):
+        for key, (vals, vecs) in first.items():
+            assert np.array_equal(vals, again[key][0]) and np.array_equal(vecs, again[key][1])
+
+
+def test_empty_density_keeps_the_cold_start(grid200):
+    """An operator without density starts from the seeded Gaussian block alone."""
+    sys = AtomSystem(Z=3.0, N=3, alpha=ALPHA)
+    bare = fock_build(DensityMatrix({}), grid200, sys, ell_max=0)
+    [(warm, Y0)] = scf._start_blocks(bare, (0, 0), 4)
+    assert not warm
+    assert np.array_equal(Y0, np.random.default_rng(scf.LOBPCG_SEED).standard_normal((200, 4)))
+    aufbau_projection(bare, sys.N)
+    assert [(warm, fb) for _k, _its, warm, fb in bare.eigensolves] == [(False, False)]
+
+
+def test_failed_warm_start_is_retried_cold(he_small, monkeypatch, caplog):
+    """A warm start that returns garbage costs one cold solve, and no dense eigensolve."""
+    real = scf.lobpcg
+    cold = np.random.default_rng(scf.LOBPCG_SEED).standard_normal((he_small.grid.n, 1))
+
+    def garbage_when_warm(op, Y0, **kwargs):
+        if np.array_equal(Y0, cold):
+            return real(op, Y0, **kwargs)
+        return np.zeros(Y0.shape[1]), Y0 + 1.0, [np.ones(Y0.shape[1])] * 3
+
+    monkeypatch.setattr(scf, "lobpcg", garbage_when_warm)
+    fock = fock_build(he_small.gamma, he_small.grid, he_small.sys, ell_max=0)
+    with caplog.at_level(logging.INFO, logger="prhf.scf"):
+        spectra = scf._fill_spectra(fock, he_small.sys.N)
+    assert "matrices" not in fock.__dict__
+    assert [rec.levelname for rec in caplog.records] == ["INFO"]
+    assert "retrying from the cold start" in caplog.text
+    assert fock.eigensolves == [(1, 3, True, True), (1, fock.eigensolves[1][1], False, False)]
+    summary = scf._eigensolve_summary(fock.eigensolves)
+    assert summary["warm_starts"] == 1 and summary["cold_retries"] == 1
+    assert summary["dense_fallbacks"] == 0
+    [dense] = scipy.linalg.eigh(fock.matrices[(0, 0)], subset_by_index=(0, 0), eigvals_only=True)
+    assert abs(spectra[(0, 0)][0][0] - dense) <= 1e-12 * abs(dense)
+
+
+def test_warm_start_cuts_helium_work_and_repeats():
+    """He on a small grid: less LOBPCG work than the cold start, the same count twice."""
+    sys = validate_system(AtomSystem(Z=2.0, N=2, alpha=ALPHA))
+    options = SolverOptions(n=320, r_max=15.0)
+    works = [solve_scf(sys, options)[0].eigensolves for _ in range(2)]
+    assert works[0] == works[1]
+    assert works[0]["warm_starts"] == works[0]["lobpcg_solves"] - 1     # all but the h0 fill
+    with pytest.MonkeyPatch.context() as mp:
+        _cold_only(mp)
+        cold = solve_scf(sys, options)[0].eigensolves
+    assert cold["warm_starts"] == 0
+    assert works[0]["lobpcg_work"] < cold["lobpcg_work"]
 
 
 def _fill_pair(fock, N):
