@@ -231,26 +231,23 @@ def _load_solution(outdir: Path, sys_: AtomSystem, options: SolverOptions):
     None unless that solve converged for an equal system and equal options
     and its files read back whole, with orthonormal orbitals and admissible
     occupations: a damaged solve counts as absent. So does a solve whose
-    stored config no longer parses, which was written under an older
-    configuration schema.
+    stored config does not parse under this version, which the warning
+    names apart from a damaged solve.
     """
     report_path = outdir / "report.json"
     orbitals_path = outdir / "orbitals.csv"
     if not (report_path.is_file() and orbitals_path.is_file()):
         return None
+    failure = "ignoring the damaged solve in %s"
     try:
         payload = json.loads(report_path.read_text())
         if not payload["report"]["converged"]:
             return None
         stored = payload["config"]
-        try:
-            same = _system_from_config(stored) == sys_ and _options_from_config(stored) == options
-        except (ValueError, KeyError, TypeError, SolverError) as exc:
-            log.warning("the solve in %s was written under an older configuration "
-                        "(%s: %s); solving it again", outdir, type(exc).__name__, exc)
+        failure = "ignoring the solve in %s: its stored config does not parse under this version"
+        if not (_system_from_config(stored) == sys_ and _options_from_config(stored) == options):
             return None
-        if not same:
-            return None
+        failure = "ignoring the damaged solve in %s"
         grid = build_grid(payload["grid"]["n"], payload["grid"]["r_max"])
         with open(orbitals_path) as fh:
             header = fh.readline().strip().split(",")
@@ -271,7 +268,7 @@ def _load_solution(outdir: Path, sys_: AtomSystem, options: SolverOptions):
             )
         gamma = DensityMatrix(blocks).validate(grid, sys_.N)
     except (ValueError, KeyError, TypeError, SolverError) as exc:
-        log.warning("ignoring the damaged solve in %s: %s: %s", outdir, type(exc).__name__, exc)
+        log.warning(failure + ": %s: %s", outdir, type(exc).__name__, exc)
         return None
     return payload, gamma, grid
 

@@ -75,15 +75,15 @@ class FockOperator:
     as a vector and exchange through slater_yk sweeps, and its levels
     come from LOBPCG: the aufbau fill asks each spin group for the levels
     it can reach, at the fill tolerance, and a level table asks for its
-    count at the looser level tolerance. Each solve starts from the
-    orbitals of gamma on its channel, retried once from a seeded Gaussian
-    block if that warm start fails; a channel gamma leaves empty starts
-    from the Gaussian block. Any other operator applies its dense
-    `matrices`, which are assembled on first access only, and computes
-    its fill and its table by one `eigh`. Nothing is modified after the
-    build, so each eigensolve (channel, count, tolerance) runs once and
-    is kept. Every LOBPCG run appends a (block, iterations, warm, fell
-    back) record to `eigensolves`, a list the caller may share between
+    count at the looser level tolerance. Each solve starts warm from the
+    orbitals of gamma on its channel, or from a seeded Gaussian block on
+    a channel gamma leaves empty, and falls back to dense eigh if its
+    residuals fail. Any other operator applies its dense `matrices`,
+    which are assembled on first access only, and computes its fill and
+    its table by one `eigh`. Nothing is modified after the build, so
+    each eigensolve (channel, count, tolerance) runs once and is kept.
+    Every LOBPCG solve appends a (block, iterations, warm, fell back to
+    dense) record to `eigensolves`, a list the caller may share between
     operators.
     """
 
@@ -229,22 +229,20 @@ def _dense_levels(H: np.ndarray, k: int):
         raise EigFailure(str(exc)) from exc
 
 
-def _start_blocks(fock: FockOperator, key: tuple[int, int], k: int) -> list:
-    """LOBPCG start blocks of a channel in DST-I coordinates, (warm, block) in the order tried.
+def _start_block(fock: FockOperator, key: tuple[int, int], k: int):
+    """LOBPCG start block (warm, Y0) of a channel in DST-I coordinates.
 
-    The cold start is a seeded Gaussian (n, k) block. When the operator's
-    density has m orbitals on the channel, the warm start comes first: the
-    cold block with its first min(m, k) columns replaced by those orbitals,
-    in their stored order.
+    A seeded Gaussian (n, k) block; when the operator's density has m
+    orbitals on the channel, its first min(m, k) columns are those
+    orbitals, in their stored order, and the start is warm.
     """
-    cold = np.random.default_rng(LOBPCG_SEED).standard_normal((fock.grid.n, k))
+    Y0 = np.random.default_rng(LOBPCG_SEED).standard_normal((fock.grid.n, k))
     blk = fock.gamma.blocks.get(key)
     if blk is None or not blk.m:
-        return [(False, cold)]
+        return False, Y0
     m = min(blk.m, k)
-    warm = cold.copy()
-    warm[:, :m] = dst(blk.orbitals[:, :m] * np.sqrt(fock.grid.h))
-    return [(True, warm), (False, cold)]
+    Y0[:, :m] = dst(blk.orbitals[:, :m] * np.sqrt(fock.grid.h))
+    return True, Y0
 
 
 def _lobpcg_levels(fock: FockOperator, key: tuple[int, int], k: int, rtol: float):
@@ -257,18 +255,17 @@ def _lobpcg_levels(fock: FockOperator, key: tuple[int, int], k: int, rtol: float
     preconditioner apply. The residual tolerance is `rtol` times the
     operator's norm.
 
-    The start blocks (`_start_blocks`) depend on the operator alone, so
+    The start block (`_start_block`) depends on the operator alone, so
     repeated solves agree bit for bit. Where its density has orbitals on
     the channel, which the SCF has converged to within its commutator
-    residual, the solve starts warm from them; a warm solve whose
-    residuals exceed the tolerance by more than LOBPCG_SLACK is redone
-    once from the cold, seeded Gaussian start, and a cold solve that
-    fails the same check falls back to dense eigh. So a bad warm start
-    costs at most one cold solve, and a wrong level never passes. Every
-    LOBPCG run is recorded in `fock.eigensolves` as (block, iterations,
-    warm, fell back), with the length of LOBPCG's residual history for
-    its iterations (one entry per block residual it evaluated; 0 when
-    LOBPCG solved densely itself or broke down).
+    residual, the solve starts warm from them. A solve whose residuals
+    exceed the tolerance by more than LOBPCG_SLACK falls back to dense
+    eigh, so a wrong level never passes; a bad warm start costs one
+    LOBPCG run to at most LOBPCG_MAXITER iterations and then the dense
+    solve. The solve is recorded in `fock.eigensolves` as (block,
+    iterations, warm, fell back), with the length of LOBPCG's residual
+    history for its iterations (one entry per block residual it
+    evaluated; 0 when LOBPCG solved densely itself or broke down).
     """
     t = fock.kinetic[key[0]].symbol[:, None]
     inv = 1.0 / (t + LOBPCG_SIGMA * fock.system.alpha)
@@ -277,49 +274,43 @@ def _lobpcg_levels(fock: FockOperator, key: tuple[int, int], k: int, rtol: float
     def op(Y):      # lobpcg passes blocks of columns
         return t * Y + dst(fock.potential_apply(key, dst(Y)))
 
-    def solve(Y0):
-        try:
-            with warnings.catch_warnings():
-                # non-convergence, and the ill-conditioned Gram matrices LOBPCG
-                # restarts from, are judged below from the residuals themselves
-                warnings.simplefilter("ignore", UserWarning)
-                warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-                # a grid below 5 k columns is solved densely, without a history
-                vals, vecs, *history = lobpcg(
-                    op, Y0, M=lambda Y: inv * Y, tol=tol, maxiter=LOBPCG_MAXITER,
-                    largest=False, retResidualNormsHistory=True,
-                )
-        except (np.linalg.LinAlgError, ValueError):    # its Rayleigh-Ritz broke down
-            vals, vecs, history = np.full(k, np.nan), Y0, []
-        order = np.argsort(vals, kind="stable")
-        vals, vecs = vals[order], dst(vecs[:, order])
-        # sign convention P > 0 at the first node, so the orbitals written
-        # out do not depend on the start block or the iteration count
-        vecs *= np.where(vecs[0] < 0.0, -1.0, 1.0)
-        worst = float(np.max(np.linalg.norm(fock.apply(key, vecs) - vecs * vals, axis=0)))
-        return vals, vecs, len(history[0]) if history else 0, worst
-
-    for is_warm, Y0 in _start_blocks(fock, key, k):
-        vals, vecs, its, worst = solve(Y0)
-        fell_back = not worst <= LOBPCG_SLACK * tol     # also catches a NaN residual
-        fock.eigensolves.append((k, its, is_warm, fell_back))
-        if not fell_back:
-            return vals, vecs
-        (log.info if is_warm else log.warning)(
-            "LOBPCG on channel %s left residual %.3e above %.3e; %s", key, worst,
-            LOBPCG_SLACK * tol, "retrying from the cold start" if is_warm else "using dense eigh",
+    warm, Y0 = _start_block(fock, key, k)
+    try:
+        with warnings.catch_warnings():
+            # non-convergence, and the ill-conditioned Gram matrices LOBPCG
+            # restarts from, are judged below from the residuals themselves
+            warnings.simplefilter("ignore", UserWarning)
+            warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
+            # a grid below 5 k columns is solved densely, without a history
+            vals, vecs, *history = lobpcg(
+                op, Y0, M=lambda Y: inv * Y, tol=tol, maxiter=LOBPCG_MAXITER, largest=False,
+                retResidualNormsHistory=True,
+            )
+    except (np.linalg.LinAlgError, ValueError):    # its Rayleigh-Ritz broke down
+        vals, vecs, history = np.full(k, np.nan), Y0, []
+    order = np.argsort(vals, kind="stable")
+    vals, vecs = vals[order], dst(vecs[:, order])
+    # sign convention P > 0 at the first node, so the orbitals written
+    # out do not depend on the start block or the iteration count
+    vecs *= np.where(vecs[0] < 0.0, -1.0, 1.0)
+    worst = float(np.max(np.linalg.norm(fock.apply(key, vecs) - vecs * vals, axis=0)))
+    fell_back = not worst <= LOBPCG_SLACK * tol     # also catches a NaN residual
+    fock.eigensolves.append((k, len(history[0]) if history else 0, warm, fell_back))
+    if fell_back:
+        log.warning(
+            "LOBPCG on channel %s left residual %.3e above %.3e; using dense eigh",
+            key, worst, LOBPCG_SLACK * tol,
         )
-    return _dense_levels(fock.matrices[key], k)
+        return _dense_levels(fock.matrices[key], k)
+    return vals, vecs
 
 
 def _eigensolve_summary(records: list) -> dict:
     """The `eigensolves` record of report.json from (block, iterations, warm, fell back) records.
 
-    One record per LOBPCG run, a cold retry included. LOBPCG work is the
-    sum of iterations * (1 + block): each iteration applies the operator
-    to a block of new directions and LOBPCG's cost grows with the block
-    width. A warm run that fell back was retried cold; a cold one that
-    fell back handed its channel to dense eigh.
+    LOBPCG work is the sum of iterations * (1 + block): each iteration
+    applies the operator to a block of new directions and LOBPCG's cost
+    grows with the block width.
     """
     return {
         "lobpcg_solves": len(records),
@@ -327,9 +318,7 @@ def _eigensolve_summary(records: list) -> dict:
         "lobpcg_iterations": [its for _k, its, *_ in records],
         "lobpcg_warm": [warm for _k, _its, warm, _fb in records],
         "lobpcg_work": sum(its * (1 + k) for k, its, *_ in records),
-        "warm_starts": sum(warm for _k, _its, warm, _fb in records),
-        "cold_retries": sum(warm and fb for _k, _its, warm, fb in records),
-        "dense_fallbacks": sum(fb and not warm for _k, _its, warm, fb in records),
+        "dense_fallbacks": sum(fb for *_, fb in records),
     }
 
 

@@ -279,7 +279,6 @@ def test_report_records_the_eigensolver_work(tmp_path):
     assert record["dense_fallbacks"] == 0
     # only the fill of the h0 guess, whose density is empty, starts cold
     assert record["lobpcg_warm"] == [False] + [True] * (len(blocks) - 1)
-    assert record["warm_starts"] == len(blocks) - 1 and record["cold_retries"] == 0
     for name in ("energy_trace.csv", "orbitals.csv"):
         text = (outdir / name).read_text()
         assert "lobpcg" not in text and "warm" not in text
@@ -329,7 +328,7 @@ def test_verify_solves_a_solve_stored_with_the_old_channel_keys_again_once(tmp_p
     with caplog.at_level("WARNING", logger="prhf.cli"):
         assert run_verify(cfg) == EXIT_OK
     assert "BadCount: ell_max=None must be a non-negative integer" in caplog.text
-    assert "older configuration" in caplog.text and "damaged" not in caplog.text
+    assert "stored config does not parse" in caplog.text and "damaged" not in caplog.text
     config = json.loads((outdir / "report.json").read_text())["config"]
     assert config["ell_max"] == 0 and "include_p_shells" not in config
     stamp = (outdir / "report.json").stat().st_mtime_ns
@@ -337,20 +336,21 @@ def test_verify_solves_a_solve_stored_with_the_old_channel_keys_again_once(tmp_p
     assert (outdir / "report.json").stat().st_mtime_ns == stamp
 
 
-def test_verify_calls_a_stored_null_ell_max_an_older_configuration(tmp_path, caplog):
-    """A whole solve whose stored config no longer parses is not reported as damaged."""
+@pytest.mark.parametrize("stored", [{"ell_max": None}, {"n": -5}], ids=["null-ell_max", "negative-n"])
+def test_verify_names_a_stored_config_that_does_not_parse(stored, tmp_path, caplog):
+    """Whole files under a stored config that does not parse are solved again, not called damaged."""
     outdir = tmp_path / "out"
     cfg = _write_config(tmp_path, outdir)
     assert run_solve(cfg) == EXIT_OK
     whole = (outdir / "orbitals.csv").read_bytes()
     payload = json.loads((outdir / "report.json").read_text())
-    payload["config"]["ell_max"] = None
+    payload["config"].update(stored)
     (outdir / "report.json").write_text(json.dumps(payload))
     with caplog.at_level("WARNING", logger="prhf.cli"):
         assert run_verify(cfg) == EXIT_OK
     [record] = caplog.records
-    assert "written under an older configuration" in record.getMessage()
-    assert "solving it again" in record.getMessage() and "damaged" not in caplog.text
+    assert "its stored config does not parse under this version" in record.getMessage()
+    assert "damaged" not in caplog.text
     assert json.loads((outdir / "report.json").read_text())["config"]["ell_max"] == 0
     assert (outdir / "orbitals.csv").read_bytes() == whole
 

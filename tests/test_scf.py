@@ -132,10 +132,16 @@ def _broken_lobpcg(*args, **kwargs):
     raise ValueError("eigh has failed in lobpcg postprocessing")
 
 
+def _garbage_lobpcg(op, Y0, **kwargs):
+    """Finite levels and vectors that are no eigenpairs, after three iterations."""
+    return np.zeros(Y0.shape[1]), Y0 + 1.0, [np.ones(Y0.shape[1])] * 3
+
+
 @pytest.mark.parametrize("patch, fill", [
     (("LOBPCG_MAXITER", 1), False), (("lobpcg", _broken_lobpcg), False),
     (("LOBPCG_MAXITER", 1), True), (("lobpcg", _broken_lobpcg), True),
-], ids=["maxiter", "breakdown", "maxiter-fill", "breakdown-fill"])
+    (("lobpcg", _garbage_lobpcg), False), (("lobpcg", _garbage_lobpcg), True),
+], ids=["maxiter", "breakdown", "maxiter-fill", "breakdown-fill", "garbage", "garbage-fill"])
 def test_lobpcg_nonconvergence_falls_back_to_dense(patch, fill, he_small, monkeypatch, caplog):
     monkeypatch.setattr(scf, *patch)
     fock = fock_build(he_small.gamma, he_small.grid, he_small.sys, ell_max=0)
@@ -147,11 +153,13 @@ def test_lobpcg_nonconvergence_falls_back_to_dense(patch, fill, he_small, monkey
         else:
             spectra = _channel_spectra(fock, k)
     # one eigensolve for the one spin group: its warm start from helium's
-    # orbitals fails, then its cold retry, then dense eigh takes over
-    assert [rec.levelname for rec in caplog.records] == ["WARNING"]
+    # orbitals fails and dense eigh takes over
+    assert len(caplog.records) == 1
     assert "using dense eigh" in caplog.text
     assert [(block, warm, fell_back) for block, _its, warm, fell_back in fock.eigensolves] == [
-        (k, True, True), (k, False, True)]
+        (k, True, True)]
+    summary = scf._eigensolve_summary(fock.eigensolves)
+    assert summary["lobpcg_warm"] == [True] and summary["dense_fallbacks"] == 1
     vals, vecs = scipy.linalg.eigh(fock.matrices[(0, 0)], subset_by_index=(0, k - 1))
     for key in ((0, 0), (0, 1)):
         assert np.array_equal(spectra[key][0], vals)
@@ -160,8 +168,10 @@ def test_lobpcg_nonconvergence_falls_back_to_dense(patch, fill, he_small, monkey
 
 def _cold_only(monkeypatch):
     """Make every LOBPCG solve start from the seeded Gaussian block, as before warm starts."""
-    starts = scf._start_blocks
-    monkeypatch.setattr(scf, "_start_blocks", lambda *args: starts(*args)[-1:])
+    def gaussian(fock, _key, k):
+        return False, np.random.default_rng(scf.LOBPCG_SEED).standard_normal((fock.grid.n, k))
+
+    monkeypatch.setattr(scf, "_start_block", gaussian)
 
 
 def _h0_and_converged_levels(sol):
@@ -210,36 +220,11 @@ def test_empty_density_keeps_the_cold_start(grid200):
     """An operator without density starts from the seeded Gaussian block alone."""
     sys = AtomSystem(Z=3.0, N=3, alpha=ALPHA)
     bare = fock_build(DensityMatrix({}), grid200, sys, ell_max=0)
-    [(warm, Y0)] = scf._start_blocks(bare, (0, 0), 4)
+    warm, Y0 = scf._start_block(bare, (0, 0), 4)
     assert not warm
     assert np.array_equal(Y0, np.random.default_rng(scf.LOBPCG_SEED).standard_normal((200, 4)))
     aufbau_projection(bare, sys.N)
     assert [(warm, fb) for _k, _its, warm, fb in bare.eigensolves] == [(False, False)]
-
-
-def test_failed_warm_start_is_retried_cold(he_small, monkeypatch, caplog):
-    """A warm start that returns garbage costs one cold solve, and no dense eigensolve."""
-    real = scf.lobpcg
-    cold = np.random.default_rng(scf.LOBPCG_SEED).standard_normal((he_small.grid.n, 1))
-
-    def garbage_when_warm(op, Y0, **kwargs):
-        if np.array_equal(Y0, cold):
-            return real(op, Y0, **kwargs)
-        return np.zeros(Y0.shape[1]), Y0 + 1.0, [np.ones(Y0.shape[1])] * 3
-
-    monkeypatch.setattr(scf, "lobpcg", garbage_when_warm)
-    fock = fock_build(he_small.gamma, he_small.grid, he_small.sys, ell_max=0)
-    with caplog.at_level(logging.INFO, logger="prhf.scf"):
-        spectra = scf._fill_spectra(fock, he_small.sys.N)
-    assert "matrices" not in fock.__dict__
-    assert [rec.levelname for rec in caplog.records] == ["INFO"]
-    assert "retrying from the cold start" in caplog.text
-    assert fock.eigensolves == [(1, 3, True, True), (1, fock.eigensolves[1][1], False, False)]
-    summary = scf._eigensolve_summary(fock.eigensolves)
-    assert summary["warm_starts"] == 1 and summary["cold_retries"] == 1
-    assert summary["dense_fallbacks"] == 0
-    [dense] = scipy.linalg.eigh(fock.matrices[(0, 0)], subset_by_index=(0, 0), eigvals_only=True)
-    assert abs(spectra[(0, 0)][0][0] - dense) <= 1e-12 * abs(dense)
 
 
 def test_warm_start_cuts_helium_work_and_repeats():
@@ -248,11 +233,11 @@ def test_warm_start_cuts_helium_work_and_repeats():
     options = SolverOptions(n=320, r_max=15.0)
     works = [solve_scf(sys, options)[0].eigensolves for _ in range(2)]
     assert works[0] == works[1]
-    assert works[0]["warm_starts"] == works[0]["lobpcg_solves"] - 1     # all but the h0 fill
+    assert works[0]["lobpcg_warm"] == [False] + [True] * (works[0]["lobpcg_solves"] - 1)
     with pytest.MonkeyPatch.context() as mp:
         _cold_only(mp)
         cold = solve_scf(sys, options)[0].eigensolves
-    assert cold["warm_starts"] == 0
+    assert not any(cold["lobpcg_warm"])
     assert works[0]["lobpcg_work"] < cold["lobpcg_work"]
 
 
