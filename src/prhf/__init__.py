@@ -11,7 +11,6 @@ from .analysis import (
 from .coulomb import (
     ChannelBlock,
     DensityMatrix,
-    angular_coefficient,
     energy_terms,
     exchange_matrix,
     hartree_potential,
@@ -53,7 +52,6 @@ from .model import (
     validate_system,
 )
 from .radial import (
-    ChannelOperator,
     RadialGrid,
     build_grid,
     channel_laplacian,

@@ -217,21 +217,20 @@ def random_smooth_battery(grid: RadialGrid, count: int, seed: int, modes: int = 
     return out
 
 
-def herbst_bound_check(
-    sys: AtomSystem, grid: RadialGrid, ell_max: int = 0, tol: float | None = None
-) -> dict:
+def herbst_bound_check(sys: AtomSystem, grid: RadialGrid) -> dict:
     """Lowest discretized eigenvalue of h0 against the analytic lower bound.
 
     h0 = T - Z alpha/r is the Fock operator of the empty density with the
-    paper's square-root T, whatever kinetic law `sys` carries. Bound:
-    alpha^-1 (sqrt(1 - (pi Z alpha / 2)^2) - 1). Violation raises
-    BoundViolated (it would signal an inconsistent discretization).
+    paper's square-root T, whatever kinetic law `sys` carries. Its lowest
+    level lies on ell = 0, since T_ell grows with ell. Bound:
+    alpha^-1 (sqrt(1 - (pi Z alpha / 2)^2) - 1), with a slack of
+    1e-8 alpha^-1. Violation raises BoundViolated (it would signal an
+    inconsistent discretization).
     """
     ainv = sys.alpha_inv
-    if tol is None:
-        tol = 1e-8 * ainv
+    tol = 1e-8 * ainv
     bound = ainv * (np.sqrt(max(1.0 - (np.pi * sys.z_alpha / 2.0) ** 2, 0.0)) - 1.0)
-    h0 = fock_build(DensityMatrix({}), grid, replace(sys, kinetic="pseudorelativistic"), ell_max)
+    h0 = fock_build(DensityMatrix({}), grid, replace(sys, kinetic="pseudorelativistic"), 0)
     spectra = _channel_spectra(h0, 1)
     lowest = min(float(vals[0]) for vals, _vecs in spectra.values())
     ok = lowest >= bound - tol

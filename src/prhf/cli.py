@@ -71,10 +71,6 @@ def _parse_auto_float(text: str):
     return None if text.strip().lower() == "auto" else float(text)
 
 
-def _parse_auto_int(text: str):
-    return None if text.strip().lower() == "auto" else int(text)
-
-
 def _parse_algorithm(text: str) -> str:
     if text != _ALGORITHM:
         raise ValueError(f"unknown algorithm {text!r}; the solver runs {_ALGORITHM!r}")
@@ -106,13 +102,9 @@ _SCHEMA = {
     "kato_samples": (int, 100),
     "kato_seed": (int, 20240817),
     "greens_energy": (_parse_auto_float, None),
-    "binding_n_max": (_parse_auto_int, None),
-    "sweep_n_max": (_parse_auto_int, None),
     "decay_window_lo": (_parse_auto_float, None),
     "decay_window_hi": (_parse_auto_float, None),
 }
-# counts that, when set, must be at least 1
-_COUNTS = ("kato_samples", "binding_n_max", "sweep_n_max")
 
 
 def parse_config(path: str | Path) -> dict:
@@ -147,9 +139,8 @@ def parse_config(path: str | Path) -> dict:
         if default is _REQUIRED:
             raise ConfigError(f"missing required configuration key: {key}")
         values[key] = default
-    for key in _COUNTS:
-        if values[key] is not None and values[key] < 1:
-            raise ConfigError(f"{key} = {values[key]} must be at least 1")
+    if values["kato_samples"] < 1:
+        raise ConfigError(f"kato_samples = {values['kato_samples']} must be at least 1")
     E, alpha = values["greens_energy"], values["alpha"]
     # a non-positive alpha is rejected with the system
     if E is not None and alpha > 0.0 and not (-1.0 / alpha < E < 0.0):
@@ -510,11 +501,8 @@ def _suite_greens(cfg, sys_, eps_homo: float | None):
     }, kernel
 
 
-def _suite_binding(cfg, sys_, options, known) -> dict:
-    n_max = cfg.get("binding_n_max")
-    if n_max is None:
-        n_max = sys_.N
-    n_max = min(n_max, int(np.floor(sys_.Z)))   # stay inside N < Z + 1
+def _suite_binding(sys_, options, known) -> dict:
+    n_max = min(sys_.N, int(np.floor(sys_.Z)))   # stay inside N < Z + 1
     if n_max < 1:
         return {"status": "passed", "rows": [], "note": "no bound runs in range"}
     rows, ok = analysis.binding_monotonicity(sys_, n_max, options, _known=known)
@@ -544,7 +532,7 @@ def run_verify(cfg: dict, sys_: AtomSystem, options: SolverOptions, outdir: Path
     if cfg["verify_greens"]:
         suites["greens"], _kernel = _suite_greens(cfg, sys_, eps_homo)
     if cfg["verify_binding"]:
-        suites["binding"] = _suite_binding(cfg, sys_, options, known)
+        suites["binding"] = _suite_binding(sys_, options, known)
 
     all_passed = all(s.get("status") == "passed" for s in suites.values())
     _write_json(outdir / "verify.json", {
@@ -576,8 +564,7 @@ def run_greens(cfg: dict, sys_: AtomSystem, options: SolverOptions, outdir: Path
 
 @_command
 def run_sweep(cfg: dict, sys_: AtomSystem, options: SolverOptions, outdir: Path) -> int:
-    n_max = cfg.get("sweep_n_max") or sys_.N
-    rows, ok = analysis.binding_monotonicity(sys_, n_max, options)
+    rows, ok = analysis.binding_monotonicity(sys_, sys_.N, options)
     header = ["N", "total", "eps_homo_hartree", "gap_prev", "gap_required"]
     csv_rows = []
     for row in rows:
@@ -588,7 +575,7 @@ def run_sweep(cfg: dict, sys_: AtomSystem, options: SolverOptions, outdir: Path)
         ])
     _write_csv(outdir / "sweep.csv", header, csv_rows)
     _write_json(outdir / "sweep.json", {"rows": rows, "monotone": ok})
-    log.info("sweep monotone=%s over N=1..%d", ok, n_max)
+    log.info("sweep monotone=%s over N=1..%d", ok, sys_.N)
     return EXIT_OK if ok else EXIT_CERTIFICATE
 
 
@@ -602,7 +589,7 @@ def main(argv=None) -> int:
         ("solve", "run the SCF minimization and write report/orbitals/trace"),
         ("verify", "run the enabled verification suites against a solve"),
         ("greens", "tabulate the resolvent kernel and run its checks"),
-        ("sweep", "solve for N = 1..sweep_n_max and check binding monotonicity"),
+        ("sweep", "solve for N = 1..N and check binding monotonicity"),
     ):
         p = sub.add_parser(name, help=help_)
         p.add_argument("config", help="path to a key=value configuration file")

@@ -169,17 +169,13 @@ def _threej000_sq(l1: int, l2: int, l3: int) -> float:
     return val
 
 
-def angular_coefficient(ell_a: int, ell_b: int, k: int) -> float:
-    """Closed-shell-averaged exchange weight c^k = (2*ell_b+1) * 3j(...)^2.
+def exchange_multipole_weight(ell_a: int, ell_b: int, k: int) -> float:
+    """Per-pair multipole weight 3j(ell_a k ell_b; 0 0 0)^2.
 
     Vanishes unless |ell_a - ell_b| <= k <= ell_a + ell_b with
-    k + ell_a + ell_b even; c^0(0,0) = 1.
+    k + ell_a + ell_b even; the weight of (0, 0, 0) is 1. Times
+    (2*ell_b + 1) it is the closed-shell-averaged exchange weight c^k.
     """
-    return (2 * ell_b + 1) * _threej000_sq(ell_a, k, ell_b)
-
-
-def exchange_multipole_weight(ell_a: int, ell_b: int, k: int) -> float:
-    """Per-pair multipole weight (3j)^2 = c^k / (2*ell_b + 1)."""
     return _threej000_sq(ell_a, k, ell_b)
 
 

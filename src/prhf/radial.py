@@ -11,8 +11,8 @@ is a function of the tridiagonal channel Laplacian. On ell = 0 the
 DST-I diagonalizes that Laplacian exactly, so the operator is applied
 in O(n log n) from its symbol. The dense matrix is realized spectrally
 from the Laplacian's eigendecomposition, only when first asked for;
-eigenvector bases are cached per (n, r_max, ell) and reused across
-alpha values.
+that eigendecomposition is cached per (n, r_max, ell) and reused
+across alpha values.
 
 The DST-I of length n is taken by Rader's algorithm (Proc. IEEE 56
 (1968) 1107) when p = n + 1 is an odd prime, as on the helium and
@@ -77,29 +77,7 @@ def inner(grid: RadialGrid, a, b) -> float:
     return float(grid.h * (a @ b))
 
 
-class ChannelOperator:
-    """Dense symmetric operator on one angular channel.
-
-    The eigendecomposition is computed on first use and then shared
-    read-only.
-    """
-
-    def __init__(self, ell: int, matrix: np.ndarray):
-        self.ell = int(ell)
-        self.matrix = matrix
-        self._eig = None
-
-    def eigensystem(self):
-        """Return (eigenvalues ascending, orthonormal eigenvector columns)."""
-        if self._eig is None:
-            try:
-                self._eig = scipy.linalg.eigh(self.matrix)
-            except scipy.linalg.LinAlgError as exc:  # pragma: no cover
-                raise EigFailure(str(exc)) from exc
-        return self._eig
-
-
-def channel_laplacian(grid: RadialGrid, ell: int) -> ChannelOperator:
+def channel_laplacian(grid: RadialGrid, ell: int) -> np.ndarray:
     """-d^2/dr^2 + ell(ell+1)/r^2 with Dirichlet ends, second-order stencil."""
     if ell < 0:
         raise BadGrid(f"angular momentum ell={ell} must be non-negative")
@@ -109,21 +87,27 @@ def channel_laplacian(grid: RadialGrid, ell: int) -> ChannelOperator:
     mat[idx, idx] = 2.0 / h**2 + ell * (ell + 1) / r**2
     mat[idx[:-1], idx[:-1] + 1] = -1.0 / h**2
     mat[idx[:-1] + 1, idx[:-1]] = -1.0 / h**2
-    return ChannelOperator(ell, mat)
+    return mat
 
 
-def spectral_function(op: ChannelOperator, f) -> ChannelOperator:
-    """Apply a scalar function to a symmetric operator through its spectrum."""
-    vals, vecs = op.eigensystem()
+# keyed on the grid, which hashes and compares on (n, r_max)
+@functools.lru_cache(maxsize=8)
+def _laplacian_eigh(grid: RadialGrid, ell: int):
+    """(eigenvalues ascending, orthonormal eigenvector columns) of the channel Laplacian."""
+    try:
+        return scipy.linalg.eigh(channel_laplacian(grid, ell))
+    except scipy.linalg.LinAlgError as exc:  # pragma: no cover
+        raise EigFailure(str(exc)) from exc
+
+
+def spectral_function(grid: RadialGrid, ell: int, f) -> np.ndarray:
+    """f(L_ell) as a dense symmetric matrix, through the Laplacian's spectrum."""
+    vals, vecs = _laplacian_eigh(grid, ell)
     fvals = np.asarray(f(vals), dtype=float)
     if not np.all(np.isfinite(fvals)):
         raise EigFailure("scalar function produced non-finite values on the spectrum")
     out = (vecs * fvals) @ vecs.T
-    out = 0.5 * (out + out.T)
-    result = ChannelOperator(op.ell, out)
-    order = np.argsort(fvals, kind="stable")
-    result._eig = (fvals[order], vecs[:, order])
-    return result
+    return 0.5 * (out + out.T)
 
 
 def laplacian_symbol(grid: RadialGrid) -> np.ndarray:
@@ -232,8 +216,8 @@ class KineticOperator:
 
     `apply` multiplies node vectors by f(L_0) through the DST-I symbol,
     with no n x n matrix; on ell >= 1 it raises BadGrid, because L_ell
-    has no DST-I symbol there. The dense operator (`matrix`,
-    `eigensystem()`) is built on first use only.
+    has no DST-I symbol there. The dense `matrix` is built on first use
+    only.
     """
 
     def __init__(self, grid: RadialGrid, ell: int, f, dense):
@@ -243,15 +227,8 @@ class KineticOperator:
         self._build_dense = dense
 
     @functools.cached_property
-    def dense(self) -> ChannelOperator:
-        return self._build_dense()
-
-    @property
     def matrix(self) -> np.ndarray:
-        return self.dense.matrix
-
-    def eigensystem(self):
-        return self.dense.eigensystem()
+        return self._build_dense()
 
     @functools.cached_property
     def symbol(self) -> np.ndarray:
@@ -267,14 +244,6 @@ class KineticOperator:
         return dst(coef)
 
 
-# caches keyed on the grid, which hashes and compares on (n, r_max)
-@functools.lru_cache(maxsize=8)
-def _cached_laplacian(grid: RadialGrid, ell: int) -> ChannelOperator:
-    op = channel_laplacian(grid, ell)
-    op.eigensystem()
-    return op
-
-
 @functools.lru_cache(maxsize=12)
 def kinetic_operator(grid: RadialGrid, ell: int, alpha: float) -> KineticOperator:
     """T_ell = sqrt(L_ell + alpha^-2) - alpha^-1; cached, dense form built on first use."""
@@ -285,24 +254,16 @@ def kinetic_operator(grid: RadialGrid, ell: int, alpha: float) -> KineticOperato
     def f(lam):
         return np.sqrt(lam + ainv**2) - ainv
 
-    return KineticOperator(
-        grid, ell, f, lambda: spectral_function(_cached_laplacian(grid, ell), f)
-    )
+    return KineticOperator(grid, ell, f, lambda: spectral_function(grid, ell, f))
 
 
 @functools.lru_cache(maxsize=12)
 def nonrelativistic_kinetic(grid: RadialGrid, ell: int, alpha: float) -> KineticOperator:
     """alpha*L_ell/2, comparison operator with T_ell <= alpha*L_ell/2; cached like kinetic_operator."""
-
-    def dense():
-        lap = _cached_laplacian(grid, ell)
-        op = ChannelOperator(ell, 0.5 * alpha * lap.matrix)
-        if lap._eig is not None:
-            vals, vecs = lap._eig
-            op._eig = (0.5 * alpha * vals, vecs)
-        return op
-
-    return KineticOperator(grid, ell, lambda lam: 0.5 * alpha * lam, dense)
+    return KineticOperator(
+        grid, ell, lambda lam: 0.5 * alpha * lam,
+        lambda: 0.5 * alpha * channel_laplacian(grid, ell),
+    )
 
 
 def channel_kinetic(grid: RadialGrid, ell: int, sys: AtomSystem) -> KineticOperator:

@@ -110,11 +110,10 @@ class FockOperator:
         """Dense channel matrices; spins of one group share one array."""
         matrices: dict[tuple[int, int], np.ndarray] = {}
         for ell, kin in enumerate(self.kinetic):
-            T = kin.matrix
+            local = kin.matrix + np.diag(self.potential)
             for grp in self.groups:
-                H = T + np.diag(self.potential)
                 K = exchange_matrix(self.gamma, ell, grp[0], self.grid)
-                H = H - self.system.alpha * K
+                H = local - self.system.alpha * K
                 H = 0.5 * (H + H.T)
                 for spin in grp:
                     matrices[(ell, spin)] = H

@@ -67,7 +67,7 @@ def test_c02_herbst_lower_bound():
     for Z in (1.0, 20.0, 50.0, 87.0):
         sys = validate_system(AtomSystem(Z=Z, N=1, alpha=ALPHA))
         start = time.perf_counter()
-        rep = herbst_bound_check(sys, grid, tol=1e-8 * AINV)
+        rep = herbst_bound_check(sys, grid)
         elapsed = time.perf_counter() - start
         print(
             f"C2 Z={Z:4.0f}: eig={rep['min_eigenvalue']:+.6e} bound={rep['bound']:+.6e} "

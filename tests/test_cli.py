@@ -393,12 +393,24 @@ def test_verify_s_only_forms_no_dense_matrix(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("runner, key, value", [
     (run_verify, "kato_samples", 0),
-    (run_verify, "binding_n_max", 0),
-    (run_sweep, "sweep_n_max", -1),
 ])
 def test_counts_below_one_exit_1(tmp_path, runner, key, value):
     outdir = tmp_path / "out"
     cfg = _write_config(tmp_path, outdir, verify_binding="true", **{key: value})
+    assert runner(cfg) == EXIT_CONFIG
+    assert not outdir.exists()
+
+
+@pytest.mark.parametrize("runner, key", [
+    (run_verify, "binding_n_max"),
+    (run_sweep, "sweep_n_max"),
+])
+def test_removed_count_keys_exit_1(tmp_path, runner, key):
+    # the binding suite and the sweep run N = 1..N of the config
+    outdir = tmp_path / "out"
+    cfg = _write_config(tmp_path, outdir, verify_binding="true", **{key: 2})
+    with pytest.raises(ConfigError, match=f"unknown configuration keys: {key}"):
+        parse_config(cfg)
     assert runner(cfg) == EXIT_CONFIG
     assert not outdir.exists()
 
@@ -457,7 +469,7 @@ def test_invalid_solver_option_exits_1_before_any_work(tmp_path, monkeypatch, ru
     (run_verify, {}, {"report.json", "orbitals.csv", "energy_trace.csv"}),
     (run_verify, {"verify_minimizer": "false", "verify_decay": "false", "verify_kato": "false",
                   "verify_herbst": "false", "verify_binding": "true"}, set()),
-    (run_sweep, {"sweep_n_max": 2}, set()),
+    (run_sweep, {}, set()),
 ], ids=["verify_solves_first", "verify_binding_only", "sweep"])
 def test_not_converged_exits_2(tmp_path, runner, overrides, written):
     # only the unconverged solve of the configured system is written
@@ -599,7 +611,7 @@ def test_greens_command(tmp_path):
 
 def test_sweep_command(tmp_path):
     outdir = tmp_path / "out"
-    cfg = _write_config(tmp_path, outdir, sweep_n_max=2)
+    cfg = _write_config(tmp_path, outdir)
     assert run_sweep(cfg) == EXIT_OK
     rows = json.loads((outdir / "sweep.json").read_text())["rows"]
     assert [row["N"] for row in rows] == [1, 2]

@@ -10,7 +10,6 @@ from prhf import (
     ChannelBlock,
     DensityMatrix,
     NotAdmissible,
-    angular_coefficient,
     build_grid,
     energy_terms,
     exchange_matrix,
@@ -186,11 +185,11 @@ def test_yk_column_blocks_sweep_each_column(grid200, rng):
 
 
 def test_angular_coefficient_basics():
-    assert angular_coefficient(0, 0, 0) == pytest.approx(1.0, abs=0)
-    assert angular_coefficient(0, 1, 0) == 0.0  # parity selection
-    assert angular_coefficient(1, 1, 1) == 0.0
-    assert angular_coefficient(0, 2, 1) == 0.0
-    assert angular_coefficient(2, 0, 2) > 0.0
+    assert exchange_multipole_weight(0, 0, 0) == pytest.approx(1.0, abs=0)
+    assert exchange_multipole_weight(0, 1, 0) == 0.0  # parity selection
+    assert exchange_multipole_weight(1, 1, 1) == 0.0
+    assert exchange_multipole_weight(0, 2, 1) == 0.0
+    assert exchange_multipole_weight(2, 0, 2) > 0.0
 
 
 def test_threej_against_sympy():

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 import scipy.fft
+import scipy.linalg
 
 from prhf import (
     AtomSystem,
@@ -13,7 +14,13 @@ from prhf import (
     kinetic_operator,
     spectral_function,
 )
-from prhf.radial import channel_kinetic, dst, laplacian_symbol, nonrelativistic_kinetic
+from prhf.radial import (
+    _laplacian_eigh,
+    channel_kinetic,
+    dst,
+    laplacian_symbol,
+    nonrelativistic_kinetic,
+)
 
 ALPHA = 1.0 / 137.036
 
@@ -68,17 +75,16 @@ def test_inner_positive_definite(rng):
 def test_laplacian_structure():
     grid = build_grid(19, 20.0)
     lap = channel_laplacian(grid, 0)
-    assert np.allclose(np.diag(lap.matrix), 2.0)
-    assert np.allclose(np.diag(lap.matrix, 1), -1.0)
-    assert np.allclose(lap.matrix, lap.matrix.T, atol=0)
+    assert np.allclose(np.diag(lap), 2.0)
+    assert np.allclose(np.diag(lap, 1), -1.0)
+    assert np.allclose(lap, lap.T, atol=0)
 
 
 def test_laplacian_spectrum_analytic():
     # Dirichlet eigenvalues of the discrete 1D Laplacian:
     # (4/h^2) sin^2(k pi / (2(n+1))), k = 1..n
     grid = build_grid(180, 9.0)
-    lap = channel_laplacian(grid, 0)
-    vals, _ = lap.eigensystem()
+    vals, _ = _laplacian_eigh(grid, 0)
     k = np.arange(1, grid.n + 1)
     exact = (4.0 / grid.h**2) * np.sin(k * np.pi / (2 * (grid.n + 1))) ** 2
     assert np.allclose(np.sort(vals), np.sort(exact), rtol=1e-10)
@@ -91,7 +97,7 @@ def test_dst_diagonalizes_s_laplacian():
     grid = build_grid(180, 9.0)
     S = dst(np.eye(grid.n))
     assert np.allclose(S @ S, np.eye(grid.n), rtol=0, atol=1e-13)
-    lap = channel_laplacian(grid, 0).matrix
+    lap = channel_laplacian(grid, 0)
     D = S @ lap @ S
     sym = laplacian_symbol(grid)
     assert np.allclose(np.diag(D), sym, rtol=1e-12, atol=0)
@@ -141,58 +147,59 @@ def test_dst_prime_length_takes_the_rader_path(rng, monkeypatch):
 
 def test_laplacian_box_ground_state():
     grid = build_grid(2000, 10.0)
-    vals, _ = channel_laplacian(grid, 0).eigensystem()
+    vals, _ = _laplacian_eigh(grid, 0)
     assert vals[0] == pytest.approx((np.pi / grid.r_max) ** 2, rel=0.01)
 
 
 def test_laplacian_centrifugal_monotone():
     grid = build_grid(120, 12.0)
-    v0, _ = channel_laplacian(grid, 0).eigensystem()
-    v1, _ = channel_laplacian(grid, 1).eigensystem()
+    v0, _ = _laplacian_eigh(grid, 0)
+    v1, _ = _laplacian_eigh(grid, 1)
     assert np.all(v1 >= v0 - 1e-9)
 
 
 def test_eigensystem_reconstructs():
     grid = build_grid(90, 9.0)
     lap = channel_laplacian(grid, 2)
-    vals, vecs = lap.eigensystem()
+    vals, vecs = _laplacian_eigh(grid, 2)
     rebuilt = (vecs * vals) @ vecs.T
-    err = np.linalg.norm(rebuilt - lap.matrix) / np.linalg.norm(lap.matrix)
+    err = np.linalg.norm(rebuilt - lap) / np.linalg.norm(lap)
     assert err <= 1e-12
 
 
 def test_spectral_function_identity():
     grid = build_grid(60, 6.0)
     lap = channel_laplacian(grid, 0)
-    same = spectral_function(lap, lambda x: x)
-    err = np.linalg.norm(same.matrix - lap.matrix) / np.linalg.norm(lap.matrix)
+    same = spectral_function(grid, 0, lambda x: x)
+    err = np.linalg.norm(same - lap) / np.linalg.norm(lap)
     assert err <= 1e-12
 
 
 def test_spectral_function_composition():
+    # f(g(L)) against f applied to the matrix g(L) through its own spectrum
     grid = build_grid(60, 6.0)
-    lap = channel_laplacian(grid, 0)
     g = lambda lam: np.sqrt(lam + 4.0)
     f = lambda lam: lam**2 - lam
-    direct = spectral_function(lap, lambda lam: f(g(lam)))
-    chained = spectral_function(spectral_function(lap, g), f)
-    assert np.allclose(direct.matrix, chained.matrix, rtol=0, atol=1e-9 * np.abs(direct.matrix).max())
+    direct = spectral_function(grid, 0, lambda lam: f(g(lam)))
+    vals, vecs = scipy.linalg.eigh(spectral_function(grid, 0, g))
+    chained = (vecs * f(vals)) @ vecs.T
+    assert np.allclose(direct, chained, rtol=0, atol=1e-9 * np.abs(direct).max())
 
 
 def test_spectral_sqrt_squares_back():
     grid = build_grid(80, 8.0)
     lap = channel_laplacian(grid, 1)
-    root = spectral_function(lap, np.sqrt)
-    err = np.linalg.norm(root.matrix @ root.matrix - lap.matrix) / np.linalg.norm(lap.matrix)
+    root = spectral_function(grid, 1, np.sqrt)
+    err = np.linalg.norm(root @ root - lap) / np.linalg.norm(lap)
     assert err <= 1e-10
 
 
 def test_spectral_function_commutes():
     grid = build_grid(70, 7.0)
     lap = channel_laplacian(grid, 0)
-    f_op = spectral_function(lap, lambda lam: np.log1p(lam))
-    comm = f_op.matrix @ lap.matrix - lap.matrix @ f_op.matrix
-    scale = np.linalg.norm(lap.matrix) * np.linalg.norm(f_op.matrix)
+    f_op = spectral_function(grid, 0, lambda lam: np.log1p(lam))
+    comm = f_op @ lap - lap @ f_op
+    scale = np.linalg.norm(lap) * np.linalg.norm(f_op)
     assert np.linalg.norm(comm) <= 1e-10 * scale
 
 
@@ -207,8 +214,8 @@ def test_kinetic_eigenvalue_map_points():
 def test_kinetic_spectral_mapping():
     grid = build_grid(150, 10.0)
     ainv = 1.0 / ALPHA
-    lap_vals, _ = channel_laplacian(grid, 0).eigensystem()
-    kin_vals, _ = kinetic_operator(grid, 0, ALPHA).eigensystem()
+    lap_vals, _ = _laplacian_eigh(grid, 0)
+    kin_vals = scipy.linalg.eigvalsh(kinetic_operator(grid, 0, ALPHA).matrix)
     expected = np.sqrt(np.sort(lap_vals) + ainv**2) - ainv
     assert np.allclose(np.sort(kin_vals), expected, rtol=1e-10)
 
@@ -216,13 +223,15 @@ def test_kinetic_spectral_mapping():
 def test_kinetic_positive_semidefinite():
     grid = build_grid(150, 10.0)
     for ell in (0, 1, 2):
-        vals, _ = kinetic_operator(grid, ell, ALPHA).eigensystem()
+        vals = scipy.linalg.eigvalsh(kinetic_operator(grid, ell, ALPHA).matrix)
         assert vals[0] >= -1e-12 / ALPHA
 
 
 def test_kinetic_monotone_in_ell():
     grid = build_grid(150, 10.0)
-    mins = [kinetic_operator(grid, ell, ALPHA).eigensystem()[0][0] for ell in (0, 1, 2)]
+    mins = [
+        scipy.linalg.eigvalsh(kinetic_operator(grid, ell, ALPHA).matrix)[0] for ell in (0, 1, 2)
+    ]
     assert mins[1] >= mins[0] - 1e-12
     assert mins[2] >= mins[1] - 1e-12
 
@@ -232,8 +241,8 @@ def test_kinetic_large_alpha_expansion():
     # bounded by alpha^-2 / (2 sqrt(mu)) per eigenvalue
     grid = build_grid(150, 10.0)
     alpha = 1e3
-    lap_vals, _ = channel_laplacian(grid, 0).eigensystem()
-    kin_vals, _ = kinetic_operator(grid, 0, alpha).eigensystem()
+    lap_vals, _ = _laplacian_eigh(grid, 0)
+    kin_vals = scipy.linalg.eigvalsh(kinetic_operator(grid, 0, alpha).matrix)
     mu = np.sort(lap_vals)
     rem = np.sort(kin_vals) - (np.sqrt(mu) - 1.0 / alpha)
     assert np.all(rem >= -1e-12)
@@ -244,8 +253,8 @@ def test_nonrelativistic_limit_eigenvalues():
     # alpha -> 0: alpha^-1 T -> L/2 on the lowest modes
     grid = build_grid(1500, 40.0)
     alpha = 1e-3
-    lap_vals, _ = channel_laplacian(grid, 0).eigensystem()
-    kin_vals, _ = kinetic_operator(grid, 0, alpha).eigensystem()
+    lap_vals, _ = _laplacian_eigh(grid, 0)
+    kin_vals = scipy.linalg.eigvalsh(kinetic_operator(grid, 0, alpha).matrix)
     lhs = np.sort(kin_vals)[:10] / alpha
     rhs = np.sort(lap_vals)[:10] / 2.0
     assert np.allclose(lhs, rhs, rtol=1e-3)
@@ -294,10 +303,24 @@ def test_kinetic_apply_refuses_the_p_channel(rng):
 
 def test_kinetic_dense_form_is_lazy_and_unchanged():
     grid = build_grid(170, 11.0)       # a grid no other test builds
-    op = kinetic_operator(grid, 0, ALPHA)
-    op.apply(grid.nodes)
-    assert "dense" not in vars(op)
     ainv = 1.0 / ALPHA
-    ref = spectral_function(channel_laplacian(grid, 0), lambda lam: np.sqrt(lam + ainv**2) - ainv)
-    assert np.array_equal(op.matrix, ref.matrix)
-    assert all(np.array_equal(a, b) for a, b in zip(op.eigensystem(), ref.eigensystem()))
+    for ell in (0, 1):
+        op = kinetic_operator(grid, ell, ALPHA)
+        nonrel = nonrelativistic_kinetic(grid, ell, ALPHA)
+        if ell == 0:
+            op.apply(grid.nodes)
+            nonrel.apply(grid.nodes)
+        assert "matrix" not in vars(op) and "matrix" not in vars(nonrel)
+        ref = spectral_function(grid, ell, lambda lam: np.sqrt(lam + ainv**2) - ainv)
+        assert np.array_equal(op.matrix, ref)
+        assert np.array_equal(nonrel.matrix, 0.5 * ALPHA * channel_laplacian(grid, ell))
+
+
+def test_laplacian_eigh_is_shared_across_alpha():
+    grid = build_grid(130, 13.0)       # a grid no other test builds
+    before = _laplacian_eigh.cache_info()
+    kinetic_operator(grid, 1, ALPHA).matrix
+    kinetic_operator(grid, 1, 2.0 * ALPHA).matrix
+    after = _laplacian_eigh.cache_info()
+    assert after.misses - before.misses == 1
+    assert after.hits - before.hits == 1
