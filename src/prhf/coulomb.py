@@ -204,6 +204,7 @@ def exchange_matrix(gamma: DensityMatrix, ell: int, spin: int, grid: RadialGrid)
     """
     n = grid.n
     K = np.zeros((n, n))
+    G = np.empty((n, n))        # one buffer for every term, filled in place
     for (ell_b, spin_b), blk in gamma.blocks.items():
         if spin_b != spin:
             continue
@@ -211,11 +212,16 @@ def exchange_matrix(gamma: DensityMatrix, ell: int, spin: int, grid: RadialGrid)
             wk = exchange_multipole_weight(ell, ell_b, k)
             if wk == 0.0:
                 continue
-            ker = multipole_kernel(grid, k)
             weighted = blk.orbitals * blk.occupations
-            K += wk * ((weighted @ blk.orbitals.T) * ker)
+            np.matmul(weighted, blk.orbitals.T, out=G)
+            G *= multipole_kernel(grid, k)
+            G *= wk
+            K += G
     K *= grid.h
-    return 0.5 * (K + K.T)
+    G[...] = K.T
+    K += G
+    K *= 0.5
+    return K
 
 
 def exchange_apply(

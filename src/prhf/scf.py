@@ -13,12 +13,11 @@ from __future__ import annotations
 
 import functools
 import logging
-import warnings
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 import scipy.linalg
-from scipy.sparse.linalg import lobpcg
+from scipy.linalg.lapack import dpotrf, dsyevd, dtrtri
 
 from .coulomb import (
     ChannelBlock,
@@ -48,9 +47,10 @@ PURITY_TOL = 1e-6
 # fill, whose columns become the orbitals (their tails must hold down to
 # 1e-11 of their peak for the decay fits), and one for level tables, of
 # which only eigenvalues and overlaps are read; iteration cap; seed of the
-# start block; the factor on the tolerance above which a residual hands
-# the channel to the dense eigensolve; and the columns a fill solve asks
-# for beyond the levels it can reach, when it can reach more than one
+# Gaussian columns of a warm start block; the factor on the tolerance
+# above which a residual hands the channel to the dense eigensolve; and
+# the columns a fill solve asks for beyond the levels it can reach, when
+# it can reach more than one
 LOBPCG_SIGMA = 0.4
 LOBPCG_RTOL = 1e-15
 LOBPCG_LEVEL_RTOL = 1e-11
@@ -58,6 +58,7 @@ LOBPCG_MAXITER = 200
 LOBPCG_SEED = 20240817
 LOBPCG_SLACK = 10.0
 FILL_GUARD = 2
+SQRT_EPS = np.sqrt(np.finfo(float).eps)     # LOBPCG forms its Gram blocks below it
 
 
 @dataclass
@@ -73,12 +74,13 @@ class FockOperator:
     An operator whose channels are all s-channels (ell_max = 0) is
     matrix-free: `apply` takes T through the DST-I, the local potential
     as a vector and exchange through slater_yk sweeps, and its levels
-    come from LOBPCG: the aufbau fill asks each spin group for the levels
-    it can reach, at the fill tolerance, and a level table asks for its
-    count at the looser level tolerance. Each solve starts warm from the
-    orbitals of gamma on its channel, or from a seeded Gaussian block on
-    a channel gamma leaves empty, and falls back to dense eigh if its
-    residuals fail. Any other operator applies its dense `matrices`,
+    come from the block LOBPCG of `_lobpcg`: the aufbau fill asks each
+    spin group for the levels it can reach, at the fill tolerance, and a
+    level table asks for its count at the looser level tolerance. Each
+    solve starts warm from the orbitals of gamma on its channel, or from
+    hydrogenic seeds at the operator's charge on a channel gamma leaves
+    empty, and falls back to dense eigh if its residuals fail. Any other
+    operator applies its dense `matrices`,
     which are assembled on first access only, and computes its fill and
     its table by one `eigh`. Nothing is modified after the build, so
     each eigensolve (channel, count, tolerance) runs once and is kept.
@@ -112,9 +114,11 @@ class FockOperator:
         for ell, kin in enumerate(self.kinetic):
             local = kin.matrix + np.diag(self.potential)
             for grp in self.groups:
-                K = exchange_matrix(self.gamma, ell, grp[0], self.grid)
-                H = local - self.system.alpha * K
-                H = 0.5 * (H + H.T)
+                H = exchange_matrix(self.gamma, ell, grp[0], self.grid)
+                H *= self.system.alpha
+                np.subtract(local, H, out=H)
+                H += H.T
+                H *= 0.5
                 for spin in grp:
                     matrices[(ell, spin)] = H
         return matrices
@@ -231,62 +235,164 @@ def _dense_levels(H: np.ndarray, k: int):
 def _start_block(fock: FockOperator, key: tuple[int, int], k: int):
     """LOBPCG start block (warm, Y0) of a channel in DST-I coordinates.
 
-    A seeded Gaussian (n, k) block; when the operator's density has m
-    orbitals on the channel, its first min(m, k) columns are those
-    orbitals, in their stored order, and the start is warm.
+    When the operator's density has m orbitals on the channel, the first
+    min(m, k) columns are those orbitals, in their stored order, the rest
+    a seeded Gaussian block, and the start is warm. On a channel the
+    density leaves empty, column j is the normalized hydrogenic seed of
+    principal number ell + 1 + j at the operator's charge Z
+    (`_hydrogenic_seed`).
     """
-    Y0 = np.random.default_rng(LOBPCG_SEED).standard_normal((fock.grid.n, k))
     blk = fock.gamma.blocks.get(key)
     if blk is None or not blk.m:
-        return False, Y0
+        ell, r = key[0], fock.grid.nodes
+        Y0 = dst(np.column_stack([_hydrogenic_seed(ell, j, fock.system.Z, r) for j in range(k)]))
+        return False, Y0 / np.linalg.norm(Y0, axis=0)
+    Y0 = np.random.default_rng(LOBPCG_SEED).standard_normal((fock.grid.n, k))
     m = min(blk.m, k)
     Y0[:, :m] = dst(blk.orbitals[:, :m] * np.sqrt(fock.grid.h))
     return True, Y0
 
 
+def _inverse_cholesky(G: np.ndarray):
+    """R^-1 for the Cholesky factor R of G = R^T R; None unless G is positive definite."""
+    R, info = dpotrf(G, lower=0, clean=1)
+    return None if info else dtrtri(R, lower=0)[0]
+
+
+def _orthonormalize(V: np.ndarray):
+    """(R^-T V, R^-1) for the rows of V and the Cholesky factor R of V V^T.
+
+    None unless V V^T is positive definite.
+    """
+    Rinv = _inverse_cholesky(V @ V.T)
+    return None if Rinv is None else (Rinv.T @ V, Rinv)
+
+
+def _ritz(GA: np.ndarray, GB: np.ndarray, k: int):
+    """Lowest k eigenpairs of the pencil (GA, GB); None if GB is not positive definite."""
+    Rinv = _inverse_cholesky(GB)
+    if Rinv is None:
+        return None
+    vals, C, info = dsyevd(Rinv.T @ GA @ Rinv, lower=1)
+    return None if info else (vals[:k], Rinv @ C[:, :k])
+
+
+def _lobpcg(op, inv: np.ndarray, X: np.ndarray, tol: float, maxiter: int):
+    """Lowest X.shape[1] eigenpairs of the symmetric `op` by block LOBPCG.
+
+    Knyazev's method (SIAM J. Sci. Comput. 23 (2001) 517) as scipy's
+    `lobpcg` implements it, for a standard problem with the diagonal
+    preconditioner `inv`. Each step takes the Rayleigh-Ritz pairs of
+    [X, W, P]: W is the preconditioned residual of the active columns,
+    projected off X, and P the last step's update of them, each
+    Cholesky-orthonormalized (AP is carried by P's R^-1). Until the
+    largest residual falls below sqrt(eps) the Gram blocks that are the
+    identity or diag(lambda) in exact arithmetic are taken as such; from
+    then on they are formed. A column whose residual falls below `tol` is
+    locked for good. The solve ends when every column is locked, after
+    `maxiter` applies, or when W is numerically dependent; a P or a
+    Rayleigh-Ritz pencil that is not positive definite restarts the step
+    without P.
+
+    Returns (values, vectors, iterations), the iterations counting the
+    applies of `op` after the first; the values are NaN when X is rank
+    deficient.
+    """
+    # the blocks are kept as rows, so that every elementwise step runs
+    # along the grid
+    k = X.shape[1]
+    orth = _orthonormalize(X.T)
+    if orth is None:
+        return np.full(k, np.nan), X, 0
+
+    def apply(V):
+        return np.ascontiguousarray(op(np.ascontiguousarray(V.T)).T)
+
+    inv = inv.T
+    X = orth[0]
+    AX = apply(X)
+    ritz = _ritz(X @ AX.T, np.eye(k), k)
+    if ritz is None:
+        return np.full(k, np.nan), X.T, 0
+    vals, C = ritz
+    X, AX = C.T @ X, C.T @ AX
+    active = np.ones(k, dtype=bool)
+    P = AP = None
+    explicit = False
+    its = 0
+    while True:
+        R = AX - vals[:, None] * X
+        norms = np.sqrt(np.einsum("ij,ij->i", R, R))
+        active &= norms > tol
+        if not active.any() or its == maxiter:
+            break
+        W = inv * R[active]
+        orth = _orthonormalize(W - (W @ X.T) @ X)
+        if orth is None:
+            break
+        W = orth[0]
+        S, AS = [X, W], [AX, apply(W)]
+        its += 1
+        orth = None if P is None else _orthonormalize(P[active])
+        if orth is not None:
+            S.append(orth[0])
+            AS.append(orth[1].T @ AP[active])
+        S, AS = np.concatenate(S), np.concatenate(AS)
+        GA = S @ AS.T
+        GA = 0.5 * (GA + GA.T)
+        GB = S @ S.T
+        m = k + len(W)              # the rows of [X, W]
+        explicit = explicit or norms.max() <= SQRT_EPS
+        if not explicit:
+            GA[:k, :k] = np.diag(vals)
+            GB[:m, :m] = np.eye(m)
+            GB[m:, m:] = np.eye(len(S) - m)
+        ritz = _ritz(GA, GB, k)
+        if ritz is None and len(S) > m:             # restart without P
+            S, AS = S[:m], AS[:m]
+            ritz = _ritz(GA[:m, :m], GB[:m, :m], k)
+        if ritz is None:
+            break
+        vals, C = ritz
+        X, AX = C.T @ S, C.T @ AS
+        P, AP = C[k:].T @ S[k:], C[k:].T @ AS[k:]
+    return vals, X.T, its
+
+
 def _lobpcg_levels(fock: FockOperator, key: tuple[int, int], k: int, rtol: float):
     """Lowest k eigenpairs of a matrix-free channel by preconditioned LOBPCG.
 
-    The iteration runs in DST-I coordinates y = S x (S is its own
-    inverse), where the kinetic energy and the preconditioner
+    The iteration (`_lobpcg`) runs in DST-I coordinates y = S x (S is its
+    own inverse), where the kinetic energy and the preconditioner
     (T + sigma)^-1, the discrete resolvent of the kinetic energy, are
     diagonal: one transform pair per operator apply and none per
     preconditioner apply. The residual tolerance is `rtol` times the
-    operator's norm.
+    operator's norm. A grid of fewer than 5 k nodes is solved densely.
 
     The start block (`_start_block`) depends on the operator alone, so
     repeated solves agree bit for bit. Where its density has orbitals on
     the channel, which the SCF has converged to within its commutator
-    residual, the solve starts warm from them. A solve whose residuals
-    exceed the tolerance by more than LOBPCG_SLACK falls back to dense
-    eigh, so a wrong level never passes; a bad warm start costs one
-    LOBPCG run to at most LOBPCG_MAXITER iterations and then the dense
-    solve. The solve is recorded in `fock.eigensolves` as (block,
-    iterations, warm, fell back), with the length of LOBPCG's residual
-    history for its iterations (one entry per block residual it
-    evaluated; 0 when LOBPCG solved densely itself or broke down).
+    residual, the solve starts warm from them. A solve whose residuals,
+    from a fresh apply, exceed the tolerance by more than LOBPCG_SLACK
+    falls back to dense eigh, so a wrong level never passes; a bad start
+    costs one LOBPCG run to at most LOBPCG_MAXITER iterations and then
+    the dense solve. The solve is recorded in `fock.eigensolves` as
+    (block, iterations, warm, fell back), with `_lobpcg`'s count of
+    applies after the first as its iterations (0 on a dense solve).
     """
     t = fock.kinetic[key[0]].symbol[:, None]
-    inv = 1.0 / (t + LOBPCG_SIGMA * fock.system.alpha)
     tol = rtol * (t.max() + np.abs(fock.potential).max())
 
-    def op(Y):      # lobpcg passes blocks of columns
+    def op(Y):
         return t * Y + dst(fock.potential_apply(key, dst(Y)))
 
     warm, Y0 = _start_block(fock, key, k)
-    try:
-        with warnings.catch_warnings():
-            # non-convergence, and the ill-conditioned Gram matrices LOBPCG
-            # restarts from, are judged below from the residuals themselves
-            warnings.simplefilter("ignore", UserWarning)
-            warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-            # a grid below 5 k columns is solved densely, without a history
-            vals, vecs, *history = lobpcg(
-                op, Y0, M=lambda Y: inv * Y, tol=tol, maxiter=LOBPCG_MAXITER, largest=False,
-                retResidualNormsHistory=True,
-            )
-    except (np.linalg.LinAlgError, ValueError):    # its Rayleigh-Ritz broke down
-        vals, vecs, history = np.full(k, np.nan), Y0, []
+    if fock.grid.n < 5 * k:
+        vals, vecs = _dense_levels(op(np.eye(fock.grid.n)), k)
+        its = 0
+    else:
+        inv = 1.0 / (t + LOBPCG_SIGMA * fock.system.alpha)
+        vals, vecs, its = _lobpcg(op, inv, Y0, tol, LOBPCG_MAXITER)
     order = np.argsort(vals, kind="stable")
     vals, vecs = vals[order], dst(vecs[:, order])
     # sign convention P > 0 at the first node, so the orbitals written
@@ -294,7 +400,7 @@ def _lobpcg_levels(fock: FockOperator, key: tuple[int, int], k: int, rtol: float
     vecs *= np.where(vecs[0] < 0.0, -1.0, 1.0)
     worst = float(np.max(np.linalg.norm(fock.apply(key, vecs) - vecs * vals, axis=0)))
     fell_back = not worst <= LOBPCG_SLACK * tol     # also catches a NaN residual
-    fock.eigensolves.append((k, len(history[0]) if history else 0, warm, fell_back))
+    fock.eigensolves.append((k, its, warm, fell_back))
     if fell_back:
         log.warning(
             "LOBPCG on channel %s left residual %.3e above %.3e; using dense eigh",
@@ -307,9 +413,11 @@ def _lobpcg_levels(fock: FockOperator, key: tuple[int, int], k: int, rtol: float
 def _eigensolve_summary(records: list) -> dict:
     """The `eigensolves` record of report.json from (block, iterations, warm, fell back) records.
 
-    LOBPCG work is the sum of iterations * (1 + block): each iteration
-    applies the operator to a block of new directions and LOBPCG's cost
-    grows with the block width.
+    A solve's iterations are `_lobpcg`'s block applies after the first,
+    the one of the start block (0 on a dense solve). LOBPCG work is the
+    sum of iterations * (1 + block): each iteration applies the operator
+    to a block of new directions and LOBPCG's cost grows with the block
+    width.
     """
     return {
         "lobpcg_solves": len(records),
@@ -559,6 +667,17 @@ def _initial_density(
     return density_from_shells(default_shells(sys), sys, grid)
 
 
+def _hydrogenic_seed(ell: int, k: int, Z: float, r: np.ndarray) -> np.ndarray:
+    """Hydrogen-like radial function with k nodes on channel ell at charge Z, unnormalized.
+
+    Principal number npr = ell + 1 + k: r^(ell+1) exp(-Z r / npr) L_k(2 Z r / npr).
+    """
+    npr = ell + 1 + k
+    x = 2.0 * Z * r / npr
+    laguerre = np.polynomial.laguerre.lagval(x, [0.0] * k + [1.0])
+    return r ** (ell + 1) * np.exp(-Z * r / npr) * laguerre
+
+
 def density_from_shells(shells, sys: AtomSystem, grid: RadialGrid) -> DensityMatrix:
     """Hydrogen-like radial functions per shell, orthonormalized per channel."""
     r = grid.nodes
@@ -568,12 +687,7 @@ def density_from_shells(shells, sys: AtomSystem, grid: RadialGrid) -> DensityMat
         key = (shell.ell, shell.spin)
         k = counter.get(key, 0)
         counter[key] = k + 1
-        npr = shell.ell + 1 + k          # principal quantum number
-        zeff = max(sys.Z - 0.3 * k, 0.7)
-        x = 2.0 * zeff * r / npr
-        P = r ** (shell.ell + 1) * np.exp(-zeff * r / npr) * np.polynomial.laguerre.lagval(
-            x, [0.0] * k + [1.0]
-        )
+        P = _hydrogenic_seed(shell.ell, k, max(sys.Z - 0.3 * k, 0.7), r)
         per_channel.setdefault(key, []).append((P, shell.occupation))
     blocks = {}
     for key, entries in per_channel.items():
@@ -663,12 +777,13 @@ def solve_scf(sys: AtomSystem, options: SolverOptions) -> tuple[SCFReport, Densi
 
     # after a t = 0 step or a rejected purity finish, `fock` is already the
     # operator of the final density (matrix-free, it then solves its table
-    # beside its fill)
-    final_fock = fock if fock.gamma is gamma else fock_build(
-        gamma, grid, sys, ell_max=ell_max, eigensolves=eigensolves)
-    residual = commutator_residual(final_fock, gamma)
-    orb_res = orbital_residuals(final_fock, gamma)
-    table = _final_eigen_table(final_fock, gamma, _levels_needed(sys.N))
+    # beside its fill); rebinding it frees the old operator's matrices
+    # before the final ones are built
+    if fock.gamma is not gamma:
+        fock = fock_build(gamma, grid, sys, ell_max=ell_max, eigensolves=eigensolves)
+    residual = commutator_residual(fock, gamma)
+    orb_res = orbital_residuals(fock, gamma)
+    table = _final_eigen_table(fock, gamma, _levels_needed(sys.N))
     if converged:
         message = ""
     elif stalled:
@@ -691,7 +806,7 @@ def solve_scf(sys: AtomSystem, options: SolverOptions) -> tuple[SCFReport, Densi
         message=message,
         steps=steps,
         eigensolves=_eigensolve_summary(eigensolves),
-        fock=final_fock,
+        fock=fock,
     )
     if not converged:
         reason = message if stalled else f"no convergence within {opts.max_iter} iterations"

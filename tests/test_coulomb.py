@@ -20,6 +20,7 @@ from prhf import (
     slater_yk,
 )
 from prhf.coulomb import (
+    _k_values,
     _threej000_sq,
     combine,
     exchange_apply,
@@ -276,11 +277,7 @@ def test_exchange_matrix_psd_and_dominated(grid200, rng):
 
 
 def test_exchange_apply_matches_matrix(grid200, rng):
-    gamma = _s_density(grid200, [np.array([1.0, 0.5]), np.array([0.8])])
-    P = _normalized(grid200, grid200.nodes**2 * np.exp(-grid200.nodes))
-    blocks = dict(gamma.blocks)
-    blocks[(1, 0)] = ChannelBlock(P[:, None], np.array([2.0]))
-    gamma = DensityMatrix(blocks)
+    gamma = _p_block_density(grid200)
     X = rng.standard_normal((grid200.n, 3))
     for ell in (0, 1):
         for spin in (0, 1):
@@ -289,6 +286,43 @@ def test_exchange_apply_matches_matrix(grid200, rng):
             assert np.linalg.norm(KX - K @ X) <= 1e-12 * np.linalg.norm(K @ X)
             Kx = exchange_apply(gamma, ell, spin, X[:, 0], grid200)
             assert np.allclose(Kx, KX[:, 0], rtol=0, atol=1e-15 * np.abs(KX).max())
+
+
+def _p_block_density(grid):
+    gamma = _s_density(grid, [np.array([1.0, 0.5]), np.array([0.8])])
+    P = _normalized(grid, grid.nodes**2 * np.exp(-grid.nodes))
+    blocks = dict(gamma.blocks)
+    blocks[(1, 0)] = ChannelBlock(P[:, None], np.array([2.0]))
+    return DensityMatrix(blocks)
+
+
+def _exchange_matrix_by_products(gamma, ell, spin, grid):
+    """exchange_matrix as one product expression per term, without in-place updates."""
+    K = np.zeros((grid.n, grid.n))
+    for (ell_b, spin_b), blk in gamma.blocks.items():
+        if spin_b != spin:
+            continue
+        for k in _k_values(ell, ell_b):
+            wk = exchange_multipole_weight(ell, ell_b, k)
+            if wk != 0.0:
+                weighted = blk.orbitals * blk.occupations
+                K += wk * ((weighted @ blk.orbitals.T) * multipole_kernel(grid, k))
+    K *= grid.h
+    return 0.5 * (K + K.T)
+
+
+def test_in_place_dense_builds_keep_their_bits(grid200):
+    """exchange_matrix and the Fock matrices equal their product forms bit for bit."""
+    gamma = _p_block_density(grid200)
+    sys = AtomSystem(Z=4.0, N=4, alpha=ALPHA)
+    fock = fock_build(gamma, grid200, sys, ell_max=1)
+    for ell in (0, 1):
+        local = fock.kinetic[ell].matrix + np.diag(fock.potential)
+        for spin in (0, 1):
+            K = _exchange_matrix_by_products(gamma, ell, spin, grid200)
+            assert np.array_equal(exchange_matrix(gamma, ell, spin, grid200), K)
+            H = local - ALPHA * K
+            assert np.array_equal(fock.matrices[(ell, spin)], 0.5 * (H + H.T))
 
 
 # --- energy terms ------------------------------------------------------------

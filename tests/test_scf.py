@@ -1,4 +1,5 @@
 import logging
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -128,19 +129,20 @@ def test_lobpcg_levels_match_dense(name, request, caplog):
         assert np.all(vecs[0] > 0.0)       # signed positive at the first node
 
 
-def _broken_lobpcg(*args, **kwargs):
-    raise ValueError("eigh has failed in lobpcg postprocessing")
+def _broken_ritz(*args):
+    """Every Rayleigh-Ritz pencil fails: the solve breaks down at its start."""
+    return None
 
 
-def _garbage_lobpcg(op, Y0, **kwargs):
+def _garbage_lobpcg(op, inv, X, tol, maxiter):
     """Finite levels and vectors that are no eigenpairs, after three iterations."""
-    return np.zeros(Y0.shape[1]), Y0 + 1.0, [np.ones(Y0.shape[1])] * 3
+    return np.zeros(X.shape[1]), X + 1.0, 3
 
 
 @pytest.mark.parametrize("patch, fill", [
-    (("LOBPCG_MAXITER", 1), False), (("lobpcg", _broken_lobpcg), False),
-    (("LOBPCG_MAXITER", 1), True), (("lobpcg", _broken_lobpcg), True),
-    (("lobpcg", _garbage_lobpcg), False), (("lobpcg", _garbage_lobpcg), True),
+    (("LOBPCG_MAXITER", 1), False), (("_ritz", _broken_ritz), False),
+    (("LOBPCG_MAXITER", 1), True), (("_ritz", _broken_ritz), True),
+    (("_lobpcg", _garbage_lobpcg), False), (("_lobpcg", _garbage_lobpcg), True),
 ], ids=["maxiter", "breakdown", "maxiter-fill", "breakdown-fill", "garbage", "garbage-fill"])
 def test_lobpcg_nonconvergence_falls_back_to_dense(patch, fill, he_small, monkeypatch, caplog):
     monkeypatch.setattr(scf, *patch)
@@ -164,6 +166,71 @@ def test_lobpcg_nonconvergence_falls_back_to_dense(patch, fill, he_small, monkey
     for key in ((0, 0), (0, 1)):
         assert np.array_equal(spectra[key][0], vals)
         assert np.array_equal(spectra[key][1], vecs / np.sqrt(he_small.grid.h))
+
+
+def _small_problem(n=150):
+    """A symmetric matrix with a graded diagonal, its diagonal preconditioner and a recording apply."""
+    rng = np.random.default_rng(11)
+    d = np.linspace(1.0, 60.0, n)
+    B = 0.3 * rng.standard_normal((n, n))
+    A = np.diag(d) + 0.5 * (B + B.T)
+    widths = []
+
+    def op(Y):
+        widths.append(Y.shape[1])
+        return A @ Y
+
+    return A, (1.0 / (d + 1.0))[:, None], op, widths, rng
+
+
+@pytest.mark.parametrize("k", [1, 6])
+def test_inhouse_lobpcg_matches_eigh(k):
+    A, inv, op, widths, rng = _small_problem()
+    tol = 1e-12 * np.linalg.norm(A, 2)
+    vals, X, its = scf._lobpcg(op, inv, rng.standard_normal((A.shape[0], k)), tol, 200)
+    dense, dvecs = np.linalg.eigh(A)
+    assert 0 < its == len(widths) - 1 < 200
+    assert np.max(np.abs(vals - dense[:k])) <= 1e-10
+    assert np.allclose(X.T @ X, np.eye(k), rtol=0, atol=1e-12)
+    assert np.max(np.linalg.norm(A @ X - X * vals, axis=0)) <= scf.LOBPCG_SLACK * tol
+    # the span is the eigh span: the projectors onto them coincide
+    assert np.max(np.abs(X @ X.T - dvecs[:, :k] @ dvecs[:, :k].T)) <= 1e-10
+
+
+def test_inhouse_lobpcg_locks_a_converged_column():
+    """A start column that is already an eigenvector is never applied again."""
+    A, inv, op, widths, rng = _small_problem()
+    k = 4
+    _dense, dvecs = np.linalg.eigh(A)
+    X0 = rng.standard_normal((A.shape[0], k))
+    X0[:, 0] = dvecs[:, 0]
+    X0[:, 1:] -= np.outer(dvecs[:, 0], dvecs[:, 0] @ X0[:, 1:])
+    tol = 1e-10 * np.linalg.norm(A, 2)
+    vals, X, its = scf._lobpcg(op, inv, X0, tol, 200)
+    assert np.max(np.abs(vals - _dense[:k])) <= 1e-10
+    # after the start block, every apply is of the active columns alone,
+    # and a locked column never comes back
+    assert widths[0] == k and all(w < k for w in widths[1:])
+    assert widths[1:] == sorted(widths[1:], reverse=True)
+
+
+@pytest.mark.parametrize("dependent", ["zero", "sum"])
+def test_rank_deficient_start_block_does_not_raise(dependent, he_small, monkeypatch, caplog):
+    """A start block with dependent columns still gives the dense levels, or falls back to them."""
+    k = 3
+    Y0 = np.random.default_rng(5).standard_normal((he_small.grid.n, k))
+    Y0[:, 2] = 0.0 if dependent == "zero" else Y0[:, 0] + Y0[:, 1]
+    monkeypatch.setattr(scf, "_start_block", lambda _fock, _key, _k: (False, Y0.copy()))
+    fock = fock_build(he_small.gamma, he_small.grid, he_small.sys, ell_max=0)
+    with caplog.at_level(logging.WARNING, logger="prhf.scf"):
+        vals, vecs = scf._lobpcg_levels(fock, (0, 0), k, scf.LOBPCG_LEVEL_RTOL)
+    [(block, its, warm, fell_back)] = fock.eigensolves
+    assert (block, warm) == (k, False)
+    assert fell_back == ("using dense eigh" in caplog.text)
+    # a zero column stops the solve before its first apply
+    assert dependent == "sum" or (fell_back and its == 0)
+    dense = scipy.linalg.eigh(fock.matrices[(0, 0)], subset_by_index=(0, k - 1), eigvals_only=True)
+    assert np.max(np.abs(vals - dense)) / he_small.sys.alpha <= 1e-10
 
 
 def _cold_only(monkeypatch):
@@ -217,12 +284,20 @@ def test_warm_start_repeats_bit_for_bit(he_small):
 
 
 def test_empty_density_keeps_the_cold_start(grid200):
-    """An operator without density starts from the seeded Gaussian block alone."""
+    """An operator without density starts from the hydrogenic block at its charge alone."""
     sys = AtomSystem(Z=3.0, N=3, alpha=ALPHA)
     bare = fock_build(DensityMatrix({}), grid200, sys, ell_max=0)
     warm, Y0 = scf._start_block(bare, (0, 0), 4)
     assert not warm
-    assert np.array_equal(Y0, np.random.default_rng(scf.LOBPCG_SEED).standard_normal((200, 4)))
+    r = grid200.nodes
+    for j in range(4):
+        # the s function of principal number j + 1 at Z = 3, in DST coordinates
+        P = r * np.exp(-3.0 * r / (j + 1)) * np.polynomial.laguerre.lagval(
+            6.0 * r / (j + 1), [0.0] * j + [1.0])
+        y = radial.dst(P)
+        assert np.allclose(Y0[:, j], y / np.linalg.norm(y), rtol=0, atol=1e-14)
+    again = fock_build(DensityMatrix({}), grid200, sys, ell_max=0)
+    assert np.array_equal(scf._start_block(again, (0, 0), 4)[1], Y0)
     aufbau_projection(bare, sys.N)
     assert [(warm, fb) for _k, _its, warm, fb in bare.eigensolves] == [(False, False)]
 
@@ -335,6 +410,30 @@ def test_neon_fill_and_table_share_one_eigh(grid200, monkeypatch):
     scf._final_eigen_table(bare, gamma, _levels_needed(sys.N))
     assert counts == [14, 14]            # ell = 0 and 1, one spin group
     assert bare.eigensolves == []
+
+
+def test_neon_solve_holds_one_dense_operator_at_a_time(monkeypatch):
+    """While a Fock operator builds its matrices, no other operator with matrices is alive."""
+    built, others = [], []
+    build, exchange = scf.fock_build, scf.exchange_matrix
+
+    def recording(*args, **kwargs):
+        fock = build(*args, **kwargs)
+        built.append(weakref.ref(fock))
+        return fock
+
+    def checking(*args, **kwargs):
+        others.append(sum("matrices" in vars(ref()) for ref in built if ref() is not None))
+        return exchange(*args, **kwargs)
+
+    monkeypatch.setattr(scf, "fock_build", recording)
+    monkeypatch.setattr(scf, "exchange_matrix", checking)
+    sys = validate_system(AtomSystem(Z=10.0, N=10, alpha=ALPHA))
+    report, _gamma = solve_scf(sys, SolverOptions(n=200, r_max=15.0, ell_max=1))
+    assert report.converged
+    # every iteration's operator and the final one built their matrices
+    assert len(others) >= 2 * (report.iterations + 1)
+    assert max(others) == 0
 
 
 def test_s_only_solve_builds_no_dense_operator(monkeypatch):
