@@ -13,8 +13,14 @@ of radial profiles. The kernel is positive and bounded by
 
     G_E(u) <= C * e^{-nu u} / (4 pi u) + (a / 2 pi^2) K_1(a u) / u,
 
-where C is recorded on the tabulated kernel (computed from the Newton
-bound on the convolution term).
+where C is recorded on the tabulated kernel. It is the Newton bound on
+the convolution term, in closed form (est1_constant): with s = E + a,
+
+    C = s + (2/pi) (a^2 arccos(-nu/a) / s + nu).
+
+The cumulative integrals below are 1-D ports of scipy's
+cumulative_trapezoid and cumulative_simpson, equal to them bit for bit,
+so that importing this module loads no scipy.integrate.
 
 radial_convolution tabulates the third term in O(m * band) interpolations
 on an m-point mesh: the cumulative of the short-range K_1 profile is
@@ -38,8 +44,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import cumulative_simpson, cumulative_trapezoid, quad
-from scipy.special import iti0k0, k0 as _sk0, k1 as _sk1, kve
+from scipy.special import iti0k0, k0 as _sk0, k1 as _sk1
 
 from .errors import DomainError
 from .radial import RadialGrid
@@ -116,6 +121,56 @@ def _cell_edges(mesh: np.ndarray) -> np.ndarray:
     return edges
 
 
+def _cumulative_trapezoid(y: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Running trapezoid integral of y over x, without the leading zero.
+
+    The 1-D case of scipy.integrate.cumulative_trapezoid, in its
+    operation order, so the result is bit for bit scipy's.
+    """
+    return np.cumsum(np.diff(x) * (y[1:] + y[:-1]) / 2.0)
+
+
+def _simpson_h1(y: np.ndarray, dx: np.ndarray) -> np.ndarray:
+    """Integral over [x_i, x_i+1] of the parabola through x_i, x_i+1, x_i+2."""
+    x21, x32 = dx[:-1], dx[1:]
+    f1, f2, f3 = y[:-2], y[1:-1], y[2:]
+    x31 = x21 + x32
+    x21_x31 = x21 / x31
+    x21_x32 = x21 / x32
+    x21x21_x31x32 = x21_x31 * x21_x32
+    coeff1 = 3 - x21_x31
+    coeff2 = 3 + x21x21_x31x32 + x21_x31
+    coeff3 = -x21x21_x31x32
+    return x21 / 6 * (coeff1 * f1 + coeff2 * f2 + coeff3 * f3)
+
+
+def _cumulative_simpson(y: np.ndarray, x: np.ndarray, initial: float) -> np.ndarray:
+    """Running Simpson integral of y over a strictly increasing x, from initial.
+
+    The 1-D case of scipy.integrate.cumulative_simpson(y, x=x,
+    initial=initial), in its operation order, so the result is bit for
+    bit scipy's: interval [x_i, x_i+1] integrates the parabola through
+    x_i, x_i+1, x_i+2 (h1), except the odd-numbered ones and the last,
+    which take the one through x_i-1, x_i, x_i+1 (h2, the h1 rule on the
+    flipped arrays); the interleaved pieces are then summed in order.
+    """
+    if y.size < 3:
+        res = _cumulative_trapezoid(y, x)
+    else:
+        dx = np.diff(x)
+        if np.any(dx <= 0):
+            raise DomainError("cumulative Simpson needs a strictly increasing mesh")
+        h1 = _simpson_h1(y, dx)
+        h2 = _simpson_h1(y[::-1], dx[::-1])[::-1]
+        sub = np.empty(y.size - 1)
+        sub[:-1:2] = h1[::2]
+        sub[1::2] = h2[::2]
+        sub[-1] = h2[-1]
+        res = np.cumsum(sub)
+    res += initial
+    return np.concatenate([[initial], res])
+
+
 def _abs_interval(r, a, b, F):
     """int_a^b g(|r - s|) ds given the antiderivative F(x) = int_0^x g.
 
@@ -178,9 +233,9 @@ def radial_convolution(f: np.ndarray, g: np.ndarray, mesh: np.ndarray) -> np.nda
     edges = _cell_edges(mesh)
     # T~(x) = int_0^x t * inner dt - total  (tends to 0 at the far end, so
     # far-field differences are free of cancellation)
-    tg = cumulative_simpson(mesh * inner, x=mesh, initial=0.0)
+    tg = _cumulative_simpson(mesh * inner, mesh, 0.0)
     tg -= tg[-1]
-    acc = cumulative_simpson(tg, x=mesh, initial=0.0)
+    acc = _cumulative_simpson(tg, mesh, 0.0)
     m0, t0 = mesh[0], tg[0]
 
     def A(x):
@@ -247,17 +302,20 @@ def _saturation_point(mesh: np.ndarray, acc: np.ndarray) -> float:
 
 
 def est1_constant(E: float, alpha: float) -> float:
-    """Envelope constant C: (E+a) plus the Newton bound on the convolution term."""
+    """Envelope constant C: (E+a) plus the Newton bound on the convolution term.
+
+    With s = E + a the bound is s + s^2 (a / 2 pi^2) 4 pi I, where
+    I = int_0^inf K1(a t) e^{nu t} t dt. Since K1 = -K0', parts give
+    a I = J + nu J' with J(nu) = int_0^inf K0(a t) e^{nu t} dt
+    = arccos(-nu/a) / s (Gradshteyn-Ryzhik 6.611.3, s^2 = a^2 - nu^2) and
+    J' = 1/s^2 + nu arccos(-nu/a) / s^3, so that
+
+        C = s + (2/pi) (a^2 arccos(-nu/a) / s + nu).
+    """
     ainv = 1.0 / alpha
     nu = nu_of_energy(E, alpha)
-    # K1(a s) e^{nu s} = kve(1, a s) e^{(nu - a) s}: the unscaled product
-    # is 0 * inf far out once nu exceeds about 2
-    integrand = lambda s: kve(1, ainv * s) * np.exp((nu - ainv) * s) * s
-    cut = 50.0 * alpha
-    part1 = quad(integrand, 0.0, cut, limit=200)[0]
-    part2 = quad(integrand, cut, np.inf, limit=200)[0]
-    tail_integral = part1 + part2     # int_0^inf K1(a s) e^{nu s} s ds
-    return (E + ainv) + (E + ainv) ** 2 * (ainv / (2.0 * np.pi**2)) * 4.0 * np.pi * tail_integral
+    s = E + ainv
+    return float(s + (2.0 / np.pi) * (ainv**2 * np.arccos(-nu / ainv) / s + nu))
 
 
 @dataclass
@@ -372,8 +430,8 @@ def resolvent_apply(f: np.ndarray, kernel: GreensKernel, grid: RadialGrid) -> np
         )
     ainv = 1.0 / alpha
     n, h = grid.n, grid.h
-    T3 = np.concatenate([[0.0], cumulative_trapezoid(mesh * kernel.term3, mesh)])
-    A3 = np.concatenate([[0.0], cumulative_trapezoid(T3, mesh)])
+    T3 = np.concatenate([[0.0], _cumulative_trapezoid(mesh * kernel.term3, mesh)])
+    A3 = np.concatenate([[0.0], _cumulative_trapezoid(T3, mesh)])
     c1 = (E + ainv) / (2.0 * nu)
 
     def phi(x):

@@ -116,9 +116,8 @@ class FockOperator:
             for grp in self.groups:
                 H = exchange_matrix(self.gamma, ell, grp[0], self.grid)
                 H *= self.system.alpha
+                # local and K are each exactly symmetric, so H is too
                 np.subtract(local, H, out=H)
-                H += H.T
-                H *= 0.5
                 for spin in grp:
                     matrices[(ell, spin)] = H
         return matrices

@@ -625,3 +625,24 @@ def test_main_dispatch(tmp_path):
     assert main(["greens", str(cfg)]) == EXIT_OK
     missing = tmp_path / "missing.cfg"
     assert main(["solve", str(missing)]) == EXIT_CONFIG
+
+
+def test_cli_import_leaves_unused_scipy_subpackages_unloaded():
+    """import prhf.cli loads no scipy.integrate, optimize, sparse or spatial.
+
+    Other tests import scipy.integrate as an oracle, so the check runs in
+    a fresh interpreter.
+    """
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = (
+        "import sys, prhf.cli\n"
+        "banned = ('scipy.integrate', 'scipy.optimize', 'scipy.sparse', 'scipy.spatial')\n"
+        "print(' '.join(sorted(m for m in sys.modules if m.startswith(banned))))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == []

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 from scipy.integrate import cumulative_simpson, cumulative_trapezoid, quad
-from scipy.special import kv
+from scipy.special import kv, kve
 
 from prhf import (
     DomainError,
@@ -15,9 +15,12 @@ from prhf import (
 )
 from prhf.greens import (
     _cell_edges,
+    _cumulative_simpson,
+    _cumulative_trapezoid,
     _itk0,
     default_kernel_mesh,
     energy_of_nu,
+    est1_constant,
     exp_moment,
     tail_slope,
 )
@@ -319,10 +322,66 @@ def test_kernel_est1_envelope(kernel):
 
 
 def test_kernel_est1_envelope_fast_decay():
-    # at nu >= 2 the unscaled integrand of the envelope constant is 0 * inf
+    # at nu >= 2 the integrand K1(a s) e^{nu s} s of the envelope constant
+    # is 0 * inf in double precision far out; the closed form never forms it
     strong = greens_kernel(energy_of_nu(3.0, ALPHA), ALPHA)
     assert np.isfinite(strong.c_bound)
     assert np.all(strong.values <= strong.envelope())
+
+
+def _cumulative_cases():
+    """(y, x) pairs: kernel profiles on default meshes, random data of both parities."""
+    for E in (-0.918, energy_of_nu(1.0, ALPHA), energy_of_nu(3.0, ALPHA)):
+        u = default_kernel_mesh(E, ALPHA)
+        nu = nu_of_energy(E, ALPHA)
+        yield kv(1, AINV * u) / u, u
+        yield np.exp(-nu * u) / (4.0 * np.pi), u
+    rng = np.random.default_rng(7)
+    for m in (3, 4, 5, 200, 201):
+        yield rng.standard_normal(m), np.cumsum(rng.uniform(0.01, 1.0, m))
+
+
+@pytest.mark.parametrize("y, x", list(_cumulative_cases()))
+def test_cumulative_ports_equal_scipy(y, x):
+    assert np.array_equal(_cumulative_trapezoid(y, x), cumulative_trapezoid(y, x))
+    for initial in (0.0, 1.5):
+        assert np.array_equal(_cumulative_simpson(y, x, initial),
+                              cumulative_simpson(y, x=x, initial=initial))
+
+
+def test_cumulative_simpson_rejects_unordered_mesh():
+    with pytest.raises(DomainError):
+        _cumulative_simpson(np.ones(4), np.array([0.0, 1.0, 1.0, 2.0]), 0.0)
+
+
+def _est1_constant_by_quad(E, alpha):
+    """The envelope constant with its integral by adaptive quadrature."""
+    ainv, nu = 1.0 / alpha, nu_of_energy(E, alpha)
+    integrand = lambda s: kve(1, ainv * s) * np.exp((nu - ainv) * s) * s
+    cut = 50.0 * alpha
+    total = quad(integrand, 0.0, cut, limit=200)[0] + quad(integrand, cut, np.inf, limit=200)[0]
+    return (E + ainv) + (E + ainv) ** 2 * (2.0 * ainv / np.pi) * total
+
+
+@pytest.mark.parametrize("nu", [1e-3, 1e-2, 0.1, 1.0, 3.0, 10.0, 100.0])
+def test_est1_constant_matches_quadrature(nu):
+    E = energy_of_nu(nu, ALPHA)
+    assert est1_constant(E, ALPHA) == pytest.approx(_est1_constant_by_quad(E, ALPHA), rel=1e-9)
+
+
+@pytest.mark.parametrize("nu, alpha", [(1e-3, ALPHA), (1.0, ALPHA), (30.0, ALPHA), (1.0, 1e-3)])
+def test_est1_constant_matches_mpmath(nu, alpha):
+    # at alpha = 1e-3 the quad form above reads 6e-9 relative too high
+    mpmath = pytest.importorskip("mpmath")
+    E = energy_of_nu(nu, alpha)
+    with mpmath.workdps(20):
+        a, Em = 1 / mpmath.mpf(alpha), mpmath.mpf(E)
+        s, num = Em + a, mpmath.sqrt(-Em * (2 * a + Em))
+        # int_0^inf K1(a t) e^{nu t} t dt with x = a t
+        integral = mpmath.quad(lambda x: mpmath.besselk(1, x) * mpmath.exp(num / a * x) * x,
+                               [0, mpmath.inf]) / a**2
+        ref = float(s + s**2 * (2 * a / mpmath.pi) * integral)
+    assert est1_constant(E, alpha) == pytest.approx(ref, rel=1e-13)
 
 
 def test_kernel_third_term_coefficient(kernel):

@@ -412,6 +412,26 @@ def test_neon_fill_and_table_share_one_eigh(grid200, monkeypatch):
     assert bare.eigensolves == []
 
 
+def test_neon_fock_matrices_are_exactly_symmetric():
+    """On neon's s and p densities H = local - alpha K needs no symmetrization.
+
+    local and K are each exactly symmetric, so H equals its transpose and
+    the old 0.5 (H + H^T) form bit for bit.
+    """
+    grid = build_grid(200, 15.0)
+    sys = AtomSystem(Z=10.0, N=10, alpha=ALPHA)
+    gamma0 = aufbau_projection(fock_build(DensityMatrix({}), grid, sys, ell_max=1), sys.N)
+    trial = aufbau_projection(fock_build(gamma0, grid, sys, ell_max=1), sys.N)
+    for gamma in (gamma0, trial):
+        assert (1, 0) in gamma.blocks
+        fock = fock_build(gamma, grid, sys, ell_max=1)
+        for (ell, spin), H in fock.matrices.items():
+            local = fock.kinetic[ell].matrix + np.diag(fock.potential)
+            old = local - ALPHA * exchange_matrix(gamma, ell, spin, grid)
+            assert np.array_equal(H, H.T)
+            assert np.array_equal(H, 0.5 * (old + old.T))
+
+
 def test_neon_solve_holds_one_dense_operator_at_a_time(monkeypatch):
     """While a Fock operator builds its matrices, no other operator with matrices is alive."""
     built, others = [], []
