@@ -190,7 +190,7 @@ def minimizer_certificate(gamma: DensityMatrix, fock: FockOperator) -> Certifica
     return CertificateReport(clauses=clauses, passed=all(c["passed"] for c in clauses.values()))
 
 
-def kato_probe(u: np.ndarray, grid: RadialGrid, alpha: float) -> tuple[float, float]:
+def kato_probe(u: np.ndarray, grid: RadialGrid) -> tuple[float, float]:
     """(int u^2/r dr, (pi/2) <u, |p| u>) for an s-channel function u.
 
     |p| is the square root of the ell = 0 Laplacian, diagonal under the

@@ -395,11 +395,11 @@ def _solution_suites(cfg: dict, sys_: AtomSystem, options: SolverOptions, outdir
     return payload, fock.grid, suites
 
 
-def _suite_kato(grid, sys_, cfg) -> dict:
+def _suite_kato(grid, cfg) -> dict:
     battery = analysis.random_smooth_battery(grid, cfg["kato_samples"], cfg["kato_seed"])
     worst = -np.inf
     for u in battery:
-        lhs, rhs = analysis.kato_probe(u, grid, sys_.alpha)
+        lhs, rhs = analysis.kato_probe(u, grid)
         worst = max(worst, lhs / rhs - 1.0)
     passed = worst <= _KATO_TOL
     return {
@@ -410,7 +410,7 @@ def _suite_kato(grid, sys_, cfg) -> dict:
     }
 
 
-def _suite_herbst(grid, sys_, cfg) -> dict:
+def _suite_herbst(grid, sys_) -> dict:
     try:
         rep = analysis.herbst_bound_check(sys_, grid)
     except BoundViolated as exc:
@@ -526,9 +526,9 @@ def run_verify(cfg: dict, sys_: AtomSystem, options: SolverOptions, outdir: Path
         grid = build_grid(cfg["n"], cfg["r_max"])
 
     if cfg["verify_kato"]:
-        suites["kato"] = _suite_kato(grid, sys_, cfg)
+        suites["kato"] = _suite_kato(grid, cfg)
     if cfg["verify_herbst"]:
-        suites["herbst"] = _suite_herbst(grid, sys_, cfg)
+        suites["herbst"] = _suite_herbst(grid, sys_)
     if cfg["verify_greens"]:
         suites["greens"], _kernel = _suite_greens(cfg, sys_, eps_homo)
     if cfg["verify_binding"]:

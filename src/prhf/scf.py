@@ -41,24 +41,18 @@ DESCENT_SLACK = 1e-12     # per-step slack on monotone descent
 # of zero is flat to roundoff: the step keeps gamma (t = 0). A one-electron
 # system's first trial is its h0 density again, and a, b ~ 1e-15 there.
 LINE_ROUNDOFF = 32.0 * np.finfo(float).eps
-PURITY_TOL = 1e-6
 # LOBPCG on matrix-free channels: preconditioner shift in units of alpha;
 # residual tolerances relative to the operator's norm, one for the aufbau
 # fill, whose columns become the orbitals (their tails must hold down to
 # 1e-11 of their peak for the decay fits), and one for level tables, of
-# which only eigenvalues and overlaps are read; iteration cap; seed of the
-# Gaussian columns of a warm start block; the factor on the tolerance
-# above which a residual hands the channel to the dense eigensolve; and
-# the columns a fill solve asks for beyond the levels it can reach, when
-# it can reach more than one
+# which only eigenvalues and overlaps are read; iteration cap; and the
+# factor on the tolerance above which a residual hands the channel to the
+# dense eigensolve
 LOBPCG_SIGMA = 0.4
 LOBPCG_RTOL = 1e-15
 LOBPCG_LEVEL_RTOL = 1e-11
 LOBPCG_MAXITER = 200
-LOBPCG_SEED = 20240817
 LOBPCG_SLACK = 10.0
-FILL_GUARD = 2
-SQRT_EPS = np.sqrt(np.finfo(float).eps)     # LOBPCG forms its Gram blocks below it
 
 
 @dataclass
@@ -77,16 +71,15 @@ class FockOperator:
     come from the block LOBPCG of `_lobpcg`: the aufbau fill asks each
     spin group for the levels it can reach, at the fill tolerance, and a
     level table asks for its count at the looser level tolerance. Each
-    solve starts warm from the orbitals of gamma on its channel, or from
-    hydrogenic seeds at the operator's charge on a channel gamma leaves
-    empty, and falls back to dense eigh if its residuals fail. Any other
-    operator applies its dense `matrices`,
-    which are assembled on first access only, and computes its fill and
-    its table by one `eigh`. Nothing is modified after the build, so
-    each eigensolve (channel, count, tolerance) runs once and is kept.
-    Every LOBPCG solve appends a (block, iterations, warm, fell back to
-    dense) record to `eigensolves`, a list the caller may share between
-    operators.
+    solve starts from the orbitals of gamma on its channel, completed by
+    hydrogenic seeds at the operator's charge (`_start_block`), and falls
+    back to dense eigh if its residuals fail. Any other operator applies
+    its dense `matrices`, which are assembled on first access only, and
+    computes its fill and its table by one `eigh`. Nothing is modified
+    after the build, so each eigensolve (channel, count, tolerance) runs
+    once and is kept. Every LOBPCG solve appends a (block, iterations,
+    warm, fell back to dense) record to `eigensolves`, a list the caller
+    may share between operators.
     """
 
     system: AtomSystem
@@ -234,22 +227,22 @@ def _dense_levels(H: np.ndarray, k: int):
 def _start_block(fock: FockOperator, key: tuple[int, int], k: int):
     """LOBPCG start block (warm, Y0) of a channel in DST-I coordinates.
 
-    When the operator's density has m orbitals on the channel, the first
-    min(m, k) columns are those orbitals, in their stored order, the rest
-    a seeded Gaussian block, and the start is warm. On a channel the
-    density leaves empty, column j is the normalized hydrogenic seed of
-    principal number ell + 1 + j at the operator's charge Z
-    (`_hydrogenic_seed`).
+    Column j is the density's orbital j on the channel, in its stored
+    order, when the density has one; otherwise it is the normalized
+    hydrogenic seed of principal number ell + 1 + j at the operator's
+    charge Z (`_hydrogenic_seed`). The start is warm when it holds at
+    least one orbital.
     """
     blk = fock.gamma.blocks.get(key)
-    if blk is None or not blk.m:
-        ell, r = key[0], fock.grid.nodes
-        Y0 = dst(np.column_stack([_hydrogenic_seed(ell, j, fock.system.Z, r) for j in range(k)]))
-        return False, Y0 / np.linalg.norm(Y0, axis=0)
-    Y0 = np.random.default_rng(LOBPCG_SEED).standard_normal((fock.grid.n, k))
-    m = min(blk.m, k)
-    Y0[:, :m] = dst(blk.orbitals[:, :m] * np.sqrt(fock.grid.h))
-    return True, Y0
+    m = 0 if blk is None else min(blk.m, k)
+    Y0 = np.empty((fock.grid.n, k))
+    if m:
+        Y0[:, :m] = dst(blk.orbitals[:, :m] * np.sqrt(fock.grid.h))
+    if m < k:
+        Z, r = fock.system.Z, fock.grid.nodes
+        seeds = dst(np.column_stack([_hydrogenic_seed(key[0], j, Z, r) for j in range(m, k)]))
+        Y0[:, m:] = seeds / np.linalg.norm(seeds, axis=0)
+    return m > 0, Y0
 
 
 def _inverse_cholesky(G: np.ndarray):
@@ -284,14 +277,12 @@ def _lobpcg(op, inv: np.ndarray, X: np.ndarray, tol: float, maxiter: int):
     preconditioner `inv`. Each step takes the Rayleigh-Ritz pairs of
     [X, W, P]: W is the preconditioned residual of the active columns,
     projected off X, and P the last step's update of them, each
-    Cholesky-orthonormalized (AP is carried by P's R^-1). Until the
-    largest residual falls below sqrt(eps) the Gram blocks that are the
-    identity or diag(lambda) in exact arithmetic are taken as such; from
-    then on they are formed. A column whose residual falls below `tol` is
-    locked for good. The solve ends when every column is locked, after
-    `maxiter` applies, or when W is numerically dependent; a P or a
-    Rayleigh-Ritz pencil that is not positive definite restarts the step
-    without P.
+    Cholesky-orthonormalized (AP is carried by P's R^-1). The Rayleigh-Ritz
+    pencil is formed in full, S A S^T and S S^T for the rows S = [X, W, P].
+    A column whose residual falls below `tol` is locked for good. The
+    solve ends when every column is locked, after `maxiter` applies, or
+    when W is numerically dependent; a P or a Rayleigh-Ritz pencil that
+    is not positive definite restarts the step without P.
 
     Returns (values, vectors, iterations), the iterations counting the
     applies of `op` after the first; the values are NaN when X is rank
@@ -317,7 +308,6 @@ def _lobpcg(op, inv: np.ndarray, X: np.ndarray, tol: float, maxiter: int):
     X, AX = C.T @ X, C.T @ AX
     active = np.ones(k, dtype=bool)
     P = AP = None
-    explicit = False
     its = 0
     while True:
         R = AX - vals[:, None] * X
@@ -341,11 +331,6 @@ def _lobpcg(op, inv: np.ndarray, X: np.ndarray, tol: float, maxiter: int):
         GA = 0.5 * (GA + GA.T)
         GB = S @ S.T
         m = k + len(W)              # the rows of [X, W]
-        explicit = explicit or norms.max() <= SQRT_EPS
-        if not explicit:
-            GA[:k, :k] = np.diag(vals)
-            GB[:m, :m] = np.eye(m)
-            GB[m:, m:] = np.eye(len(S) - m)
         ritz = _ritz(GA, GB, k)
         if ritz is None and len(S) > m:             # restart without P
             S, AS = S[:m], AS[:m]
@@ -392,8 +377,8 @@ def _lobpcg_levels(fock: FockOperator, key: tuple[int, int], k: int, rtol: float
     else:
         inv = 1.0 / (t + LOBPCG_SIGMA * fock.system.alpha)
         vals, vecs, its = _lobpcg(op, inv, Y0, tol, LOBPCG_MAXITER)
-    order = np.argsort(vals, kind="stable")
-    vals, vecs = vals[order], dst(vecs[:, order])
+    # both eigensolves return their values in ascending order
+    vecs = dst(vecs)
     # sign convention P > 0 at the first node, so the orbitals written
     # out do not depend on the start block or the iteration count
     vecs *= np.where(vecs[0] < 0.0, -1.0, 1.0)
@@ -476,13 +461,10 @@ def _fill_count(N: float, group_size: int, ell: int) -> int:
     (value, ell, spin, index) order. If a channel's levels are strictly
     increasing, its level j comes after levels 0..j-1 of every spin of
     the group, and those hold j * group_size * (2 ell + 1) electrons. So
-    only the first b = ceil(N / (group_size (2 ell + 1))) levels can be
-    filled. When b > 1 the top wanted level sits among closely spaced
-    high levels, where a block of b + FILL_GUARD columns converges in
-    fewer applies than a block of b.
+    only the first ceil(N / (group_size (2 ell + 1))) levels can be
+    filled.
     """
-    b = int(np.ceil(N / (group_size * (2 * ell + 1))))
-    return b + FILL_GUARD if b > 1 else b
+    return int(np.ceil(N / (group_size * (2 * ell + 1))))
 
 
 def _fill_spectra(fock: FockOperator, N: float) -> dict:

@@ -210,7 +210,7 @@ def test_c11_kato_probe():
     grid = build_grid(1200, 20.0)
     worst = -math.inf
     for u in random_smooth_battery(grid, 100, seed=20240817):
-        lhs, rhs = kato_probe(u, grid, ALPHA)
+        lhs, rhs = kato_probe(u, grid)
         worst = max(worst, lhs / rhs - 1.0)
     print(f"C11 kato: worst lhs/rhs - 1 = {worst:.3e} over 100 probes (tol 5e-3)")
     assert worst <= 5e-3

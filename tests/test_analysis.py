@@ -151,20 +151,20 @@ def test_certificate_detects_fractional_occupation(he_small):
 def test_kato_probe_lowest_box_mode(grid200):
     u = np.sin(np.pi * grid200.nodes / grid200.r_max)
     u /= np.sqrt(grid200.h * (u @ u))
-    lhs, rhs = kato_probe(u, grid200, ALPHA)
+    lhs, rhs = kato_probe(u, grid200)
     assert lhs < rhs
 
 
 def test_kato_probe_random_battery(grid200):
     for u in random_smooth_battery(grid200, 100, seed=7):
-        lhs, rhs = kato_probe(u, grid200, ALPHA)
+        lhs, rhs = kato_probe(u, grid200)
         assert lhs <= rhs * (1.0 + 5e-3)
 
 
 def test_kato_probe_far_concentration(grid200):
     u = np.exp(-(((grid200.nodes - 0.8 * grid200.r_max) / 0.4) ** 2))
     u /= np.sqrt(grid200.h * (u @ u))
-    lhs, rhs = kato_probe(u, grid200, ALPHA)
+    lhs, rhs = kato_probe(u, grid200)
     assert lhs / rhs < 0.2
 
 
@@ -189,7 +189,7 @@ def _dense_herbst_lowest(sys, grid, ell_max=0):
 def test_kato_probe_matches_dense_oracle():
     grid = build_grid(1200, 20.0)
     for u in random_smooth_battery(grid, 20, seed=20240817):
-        lhs, rhs = kato_probe(u, grid, ALPHA)
+        lhs, rhs = kato_probe(u, grid)
         lhs_ref, rhs_ref = _dense_kato_probe(u, grid)
         assert lhs == lhs_ref
         assert rhs == pytest.approx(rhs_ref, rel=1e-10)

@@ -234,9 +234,9 @@ def test_rank_deficient_start_block_does_not_raise(dependent, he_small, monkeypa
 
 
 def _cold_only(monkeypatch):
-    """Make every LOBPCG solve start from the seeded Gaussian block, as before warm starts."""
+    """Make every LOBPCG solve start from a seeded Gaussian block, which knows nothing of gamma."""
     def gaussian(fock, _key, k):
-        return False, np.random.default_rng(scf.LOBPCG_SEED).standard_normal((fock.grid.n, k))
+        return False, np.random.default_rng(20240817).standard_normal((fock.grid.n, k))
 
     monkeypatch.setattr(scf, "_start_block", gaussian)
 
@@ -283,23 +283,48 @@ def test_warm_start_repeats_bit_for_bit(he_small):
             assert np.array_equal(vals, again[key][0]) and np.array_equal(vecs, again[key][1])
 
 
+def _s_seed(r, Z, j):
+    """The normalized s function of principal number j + 1 at charge Z, in DST coordinates."""
+    P = r * np.exp(-Z * r / (j + 1)) * np.polynomial.laguerre.lagval(
+        2.0 * Z * r / (j + 1), [0.0] * j + [1.0])
+    y = radial.dst(P)
+    return y / np.linalg.norm(y)
+
+
 def test_empty_density_keeps_the_cold_start(grid200):
     """An operator without density starts from the hydrogenic block at its charge alone."""
     sys = AtomSystem(Z=3.0, N=3, alpha=ALPHA)
     bare = fock_build(DensityMatrix({}), grid200, sys, ell_max=0)
     warm, Y0 = scf._start_block(bare, (0, 0), 4)
     assert not warm
-    r = grid200.nodes
     for j in range(4):
-        # the s function of principal number j + 1 at Z = 3, in DST coordinates
-        P = r * np.exp(-3.0 * r / (j + 1)) * np.polynomial.laguerre.lagval(
-            6.0 * r / (j + 1), [0.0] * j + [1.0])
-        y = radial.dst(P)
-        assert np.allclose(Y0[:, j], y / np.linalg.norm(y), rtol=0, atol=1e-14)
+        assert np.allclose(Y0[:, j], _s_seed(grid200.nodes, 3.0, j), rtol=0, atol=1e-14)
     again = fock_build(DensityMatrix({}), grid200, sys, ell_max=0)
     assert np.array_equal(scf._start_block(again, (0, 0), 4)[1], Y0)
     aufbau_projection(bare, sys.N)
     assert [(warm, fb) for _k, _its, warm, fb in bare.eigensolves] == [(False, False)]
+
+
+def test_warm_start_completes_the_orbitals_with_hydrogenic_seeds(he_small):
+    """A channel with fewer orbitals than columns starts from them, then from seeds j = m..k-1."""
+    k = 4
+    fock = fock_build(he_small.gamma, he_small.grid, he_small.sys, ell_max=0)
+    warm, Y0 = scf._start_block(fock, (0, 0), k)
+    blk = he_small.gamma.blocks[(0, 0)]
+    assert warm and blk.m == 1
+    assert np.array_equal(Y0[:, 0], radial.dst(blk.orbitals[:, 0] * np.sqrt(he_small.grid.h)))
+    for j in range(1, k):
+        assert np.allclose(Y0[:, j], _s_seed(he_small.grid.nodes, 2.0, j), rtol=0, atol=1e-14)
+    again = fock_build(he_small.gamma, he_small.grid, he_small.sys, ell_max=0)
+    assert np.array_equal(scf._start_block(again, (0, 0), k)[1], Y0)
+
+
+def test_helium_anion_needs_no_dense_fallback():
+    """He- (Z = 2, N = 3) at n = 400, r_max 40: every LOBPCG solve meets its tolerance."""
+    sys = validate_system(AtomSystem(Z=2.0, N=3, alpha=ALPHA))
+    report, _gamma = solve_scf(sys, SolverOptions(n=400, r_max=40.0))
+    assert report.converged
+    assert report.eigensolves["dense_fallbacks"] == 0
 
 
 def test_warm_start_cuts_helium_work_and_repeats():
@@ -347,15 +372,15 @@ def test_group_sized_fill_picks_the_table_fill(Z, quarters, q, n):
 
 
 def test_fill_asks_for_the_levels_it_can_reach(grid200):
-    """Group sizes 2 and 1 at N = 3: 2 levels (+ guard) for the pair, 3 (+ guard) apart."""
+    """Group sizes 2 and 1 at N = 3: 2 levels for the pair, 3 apart."""
     sys = AtomSystem(Z=3.0, N=3, alpha=ALPHA)
     bare = fock_build(DensityMatrix({}), grid200, sys, ell_max=0)
     gamma = aufbau_projection(bare, sys.N)
-    assert [block for block, *_ in bare.eigensolves] == [2 + scf.FILL_GUARD]
+    assert [block for block, *_ in bare.eigensolves] == [2]
     fock = fock_build(gamma, grid200, sys, ell_max=0)
     assert fock.groups == [[0], [1]]
     aufbau_projection(fock, sys.N)
-    assert [block for block, *_ in fock.eigensolves] == [3 + scf.FILL_GUARD] * 2
+    assert [block for block, *_ in fock.eigensolves] == [3, 3]
 
 
 def test_fill_of_tied_levels_takes_the_table_count(he_small, monkeypatch):
