@@ -10,9 +10,8 @@ The kinetic operator sqrt(-d^2/dr^2 + ell(ell+1)/r^2 + alpha^-2) - alpha^-1
 is a function of the tridiagonal channel Laplacian. On ell = 0 the
 DST-I diagonalizes that Laplacian exactly, so the operator is applied
 in O(n log n) from its symbol. The dense matrix is realized spectrally
-from the Laplacian's eigendecomposition, only when first asked for;
-that eigendecomposition is cached per (n, r_max, ell) and reused
-across alpha values.
+from one eigendecomposition of the Laplacian, only when first asked
+for, and only the matrix is kept.
 
 The DST-I of length n is taken by Rader's algorithm (Proc. IEEE 56
 (1968) 1107) when p = n + 1 is an odd prime, as on the helium and
@@ -90,19 +89,12 @@ def channel_laplacian(grid: RadialGrid, ell: int) -> np.ndarray:
     return mat
 
 
-# keyed on the grid, which hashes and compares on (n, r_max)
-@functools.lru_cache(maxsize=8)
-def _laplacian_eigh(grid: RadialGrid, ell: int):
-    """(eigenvalues ascending, orthonormal eigenvector columns) of the channel Laplacian."""
-    try:
-        return scipy.linalg.eigh(channel_laplacian(grid, ell))
-    except scipy.linalg.LinAlgError as exc:  # pragma: no cover
-        raise EigFailure(str(exc)) from exc
-
-
 def spectral_function(grid: RadialGrid, ell: int, f) -> np.ndarray:
     """f(L_ell) as a dense symmetric matrix, through the Laplacian's spectrum."""
-    vals, vecs = _laplacian_eigh(grid, ell)
+    try:
+        vals, vecs = scipy.linalg.eigh(channel_laplacian(grid, ell))
+    except scipy.linalg.LinAlgError as exc:  # pragma: no cover
+        raise EigFailure(str(exc)) from exc
     fvals = np.asarray(f(vals), dtype=float)
     if not np.all(np.isfinite(fvals)):
         raise EigFailure("scalar function produced non-finite values on the spectrum")

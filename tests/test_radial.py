@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.fft
@@ -15,7 +17,6 @@ from prhf import (
     spectral_function,
 )
 from prhf.radial import (
-    _laplacian_eigh,
     channel_kinetic,
     dst,
     laplacian_symbol,
@@ -84,7 +85,7 @@ def test_laplacian_spectrum_analytic():
     # Dirichlet eigenvalues of the discrete 1D Laplacian:
     # (4/h^2) sin^2(k pi / (2(n+1))), k = 1..n
     grid = build_grid(180, 9.0)
-    vals, _ = _laplacian_eigh(grid, 0)
+    vals, _ = scipy.linalg.eigh(channel_laplacian(grid, 0))
     k = np.arange(1, grid.n + 1)
     exact = (4.0 / grid.h**2) * np.sin(k * np.pi / (2 * (grid.n + 1))) ** 2
     assert np.allclose(np.sort(vals), np.sort(exact), rtol=1e-10)
@@ -147,21 +148,21 @@ def test_dst_prime_length_takes_the_rader_path(rng, monkeypatch):
 
 def test_laplacian_box_ground_state():
     grid = build_grid(2000, 10.0)
-    vals, _ = _laplacian_eigh(grid, 0)
+    vals, _ = scipy.linalg.eigh(channel_laplacian(grid, 0))
     assert vals[0] == pytest.approx((np.pi / grid.r_max) ** 2, rel=0.01)
 
 
 def test_laplacian_centrifugal_monotone():
     grid = build_grid(120, 12.0)
-    v0, _ = _laplacian_eigh(grid, 0)
-    v1, _ = _laplacian_eigh(grid, 1)
+    v0, _ = scipy.linalg.eigh(channel_laplacian(grid, 0))
+    v1, _ = scipy.linalg.eigh(channel_laplacian(grid, 1))
     assert np.all(v1 >= v0 - 1e-9)
 
 
 def test_eigensystem_reconstructs():
     grid = build_grid(90, 9.0)
     lap = channel_laplacian(grid, 2)
-    vals, vecs = _laplacian_eigh(grid, 2)
+    vals, vecs = scipy.linalg.eigh(lap)
     rebuilt = (vecs * vals) @ vecs.T
     err = np.linalg.norm(rebuilt - lap) / np.linalg.norm(lap)
     assert err <= 1e-12
@@ -214,7 +215,7 @@ def test_kinetic_eigenvalue_map_points():
 def test_kinetic_spectral_mapping():
     grid = build_grid(150, 10.0)
     ainv = 1.0 / ALPHA
-    lap_vals, _ = _laplacian_eigh(grid, 0)
+    lap_vals, _ = scipy.linalg.eigh(channel_laplacian(grid, 0))
     kin_vals = scipy.linalg.eigvalsh(kinetic_operator(grid, 0, ALPHA).matrix)
     expected = np.sqrt(np.sort(lap_vals) + ainv**2) - ainv
     assert np.allclose(np.sort(kin_vals), expected, rtol=1e-10)
@@ -241,7 +242,7 @@ def test_kinetic_large_alpha_expansion():
     # bounded by alpha^-2 / (2 sqrt(mu)) per eigenvalue
     grid = build_grid(150, 10.0)
     alpha = 1e3
-    lap_vals, _ = _laplacian_eigh(grid, 0)
+    lap_vals, _ = scipy.linalg.eigh(channel_laplacian(grid, 0))
     kin_vals = scipy.linalg.eigvalsh(kinetic_operator(grid, 0, alpha).matrix)
     mu = np.sort(lap_vals)
     rem = np.sort(kin_vals) - (np.sqrt(mu) - 1.0 / alpha)
@@ -253,7 +254,7 @@ def test_nonrelativistic_limit_eigenvalues():
     # alpha -> 0: alpha^-1 T -> L/2 on the lowest modes
     grid = build_grid(1500, 40.0)
     alpha = 1e-3
-    lap_vals, _ = _laplacian_eigh(grid, 0)
+    lap_vals, _ = scipy.linalg.eigh(channel_laplacian(grid, 0))
     kin_vals = scipy.linalg.eigvalsh(kinetic_operator(grid, 0, alpha).matrix)
     lhs = np.sort(kin_vals)[:10] / alpha
     rhs = np.sort(lap_vals)[:10] / 2.0
@@ -316,11 +317,19 @@ def test_kinetic_dense_form_is_lazy_and_unchanged():
         assert np.array_equal(nonrel.matrix, 0.5 * ALPHA * channel_laplacian(grid, ell))
 
 
-def test_laplacian_eigh_is_shared_across_alpha():
-    grid = build_grid(130, 13.0)       # a grid no other test builds
-    before = _laplacian_eigh.cache_info()
-    kinetic_operator(grid, 1, ALPHA).matrix
-    kinetic_operator(grid, 1, 2.0 * ALPHA).matrix
-    after = _laplacian_eigh.cache_info()
-    assert after.misses - before.misses == 1
-    assert after.hits - before.hits == 1
+def test_dense_kinetic_keeps_only_its_matrix():
+    # building T_ell leaves the n x n matrix behind and nothing else,
+    # no eigendecomposition of the channel Laplacian
+    grid = build_grid(301, 17.0)       # a grid no other test builds
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for ell in (0, 1):
+            kinetic_operator(grid, ell, ALPHA).matrix
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        if started:
+            tracemalloc.stop()
+    assert retained < 2.5 * grid.n**2 * 8

@@ -780,6 +780,26 @@ def test_solve_hydrogen_nonrelativistic_limit_small():
     assert eps1 / 1e-3 == pytest.approx(-0.5, rel=1e-3)
 
 
+def test_nonrelativistic_helium_reaches_the_hartree_fock_limit():
+    """An external anchor: under the nonrelativistic law the model is plain
+    HF, whose helium limit is -2.8616799956 Ha (Bunge, Barrientos and Bunge,
+    At. Data Nucl. Data Tables 53 (1993) 113). The grid error is O(h^2) with
+    an h^4 term next, so two Richardson levels over three halvings of h
+    remove both."""
+    sys = validate_system(AtomSystem(Z=2.0, N=2, alpha=ALPHA, kinetic="nonrelativistic"))
+    energies = []
+    for n in (599, 1199, 2399):         # h = r_max / (n + 1) halves each time
+        opts = SolverOptions(n=n, r_max=20.0, tol_energy=1e-12, tol_commutator=1e-8)
+        report, _ = solve_scf(sys, opts)
+        assert report.converged
+        energies.append(report.energy.total)
+    e0, e1, e2 = energies
+    assert 3.9 <= (e1 - e0) / (e2 - e1) <= 4.1
+    r0, r1 = (4.0 * e1 - e0) / 3.0, (4.0 * e2 - e1) / 3.0
+    limit = (16.0 * r1 - r0) / 15.0
+    assert limit == pytest.approx(-2.8616799956, abs=1e-8)
+
+
 def test_solve_relativistic_below_nonrelativistic(grid200):
     sys = validate_system(AtomSystem(Z=2.0, N=2, alpha=ALPHA))
     opts = SolverOptions(n=grid200.n, r_max=grid200.r_max)
@@ -850,9 +870,7 @@ def test_solve_neon_closed_p_shell():
     for o in report.occupations:
         occ[(o["ell"], o["spin"])] += o["f"]
     assert occ == {(0, 0): 2.0, (0, 1): 2.0, (1, 0): 3.0, (1, 1): 3.0}
-    grid = build_grid(opts.n, opts.r_max)
-    fock = fock_build(gamma, grid, sys, ell_max=1)
-    assert minimizer_certificate(gamma, fock).passed
+    assert minimizer_certificate(gamma, report.fock).passed
 
 
 def test_solve_boron_open_shell_is_honestly_fractional():
@@ -865,9 +883,7 @@ def test_solve_boron_open_shell_is_honestly_fractional():
     report, gamma = solve_scf(sys, opts)
     assert report.converged
     assert gamma.max_impurity() == pytest.approx(1.0 / 3.0, abs=1e-9)
-    grid = build_grid(opts.n, opts.r_max)
-    fock = fock_build(gamma, grid, sys, ell_max=1)
-    cert = minimizer_certificate(gamma, fock)
+    cert = minimizer_certificate(gamma, report.fock)
     assert not cert.clauses["idempotent"]["passed"]
     for clause in ("trace", "aufbau", "negativity", "hf_equations"):
         assert cert.clauses[clause]["passed"], cert.clauses[clause]
