@@ -108,12 +108,13 @@ _SCHEMA = {
 
 
 def parse_config(path: str | Path) -> dict:
-    """Read a flat key=value config; unknown keys are rejected by name."""
+    """Read a flat key=value config; unknown and repeated keys are rejected by name."""
     path = Path(path)
     if not path.is_file():
         raise ConfigError(f"config file not found: {path}")
     values: dict = {}
     unknown: list[str] = []
+    seen: dict[str, int] = {}
     for lineno, raw in enumerate(path.read_text().splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -123,6 +124,9 @@ def parse_config(path: str | Path) -> dict:
         key, _, val = line.partition("=")
         key = key.strip()
         val = val.strip()
+        if key in seen:
+            raise ConfigError(f"{path}:{lineno}: key {key} already set on line {seen[key]}")
+        seen[key] = lineno
         if key not in _SCHEMA:
             unknown.append(key)
             continue

@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import NonFiniteEnergy, NotAdmissible
 from .model import AtomSystem
-from .radial import RadialGrid, channel_kinetic
+from .radial import RadialGrid, kinetic_operator
 
 ORTHO_TOL = 1e-10
 
@@ -247,22 +247,6 @@ def exchange_apply(
     return out / r
 
 
-def slater_rk(prod_left: np.ndarray, prod_right: np.ndarray, k: int, grid: RadialGrid) -> float:
-    """Two-electron radial integral of two node products against kernel k.
-
-    R^k = int int prod_left(r) kernel_k(r,s) prod_right(s) dr ds via the
-    cumulative sweep form; symmetric in its arguments.
-    """
-    y = slater_yk(prod_right, np.ones_like(prod_right), k, grid)
-    return float(grid.h * np.sum(prod_left * y / grid.nodes))
-
-
-def direct_energy(w: np.ndarray, grid: RadialGrid) -> float:
-    """D = (1/2) int w R_w, the classical self-repulsion of the charge w."""
-    R = hartree_potential(w, grid)
-    return 0.5 * float(grid.h * np.sum(w * R))
-
-
 def exchange_energy(gamma: DensityMatrix, grid: RadialGrid) -> float:
     """Ex = (1/2) sum_spin sum_{a,b} f_a f_b sum_k (3j)^2 R^k(ab;ba)."""
     total = 0.0
@@ -282,7 +266,10 @@ def exchange_energy(gamma: DensityMatrix, grid: RadialGrid) -> float:
                         wk = exchange_multipole_weight(la, lb, k)
                         if wk == 0.0:
                             continue
-                        total += 0.5 * fa * fb * wk * slater_rk(prod, prod, k, grid)
+                        # R^k(ab;ba) = int int prod(r) kernel_k(r,s) prod(s) dr ds
+                        y = slater_yk(prod, 1.0, k, grid)
+                        rk = float(grid.h * np.sum(prod * y / grid.nodes))
+                        total += 0.5 * fa * fb * wk * rk
     return total
 
 
@@ -300,12 +287,12 @@ def energy_terms(
     s_only = all(ell == 0 for (ell, _spin) in gamma.blocks)
     tr_T = 0.0
     for (ell, _spin), blk in gamma.blocks.items():
-        T = channel_kinetic(grid, ell, sys)
+        T = kinetic_operator(grid, ell, sys.alpha, sys.kinetic)
         TP = T.apply(blk.orbitals) if s_only else T.matrix @ blk.orbitals
         tr_T += float(h * np.sum(blk.occupations * np.einsum("ia,ia->a", blk.orbitals, TP)))
     w = reduced_density(gamma, grid)
     tr_V = sys.z_alpha * float(h * np.sum(w / r))
-    D = direct_energy(w, grid)
+    D = 0.5 * float(h * np.sum(w * hartree_potential(w, grid)))
     Ex = exchange_energy(gamma, grid)
     for name, val in (("Tr[T]", tr_T), ("Tr[V]", tr_V), ("D", D), ("Ex", Ex)):
         if not np.isfinite(val):

@@ -32,7 +32,7 @@ import scipy.fft
 import scipy.linalg
 
 from .errors import BadGrid, EigFailure, LengthMismatch
-from .model import AtomSystem
+from .model import KINETICS
 
 
 @dataclass(frozen=True)
@@ -204,30 +204,45 @@ def dst(X: np.ndarray) -> np.ndarray:
 
 
 class KineticOperator:
-    """A scalar function f of one channel Laplacian L_ell.
+    """The kinetic operator of one channel under one kinetic law.
 
-    `apply` multiplies node vectors by f(L_0) through the DST-I symbol,
-    with no n x n matrix; on ell >= 1 it raises BadGrid, because L_ell
-    has no DST-I symbol there. The dense `matrix` is built on first use
-    only.
+    The law "pseudorelativistic" is T_ell = sqrt(L_ell + alpha^-2) - alpha^-1,
+    the law "nonrelativistic" the comparison operator alpha*L_ell/2, with
+    T_ell <= alpha*L_ell/2. `apply` multiplies node vectors by the
+    operator on ell = 0 through the DST-I symbol, with no n x n matrix;
+    on ell >= 1 it raises BadGrid, because L_ell has no DST-I symbol
+    there. The dense `matrix` is built on first use only.
     """
 
-    def __init__(self, grid: RadialGrid, ell: int, f, dense):
+    def __init__(self, grid: RadialGrid, ell: int, alpha: float, law: str):
+        if alpha <= 0:
+            raise BadGrid(f"alpha={alpha} must be positive")
+        if law not in KINETICS:
+            raise BadGrid(f"unknown kinetic law {law!r}")
         self.grid = grid
         self.ell = int(ell)
-        self._f = f
-        self._build_dense = dense
+        self.alpha = alpha
+        self.law = law
+
+    def evaluate(self, lam):
+        """The law as a scalar function of Laplacian eigenvalues lam."""
+        if self.law == "nonrelativistic":
+            return 0.5 * self.alpha * lam
+        ainv = 1.0 / self.alpha
+        return np.sqrt(lam + ainv**2) - ainv
 
     @functools.cached_property
     def matrix(self) -> np.ndarray:
-        return self._build_dense()
+        if self.law == "nonrelativistic":
+            return 0.5 * self.alpha * channel_laplacian(self.grid, self.ell)
+        return spectral_function(self.grid, self.ell, self.evaluate)
 
     @functools.cached_property
     def symbol(self) -> np.ndarray:
-        """f at the ell = 0 Laplacian eigenvalues, in DST-I mode order."""
+        """The law at the ell = 0 Laplacian eigenvalues, in DST-I mode order."""
         if self.ell != 0:
             raise BadGrid(f"no DST-I symbol on channel ell={self.ell}")
-        return np.asarray(self._f(laplacian_symbol(self.grid)), dtype=float)
+        return np.asarray(self.evaluate(laplacian_symbol(self.grid)), dtype=float)
 
     def apply(self, X: np.ndarray) -> np.ndarray:
         symbol = self.symbol
@@ -236,30 +251,15 @@ class KineticOperator:
         return dst(coef)
 
 
-@functools.lru_cache(maxsize=12)
-def kinetic_operator(grid: RadialGrid, ell: int, alpha: float) -> KineticOperator:
-    """T_ell = sqrt(L_ell + alpha^-2) - alpha^-1; cached, dense form built on first use."""
-    if alpha <= 0:
-        raise BadGrid(f"alpha={alpha} must be positive")
-    ainv = 1.0 / alpha
-
-    def f(lam):
-        return np.sqrt(lam + ainv**2) - ainv
-
-    return KineticOperator(grid, ell, f, lambda: spectral_function(grid, ell, f))
+_kinetic_cache = functools.lru_cache(maxsize=12)(KineticOperator)
 
 
-@functools.lru_cache(maxsize=12)
-def nonrelativistic_kinetic(grid: RadialGrid, ell: int, alpha: float) -> KineticOperator:
-    """alpha*L_ell/2, comparison operator with T_ell <= alpha*L_ell/2; cached like kinetic_operator."""
-    return KineticOperator(
-        grid, ell, lambda lam: 0.5 * alpha * lam,
-        lambda: 0.5 * alpha * channel_laplacian(grid, ell),
-    )
+def kinetic_operator(
+    grid: RadialGrid, ell: int, alpha: float, law: str = "pseudorelativistic"
+) -> KineticOperator:
+    """T_ell of channel ell under `law`; cached, dense form built on first use.
 
-
-def channel_kinetic(grid: RadialGrid, ell: int, sys: AtomSystem) -> KineticOperator:
-    """The kinetic operator of one channel under the system's kinetic law."""
-    if sys.kinetic == "nonrelativistic":
-        return nonrelativistic_kinetic(grid, ell, sys.alpha)
-    return kinetic_operator(grid, ell, sys.alpha)
+    One instance per (grid, ell, alpha, law), whether or not the caller
+    names the law.
+    """
+    return _kinetic_cache(grid, ell, alpha, law)

@@ -31,7 +31,7 @@ from .coulomb import (
 from .errors import EigFailure, LineSearchFailure, NotConverged
 from .functional import EnergyBreakdown, line_coefficients, total_energy
 from .model import AtomSystem, SolverOptions, default_shells, validate_system
-from .radial import RadialGrid, build_grid, channel_kinetic, dst
+from .radial import RadialGrid, build_grid, dst, kinetic_operator
 
 log = logging.getLogger(__name__)
 
@@ -210,7 +210,7 @@ def fock_build(
     hartree = sys.alpha * hartree_potential(reduced_density(gamma, grid), grid)
     return FockOperator(
         system=sys, grid=grid, gamma=gamma,
-        kinetic=[channel_kinetic(grid, ell, sys) for ell in range(ell_max + 1)],
+        kinetic=[kinetic_operator(grid, ell, sys.alpha, sys.kinetic) for ell in range(ell_max + 1)],
         potential=-sys.z_alpha / grid.nodes + hartree, hartree=hartree,
         groups=_spin_groups(gamma, sys.q),
         eigensolves=[] if eigensolves is None else eigensolves,
@@ -379,9 +379,6 @@ def _lobpcg_levels(fock: FockOperator, key: tuple[int, int], k: int, rtol: float
         vals, vecs, its = _lobpcg(op, inv, Y0, tol, LOBPCG_MAXITER)
     # both eigensolves return their values in ascending order
     vecs = dst(vecs)
-    # sign convention P > 0 at the first node, so the orbitals written
-    # out do not depend on the start block or the iteration count
-    vecs *= np.where(vecs[0] < 0.0, -1.0, 1.0)
     worst = float(np.max(np.linalg.norm(fock.apply(key, vecs) - vecs * vals, axis=0)))
     fell_back = not worst <= LOBPCG_SLACK * tol     # also catches a NaN residual
     fock.eigensolves.append((k, its, warm, fell_back))
@@ -390,7 +387,10 @@ def _lobpcg_levels(fock: FockOperator, key: tuple[int, int], k: int, rtol: float
             "LOBPCG on channel %s left residual %.3e above %.3e; using dense eigh",
             key, worst, LOBPCG_SLACK * tol,
         )
-        return _dense_levels(fock.matrices[key], k)
+        vals, vecs = _dense_levels(fock.matrices[key], k)
+    # sign convention P > 0 at the first node, so the orbitals written out
+    # do not depend on the start block, the iteration count or a fallback
+    vecs *= np.where(vecs[0] < 0.0, -1.0, 1.0)
     return vals, vecs
 
 
@@ -416,21 +416,25 @@ def _eigensolve_summary(records: list) -> dict:
 def _group_levels(fock: FockOperator, ell: int, grp: list, count: int, rtol: float):
     """Lowest `count` eigenpairs of channel ell of one spin group, grid-normalized.
 
-    Memoized on the operator; callers must not modify the arrays. The
-    tolerance `rtol` only concerns LOBPCG, so a dense operator keeps one
-    solve per count.
+    The one choice of eigensolver. A matrix-free channel runs one LOBPCG
+    solve per (count, rtol). A dense channel runs one `eigh` of
+    max(count, _levels_needed(N)) levels, and every request is a slice of
+    it: a smaller subset would change the bits of the levels, and `rtol`
+    does not concern it. Memoized on the operator; callers must not
+    modify the arrays.
     """
+    key = (ell, grp[0])
     k = min(count, fock.grid.n)
-    memo = (ell, grp[0], k, rtol if fock.matrix_free else None)
+    memo = (key, k, rtol) if fock.matrix_free else key
     level = fock._spectra.get(memo)
-    if level is None:
-        key = (ell, grp[0])
+    if level is None or len(level[0]) < k:
         if fock.matrix_free:
             vals, vecs = _lobpcg_levels(fock, key, k, rtol)
         else:
-            vals, vecs = _dense_levels(fock.matrices[key], k)
+            k_solve = min(max(k, _levels_needed(fock.system.N)), fock.grid.n)
+            vals, vecs = _dense_levels(fock.matrices[key], k_solve)
         level = fock._spectra[memo] = (vals, vecs / np.sqrt(fock.grid.h))
-    return level
+    return level[0][:k], level[1][:, :k]
 
 
 def _channel_spectra(fock: FockOperator, count: int):
@@ -470,14 +474,10 @@ def _fill_count(N: float, group_size: int, ell: int) -> int:
 def _fill_spectra(fock: FockOperator, N: float) -> dict:
     """The spectra an aufbau fill of N electrons reads, per channel.
 
-    A matrix-free operator solves each spin group for its `_fill_count`
-    levels at the fill tolerance, or for the table count when two of the
-    computed levels tie, since the count rests on increasing levels. A dense
-    operator computes the table count, whose `eigh` the level table then
-    shares: a smaller subset would change the bits of the levels.
+    Each spin group asks for its `_fill_count` levels at the fill
+    tolerance, or for the table count when two of the computed levels
+    tie, since the count rests on increasing levels.
     """
-    if not fock.matrix_free:
-        return _channel_spectra(fock, _levels_needed(N))
     spectra = {}
     for ell in range(fock.ell_max + 1):
         for grp in fock.groups:

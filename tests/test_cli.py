@@ -432,6 +432,23 @@ def test_bad_greens_energy_exits_1_before_any_work(tmp_path, monkeypatch, runner
     assert parse_config(cfg)["greens_energy"] == -0.01
 
 
+@pytest.mark.parametrize("runner", [run_solve, run_verify, run_greens, run_sweep])
+def test_key_set_twice_exits_1_before_any_work(tmp_path, monkeypatch, runner):
+    def no_work(*args, **kwargs):
+        raise AssertionError("ran work for a config that sets a key twice")
+
+    monkeypatch.setattr(prhf.cli, "solve_scf", no_work)
+    monkeypatch.setattr(prhf.analysis, "solve_scf", no_work)
+    monkeypatch.setattr(prhf.greens, "greens_kernel", no_work)
+    outdir = tmp_path / "out"
+    cfg = _write_config(tmp_path, outdir, n=300)       # n on line 4 of 9
+    cfg.write_text(cfg.read_text() + "n = 400\n")
+    with pytest.raises(ConfigError, match="run.cfg:10: key n already set on line 4"):
+        parse_config(cfg)
+    assert runner(cfg) == EXIT_CONFIG
+    assert not outdir.exists()
+
+
 # carbon asking for a p-shell seed on the s channels alone
 _CARBON_P_SEED = {
     "Z": 6.0, "N": 6, "n": 200, "ell_max": 0, "include_p_shells": "true", "initial_guess": "shells",

@@ -16,12 +16,7 @@ from prhf import (
     kinetic_operator,
     spectral_function,
 )
-from prhf.radial import (
-    channel_kinetic,
-    dst,
-    laplacian_symbol,
-    nonrelativistic_kinetic,
-)
+from prhf.radial import dst, laplacian_symbol
 
 ALPHA = 1.0 / 137.036
 
@@ -264,7 +259,7 @@ def test_nonrelativistic_limit_eigenvalues():
 def test_nonrelativistic_kinetic_dominates():
     grid = build_grid(150, 10.0)
     T = kinetic_operator(grid, 0, ALPHA).matrix
-    Tnr = nonrelativistic_kinetic(grid, 0, ALPHA).matrix
+    Tnr = kinetic_operator(grid, 0, ALPHA, "nonrelativistic").matrix
     vals = np.linalg.eigvalsh(Tnr - T)
     assert vals[0] >= -1e-10
 
@@ -272,15 +267,22 @@ def test_nonrelativistic_kinetic_dominates():
 def test_nonrelativistic_kinetic_is_cached():
     grid = build_grid(150, 10.0)
     sys = AtomSystem(Z=2.0, N=2, alpha=ALPHA, kinetic="nonrelativistic")
-    op = nonrelativistic_kinetic(grid, 1, ALPHA)
-    assert nonrelativistic_kinetic(build_grid(150, 10.0), 1, ALPHA) is op
-    assert channel_kinetic(grid, 1, sys) is op
+    op = kinetic_operator(grid, 1, ALPHA, "nonrelativistic")
+    assert kinetic_operator(build_grid(150, 10.0), 1, ALPHA, "nonrelativistic") is op
+    assert kinetic_operator(grid, 1, sys.alpha, sys.kinetic) is op
+    # one entry per law, whether or not the caller names the default one
+    default = kinetic_operator(grid, 1, ALPHA)
+    assert kinetic_operator(grid, 1, ALPHA, "pseudorelativistic") is default
+    assert default is not op
+    with pytest.raises(BadGrid):
+        kinetic_operator(grid, 1, ALPHA, "relativistic")
 
 
-@pytest.mark.parametrize("make", [kinetic_operator, nonrelativistic_kinetic])
-def test_kinetic_dst_apply_matches_dense(make, rng):
+@pytest.mark.parametrize("law", ["pseudorelativistic", "nonrelativistic"],
+                         ids=["kinetic_operator", "nonrelativistic_kinetic"])
+def test_kinetic_dst_apply_matches_dense(law, rng):
     grid = build_grid(300, 15.0)
-    op = make(grid, 0, ALPHA)
+    op = kinetic_operator(grid, 0, ALPHA, law)
     X = rng.standard_normal((grid.n, 4))
     for Y in (X, X[:, 0]):
         dense = op.matrix @ Y
@@ -307,7 +309,7 @@ def test_kinetic_dense_form_is_lazy_and_unchanged():
     ainv = 1.0 / ALPHA
     for ell in (0, 1):
         op = kinetic_operator(grid, ell, ALPHA)
-        nonrel = nonrelativistic_kinetic(grid, ell, ALPHA)
+        nonrel = kinetic_operator(grid, ell, ALPHA, "nonrelativistic")
         if ell == 0:
             op.apply(grid.nodes)
             nonrel.apply(grid.nodes)

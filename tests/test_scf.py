@@ -1,3 +1,4 @@
+import functools
 import logging
 import weakref
 from dataclasses import replace
@@ -28,6 +29,7 @@ from prhf.scf import (
     _channel_spectra, _levels_needed, _mix_blocks, commutator_residual, density_from_shells,
     orbital_residuals,
 )
+from prhf.analysis import minimizer_certificate
 from prhf.model import ShellSpec
 import scipy.linalg
 
@@ -163,9 +165,12 @@ def test_lobpcg_nonconvergence_falls_back_to_dense(patch, fill, he_small, monkey
     summary = scf._eigensolve_summary(fock.eigensolves)
     assert summary["lobpcg_warm"] == [True] and summary["dense_fallbacks"] == 1
     vals, vecs = scipy.linalg.eigh(fock.matrices[(0, 0)], subset_by_index=(0, k - 1))
+    # the fallback keeps the sign convention, P > 0 at the first node
+    vecs *= np.where(vecs[0] < 0.0, -1.0, 1.0)
     for key in ((0, 0), (0, 1)):
         assert np.array_equal(spectra[key][0], vals)
         assert np.array_equal(spectra[key][1], vecs / np.sqrt(he_small.grid.h))
+        assert np.all(spectra[key][1][0] > 0.0)
 
 
 def _small_problem(n=150):
@@ -917,3 +922,25 @@ def test_p_seeded_beryllium_relaxes_to_s_shells():
     assert p_weight <= 1e-6
     s_report, _ = solve_scf(sys, SolverOptions(n=240, r_max=14.0))
     assert energy == pytest.approx(s_report.energy.total, abs=5e-9)
+
+
+# (Z, N, n, r_max) of the small s-shell atoms solved from every initial guess
+_GUESS_ATOMS = {"he": (2.0, 2, 300, 15.0), "li": (3.0, 3, 300, 15.0), "be": (4.0, 4, 400, 20.0)}
+
+
+@functools.lru_cache(maxsize=None)
+def _solve_from(name, guess):
+    Z, N, n, r_max = _GUESS_ATOMS[name]
+    sys = validate_system(AtomSystem(Z=Z, N=N, alpha=ALPHA))
+    return solve_scf(sys, SolverOptions(n=n, r_max=r_max, initial_guess=guess))
+
+
+@pytest.mark.parametrize("guess", ["h0", "screened", "shells"])
+@pytest.mark.parametrize("name", sorted(_GUESS_ATOMS))
+def test_every_initial_guess_reaches_the_h0_minimizer(name, guess):
+    """The screened and shell seeds converge, certify and land on the h0 guess's total."""
+    report, gamma = _solve_from(name, guess)
+    assert report.converged
+    cert = minimizer_certificate(gamma, report.fock)
+    assert cert.passed, cert.clauses
+    assert abs(report.energy.total - _solve_from(name, "h0")[0].energy.total) <= 1e-9
