@@ -18,7 +18,12 @@ The DST-I of length n is taken by Rader's algorithm (Proc. IEEE 56
 beryllium grids (n = 1200, 1600, 4800). For such lengths pocketfft
 falls back to Bluestein's algorithm and is several times slower; Rader
 turns the transform into real cyclic correlations of length n, and n is
-smooth on those grids. Every other n goes to scipy.fft.dst unchanged.
+smooth on those grids. The correlations take numpy.fft's rfft and
+irfft, the same pocketfft as scipy.fft's and equal to it bit for bit
+(tested). Every other n goes to scipy.fft.dst unchanged. Only that
+branch imports scipy.fft, and only the dense `spectral_function`
+imports scipy.linalg, so an s-only solve on a grid with n + 1 prime
+loads neither.
 """
 
 from __future__ import annotations
@@ -28,8 +33,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.fft
-import scipy.linalg
 
 from .errors import BadGrid, EigFailure, LengthMismatch
 from .model import KINETICS
@@ -91,6 +94,8 @@ def channel_laplacian(grid: RadialGrid, ell: int) -> np.ndarray:
 
 def spectral_function(grid: RadialGrid, ell: int, f) -> np.ndarray:
     """f(L_ell) as a dense symmetric matrix, through the Laplacian's spectrum."""
+    import scipy.linalg
+
     try:
         vals, vecs = scipy.linalg.eigh(channel_laplacian(grid, ell))
     except scipy.linalg.LinAlgError as exc:  # pragma: no cover
@@ -175,7 +180,7 @@ def _rader_plan(n: int) -> _RaderPlan | None:
     return _RaderPlan(
         gather=powers - 1,
         signs=np.where(powers % 2 == 1, 1.0, -1.0),
-        spectrum=scipy.fft.rfft(kernel) * np.sqrt(2.0 / p),
+        spectrum=np.fft.rfft(kernel) * np.sqrt(2.0 / p),
         scatter=scatter,
     )
 
@@ -190,17 +195,19 @@ def dst(X: np.ndarray) -> np.ndarray:
     X = np.asarray(X)
     plan = _rader_plan(X.shape[0]) if X.ndim in (1, 2) and X.dtype == np.float64 else None
     if plan is None:
+        import scipy.fft
+
         return scipy.fft.dst(X, type=1, norm="ortho", axis=0)
     n = X.shape[0]
     cols = X.reshape(n, -1)
     k = cols.shape[1]
     Z = np.empty((2, n, k))
-    np.take(cols, plan.gather, axis=0, out=Z[0])
+    cols.take(plan.gather, axis=0, out=Z[0])
     np.multiply(Z[0], plan.signs[:, None], out=Z[1])
-    F = scipy.fft.rfft(Z, axis=1)
+    F = np.fft.rfft(Z, axis=1)
     F *= plan.spectrum[:, None]
-    C = scipy.fft.irfft(F, n, axis=1, overwrite_x=True)
-    return np.take(C.reshape(2 * n, k), plan.scatter, axis=0).reshape(X.shape)
+    C = np.fft.irfft(F, n, axis=1)
+    return C.reshape(2 * n, k).take(plan.scatter, axis=0).reshape(X.shape)
 
 
 class KineticOperator:

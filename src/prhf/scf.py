@@ -13,11 +13,10 @@ from __future__ import annotations
 
 import functools
 import logging
+import math
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
-import scipy.linalg
-from scipy.linalg.lapack import dpotrf, dsyevd, dtrtri
 
 from .coulomb import (
     ChannelBlock,
@@ -218,6 +217,8 @@ def fock_build(
 
 
 def _dense_levels(H: np.ndarray, k: int):
+    import scipy.linalg
+
     try:
         return scipy.linalg.eigh(H, subset_by_index=(0, k - 1))
     except scipy.linalg.LinAlgError as exc:  # pragma: no cover
@@ -246,9 +247,16 @@ def _start_block(fock: FockOperator, key: tuple[int, int], k: int):
 
 
 def _inverse_cholesky(G: np.ndarray):
-    """R^-1 for the Cholesky factor R of G = R^T R; None unless G is positive definite."""
-    R, info = dpotrf(G, lower=0, clean=1)
-    return None if info else dtrtri(R, lower=0)[0]
+    """R^-1 for the Cholesky factor R of G = R^T R; None unless G is positive definite.
+
+    LAPACK's Cholesky lets a NaN in G through without an error, but every
+    entry of R feeds the last diagonal one, so a NaN shows there.
+    """
+    try:
+        R = np.linalg.cholesky(G, upper=True)
+    except np.linalg.LinAlgError:
+        return None
+    return np.linalg.inv(R) if math.isfinite(R[-1, -1]) else None
 
 
 def _orthonormalize(V: np.ndarray):
@@ -261,12 +269,18 @@ def _orthonormalize(V: np.ndarray):
 
 
 def _ritz(GA: np.ndarray, GB: np.ndarray, k: int):
-    """Lowest k eigenpairs of the pencil (GA, GB); None if GB is not positive definite."""
+    """Lowest k eigenpairs of the pencil (GA, GB).
+
+    None if GB is not positive definite or the eigensolve fails.
+    """
     Rinv = _inverse_cholesky(GB)
     if Rinv is None:
         return None
-    vals, C, info = dsyevd(Rinv.T @ GA @ Rinv, lower=1)
-    return None if info else (vals[:k], Rinv @ C[:, :k])
+    try:
+        vals, C = np.linalg.eigh(Rinv.T @ GA @ Rinv)
+    except np.linalg.LinAlgError:
+        return None
+    return vals[:k], Rinv @ C[:, :k]
 
 
 def _lobpcg(op, inv: np.ndarray, X: np.ndarray, tol: float, maxiter: int):
@@ -301,10 +315,10 @@ def _lobpcg(op, inv: np.ndarray, X: np.ndarray, tol: float, maxiter: int):
     inv = inv.T
     X = orth[0]
     AX = apply(X)
-    ritz = _ritz(X @ AX.T, np.eye(k), k)
-    if ritz is None:
+    try:                            # the rows of X are orthonormal
+        vals, C = np.linalg.eigh(X @ AX.T)
+    except np.linalg.LinAlgError:
         return np.full(k, np.nan), X.T, 0
-    vals, C = ritz
     X, AX = C.T @ X, C.T @ AX
     active = np.ones(k, dtype=bool)
     P = AP = None

@@ -644,22 +644,55 @@ def test_main_dispatch(tmp_path):
     assert main(["solve", str(missing)]) == EXIT_CONFIG
 
 
-def test_cli_import_leaves_unused_scipy_subpackages_unloaded():
-    """import prhf.cli loads no scipy.integrate, optimize, sparse or spatial.
-
-    Other tests import scipy.integrate as an oracle, so the check runs in
-    a fresh interpreter.
-    """
+def _fresh_interpreter(code: str) -> list[str]:
+    """Run `code` in a new interpreter that imports prhf from this checkout; its last line, split."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    code = (
-        "import sys, prhf.cli\n"
-        "banned = ('scipy.integrate', 'scipy.optimize', 'scipy.sparse', 'scipy.spatial')\n"
-        "print(' '.join(sorted(m for m in sys.modules if m.startswith(banned))))\n"
-    )
     proc = subprocess.run(
         [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path),
         capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == []
+    return (proc.stdout.splitlines() or [""])[-1].split()
+
+
+# loaded only by the dense eigensolve and by a composite-length DST
+LAZY_SCIPY = ("scipy.fft", "scipy.linalg")
+
+
+def _loaded_line(banned) -> str:
+    return f"print('loaded:', *sorted(m for m in sys.modules if m.startswith({banned!r})))\n"
+
+
+def test_cli_import_leaves_unused_scipy_subpackages_unloaded():
+    """import prhf.cli loads no scipy.integrate, optimize, sparse, spatial, fft or linalg.
+
+    Other tests import scipy.integrate, fft and linalg as oracles, so the
+    check runs in a fresh interpreter.
+    """
+    banned = ("scipy.integrate", "scipy.optimize", "scipy.sparse", "scipy.spatial") + LAZY_SCIPY
+    assert _fresh_interpreter("import sys, prhf.cli\n" + _loaded_line(banned)) == ["loaded:"]
+
+
+def test_s_only_solve_and_verify_load_no_fft_or_linalg(tmp_path):
+    """An s-only helium solve and its verify, n + 1 = 241 prime, never need scipy.fft or linalg."""
+    cfg = _write_config(tmp_path, tmp_path / "out", verify_greens="true", verify_binding="true")
+    code = (
+        "import sys\nfrom prhf.cli import main\n"
+        f"assert main(['solve', {str(cfg)!r}]) == main(['verify', {str(cfg)!r}]) == 0\n"
+        + _loaded_line(LAZY_SCIPY)
+    )
+    assert _fresh_interpreter(code) == ["loaded:"]
+    verify = json.loads((tmp_path / "out" / "verify.json").read_text())
+    assert verify["all_passed"] is True
+    assert set(verify["suites"]) == {"minimizer", "decay", "kato", "herbst", "greens", "binding"}
+
+
+def test_p_channel_solve_loads_linalg_and_passes(tmp_path):
+    """ell_max = 1 takes the dense eigensolve, which imports scipy.linalg on first use."""
+    cfg = _write_config(tmp_path, tmp_path / "out", ell_max=1)
+    code = (
+        "import sys\nfrom prhf.cli import main\n"
+        f"assert main(['solve', {str(cfg)!r}]) == 0\n" + _loaded_line(("scipy.linalg",))
+    )
+    assert "scipy.linalg" in _fresh_interpreter(code)

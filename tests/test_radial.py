@@ -16,7 +16,7 @@ from prhf import (
     kinetic_operator,
     spectral_function,
 )
-from prhf.radial import dst, laplacian_symbol
+from prhf.radial import _rader_plan, dst, laplacian_symbol
 
 ALPHA = 1.0 / 137.036
 
@@ -113,6 +113,30 @@ def test_dst_prime_length_matches_scipy(n, rng):
         out = dst(X)
         assert out.shape == ref.shape and out.dtype == ref.dtype
         assert np.max(np.abs(out - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+
+def _scipy_rader_dst(X):
+    """`dst`'s Rader transform with scipy.fft's rfft and irfft in place of numpy.fft's."""
+    n = X.shape[0]
+    p, plan = n + 1, _rader_plan(n)
+    kernel = np.sin(2.0 * np.pi * (plan.gather + 1)[-np.arange(n) % n] / p)
+    spectrum = scipy.fft.rfft(kernel) * np.sqrt(2.0 / p)
+    cols = X.reshape(n, -1)
+    k = cols.shape[1]
+    Z = np.empty((2, n, k))
+    np.take(cols, plan.gather, axis=0, out=Z[0])
+    np.multiply(Z[0], plan.signs[:, None], out=Z[1])
+    F = scipy.fft.rfft(Z, axis=1)
+    F *= spectrum[:, None]
+    C = scipy.fft.irfft(F, n, axis=1, overwrite_x=True)
+    return np.take(C.reshape(2 * n, k), plan.scatter, axis=0).reshape(X.shape)
+
+
+@pytest.mark.parametrize("n", [16, 240, 400, 1200, 1600, 4800])
+def test_dst_rader_on_numpy_fft_equals_scipy_fft(n, rng):
+    base = rng.standard_normal((n, 6))
+    for X in (base[:, 0], base, np.asfortranarray(base)):
+        assert np.array_equal(dst(X), _scipy_rader_dst(X))
 
 
 # n + 1 composite: 18, 200, 801 = 9*89, 1501 = 19*79, 1600

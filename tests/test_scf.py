@@ -219,6 +219,26 @@ def test_inhouse_lobpcg_locks_a_converged_column():
     assert widths[1:] == sorted(widths[1:], reverse=True)
 
 
+def _bad_gram(kind, k=4):
+    """An indefinite or a NaN k x k Gram matrix."""
+    A = np.random.default_rng(5).standard_normal((k, 3 * k))
+    G = A @ A.T
+    if kind == "indefinite":
+        G[-1, -1] = -1.0
+    else:
+        G[1, 2] = G[2, 1] = np.nan
+    return G
+
+
+@pytest.mark.parametrize("kind", ["indefinite", "nan"])
+def test_small_factorizations_refuse_a_bad_gram(kind):
+    G = _bad_gram(kind)
+    assert scf._inverse_cholesky(G) is None
+    assert scf._ritz(np.diag(np.arange(1.0, 5.0)), G, 2) is None
+    if kind == "nan":           # a NaN in the projected matrix instead
+        assert scf._ritz(G, np.eye(4), 2) is None
+
+
 @pytest.mark.parametrize("dependent", ["zero", "sum"])
 def test_rank_deficient_start_block_does_not_raise(dependent, he_small, monkeypatch, caplog):
     """A start block with dependent columns still gives the dense levels, or falls back to them."""
