@@ -190,22 +190,17 @@ def minimizer_certificate(gamma: DensityMatrix, fock: FockOperator) -> Certifica
     return CertificateReport(clauses=clauses, passed=all(c["passed"] for c in clauses.values()))
 
 
-def kato_probe(u: np.ndarray, grid: RadialGrid):
+def kato_probe(u: np.ndarray, grid: RadialGrid) -> tuple[float, float]:
     """(int u^2/r dr, (pi/2) <u, |p| u>) for an s-channel function u.
 
-    u may also be a block of columns, one function each; the pair is then
-    two arrays with one entry per column, from one DST-I of the block.
     |p| is the square root of the ell = 0 Laplacian, diagonal under the
     DST-I. The coupling inequality lhs <= rhs holds up to discretization
     slack (5e-3 is the acceptance tolerance).
     """
     u = np.asarray(u, dtype=float)
     coef = dst(u)
-    weight, nodes = np.sqrt(laplacian_symbol(grid)), grid.nodes
-    if u.ndim == 2:
-        weight, nodes = weight[:, None], nodes[:, None]
-    rhs = 0.5 * np.pi * grid.h * np.sum(coef * (weight * coef), axis=0)
-    lhs = grid.h * np.sum(u * u / nodes, axis=0)
+    rhs = 0.5 * np.pi * grid.h * float(coef @ (np.sqrt(laplacian_symbol(grid)) * coef))
+    lhs = grid.h * float(np.sum(u * u / grid.nodes))
     return lhs, rhs
 
 

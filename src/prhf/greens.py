@@ -418,11 +418,9 @@ def resolvent_apply(f: np.ndarray, kernel: GreensKernel, grid: RadialGrid) -> np
     cells [r_j - h/2, r_j + h/2] the cell integrals of g(|r - s|) form a
     Toeplitz matrix and those of g(r + s) a Hankel one, both read from
     the antiderivative of g at the half-integer offsets (k + 1/2) h.
-    f may also be a block of columns, one function each: the matrix is
-    then built once for all of them.
     """
     f = np.asarray(f, dtype=float)
-    if f.ndim not in (1, 2) or f.shape[0] != grid.n:
+    if f.shape != (grid.n,):
         raise DomainError("f must be tabulated on the grid nodes")
     E, alpha, nu, mesh = kernel.E, kernel.alpha, kernel.nu, kernel.mesh
     if mesh[-1] < _NU_U_MAX / nu and mesh[-1] < 2.0 * grid.r_max + grid.h:

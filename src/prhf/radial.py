@@ -201,13 +201,14 @@ def dst(X: np.ndarray) -> np.ndarray:
     n = X.shape[0]
     cols = X.reshape(n, -1)
     k = cols.shape[1]
-    Z = np.empty((2, n, k))
-    cols.take(plan.gather, axis=0, out=Z[0])
-    np.multiply(Z[0], plan.signs[:, None], out=Z[1])
-    F = np.fft.rfft(Z, axis=1)
-    F *= plan.spectrum[:, None]
-    C = np.fft.irfft(F, n, axis=1)
-    return C.reshape(2 * n, k).take(plan.scatter, axis=0).reshape(X.shape)
+    # each column's two correlands lie along the last, contiguous axis
+    Z = np.empty((2, k, n))
+    cols.T.take(plan.gather, axis=1, out=Z[0])
+    np.multiply(Z[0], plan.signs, out=Z[1])
+    F = np.fft.rfft(Z)
+    F *= plan.spectrum
+    C = np.fft.irfft(F, n)
+    return C.transpose(0, 2, 1).reshape(2 * n, k).take(plan.scatter, axis=0).reshape(X.shape)
 
 
 class KineticOperator:

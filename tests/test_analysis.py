@@ -168,16 +168,6 @@ def test_kato_probe_far_concentration(grid200):
     assert lhs / rhs < 0.2
 
 
-def test_kato_probe_takes_a_block_of_probes(grid200):
-    battery = random_smooth_battery(grid200, 7, seed=3)
-    lhs, rhs = kato_probe(np.column_stack(battery), grid200)
-    assert lhs.shape == rhs.shape == (7,)
-    for j, u in enumerate(battery):
-        lhs_j, rhs_j = kato_probe(u, grid200)
-        assert lhs[j] == pytest.approx(lhs_j, rel=1e-14)
-        assert rhs[j] == pytest.approx(rhs_j, rel=1e-14)
-
-
 def _dense_kato_probe(u, grid):
     """kato_probe through a dense eigendecomposition of the ell = 0 Laplacian."""
     vals, vecs = scipy.linalg.eigh(channel_laplacian(grid, 0))

@@ -433,17 +433,6 @@ def test_resolvent_roundtrip_and_dense(kernel):
         assert agree <= 1e-3
 
 
-def test_resolvent_applies_a_block_column_by_column(kernel):
-    grid = build_grid(400, 40.0)
-    F = np.random.default_rng(5).standard_normal((grid.n, 3))
-    V = resolvent_apply(F, kernel, grid)
-    for j in range(3):
-        v = resolvent_apply(F[:, j], kernel, grid)
-        assert np.max(np.abs(V[:, j] - v)) <= 1e-14 * np.max(np.abs(v))
-    with pytest.raises(DomainError):
-        resolvent_apply(F[:, :, None], kernel, grid)
-
-
 @pytest.mark.parametrize("n, r_max", [(400, 40.0), (63, 20.0)])
 def test_resolvent_matches_cellwise_oracle(kernel, n, r_max):
     grid = build_grid(n, r_max)
