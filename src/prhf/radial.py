@@ -201,7 +201,7 @@ def dst(X: np.ndarray) -> np.ndarray:
     n = X.shape[0]
     cols = X.reshape(n, -1)
     k = cols.shape[1]
-    # each column's two correlands lie along the last, contiguous axis
+    # both correlations of each column run along the last, contiguous axis
     Z = np.empty((2, k, n))
     cols.T.take(plan.gather, axis=1, out=Z[0])
     np.multiply(Z[0], plan.signs, out=Z[1])
