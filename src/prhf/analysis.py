@@ -10,6 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
+import numpy.random  # loaded with the module, not on verify's first Kato battery
 
 from .coulomb import DensityMatrix
 from .errors import BoundViolated, WindowTooNoisy

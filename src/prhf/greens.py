@@ -20,7 +20,8 @@ the convolution term, in closed form (est1_constant): with s = E + a,
 
 The cumulative integrals below are 1-D ports of scipy's
 cumulative_trapezoid and cumulative_simpson, equal to them bit for bit,
-so that importing this module loads no scipy.integrate.
+and K0, K1 and int_0^x K0 are numpy series, so that importing this
+module loads no scipy.
 
 radial_convolution tabulates the third term in O(m * band) interpolations
 on an m-point mesh: the cumulative of the short-range K_1 profile is
@@ -44,7 +45,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import iti0k0, k0 as _sk0, k1 as _sk1
 
 from .errors import DomainError
 from .radial import RadialGrid
@@ -54,23 +54,186 @@ _CONV_CHUNK = 64
 # kernel terms have decayed by e^-80
 _NU_U_MAX = 80.0
 
+# --- K0, K1 and int_0^x K0 on numpy ----------------------------------------
+#
+# Cephes' layout. For t <= 2, power series in y = t^2 (Abramowitz-Stegun
+# 9.6.10-9.6.13; psi is the digamma function, a_k = 1 / (4^k k!^2)):
+#
+#   I0(t) = sum a_k y^k,
+#   K0(t) = -ln(t/2) I0(t) + sum c_k y^k,             c_k = psi(k+1) a_k,
+#   I1(t) = t sum y^k / (2 4^k k! (k+1)!),
+#   K1(t) = 1/t + ln(t/2) I1(t) - t sum (psi(k+1) + psi(k+2)) y^k / (4^(k+1) k! (k+1)!),
+#
+# and, term by term, int_0^x K0 = x [sum (c_k + a_k / (2k+1)) y^k / (2k+1)
+# - ln(x/2) sum a_k y^k / (2k+1)]. For t > 2, Chebyshev series in
+# s = 4/t - 1 of e^t sqrt(t) K0(t), e^t sqrt(t) K1(t) and
+# e^t sqrt(t) int_t^inf K0, the last through int_0^x K0 = pi/2 - int_x^inf K0.
+#
+# The coefficients were computed with mpmath at 36 digits and rounded to
+# double: the series ones from their formulas, the Chebyshev ones by
+# interpolation at 48 Chebyshev points, of mpmath.besselk for K0 and K1
+# and, for the K0 tail, of its Gaussian form
+#
+#   e^t sqrt(t) int_t^inf K0 = int_0^inf e^{-v^2/2} dv / ((1 + v^2/2t) sqrt(1 + v^2/4t))
+#
+# (v = 2 sqrt(t) sinh(s/2) in int_t^inf K0 = int_0^inf e^{-t cosh s} / cosh s ds),
+# summed by the trapezoid rule. The series stop where a term falls below
+# 1e-19 of the first at t = 2, the K0 and K1 Chebyshev series where the
+# dropped coefficients sum to under 2e-18, the K0-tail one under 5e-16
+# (the tail is at most 7% of the integral there).
+
+_BESSEL_SPLIT = 2.0
+# e^-t underflows to 0 past t = 745.2, and so do K0 and K1
+_BESSEL_ZERO = 746.0
+# int_x^inf K0 < 1e-18 past x = 40, below half an ulp of pi/2
+_ITK0_SATURATED = 40.0
+
+_I0_SERIES = (
+    1.0, 0.25, 0.015625,
+    0.00043402777777777775, 6.781684027777777e-06, 6.781684027777778e-08,
+    4.709502797067901e-10, 2.4028075495244395e-12, 9.385966990329842e-15,
+    2.896903392077112e-17, 7.242258480192779e-20, 1.4963343967340453e-22,
+    2.5978027721077174e-25,
+)
+_K0_SERIES = (
+    -0.5772156649015329, 0.10569608377461678, 0.014418505235913549,
+    0.0005451899602568578, 1.0214014135957849e-05, 1.1570350941513404e-07,
+    8.819883064451181e-10, 4.843198560366338e-12, 2.009199025022224e-14,
+    6.523109713385803e-17, 1.7032000131483784e-19, 3.655038691331976e-22,
+    6.562036847904768e-25, 1.0002763062684308e-27,
+)
+_I1_SERIES = (
+    0.5, 0.0625, 0.0026041666666666665,
+    5.425347222222222e-05, 6.781684027777778e-07, 5.651403356481481e-09,
+    3.363930569334215e-11, 1.5017547184527747e-13, 5.214426105738801e-16,
+    1.4484516960385557e-18, 3.2919356728148996e-21, 6.234726653058522e-24,
+    9.991549123491221e-27,
+)
+_K1_SERIES = (
+    0.03860783245076643, -0.042049020943654196, -0.002837111983763369,
+    -7.493042905988501e-05, -1.0892182538735626e-06, -1.0112909397634626e-08,
+    -6.54019722956043e-11, -3.12085877013226e-13, -1.1451907144886734e-15,
+    -3.3339774414948293e-18, -7.891451681256942e-21, -1.548910815776067e-23,
+    -2.5622893612075694e-26,
+)
+_ITI0_SERIES = (
+    1.0, 0.08333333333333333, 0.003125,
+    6.200396825396825e-05, 7.535204475308642e-07, 6.165167297979798e-09,
+    3.622694459283001e-11, 1.6018716996829596e-13, 5.521157053135201e-16,
+    1.5246859958300587e-18, 3.4486945143775135e-21, 6.5058017249306315e-24,
+    1.039121108843087e-26,
+)
+_ITK0_SERIES = (
+    0.42278433509846713, 0.06300980570265004, 0.00350870104718271,
+    8.674198978726088e-05, 1.218614953720968e-06, 1.1078970610283076e-08,
+    7.063194238753447e-11, 3.3355904868897563e-13, 1.2143591738550447e-15,
+    3.513462269983583e-18, 8.274699801391207e-21, 1.6174333515570793e-23,
+    2.666379583515631e-26,
+)
+_K0_CHEB = (
+    1.2201515410329777, -0.0314481013119645, 0.0015698838857300533,
+    -0.00012849549581627802, 1.39498137188765e-05, -1.8317555227191195e-06,
+    2.766813639445015e-07, -4.660489897687948e-08, 8.574034017414225e-09,
+    -1.6975345093890614e-09, 3.5773972814003283e-10, -7.957489244477396e-11,
+    1.8559491149549264e-11, -4.514597883374519e-12, 1.1403405882073441e-12,
+    -2.9800969231481784e-13, 8.032890775068375e-14, -2.2275133267462965e-14,
+    6.340076476276646e-15, -1.848593377920907e-15, 5.5120559994043335e-16,
+    -1.6782311257549006e-16, 5.2103917776435543e-17, -1.6475805939842632e-17,
+    5.3004337711773354e-18, -1.7331712005821001e-18,
+)
+_K1_CHEB = (
+    1.3603130952422213, 0.10392373657681724, -0.002857816859622779,
+    0.00019521551847135162, -1.936197974166083e-05, 2.406484947837217e-06,
+    -3.5019606030878126e-07, 5.7410841254500495e-08, -1.0345762465678097e-08,
+    2.0150497551970347e-09, -4.1903547593419254e-10, 9.218315187605315e-11,
+    -2.129967838427791e-11, 5.139639673482343e-12, -1.2891739609498229e-12,
+    3.348419666052243e-13, -8.976705182010146e-14, 2.4771544242195988e-14,
+    -7.0198370892147685e-15, 2.038703166239861e-15, -6.057047270643018e-16,
+    1.8380935752430455e-16, -5.689462849193648e-17, 1.7940510478863572e-17,
+    -5.7567444820733025e-18, 1.8778651901623268e-18,
+)
+_ITK0_CHEB = (
+    1.1206780274986525, -0.11715459069850548, 0.013036970236823027,
+    -0.0019806761821353283, 0.00036376878778932644, -7.629903071848918e-05,
+    1.769140752643676e-05, -4.441259963374044e-06, 1.1899212195550535e-06,
+    -3.3672827874851224e-07, 9.98585047187354e-08, -3.08453824760776e-08,
+    9.876226440707194e-09, -3.2649783182163054e-09, 1.110833576391333e-09,
+    -3.878982558929465e-10, 1.387035374512601e-10, -5.068767306224177e-11,
+    1.8898287875308314e-11, -7.177991391723474e-12, 2.773814268711974e-12,
+    -1.089293793453941e-12, 4.342706374315094e-13, -1.7560032645303447e-13,
+    7.195840250257876e-14, -2.986109432368278e-14, 1.2540208296211585e-14,
+    -5.326129484125827e-15, 2.286561112529725e-15, -9.917325004086796e-16,
+    4.3435161399747193e-16,
+)
+
+
+def _horner(coef, y):
+    """sum_k coef[k] y^k."""
+    out = np.full_like(y, coef[-1])
+    for c in coef[-2::-1]:
+        out *= y
+        out += c
+    return out
+
+
+def _scaled_tail(coef, t):
+    """e^-t / sqrt(t) times the Chebyshev series coef in s = 4/t - 1, by Clenshaw."""
+    s = 4.0 / t - 1.0
+    s2 = 2.0 * s
+    b1, b2, tmp = np.zeros_like(t), np.zeros_like(t), np.empty_like(t)
+    for c in coef[:0:-1]:
+        # b_k = 2 s b_{k+1} - b_{k+2} + c_k
+        np.multiply(s2, b1, out=tmp)
+        tmp -= b2
+        tmp += c
+        b1, b2, tmp = tmp, b1, b2
+    series = s * b1 - b2 + coef[0]
+    return np.exp(-t) * (series / np.sqrt(t))
+
+
+def _k0(t: np.ndarray) -> np.ndarray:
+    """K0 of a float array (any shape) of positive finite values."""
+    out = np.zeros_like(t)
+    small = t <= _BESSEL_SPLIT
+    ts = t[small]
+    y = ts * ts
+    out[small] = _horner(_K0_SERIES, y) - np.log(0.5 * ts) * _horner(_I0_SERIES, y)
+    large = ~small & (t < _BESSEL_ZERO)
+    out[large] = _scaled_tail(_K0_CHEB, t[large])
+    return out
+
+
+def _k1(t: np.ndarray) -> np.ndarray:
+    """K1 of a float array (any shape) of positive finite values."""
+    out = np.zeros_like(t)
+    small = t <= _BESSEL_SPLIT
+    ts = t[small]
+    y = ts * ts
+    out[small] = 1.0 / ts + ts * (np.log(0.5 * ts) * _horner(_I1_SERIES, y)
+                                  + _horner(_K1_SERIES, y))
+    large = ~small & (t < _BESSEL_ZERO)
+    out[large] = _scaled_tail(_K1_CHEB, t[large])
+    return out
+
 
 def bessel_k(order: int, t):
     """Modified Bessel function K_nu of the second kind, nu in {0, 1, 2}.
 
-    Underflows to exact 0 for t beyond roughly 700, which is acceptable
-    everywhere the kernel uses it (always multiplied by bounded terms).
-    Order 2 follows the three-term recurrence K2 = K0 + (2/t) K1.
+    K0 and K1 are the numpy series above, within 2e-15 relative of
+    30-digit mpmath on [1e-8, 700] (tested). They turn subnormal near
+    t = 705 and are exact 0 from t = 746, which is acceptable everywhere the
+    kernel uses them (always multiplied by bounded terms). Order 2
+    follows the three-term recurrence K2 = K0 + (2/t) K1.
     """
     arr = np.asarray(t, dtype=float)
     if np.any(arr <= 0.0) or not np.all(np.isfinite(arr)):
         raise DomainError("bessel_k requires strictly positive finite arguments")
     if order == 0:
-        out = _sk0(arr)
+        out = _k0(arr)
     elif order == 1:
-        out = _sk1(arr)
+        out = _k1(arr)
     elif order == 2:
-        out = _sk0(arr) + (2.0 / arr) * _sk1(arr)
+        out = _k0(arr) + (2.0 / arr) * _k1(arr)
     else:
         raise DomainError(f"unsupported order {order}; only 0, 1, 2 are tabulated")
     return out if isinstance(t, np.ndarray) else float(out)
@@ -333,12 +496,18 @@ class GreensKernel:
     c_bound: float
 
     def envelope(self, u=None) -> np.ndarray:
-        """Pointwise upper bound C e^{-nu u}/(4 pi u) + (a/2pi^2) K1(a u)/u."""
-        if u is None:
-            u = self.mesh
+        """Pointwise upper bound C e^{-nu u}/(4 pi u) + (a/2pi^2) K1(a u)/u.
+
+        On the mesh (u None) the K1 part is term2, which is that
+        expression bit for bit, so K1 is not evaluated again.
+        """
         ainv = 1.0 / self.alpha
+        if u is None:
+            u, k1_part = self.mesh, self.term2
+        else:
+            k1_part = (ainv / (2.0 * np.pi**2)) * _k1(np.asarray(ainv * u, dtype=float)) / u
         yuk = self.c_bound * np.exp(-self.nu * u) / (4.0 * np.pi * u)
-        return yuk + (ainv / (2.0 * np.pi**2)) * _sk1(ainv * u) / u
+        return yuk + k1_part
 
 
 def greens_kernel(E: float, alpha: float, mesh: np.ndarray | None = None) -> GreensKernel:
@@ -349,8 +518,9 @@ def greens_kernel(E: float, alpha: float, mesh: np.ndarray | None = None) -> Gre
         mesh = default_kernel_mesh(E, alpha)
     u = np.asarray(mesh, dtype=float)
     term1 = (E + ainv) * np.exp(-nu * u) / (4.0 * np.pi * u)
-    term2 = (ainv / (2.0 * np.pi**2)) * _sk1(ainv * u) / u
-    f_tab = _sk1(ainv * u) / u
+    k1 = _k1(ainv * u)                  # shared by term2, f_tab and the envelope
+    term2 = (ainv / (2.0 * np.pi**2)) * k1 / u
+    f_tab = k1 / u
     g_tab = np.exp(-nu * u) / (4.0 * np.pi * u)
     conv = radial_convolution(f_tab, g_tab, u)
     # alpha^-2 - nu^2 = (E + alpha^-1)^2 exactly
@@ -396,13 +566,29 @@ def exp_moment(kernel: GreensKernel, beta: float) -> tuple[float, float]:
 
 # --- resolvent application on the SCF grid ---------------------------------
 
-def _itk0(x):
-    """int_0^x K0, clamped: the integral saturates at pi/2 within 1e-16 by x=35."""
-    return iti0k0(np.minimum(x, 35.0))[1]
+def _itk0(x: np.ndarray) -> np.ndarray:
+    """int_0^x K0 of a float array of positive values.
+
+    Within 2e-15 relative of 30-digit mpmath on (1e-8, 35] (tested),
+    where scipy.special.iti0k0 was off by up to 2e-11 between x = 8 and
+    15. Past x = 40 the result is pi/2 to the last bit.
+    """
+    out = np.full_like(x, 0.5 * np.pi)
+    small = x <= _BESSEL_SPLIT
+    xs = x[small]
+    y = xs * xs
+    out[small] = xs * (_horner(_ITK0_SERIES, y) - np.log(0.5 * xs) * _horner(_ITI0_SERIES, y))
+    mid = ~small & (x < _ITK0_SATURATED)
+    out[mid] -= _scaled_tail(_ITK0_CHEB, x[mid])
+    return out
 
 
 def resolvent_apply(f: np.ndarray, kernel: GreensKernel, grid: RadialGrid) -> np.ndarray:
-    """Apply (T - E)^{-1} at the kernel's energy to a reduced s-channel function.
+    """Apply (T - E)^{-1} at the kernel's energy to reduced s-channel functions.
+
+    f holds one function, shape (n,), or one per column, shape (n, k);
+    the result has f's shape, and the matrix W below is built once for
+    all columns.
 
     v(r) = int M(r,s) f(s) ds with the reduced pair kernel
 
@@ -420,8 +606,8 @@ def resolvent_apply(f: np.ndarray, kernel: GreensKernel, grid: RadialGrid) -> np
     the antiderivative of g at the half-integer offsets (k + 1/2) h.
     """
     f = np.asarray(f, dtype=float)
-    if f.shape != (grid.n,):
-        raise DomainError("f must be tabulated on the grid nodes")
+    if f.ndim not in (1, 2) or f.shape[0] != grid.n:
+        raise DomainError("f must be tabulated on the grid nodes, one function per column")
     E, alpha, nu, mesh = kernel.E, kernel.alpha, kernel.nu, kernel.mesh
     if mesh[-1] < _NU_U_MAX / nu and mesh[-1] < 2.0 * grid.r_max + grid.h:
         raise DomainError(

@@ -33,6 +33,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+import numpy.fft  # loaded with the module, not on a solve's first transform
 
 from .errors import BadGrid, EigFailure, LengthMismatch
 from .model import KINETICS

@@ -17,6 +17,7 @@ import math
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
+import numpy.polynomial  # loaded with the module, not on the first cold start
 
 from .coulomb import (
     ChannelBlock,
@@ -250,8 +251,13 @@ def _inverse_cholesky(G: np.ndarray):
     """R^-1 for the Cholesky factor R of G = R^T R; None unless G is positive definite.
 
     LAPACK's Cholesky lets a NaN in G through without an error, but every
-    entry of R feeds the last diagonal one, so a NaN shows there.
+    entry of R feeds the last diagonal one, so a NaN shows there. A 1 x 1
+    G skips numpy.linalg's per-call overhead: R is its square root and
+    R^-1 one division, the same bits as `dpotrf` and `dgesv`.
     """
+    if G.shape == (1, 1):
+        g = float(G[0, 0])
+        return np.array([[1.0 / math.sqrt(g)]]) if 0.0 < g < math.inf else None
     try:
         R = np.linalg.cholesky(G, upper=True)
     except np.linalg.LinAlgError:
@@ -315,11 +321,14 @@ def _lobpcg(op, inv: np.ndarray, X: np.ndarray, tol: float, maxiter: int):
     inv = inv.T
     X = orth[0]
     AX = apply(X)
-    try:                            # the rows of X are orthonormal
-        vals, C = np.linalg.eigh(X @ AX.T)
-    except np.linalg.LinAlgError:
-        return np.full(k, np.nan), X.T, 0
-    X, AX = C.T @ X, C.T @ AX
+    if k == 1:                      # the Rayleigh quotient, as `dsyevd` gives it
+        vals = (X @ AX.T)[0]
+    else:
+        try:                        # the rows of X are orthonormal
+            vals, C = np.linalg.eigh(X @ AX.T)
+        except np.linalg.LinAlgError:
+            return np.full(k, np.nan), X.T, 0
+        X, AX = C.T @ X, C.T @ AX
     active = np.ones(k, dtype=bool)
     P = AP = None
     its = 0

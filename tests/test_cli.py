@@ -598,6 +598,20 @@ def test_verify_tabulates_the_kernel_once(tmp_path, monkeypatch):
     assert len(calls) == 1
 
 
+def test_k2_check_is_independent_of_bessel_k(monkeypatch):
+    """The k2_recurrence check's reference calls no Bessel code of prhf and matches kv."""
+    from scipy.special import kv
+
+    def refuse(*args):
+        raise AssertionError("the reference must not call the code it checks")
+
+    for name in ("_k0", "_k1", "bessel_k"):
+        monkeypatch.setattr(prhf.greens, name, refuse)
+    ts = np.geomspace(1e-3, 600.0, 40)
+    ref = kv(2, ts)
+    assert np.max(np.abs(prhf.cli._k2_cosh_integral(ts) - ref) / ref) <= 1e-14
+
+
 def test_verify_every_shipped_config(tmp_path):
     configs = sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.cfg"))
     assert configs
@@ -656,36 +670,49 @@ def _fresh_interpreter(code: str) -> list[str]:
     return (proc.stdout.splitlines() or [""])[-1].split()
 
 
-# loaded only by the dense eigensolve and by a composite-length DST
-LAZY_SCIPY = ("scipy.fft", "scipy.linalg")
-
-
-def _loaded_line(banned) -> str:
-    return f"print('loaded:', *sorted(m for m in sys.modules if m.startswith({banned!r})))\n"
+def _loaded_line(prefix) -> str:
+    return f"print('loaded:', *sorted(m for m in sys.modules if m.startswith({prefix!r})))\n"
 
 
 def test_cli_import_leaves_unused_scipy_subpackages_unloaded():
-    """import prhf.cli loads no scipy.integrate, optimize, sparse, spatial, fft or linalg.
+    """import prhf.cli and parse_config load no scipy module at all.
 
-    Other tests import scipy.integrate, fft and linalg as oracles, so the
-    check runs in a fresh interpreter.
+    Only the dense eigensolve and a composite-length DST import scipy
+    (scipy.linalg, scipy.fft). Other tests import scipy subpackages as
+    oracles, so the check runs in a fresh interpreter.
     """
-    banned = ("scipy.integrate", "scipy.optimize", "scipy.sparse", "scipy.spatial") + LAZY_SCIPY
-    assert _fresh_interpreter("import sys, prhf.cli\n" + _loaded_line(banned)) == ["loaded:"]
+    cfg = Path(__file__).resolve().parents[1] / "configs" / "helium.cfg"
+    code = f"import sys, prhf.cli\nprhf.cli.parse_config({str(cfg)!r})\n" + _loaded_line("scipy")
+    assert _fresh_interpreter(code) == ["loaded:"]
 
 
 def test_s_only_solve_and_verify_load_no_fft_or_linalg(tmp_path):
-    """An s-only helium solve and its verify, n + 1 = 241 prime, never need scipy.fft or linalg."""
+    """An s-only helium solve and its verify, n + 1 = 241 prime, load no scipy module."""
     cfg = _write_config(tmp_path, tmp_path / "out", verify_greens="true", verify_binding="true")
     code = (
         "import sys\nfrom prhf.cli import main\n"
         f"assert main(['solve', {str(cfg)!r}]) == main(['verify', {str(cfg)!r}]) == 0\n"
-        + _loaded_line(LAZY_SCIPY)
+        + _loaded_line("scipy")
     )
     assert _fresh_interpreter(code) == ["loaded:"]
     verify = json.loads((tmp_path / "out" / "verify.json").read_text())
     assert verify["all_passed"] is True
     assert set(verify["suites"]) == {"minimizer", "decay", "kato", "herbst", "greens", "binding"}
+
+
+def test_run_path_loads_no_numpy_submodule_on_first_use(tmp_path):
+    """Every numpy submodule a solve or verify uses is loaded by import prhf.cli.
+
+    A submodule first loaded inside the run would charge its import to the run.
+    """
+    cfg = _write_config(tmp_path, tmp_path / "out", verify_greens="true", verify_binding="true")
+    code = (
+        "import sys\nfrom prhf.cli import main\n"
+        "before = set(sys.modules)\n"
+        f"assert main(['solve', {str(cfg)!r}]) == main(['verify', {str(cfg)!r}]) == 0\n"
+        "print('new:', *sorted(m for m in set(sys.modules) - before if m.startswith('numpy')))\n"
+    )
+    assert _fresh_interpreter(code) == ["new:"]
 
 
 def test_p_channel_solve_loads_linalg_and_passes(tmp_path):

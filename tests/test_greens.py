@@ -13,6 +13,7 @@ from prhf import (
     radial_convolution,
     resolvent_apply,
 )
+from prhf import greens
 from prhf.greens import (
     _cell_edges,
     _cumulative_simpson,
@@ -148,6 +149,55 @@ def test_bessel_domain_and_underflow():
     with pytest.raises(DomainError):
         bessel_k(3, 1.0)
     assert bessel_k(1, 800.0) == 0.0
+
+
+def _mp_relative_errors(values, refs):
+    mpmath = pytest.importorskip("mpmath")
+    return np.array([float(abs((mpmath.mpf(v) - r) / r)) for v, r in zip(values, refs)])
+
+
+@pytest.mark.parametrize("order", [0, 1])
+def test_bessel_k_matches_mpmath(order):
+    """K0 and K1 within 2e-15 relative of 30-digit mpmath, log-spaced over [1e-8, 700]."""
+    mpmath = pytest.importorskip("mpmath")
+    ts = np.concatenate([np.geomspace(1e-8, 700.0, 501), np.linspace(1.5, 2.5, 21)])
+    with mpmath.workdps(30):
+        refs = [mpmath.besselk(order, mpmath.mpf(t)) for t in ts]
+        err = _mp_relative_errors(bessel_k(order, ts), refs)
+    assert err.max() <= 2e-15, ts[err.argmax()]
+
+
+def test_itk0_matches_mpmath():
+    """int_0^x K0 within 2e-15 relative of mpmath on (1e-8, 35], the band 8-15 included."""
+    mpmath = pytest.importorskip("mpmath")
+    xs = np.concatenate([np.geomspace(1e-8, 35.0, 201), np.linspace(8.0, 15.0, 36),
+                         np.linspace(1.5, 2.5, 11)])
+    with mpmath.workdps(45):
+        # Abramowitz-Stegun 11.1.8: int_0^x K0 = (pi x / 2) (K0 L_-1 + K1 L_0)
+        refs = [mpmath.pi * x / 2 * (mpmath.besselk(0, x) * mpmath.struvel(-1, x)
+                                     + mpmath.besselk(1, x) * mpmath.struvel(0, x))
+                for x in map(mpmath.mpf, xs)]
+        err = _mp_relative_errors(_itk0(xs), refs)
+    assert err.max() <= 2e-15, xs[err.argmax()]
+    assert np.all(_itk0(np.array([40.0, 1e3, 1e6])) == 0.5 * np.pi)
+
+
+def test_bessel_k_underflow_is_exact_and_silent():
+    with np.errstate(all="raise"):
+        for order in (0, 1, 2):
+            assert bessel_k(order, 800.0) == 0.0
+            assert np.all(bessel_k(order, np.array([746.0, 800.0, 1e6])) == 0.0)
+
+
+def test_bessel_k_keeps_the_argument_shape():
+    t = np.geomspace(0.1, 50.0, 12).reshape(3, 4)
+    for order in (0, 1, 2):
+        out = bessel_k(order, t)
+        assert out.shape == t.shape
+        assert np.array_equal(out.ravel(), bessel_k(order, t.ravel()))
+        assert bessel_k(order, float(t[1, 2])) == out[1, 2]
+    assert isinstance(bessel_k(1, 3.0), float)
+    assert bessel_k(1, np.array(3.0)).shape == ()
 
 
 # --- decay rate --------------------------------------------------------------
@@ -329,6 +379,36 @@ def test_kernel_est1_envelope_fast_decay():
     assert np.all(strong.values <= strong.envelope())
 
 
+def test_kernel_shares_one_k1_evaluation(monkeypatch):
+    """One K1 call per tabulation; terms, values and envelope equal the three-call form."""
+    E, alpha = -0.918, ALPHA
+    calls = []
+    k1 = greens._k1
+
+    def counting_k1(t):
+        calls.append(t.size)
+        return k1(t)
+
+    monkeypatch.setattr(greens, "_k1", counting_k1)
+    kern = greens_kernel(E, alpha)
+    env = kern.envelope()
+    assert len(calls) == 1
+    # the unshared form: K1 evaluated for term2, for f_tab and for the envelope
+    ainv, nu, u = 1.0 / alpha, kern.nu, kern.mesh
+    term1 = (E + ainv) * np.exp(-nu * u) / (4.0 * np.pi * u)
+    term2 = (ainv / (2.0 * np.pi**2)) * k1(ainv * u) / u
+    f_tab = k1(ainv * u) / u
+    g_tab = np.exp(-nu * u) / (4.0 * np.pi * u)
+    term3 = (E + ainv) ** 2 * (ainv / (2.0 * np.pi**2)) * radial_convolution(f_tab, g_tab, u)
+    yuk = kern.c_bound * np.exp(-nu * u) / (4.0 * np.pi * u)
+    ref_env = yuk + (ainv / (2.0 * np.pi**2)) * k1(ainv * u) / u
+    assert np.array_equal(kern.term2, term2)
+    assert np.array_equal(kern.term3, term3)
+    assert np.array_equal(kern.values, term1 + term2 + term3)
+    assert np.array_equal(env, ref_env)
+    assert np.array_equal(kern.envelope(u), ref_env)
+
+
 def _cumulative_cases():
     """(y, x) pairs: kernel profiles on default meshes, random data of both parities."""
     for E in (-0.918, energy_of_nu(1.0, ALPHA), energy_of_nu(3.0, ALPHA)):
@@ -431,6 +511,21 @@ def test_resolvent_roundtrip_and_dense(kernel):
         dense = np.linalg.solve(A, f)
         agree = np.linalg.norm(v - dense) / np.linalg.norm(dense)
         assert agree <= 1e-3
+
+
+def test_resolvent_applies_a_block_column_by_column(kernel):
+    grid = build_grid(400, 40.0)
+    rng = np.random.default_rng(400)
+    F = rng.standard_normal((grid.n, 5))
+    V = resolvent_apply(F, kernel, grid)
+    assert V.shape == F.shape
+    for j in range(F.shape[1]):
+        v = resolvent_apply(F[:, j], kernel, grid)
+        assert np.max(np.abs(V[:, j] - v)) <= 1e-14 * np.max(np.abs(v))
+    with pytest.raises(DomainError):
+        resolvent_apply(np.ones((grid.n + 1, 2)), kernel, grid)
+    with pytest.raises(DomainError):
+        resolvent_apply(np.ones((grid.n, 2, 2)), kernel, grid)
 
 
 @pytest.mark.parametrize("n, r_max", [(400, 40.0), (63, 20.0)])

@@ -239,6 +239,35 @@ def test_small_factorizations_refuse_a_bad_gram(kind):
         assert scf._ritz(G, np.eye(4), 2) is None
 
 
+def _numpy_inverse_cholesky(G):
+    """`scf._inverse_cholesky` through numpy.linalg alone, at every block size."""
+    try:
+        R = np.linalg.cholesky(G, upper=True)
+    except np.linalg.LinAlgError:
+        return None
+    return np.linalg.inv(R) if np.isfinite(R[-1, -1]) else None
+
+
+_SCALAR_EDGES = [0.0, -0.0, -1.0, 5e-324, 2.2e-308, 1.0, 4.0, 1.7e308, np.inf, -np.inf, np.nan]
+
+
+def test_one_by_one_blocks_match_numpy_linalg():
+    """The 1 x 1 Cholesky inverse and Rayleigh quotient are numpy.linalg's bits."""
+    rng = np.random.default_rng(11)
+    values = np.concatenate([10.0 ** rng.uniform(-300, 300, 2000), rng.uniform(0.5, 2.0, 2000),
+                             -rng.uniform(0.0, 1.0, 50), _SCALAR_EDGES])
+    for g in values:
+        G = np.array([[g]])
+        ours, ref = scf._inverse_cholesky(G), _numpy_inverse_cholesky(G)
+        assert (ours is None) == (ref is None), g
+        if ref is not None:
+            assert ours.shape == ref.shape and np.array_equal(ours, ref), g
+        # dsyevd's 1 x 1 eigenpair is the entry and a unit vector, which
+        # leaves the rotated block C^T X as it was
+        vals, C = np.linalg.eigh(G)
+        assert np.array_equal(vals, G[0], equal_nan=True) and np.array_equal(C, [[1.0]]), g
+
+
 @pytest.mark.parametrize("dependent", ["zero", "sum"])
 def test_rank_deficient_start_block_does_not_raise(dependent, he_small, monkeypatch, caplog):
     """A start block with dependent columns still gives the dense levels, or falls back to them."""
