@@ -16,7 +16,7 @@ from .coulomb import DensityMatrix
 from .errors import BoundViolated, WindowTooNoisy
 from .greens import nu_of_energy
 from .model import AtomSystem, SolverOptions, validate_system
-from .radial import RadialGrid, dst, laplacian_symbol
+from .radial import RadialGrid, dst, gram, inner, integrate, laplacian_symbol
 from .scf import (
     FockOperator, _channel_spectra, _levels_needed, fock_build, orbital_residuals, solve_scf,
 )
@@ -63,7 +63,7 @@ def _auto_window(P: np.ndarray, grid: RadialGrid, nu_est: float) -> tuple[float,
     r2 = grid.nodes[idx[-1]]
     r1 = r2 - EFOLD_SPAN / nu_est
     peak = grid.nodes[int(np.argmax(absP))]
-    r1 = max(r1, 1.3 * peak + 2.0 * grid.h)
+    r1 = max(r1, 1.3 * peak + 2.0 * grid.h)     # two spacings: uniform grid only
     return (r1, r2)
 
 
@@ -96,7 +96,7 @@ def decay_fit(
         raise WindowTooNoisy(problem)
     sel = (grid.nodes >= r1) & (grid.nodes <= r2)
     if np.count_nonzero(sel) < MIN_WINDOW_POINTS:
-        raise WindowTooNoisy("fewer than 20 nodes in the fit window")
+        raise WindowTooNoisy(f"fewer than {MIN_WINDOW_POINTS} nodes in the fit window")
     r = grid.nodes[sel]
     vals = np.abs(P[sel])
     floor = NOISE_FLOOR_REL * float(np.abs(P).max())
@@ -156,7 +156,7 @@ def minimizer_certificate(gamma: DensityMatrix, fock: FockOperator) -> Certifica
     for key, (vals, vecs) in spectra.items():
         blk = gamma.blocks.get(key)
         if blk is not None and blk.m:
-            overlaps = grid.h * blk.orbitals.T @ vecs   # (m, k)
+            overlaps = gram(grid, blk.orbitals, vecs)   # (m, k)
             proj = np.sum(overlaps**2, axis=0)
         else:
             proj = np.zeros(vals.size)
@@ -195,13 +195,14 @@ def kato_probe(u: np.ndarray, grid: RadialGrid) -> tuple[float, float]:
     """(int u^2/r dr, (pi/2) <u, |p| u>) for an s-channel function u.
 
     |p| is the square root of the ell = 0 Laplacian, diagonal under the
-    DST-I. The coupling inequality lhs <= rhs holds up to discretization
-    slack (5e-3 is the acceptance tolerance).
+    DST-I, so rhs is a Parseval sum: uniform grid only. The coupling
+    inequality lhs <= rhs holds up to discretization slack (5e-3 is the
+    acceptance tolerance).
     """
     u = np.asarray(u, dtype=float)
     coef = dst(u)
     rhs = 0.5 * np.pi * grid.h * float(coef @ (np.sqrt(laplacian_symbol(grid)) * coef))
-    lhs = grid.h * float(np.sum(u * u / grid.nodes))
+    lhs = integrate(grid, u * u / grid.nodes)
     return lhs, rhs
 
 
@@ -213,7 +214,7 @@ def random_smooth_battery(grid: RadialGrid, count: int, seed: int, modes: int = 
     for _ in range(count):
         c = rng.standard_normal(modes) / np.arange(1, modes + 1)
         u = basis @ c
-        u /= np.sqrt(grid.h * (u @ u))
+        u /= np.sqrt(inner(grid, u, u))
         out.append(u)
     return out
 

@@ -209,7 +209,7 @@ def _write_solution(outdir: Path, cfg: dict, report, gamma, certificates) -> Non
     grid = report.fock.grid
     _write_json(outdir / "report.json", {
         "config": {k: cfg[k] for k in sorted(cfg)},
-        "grid": {"n": grid.n, "r_max": grid.r_max, "h": grid.h},
+        "grid": {"n": grid.n, "r_max": grid.r_max, "h": grid.h},   # the uniform grid's record
         "report": report.as_dict(),
         "certificates": certificates,
     })

@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import NonFiniteEnergy, NotAdmissible
 from .model import AtomSystem
-from .radial import RadialGrid, kinetic_operator
+from .radial import RadialGrid, gram, integrate, kinetic_operator, sweeps
 
 ORTHO_TOL = 1e-10
 
@@ -80,8 +80,8 @@ class DensityMatrix:
                 raise NotAdmissible(
                     f"occupation out of [0,1] in channel (ell={ell}, spin={spin})"
                 )
-            gram = grid.h * blk.orbitals.T @ blk.orbitals
-            if not np.allclose(gram, np.eye(blk.m), rtol=0.0, atol=ORTHO_TOL):
+            if not np.allclose(gram(grid, blk.orbitals, blk.orbitals), np.eye(blk.m),
+                               rtol=0.0, atol=ORTHO_TOL):
                 raise NotAdmissible(
                     f"orbitals not orthonormal in channel (ell={ell}, spin={spin})"
                 )
@@ -130,9 +130,8 @@ def hartree_potential(w: np.ndarray, grid: RadialGrid) -> np.ndarray:
     with two cumulative sums so that the implied pair kernel is exactly
     1/max(r_i, r_j).
     """
-    r, h = grid.nodes, grid.h
-    inside = np.cumsum(w) * h
-    outer = np.cumsum((w / r)[::-1])[::-1] * h - (w / r) * h
+    r = grid.nodes
+    inside, outer = sweeps(grid, w, w / r)
     return inside / r + outer
 
 
@@ -145,38 +144,30 @@ def slater_yk(P_a: np.ndarray, P_b: np.ndarray, k: int, grid: RadialGrid) -> np.
     P_b are node vectors or column blocks (nodes on axis 0) that
     broadcast against each other; each column is swept independently.
     """
-    h = grid.h
     rho = P_a * P_b
     r = grid.nodes.reshape((-1,) + (1,) * (rho.ndim - 1))
-    inside = np.cumsum(rho * r**k, axis=0) * h          # sum_{s <= r} s^k rho
-    tail = rho / r ** (k + 1)
-    outer = np.cumsum(tail[::-1], axis=0)[::-1] * h - tail * h
+    inside, outer = sweeps(grid, rho * r**k, rho / r ** (k + 1))
     return inside / r**k + r ** (k + 1) * outer
 
 
-def _threej000_sq(l1: int, l2: int, l3: int) -> float:
-    """Squared Wigner 3j symbol with zero projections, exact closed form."""
-    J = l1 + l2 + l3
-    if J % 2 == 1:
-        return 0.0
-    if abs(l1 - l2) > l3 or l3 > l1 + l2:
-        return 0.0
-    g = J // 2
-    fact = math.factorial
-    num = fact(J - 2 * l1) * fact(J - 2 * l2) * fact(J - 2 * l3)
-    val = num / fact(J + 1)
-    val *= (fact(g) / (fact(g - l1) * fact(g - l2) * fact(g - l3))) ** 2
-    return val
-
-
 def exchange_multipole_weight(ell_a: int, ell_b: int, k: int) -> float:
-    """Per-pair multipole weight 3j(ell_a k ell_b; 0 0 0)^2.
+    """Per-pair multipole weight 3j(ell_a k ell_b; 0 0 0)^2, exact closed form.
 
     Vanishes unless |ell_a - ell_b| <= k <= ell_a + ell_b with
     k + ell_a + ell_b even; the weight of (0, 0, 0) is 1. Times
     (2*ell_b + 1) it is the closed-shell-averaged exchange weight c^k.
     """
-    return _threej000_sq(ell_a, k, ell_b)
+    J = ell_a + k + ell_b
+    if J % 2 == 1:
+        return 0.0
+    if abs(ell_a - k) > ell_b or ell_b > ell_a + k:
+        return 0.0
+    g = J // 2
+    fact = math.factorial
+    num = fact(J - 2 * ell_a) * fact(J - 2 * k) * fact(J - 2 * ell_b)
+    val = num / fact(J + 1)
+    val *= (fact(g) / (fact(g - ell_a) * fact(g - k) * fact(g - ell_b))) ** 2
+    return val
 
 
 def _k_values(ell_a: int, ell_b: int):
@@ -217,7 +208,7 @@ def exchange_matrix(gamma: DensityMatrix, ell: int, spin: int, grid: RadialGrid)
             G *= multipole_kernel(grid, k)
             G *= wk
             K += G
-    K *= grid.h
+    K *= grid.h     # the quadrature weight, factored out of the term sum: uniform grid only
     G[...] = K.T
     K += G
     K *= 0.5
@@ -268,7 +259,7 @@ def exchange_energy(gamma: DensityMatrix, grid: RadialGrid) -> float:
                             continue
                         # R^k(ab;ba) = int int prod(r) kernel_k(r,s) prod(s) dr ds
                         y = slater_yk(prod, 1.0, k, grid)
-                        rk = float(grid.h * np.sum(prod * y / grid.nodes))
+                        rk = integrate(grid, prod * y / grid.nodes)
                         total += 0.5 * fa * fb * wk * rk
     return total
 
@@ -281,18 +272,18 @@ def energy_terms(
     The one-body traces carry no alpha^-1 prefactor here; the total
     energy assembly applies it.
     """
-    r, h = grid.nodes, grid.h
+    r = grid.nodes
     # densities with a p or higher block keep the dense products for every
     # block, so their energies do not move by a roundoff change
     s_only = all(ell == 0 for (ell, _spin) in gamma.blocks)
-    tr_T = 0.0
+    tr_T = 0.0      # h stays factored out of each shell sum: uniform grid only
     for (ell, _spin), blk in gamma.blocks.items():
         T = kinetic_operator(grid, ell, sys.alpha, sys.kinetic)
         TP = T.apply(blk.orbitals) if s_only else T.matrix @ blk.orbitals
-        tr_T += float(h * np.sum(blk.occupations * np.einsum("ia,ia->a", blk.orbitals, TP)))
+        tr_T += float(grid.h * np.sum(blk.occupations * np.einsum("ia,ia->a", blk.orbitals, TP)))
     w = reduced_density(gamma, grid)
-    tr_V = sys.z_alpha * float(h * np.sum(w / r))
-    D = 0.5 * float(h * np.sum(w * hartree_potential(w, grid)))
+    tr_V = sys.z_alpha * integrate(grid, w / r)
+    D = 0.5 * integrate(grid, w * hartree_potential(w, grid))
     Ex = exchange_energy(gamma, grid)
     for name, val in (("Tr[T]", tr_T), ("Tr[V]", tr_V), ("D", D), ("Ex", Ex)):
         if not np.isfinite(val):

@@ -18,7 +18,7 @@ import numpy as np
 from .coulomb import ChannelBlock, DensityMatrix, combine, energy_terms
 from .errors import EnergyBoundViolated, NotAdmissible, TraceMismatch
 from .model import AtomSystem
-from .radial import RadialGrid, inner
+from .radial import RadialGrid, column_inner, gram, inner
 
 if TYPE_CHECKING:
     from .scf import FockOperator
@@ -60,7 +60,7 @@ def total_energy(gamma: DensityMatrix, grid: RadialGrid, sys: AtomSystem) -> Ene
 def _shell_traces(apply, dm: DensityMatrix, grid: RadialGrid):
     """Per channel of dm, sum_a f_a <P_a, A P_a> for A given by its blocked apply."""
     for key, blk in dm.blocks.items():
-        vals = grid.h * np.einsum("ia,ia->a", blk.orbitals, apply(key, blk.orbitals))
+        vals = column_inner(grid, blk.orbitals, apply(key, blk.orbitals))
         yield float(np.sum(blk.occupations * vals))
 
 
@@ -109,7 +109,7 @@ def rank2_delta(
         if blk is not None and blk.m:
             # occupation gamma already assigns along u; exact when u matches
             # an eigenvector, a quadratic-form proxy otherwise
-            coef = grid.h * blk.orbitals.T @ u
+            coef = gram(grid, blk.orbitals, u)
             lam_here = float(coef @ (blk.occupations / (2 * ell + 1) * coef))
         if not (-1e-12 - lam_here <= eps <= 1.0 - lam_here + 1e-12):
             raise NotAdmissible(

@@ -609,13 +609,13 @@ def resolvent_apply(f: np.ndarray, kernel: GreensKernel, grid: RadialGrid) -> np
     if f.ndim not in (1, 2) or f.shape[0] != grid.n:
         raise DomainError("f must be tabulated on the grid nodes, one function per column")
     E, alpha, nu, mesh = kernel.E, kernel.alpha, kernel.nu, kernel.mesh
-    if mesh[-1] < _NU_U_MAX / nu and mesh[-1] < 2.0 * grid.r_max + grid.h:
+    n, h = grid.n, grid.h       # the cells below are those of the uniform grid only
+    if mesh[-1] < _NU_U_MAX / nu and mesh[-1] < 2.0 * grid.r_max + h:
         raise DomainError(
             f"kernel mesh ends at u={mesh[-1]:.4g}, short of both nu*u = {_NU_U_MAX:g} "
             f"and the grid's reach 2*r_max + h"
         )
     ainv = 1.0 / alpha
-    n, h = grid.n, grid.h
     T3 = np.concatenate([[0.0], _cumulative_trapezoid(mesh * kernel.term3, mesh)])
     A3 = np.concatenate([[0.0], _cumulative_trapezoid(T3, mesh)])
     c1 = (E + ainv) / (2.0 * nu)

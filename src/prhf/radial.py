@@ -4,7 +4,9 @@ Everything lives on a uniform grid r_i = i*h, i = 1..n, h = r_max/(n+1),
 with Dirichlet values pinned to zero at r = 0 and r = r_max. Reduced
 radial functions P(r) = r*phi(r) are stored as plain vectors on the
 nodes; integrals are h-weighted sums (rectangle and trapezoid coincide
-under the Dirichlet endpoints).
+under the Dirichlet endpoints). The helpers `integrate`, `inner`, `gram`,
+`column_inner`, `to_unit`, `from_unit` and `sweeps` are the one home of
+that rule; the few other sites that use h say why they are uniform-only.
 
 The kinetic operator sqrt(-d^2/dr^2 + ell(ell+1)/r^2 + alpha^-2) - alpha^-1
 is a function of the tridiagonal channel Laplacian. On ell = 0 the
@@ -65,19 +67,46 @@ def build_grid(n: int, r_max: float) -> RadialGrid:
     return RadialGrid(n=int(n), r_max=float(r_max))
 
 
-def integrate(grid: RadialGrid, values) -> float:
+def integrate(grid: RadialGrid, values):
+    """h sum_i values_i: a float for a node vector, one per column of a node-first (n, m) block."""
     values = np.asarray(values)
-    if values.shape[-1] != grid.n:
-        raise LengthMismatch(f"expected {grid.n} node values, got {values.shape[-1]}")
-    return float(grid.h * values.sum(axis=-1))
+    if values.shape[:1] != (grid.n,):
+        raise LengthMismatch(f"expected {grid.n} node values on axis 0, got shape {values.shape}")
+    total = grid.h * np.sum(values, axis=0)
+    return float(total) if values.ndim == 1 else total
 
 
 def inner(grid: RadialGrid, a, b) -> float:
-    a = np.asarray(a)
-    b = np.asarray(b)
+    a, b = np.asarray(a), np.asarray(b)
     if a.shape != (grid.n,) or b.shape != (grid.n,):
         raise LengthMismatch("inner() arguments must be node vectors")
     return float(grid.h * (a @ b))
+
+
+def gram(grid: RadialGrid, A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """(h A^T) B: the inner products of the columns of A with the columns (or vector) B."""
+    return (grid.h * A.T) @ B
+
+
+def column_inner(grid: RadialGrid, A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """h sum_i A_ia B_ia: the inner product of each column of A with the same column of B."""
+    return grid.h * np.einsum("ia,ia->a", A, B)
+
+
+def to_unit(grid: RadialGrid, X: np.ndarray) -> np.ndarray:
+    """X sqrt(h): node values in coordinates where the grid inner product is the dot product."""
+    return X * np.sqrt(grid.h)
+
+
+def from_unit(grid: RadialGrid, Y: np.ndarray) -> np.ndarray:
+    """Y / sqrt(h), the inverse of `to_unit`."""
+    return Y / np.sqrt(grid.h)
+
+
+def sweeps(grid: RadialGrid, inside: np.ndarray, outside: np.ndarray):
+    """(h sum_{j<=i} inside_j, h sum_{j>i} outside_j) along axis 0: a min/max kernel's sweeps."""
+    h = grid.h
+    return np.cumsum(inside, axis=0) * h, np.cumsum(outside[::-1], axis=0)[::-1] * h - outside * h
 
 
 def channel_laplacian(grid: RadialGrid, ell: int) -> np.ndarray:
@@ -218,9 +247,9 @@ class KineticOperator:
     The law "pseudorelativistic" is T_ell = sqrt(L_ell + alpha^-2) - alpha^-1,
     the law "nonrelativistic" the comparison operator alpha*L_ell/2, with
     T_ell <= alpha*L_ell/2. `apply` multiplies node vectors by the
-    operator on ell = 0 through the DST-I symbol, with no n x n matrix;
-    on ell >= 1 it raises BadGrid, because L_ell has no DST-I symbol
-    there. The dense `matrix` is built on first use only.
+    operator on ell = 0 through the uniform grid's DST-I symbol, with no
+    n x n matrix; on ell >= 1 it raises BadGrid, because L_ell has no
+    DST-I symbol there. The dense `matrix` is built on first use only.
     """
 
     def __init__(self, grid: RadialGrid, ell: int, alpha: float, law: str):

@@ -31,7 +31,8 @@ from .coulomb import (
 from .errors import EigFailure, LineSearchFailure, NotConverged
 from .functional import EnergyBreakdown, line_coefficients, total_energy
 from .model import AtomSystem, SolverOptions, default_shells, validate_system
-from .radial import RadialGrid, build_grid, dst, kinetic_operator
+from .radial import (RadialGrid, build_grid, column_inner, dst, from_unit, gram, integrate,
+                     kinetic_operator, to_unit)
 
 log = logging.getLogger(__name__)
 
@@ -239,7 +240,7 @@ def _start_block(fock: FockOperator, key: tuple[int, int], k: int):
     m = 0 if blk is None else min(blk.m, k)
     Y0 = np.empty((fock.grid.n, k))
     if m:
-        Y0[:, :m] = dst(blk.orbitals[:, :m] * np.sqrt(fock.grid.h))
+        Y0[:, :m] = dst(to_unit(fock.grid, blk.orbitals[:, :m]))
     if m < k:
         Z, r = fock.system.Z, fock.grid.nodes
         seeds = dst(np.column_stack([_hydrogenic_seed(key[0], j, Z, r) for j in range(m, k)]))
@@ -372,9 +373,9 @@ def _lobpcg_levels(fock: FockOperator, key: tuple[int, int], k: int, rtol: float
     The iteration (`_lobpcg`) runs in DST-I coordinates y = S x (S is its
     own inverse), where the kinetic energy and the preconditioner
     (T + sigma)^-1, the discrete resolvent of the kinetic energy, are
-    diagonal: one transform pair per operator apply and none per
-    preconditioner apply. The residual tolerance is `rtol` times the
-    operator's norm. A grid of fewer than 5 k nodes is solved densely.
+    diagonal (uniform grid only): one transform pair per operator apply,
+    none per preconditioner apply. The residual tolerance is `rtol` times
+    the operator's norm. A grid of fewer than 5 k nodes is solved densely.
 
     The start block (`_start_block`) depends on the operator alone, so
     repeated solves agree bit for bit. Where its density has orbitals on
@@ -456,7 +457,7 @@ def _group_levels(fock: FockOperator, ell: int, grp: list, count: int, rtol: flo
         else:
             k_solve = min(max(k, _levels_needed(fock.system.N)), fock.grid.n)
             vals, vecs = _dense_levels(fock.matrices[key], k_solve)
-        level = fock._spectra[memo] = (vals, vecs / np.sqrt(fock.grid.h))
+        level = fock._spectra[memo] = (vals, from_unit(fock.grid, vecs))
     return level[0][:k], level[1][:, :k]
 
 
@@ -558,11 +559,10 @@ def _mix_blocks(
     (symmetric orthogonalization comes for free) at O(n m^2) cost.
     """
     out = {}
-    sqh = np.sqrt(grid.h)
     for key, blk in combine([(1.0 - t, ga), (t, gb)]).blocks.items():
-        B, fv = blk.orbitals, blk.occupations
-        Q, _ = np.linalg.qr(B * sqh)
-        coef = Q.T @ (B * sqh)           # columns of B in the Q basis
+        U, fv = to_unit(grid, blk.orbitals), blk.occupations
+        Q, _ = np.linalg.qr(U)
+        coef = Q.T @ U                  # columns of U in the Q basis
         M = (coef * fv) @ coef.T
         lam, V = np.linalg.eigh(0.5 * (M + M.T))
         ell = key[0]
@@ -573,7 +573,7 @@ def _mix_blocks(
         lam = np.clip(lam[keep], 0.0, cap)
         V = V[:, keep]
         order = np.argsort(-lam, kind="stable")
-        newC = (Q @ V)[:, order] / sqh
+        newC = from_unit(grid, (Q @ V)[:, order])
         out[key] = ChannelBlock(orbitals=newC, occupations=lam[order])
     return DensityMatrix(out)
 
@@ -588,7 +588,7 @@ def commutator_residual(fock: FockOperator, gamma: DensityMatrix) -> float:
     fractional occupations). Both are sums of squares, so the norm does
     not cancel as a difference of traces would.
     """
-    h = fock.grid.h
+    h = fock.grid.h     # h * (C^T W) keeps other bits than `gram`'s (h C^T) W
     total = 0.0
     for (ell, spin), blk in gamma.blocks.items():
         C = blk.orbitals
@@ -607,13 +607,12 @@ def orbital_residuals(fock: FockOperator, gamma: DensityMatrix) -> list[tuple]:
     eps = <P_a, F P_a> and residual = |F P_a - eps P_a|, both in the grid
     inner product, from one blocked apply of F per channel.
     """
-    h = fock.grid.h
     out = []
     for key, blk in gamma.blocks.items():
         C = blk.orbitals
         FC = fock.apply(key, C)
-        eps = h * np.einsum("ia,ia->a", C, FC)
-        res = np.sqrt(h * np.sum((FC - C * eps) ** 2, axis=0))
+        eps = column_inner(fock.grid, C, FC)
+        res = np.sqrt(integrate(fock.grid, (FC - C * eps) ** 2))
         out.extend((key, a, float(eps[a]), float(res[a])) for a in range(blk.m))
     return out
 
@@ -698,8 +697,8 @@ def density_from_shells(shells, sys: AtomSystem, grid: RadialGrid) -> DensityMat
         B = np.column_stack([p for (p, _f) in entries])
         occ = np.array([f for (_p, f) in entries])
         # Gram-Schmidt in the grid inner product, stable enough for seeds
-        Q, _ = np.linalg.qr(B * np.sqrt(grid.h))
-        blocks[key] = ChannelBlock(orbitals=Q / np.sqrt(grid.h), occupations=occ)
+        Q, _ = np.linalg.qr(to_unit(grid, B))
+        blocks[key] = ChannelBlock(orbitals=from_unit(grid, Q), occupations=occ)
     return DensityMatrix(blocks)
 
 
@@ -713,7 +712,7 @@ def _final_eigen_table(fock: FockOperator, gamma: DensityMatrix, count: int):
         for idx, val in enumerate(vals):
             occ = 0.0
             if blk is not None and blk.m:
-                coef = grid.h * blk.orbitals.T @ vecs[:, idx]
+                coef = gram(grid, blk.orbitals, vecs[:, idx])
                 occ = float(coef @ (blk.occupations * coef))
             table.append(
                 (ell, spin, idx, float(val), float(val) / fock.system.alpha,

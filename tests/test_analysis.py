@@ -66,6 +66,16 @@ def test_decay_fit_rejects_wall_window():
         decay_fit(P, eps, grid, ALPHA, window=(10.0, 29.0))
 
 
+def test_decay_fit_short_window_names_the_minimum(monkeypatch):
+    grid = build_grid(1000, 30.0)       # h = 0.03: 34 nodes in [10, 11]
+    P = grid.nodes * np.exp(-0.5 * grid.nodes)
+    eps = energy_of_nu(0.5, ALPHA)
+    decay_fit(P, eps, grid, ALPHA, window=(10.0, 11.0))
+    monkeypatch.setattr("prhf.analysis.MIN_WINDOW_POINTS", 40)
+    with pytest.raises(WindowTooNoisy, match="fewer than 40 nodes"):
+        decay_fit(P, eps, grid, ALPHA, window=(10.0, 11.0))
+
+
 def test_decay_fit_rejects_noise_floor():
     grid = build_grid(1000, 60.0)
     P = grid.nodes * np.exp(-1.5 * grid.nodes)   # reaches 1e-38 by r=60

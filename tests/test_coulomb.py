@@ -21,7 +21,6 @@ from prhf import (
 )
 from prhf.coulomb import (
     _k_values,
-    _threej000_sq,
     combine,
     exchange_apply,
     exchange_energy,
@@ -200,7 +199,7 @@ def test_threej_against_sympy():
     for la in range(4):
         for lb in range(4):
             for k in range(0, 7):
-                ours = _threej000_sq(la, k, lb)
+                ours = exchange_multipole_weight(la, lb, k)
                 ref = float(wigner_3j(la, k, lb, 0, 0, 0)) ** 2
                 assert ours == pytest.approx(ref, abs=1e-15)
 

@@ -1,3 +1,6 @@
+import ast
+import collections
+import pathlib
 import tracemalloc
 
 import numpy as np
@@ -16,7 +19,10 @@ from prhf import (
     kinetic_operator,
     spectral_function,
 )
-from prhf.radial import _rader_plan, dst, laplacian_symbol
+from prhf.coulomb import hartree_potential, slater_yk
+from prhf.radial import (
+    _rader_plan, column_inner, dst, from_unit, gram, laplacian_symbol, sweeps, to_unit,
+)
 
 ALPHA = 1.0 / 137.036
 
@@ -55,6 +61,99 @@ def test_integrate_sine_squared():
     grid = build_grid(2000, 13.0)
     vals = np.sin(np.pi * grid.nodes / grid.r_max) ** 2
     assert integrate(grid, vals) == pytest.approx(grid.r_max / 2.0, abs=1e-6)
+
+
+# the quadrature helpers against the inline expressions they replaced,
+# bit for bit: n + 1 = 1601 is prime, 801 is not
+QUADRATURE_GRIDS = [(1600, 20.0), (800, 15.0)]
+
+
+def _hartree_inline(w, grid):
+    r, h = grid.nodes, grid.h
+    inside = np.cumsum(w) * h
+    outer = np.cumsum((w / r)[::-1])[::-1] * h - (w / r) * h
+    return inside / r + outer
+
+
+def _slater_yk_inline(P_a, P_b, k, grid):
+    h = grid.h
+    rho = P_a * P_b
+    r = grid.nodes.reshape((-1,) + (1,) * (rho.ndim - 1))
+    inside = np.cumsum(rho * r**k, axis=0) * h
+    tail = rho / r ** (k + 1)
+    outer = np.cumsum(tail[::-1], axis=0)[::-1] * h - tail * h
+    return inside / r**k + r ** (k + 1) * outer
+
+
+@pytest.mark.parametrize("n, r_max", QUADRATURE_GRIDS)
+def test_quadrature_helpers_are_the_inline_expressions(n, r_max, rng):
+    grid = build_grid(n, r_max)
+    h = grid.h
+    x, y = rng.standard_normal((2, n))
+    X, Y = rng.standard_normal((2, n, 3))
+    assert integrate(grid, x) == float(h * np.sum(x)) == h * float(np.sum(x))
+    assert np.array_equal(integrate(grid, X), h * np.sum(X, axis=0))
+    assert inner(grid, x, y) == float(h * (x @ y))
+    assert np.sqrt(inner(grid, x, x)) == np.sqrt(h * (x @ x))
+    for B in (y, Y):
+        assert np.array_equal(gram(grid, X, B), h * X.T @ B)
+        assert np.array_equal(to_unit(grid, B), B * np.sqrt(h))
+        assert np.array_equal(from_unit(grid, B), B / np.sqrt(h))
+    for A, B in ((x[:, None], y[:, None]), (X, Y)):
+        assert np.array_equal(column_inner(grid, A, B), h * np.einsum("ia,ia->a", A, B))
+
+
+@pytest.mark.parametrize("n, r_max", QUADRATURE_GRIDS)
+def test_sweeps_keep_hartree_and_yk_bits(n, r_max, rng):
+    grid = build_grid(n, r_max)
+    P = np.abs(rng.standard_normal(n))
+    X = rng.standard_normal((n, 3))
+    w = P * P
+    assert np.array_equal(hartree_potential(w, grid), _hartree_inline(w, grid))
+    inside, outside = sweeps(grid, w, w / grid.nodes)
+    assert np.array_equal(inside / grid.nodes + outside, _hartree_inline(w, grid))
+    for k in (0, 1, 2):
+        for P_a, P_b in ((P, 1.0), (P, X[:, 0]), (P[:, None], X)):
+            assert np.array_equal(
+                slater_yk(P_a, P_b, k, grid), _slater_yk_inline(P_a, P_b, k, grid)
+            )
+
+
+# the sites outside radial.py that may read the grid spacing: the
+# uniform-only constructions, and sums whose order no helper keeps
+SPACING_READS = {
+    "analysis._auto_window": 1,       # two-spacing margin of the fit window
+    "analysis.kato_probe": 1,         # Parseval sum over the DST-I modes
+    "cli._write_solution": 1,         # the grid record of report.json
+    "coulomb.exchange_matrix": 1,     # K *= h after the term sum
+    "coulomb.energy_terms": 1,        # h times each shell sum of Tr[T gamma]
+    "greens.resolvent_apply": 1,      # Toeplitz/Hankel cell offsets and the reach check
+    "scf.commutator_residual": 1,     # h * (C^T W), not (h C^T) W
+}
+
+
+def _spacing_reads(path: pathlib.Path) -> collections.Counter:
+    reads: collections.Counter = collections.Counter()
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            scope = scope + [node.name]
+        elif isinstance(node, ast.Attribute) and node.attr == "h" and isinstance(node.ctx, ast.Load):
+            reads[".".join([path.stem, *scope])] += 1
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(ast.parse(path.read_text()), [])
+    return reads
+
+
+def test_only_radial_reads_the_grid_spacing():
+    src = pathlib.Path(__file__).resolve().parents[1] / "src" / "prhf"
+    reads = collections.Counter()
+    for path in sorted(src.glob("*.py")):
+        if path.name != "radial.py":
+            reads += _spacing_reads(path)
+    assert dict(reads) == SPACING_READS
 
 
 def test_inner_positive_definite(rng):
