@@ -20,7 +20,6 @@ from .coulomb import (
 from .errors import (
     BadCount,
     BadGrid,
-    BoundViolated,
     ConfigError,
     DomainError,
     EigFailure,

@@ -1,22 +1,28 @@
-"""Post-hoc certification of converged solutions.
+"""Post-hoc certification of converged solutions, and verify's suites.
 
 Each check is a hard assertion with an explicit tolerance; reports
 serialize measured values next to their thresholds so a failed clause
-is auditable.
+is auditable. Each `*_suite` function (and `herbst_bound_check`) returns
+one record of verify.json with its status decided inside it: "passed",
+"failed", or "inconclusive" with a reason when the check cannot be
+made. No suite raises to report its verdict.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 import numpy.random  # loaded with the module, not on verify's first Kato battery
 
+from . import greens
 from .coulomb import DensityMatrix
-from .errors import BoundViolated, WindowTooNoisy
+from .errors import DomainError, WindowTooNoisy
 from .greens import nu_of_energy
 from .model import AtomSystem, SolverOptions, validate_system
-from .radial import RadialGrid, dst, gram, inner, integrate, laplacian_symbol
+from .radial import (
+    RadialGrid, build_grid, dst, gram, inner, integrate, kinetic_operator, laplacian_symbol,
+)
 from .scf import (
     FockOperator, _channel_spectra, _levels_needed, fock_build, orbital_residuals, solve_scf,
 )
@@ -30,6 +36,24 @@ MIN_WINDOW_POINTS = 20
 EFOLD_SPAN = 6.5
 # a fit window must end this fraction of r_max short of the Dirichlet wall
 WINDOW_REACH = 0.75
+# the HOMO's fitted decay rate must match nu(eps_homo) to this fraction
+DECAY_RATE_TOL = 0.05
+# the coupling probe's worst lhs / rhs - 1 over the battery
+KATO_TOL = 5e-3
+
+
+def _status(passed: bool) -> str:
+    return "passed" if passed else "failed"
+
+
+def orbital_label(ell: int, spin: int, idx: int) -> str:
+    """An orbital's name: its orbitals.csv column and its decay fit's id."""
+    return f"P_l{ell}_s{spin}_{idx}"
+
+
+def homo_eigenvalue(report: dict) -> float | None:
+    """A report record's largest eigenvalue with occupation > 0.5; None if there is none."""
+    return max((e["value"] for e in report["eigenvalues"] if e["occupation"] > 0.5), default=None)
 
 
 @dataclass(frozen=True)
@@ -118,6 +142,46 @@ def decay_fit(
     )
 
 
+def decay_suite(fock: FockOperator, window: tuple[float, float] | None = None) -> dict:
+    """verify's decay record: a tail fit of every occupied orbital of fock.gamma.
+
+    The HOMO's rate must match nu(eps_homo) to DECAY_RATE_TOL, every rate
+    must reach 0.95 nu(eps_homo), and the rates must order like their
+    predictions. A tail that cannot be fitted, or an occupied eigenvalue
+    outside (-alpha^-1, 0), makes the suite inconclusive.
+    """
+    sys, gamma = fock.system, fock.gamma
+    occupied = orbital_residuals(fock, gamma)
+    fits = []
+    try:
+        for (ell, spin), idx, eps, _res in occupied:
+            fits.append(decay_fit(
+                gamma.blocks[(ell, spin)].orbitals[:, idx], eps, fock.grid, sys.alpha,
+                window=window, orbital_id=orbital_label(ell, spin, idx),
+                charge=sys.Z - sys.N + 1,
+            ))
+    except (WindowTooNoisy, DomainError) as exc:
+        return {"status": "inconclusive", "reason": str(exc), "fits": [asdict(f) for f in fits]}
+    eps_arr = np.array([eps for _key, _idx, eps, _res in occupied])
+    homo_pos = int(np.argmax(eps_arr))
+    nu_homo = nu_of_energy(float(eps_arr[homo_pos]), sys.alpha)
+    homo_ok = abs(fits[homo_pos].beta_hat - nu_homo) <= DECAY_RATE_TOL * nu_homo
+    lower_ok = all(f.beta_hat >= 0.95 * nu_homo for f in fits)
+    # fitted rates must order like the predicted ones, for pairs whose
+    # predictions are separated beyond the fit resolution
+    ordering_ok = all(fi.beta_hat < fj.beta_hat for fi in fits for fj in fits
+                      if fi.nu_predicted < fj.nu_predicted * (1.0 - 0.02))
+    return {
+        "status": _status(homo_ok and lower_ok and ordering_ok),
+        "homo_rate_ok": bool(homo_ok),
+        "all_above_095_nu_homo": bool(lower_ok),
+        "ordering_ok": ordering_ok,
+        "nu_homo": nu_homo,
+        "tolerance": DECAY_RATE_TOL,
+        "fits": [asdict(f) for f in fits],
+    }
+
+
 @dataclass
 class CertificateReport:
     clauses: dict
@@ -191,13 +255,19 @@ def minimizer_certificate(gamma: DensityMatrix, fock: FockOperator) -> Certifica
     return CertificateReport(clauses=clauses, passed=all(c["passed"] for c in clauses.values()))
 
 
+def minimizer_suite(fock: FockOperator, cert: CertificateReport | None = None) -> dict:
+    """verify's minimizer record: the certificate of fock.gamma, or `cert` when given."""
+    if cert is None:
+        cert = minimizer_certificate(fock.gamma, fock)
+    return {**asdict(cert), "status": _status(cert.passed)}
+
+
 def kato_probe(u: np.ndarray, grid: RadialGrid) -> tuple[float, float]:
     """(int u^2/r dr, (pi/2) <u, |p| u>) for an s-channel function u.
 
     |p| is the square root of the ell = 0 Laplacian, diagonal under the
     DST-I, so rhs is a Parseval sum: uniform grid only. The coupling
-    inequality lhs <= rhs holds up to discretization slack (5e-3 is the
-    acceptance tolerance).
+    inequality lhs <= rhs holds up to discretization slack (KATO_TOL).
     """
     u = np.asarray(u, dtype=float)
     coef = dst(u)
@@ -219,32 +289,121 @@ def random_smooth_battery(grid: RadialGrid, count: int, seed: int, modes: int = 
     return out
 
 
+def kato_suite(grid: RadialGrid, samples: int, seed: int) -> dict:
+    """verify's Kato record: the worst coupling excess over a seeded battery."""
+    battery = random_smooth_battery(grid, samples, seed)
+    worst = max(lhs / rhs - 1.0 for lhs, rhs in (kato_probe(u, grid) for u in battery))
+    return {"status": _status(worst <= KATO_TOL), "samples": samples,
+            "worst_excess": float(worst), "tolerance": KATO_TOL}
+
+
 def herbst_bound_check(sys: AtomSystem, grid: RadialGrid) -> dict:
-    """Lowest discretized eigenvalue of h0 against the analytic lower bound.
+    """verify's Herbst record: the lowest level of h0 against the analytic lower bound.
 
     h0 = T - Z alpha/r is the Fock operator of the empty density with the
-    paper's square-root T, whatever kinetic law `sys` carries. Its lowest
-    level lies on ell = 0, since T_ell grows with ell. Bound:
-    alpha^-1 (sqrt(1 - (pi Z alpha / 2)^2) - 1), with a slack of
-    1e-8 alpha^-1. Violation raises BoundViolated (it would signal an
-    inconsistent discretization).
+    paper's square-root T, whatever kinetic law `sys` carries, and the
+    record says so. Its lowest level lies on ell = 0, since T_ell grows
+    with ell. Bound: alpha^-1 (sqrt(1 - (pi Z alpha / 2)^2) - 1), with a
+    slack of 1e-8 alpha^-1. A level below it fails the record (it would
+    signal an inconsistent discretization).
     """
     ainv = sys.alpha_inv
-    tol = 1e-8 * ainv
     bound = ainv * (np.sqrt(max(1.0 - (np.pi * sys.z_alpha / 2.0) ** 2, 0.0)) - 1.0)
     h0 = fock_build(DensityMatrix({}), grid, replace(sys, kinetic="pseudorelativistic"), 0)
     spectra = _channel_spectra(h0, 1)
     lowest = min(float(vals[0]) for vals, _vecs in spectra.values())
-    ok = lowest >= bound - tol
-    report = {
+    ok = bool(lowest >= bound - 1e-8 * ainv)
+    return {
         "Z": sys.Z, "alpha": sys.alpha, "bound": bound,
-        "min_eigenvalue": lowest, "margin": lowest - bound, "passed": bool(ok),
+        "min_eigenvalue": lowest, "margin": lowest - bound, "passed": ok,
+        "status": _status(ok), "kinetic": "pseudorelativistic",
     }
-    if not ok:
-        raise BoundViolated(
-            f"lowest eigenvalue {lowest} undercuts the bound {bound} by more than {tol}"
-        )
-    return report
+
+
+def _greens_battery(grid: RadialGrid) -> np.ndarray:
+    """The resolvent check's five Gaussian sources, one per column."""
+    widths = [(10.0, 1.5), (14.0, 2.0), (8.0, 1.5), (12.0, 2.5), (16.0, 1.8)]
+    return np.column_stack([np.exp(-(((grid.nodes - c) / s) ** 2)) for (c, s) in widths])
+
+
+def _k2_cosh_integral(t: np.ndarray) -> np.ndarray:
+    """K_2(t) = int_0^inf e^{-t cosh s} cosh 2s ds, by the trapezoid rule.
+
+    Shares no code with greens.bessel_k. The integrand is even in s and
+    analytic, so the trapezoid rule converges geometrically; each t gets
+    200 steps over [0, S], where t (cosh S - 1) = 700 leaves e^-700 of
+    the integrand, and the step S/200 resolves the e^{-t s^2/2} core of
+    large t. The e^-t scale factor is taken out of the integrand.
+    """
+    t = np.asarray(t, dtype=float)[:, None]
+    s = np.arccosh(1.0 + 700.0 / t) * np.linspace(0.0, 1.0, 201)
+    # cosh s - 1 = 2 sinh^2(s/2), without the cancellation that a large t magnifies
+    f = np.exp(-2.0 * t * np.sinh(0.5 * s) ** 2) * np.cosh(2.0 * s)
+    ds = s[:, 1]
+    return np.exp(-t[:, 0]) * ds * (f.sum(axis=1) - 0.5 * (f[:, 0] + f[:, -1]))
+
+
+def greens_suite(alpha: float, E: float | None = None):
+    """(record, kernel) of the resolvent-kernel checks at E, or at nu = 1 when E is None.
+
+    Needs no solution: the round trip runs on its own n = 400 grid. An E
+    outside (-alpha^-1, 0), such as the HOMO of an anion that binds no
+    last electron, makes the record inconclusive, with no kernel.
+    """
+    if E is None:
+        E = greens.energy_of_nu(1.0, alpha)
+    try:
+        nu = nu_of_energy(E, alpha)
+    except DomainError as exc:
+        return {"status": "inconclusive", "reason": str(exc), "E": E}, None
+    kernel = greens.greens_kernel(E, alpha)
+    checks = {}
+
+    checks["positivity"] = {"passed": bool(np.all(kernel.values > 0.0)),
+                            "min_value": float(kernel.values.min())}
+
+    env = kernel.envelope()
+    checks["est1_envelope"] = {"passed": bool(np.all(kernel.values <= env)),
+                               "min_margin": float(np.min(env - kernel.values)),
+                               "constant": kernel.c_bound}
+
+    ts = np.geomspace(1e-3, 1e3, 61)
+    k1_vals = greens.bessel_k(1, ts)
+    checks["k1_bound"] = {"passed": bool(np.all(k1_vals <= 1.0 / ts)),
+                          "worst_ratio": float(np.max(k1_vals * ts))}
+
+    ts2 = np.geomspace(1e-3, 600.0, 40)
+    rec = greens.bessel_k(2, ts2)
+    indep = _k2_cosh_integral(ts2)
+    rec_resid = float(np.max(np.abs(rec - indep) / np.abs(indep)))
+    checks["k2_recurrence"] = {"passed": rec_resid <= 1e-10, "residual": rec_resid}
+
+    slope = greens.tail_slope(kernel)
+    checks["tail_slope"] = {"passed": bool(slope >= -nu - 1e-3), "slope": slope, "nu": nu}
+
+    moment, tail_frac = greens.exp_moment(kernel, 0.9 * nu)
+    checks["exp_moment"] = {"passed": bool(np.isfinite(moment) and tail_frac < 0.05),
+                            "value": moment, "tail_fraction": tail_frac}
+
+    # resolvent round trip against the discrete operator at n=400; T - E
+    # is diagonal under the DST-I, so its exact inverse is a division
+    rgrid = build_grid(400, 40.0)
+    T = kinetic_operator(rgrid, 0, alpha)
+    F = _greens_battery(rgrid)
+    V = greens.resolvent_apply(F, kernel, rgrid)
+    rt = np.linalg.norm(T.apply(V) - E * V - F, axis=0) / np.linalg.norm(F, axis=0)
+    exact = dst(dst(F) / (T.symbol - E)[:, None])
+    dv = np.linalg.norm(V - exact, axis=0) / np.linalg.norm(exact, axis=0)
+    worst_rt, worst_dense = float(rt.max()), float(dv.max())
+    checks["resolvent_roundtrip"] = {"passed": worst_rt <= 1e-3, "worst": worst_rt}
+    checks["resolvent_vs_dense"] = {"passed": worst_dense <= 1e-3, "worst": worst_dense}
+
+    return {
+        "status": _status(all(c["passed"] for c in checks.values())),
+        "E": E, "nu": nu,
+        "checks": checks,
+        "kernel_mesh_size": int(kernel.mesh.size),
+    }, kernel
 
 
 def binding_monotonicity(
@@ -269,9 +428,8 @@ def binding_monotonicity(
             total, eps_homo = _known[N]
         else:
             report, _gamma = solve_scf(validate_system(replace(system, N=N)), options)
-            occ_eps = [e for (ell, s, i, e, eh, occ) in report.eigenvalues if occ > 0.5]
-            total = report.energy.total
-            eps_homo = max(occ_eps) if occ_eps else float("nan")
+            total, eps_homo = report.energy.total, homo_eigenvalue(report.as_dict())
+            eps_homo = float("nan") if eps_homo is None else eps_homo
         row = {
             "N": N,
             "total": total,
@@ -290,3 +448,18 @@ def binding_monotonicity(
         rows.append(row)
         prev_total = total
     return rows, all_ok
+
+
+def binding_suite(
+    system: AtomSystem, options: SolverOptions,
+    known: dict[int, tuple[float, float]] | None = None,
+) -> dict:
+    """verify's binding record: `binding_monotonicity` over N = 1..min(N, floor Z).
+
+    `known` is binding_monotonicity's `_known`.
+    """
+    n_max = min(system.N, int(np.floor(system.Z)))   # stay inside N < Z + 1
+    if n_max < 1:
+        return {"status": "passed", "rows": [], "note": "no bound runs in range"}
+    rows, ok = binding_monotonicity(system, n_max, options, _known=known)
+    return {"status": _status(ok), "rows": rows}

@@ -27,18 +27,12 @@ from pathlib import Path
 
 import numpy as np
 
-from . import analysis, greens
+from . import analysis
 from .coulomb import ChannelBlock, DensityMatrix
-from .errors import (
-    BoundViolated,
-    ConfigError,
-    NotConverged,
-    SolverError,
-    WindowTooNoisy,
-)
+from .errors import ConfigError, NotConverged, SolverError
 from .model import AtomSystem, SolverOptions, validate_system
-from .radial import build_grid, dst, kinetic_operator
-from .scf import fock_build, orbital_residuals, solve_scf
+from .radial import build_grid
+from .scf import fock_build, solve_scf
 
 log = logging.getLogger("prhf")
 
@@ -46,9 +40,6 @@ EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_NOT_CONVERGED = 2
 EXIT_CERTIFICATE = 3
-
-_DECAY_RATE_TOL = 0.05
-_KATO_TOL = 5e-3
 
 # the one SCF algorithm, which the `algorithm` key may name
 _ALGORITHM = "optimal-damping"
@@ -193,10 +184,6 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
             fh.write(",".join(row) + "\n")
 
 
-def _orbital_label(ell: int, spin: int, idx: int) -> str:
-    return f"P_l{ell}_s{spin}_{idx}"
-
-
 def _write_json(path: Path, payload: dict) -> None:
     """Stamp a result document with the UTC time and write it as sorted JSON."""
     payload = {"timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(), **payload}
@@ -218,7 +205,7 @@ def _write_solution(outdir: Path, cfg: dict, report, gamma, certificates) -> Non
     columns = [grid.nodes]
     for (ell, spin), blk in gamma.blocks.items():
         for a in range(blk.m):
-            labels.append(_orbital_label(ell, spin, a))
+            labels.append(analysis.orbital_label(ell, spin, a))
             columns.append(blk.orbitals[:, a])
     _write_csv(outdir / "orbitals.csv", labels, _fmt_rows(columns))
 
@@ -231,7 +218,7 @@ def _write_solution(outdir: Path, cfg: dict, report, gamma, certificates) -> Non
 
 
 def _load_solution(outdir: Path, sys_: AtomSystem, options: SolverOptions):
-    """Rebuild (report_dict, gamma, grid) from a completed solve directory.
+    """Rebuild (report record, gamma, grid) from a completed solve directory.
 
     None unless that solve converged for an equal system and equal options
     and its files read back whole, with orthonormal orbitals and admissible
@@ -263,7 +250,7 @@ def _load_solution(outdir: Path, sys_: AtomSystem, options: SolverOptions):
         blocks: dict = {}
         for occ in payload["report"]["occupations"]:
             key = (occ["ell"], occ["spin"])
-            label = _orbital_label(occ["ell"], occ["spin"], occ["index"])
+            label = analysis.orbital_label(occ["ell"], occ["spin"], occ["index"])
             blocks.setdefault(key, []).append((occ["index"], cols[label], occ["f"]))
         for key, entries in blocks.items():
             entries.sort()
@@ -275,7 +262,7 @@ def _load_solution(outdir: Path, sys_: AtomSystem, options: SolverOptions):
     except (ValueError, KeyError, TypeError, SolverError) as exc:
         log.warning(failure + ": %s: %s", outdir, type(exc).__name__, exc)
         return None
-    return payload, gamma, grid
+    return payload["report"], gamma, grid
 
 
 def _command(pipeline):
@@ -306,7 +293,7 @@ def _command(pipeline):
 
 
 def _solve_and_write(cfg: dict, sys_: AtomSystem, options: SolverOptions, outdir: Path):
-    """Shared by solve and verify: solve, certify, write; returns (report, gamma, certificate).
+    """Shared by solve and verify: solve, certify, write; returns (report, certificate).
 
     An unconverged solve is written with its certificate skipped, and its
     NotConverged is raised again.
@@ -324,246 +311,71 @@ def _solve_and_write(cfg: dict, sys_: AtomSystem, options: SolverOptions, outdir
         "converged=%s iterations=%d total=%.12f certificate=%s",
         report.converged, report.iterations, report.energy.total, cert.passed,
     )
-    return report, gamma, cert
+    return report, cert
 
 
 def _solve_pipeline(cfg: dict, sys_: AtomSystem, options: SolverOptions, outdir: Path) -> int:
-    *_, cert = _solve_and_write(cfg, sys_, options, outdir)
+    _report, cert = _solve_and_write(cfg, sys_, options, outdir)
     return EXIT_OK if cert.passed else EXIT_CERTIFICATE
 
 
 run_solve = _command(_solve_pipeline)
 
 
-# --- verification suites ----------------------------------------------------
+def _final_state(cfg: dict, sys_: AtomSystem, options: SolverOptions, outdir: Path):
+    """(fock, certificate, report record) of this configuration's converged solve.
 
-
-def _suite_minimizer(gamma, fock, cert=None) -> dict:
-    if cert is None:
-        cert = analysis.minimizer_certificate(gamma, fock)
-    return {**dataclasses.asdict(cert), "status": "passed" if cert.passed else "failed"}
-
-
-def _suite_decay(gamma, fock, sys_, cfg) -> dict:
-    occupied = orbital_residuals(fock, gamma)
-    window = None
-    if cfg["decay_window_lo"] is not None:      # parse_config sets both or neither
-        window = (cfg["decay_window_lo"], cfg["decay_window_hi"])
-    fits = []
-    try:
-        for (ell, spin), idx, eps, _res in occupied:
-            fits.append(analysis.decay_fit(
-                gamma.blocks[(ell, spin)].orbitals[:, idx], eps, fock.grid, sys_.alpha,
-                window=window, orbital_id=_orbital_label(ell, spin, idx),
-                charge=sys_.Z - sys_.N + 1,
-            ))
-    except WindowTooNoisy as exc:
-        return {"status": "inconclusive", "reason": str(exc),
-                "fits": [dataclasses.asdict(f) for f in fits]}
-    eps_arr = np.array([eps for _key, _idx, eps, _res in occupied])
-    homo_pos = int(np.argmax(eps_arr))
-    nu_homo = analysis.nu_of_energy(float(eps_arr[homo_pos]), sys_.alpha)
-    homo_ok = abs(fits[homo_pos].beta_hat - nu_homo) <= _DECAY_RATE_TOL * nu_homo
-    lower_ok = all(f.beta_hat >= 0.95 * nu_homo for f in fits)
-    # fitted rates must order like the predicted ones, for pairs whose
-    # predictions are separated beyond the fit resolution
-    ordering_ok = True
-    for i in range(len(fits)):
-        for j in range(len(fits)):
-            if fits[i].nu_predicted < fits[j].nu_predicted * (1.0 - 0.02):
-                ordering_ok = ordering_ok and fits[i].beta_hat < fits[j].beta_hat
-    passed = homo_ok and lower_ok and ordering_ok
-    return {
-        "status": "passed" if passed else "failed",
-        "homo_rate_ok": bool(homo_ok),
-        "all_above_095_nu_homo": bool(lower_ok),
-        "ordering_ok": ordering_ok,
-        "nu_homo": nu_homo,
-        "tolerance": _DECAY_RATE_TOL,
-        "fits": [dataclasses.asdict(f) for f in fits],
-    }
-
-
-def _solution_suites(cfg: dict, sys_: AtomSystem, options: SolverOptions, outdir: Path):
-    """(report dict, grid, suites): the minimizer and decay suites on a solution.
-
-    A converged solve of this configuration stored in outdir is read back
-    and its Fock operator built on the options' channels; otherwise the
-    configuration is solved and written first, and the suites reuse the
-    solve's operator and certificate. The operator is released before the
-    remaining suites run.
+    `fock.gamma` is the density. A converged solve stored in outdir is
+    read back and its Fock operator built on the options' channels, with
+    no certificate; otherwise the configuration is solved and written
+    first, and the solve's own operator and certificate are returned.
+    Either way the suites see the same state.
     """
     loaded = _load_solution(outdir, sys_, options)
-    if loaded is None:
-        log.info("no converged solve of this configuration in %s; solving first", outdir)
-        report, gamma, cert = _solve_and_write(cfg, sys_, options, outdir)
-        payload, fock = {"report": report.as_dict()}, report.fock
-    else:
-        payload, gamma, grid = loaded
-        fock, cert = fock_build(gamma, grid, sys_, ell_max=options.ell_max), None
-    suites = {}
-    if cfg["verify_minimizer"]:
-        suites["minimizer"] = _suite_minimizer(gamma, fock, cert)
-    if cfg["verify_decay"]:
-        suites["decay"] = _suite_decay(gamma, fock, sys_, cfg)
-    return payload, fock.grid, suites
-
-
-def _suite_kato(grid, cfg) -> dict:
-    battery = analysis.random_smooth_battery(grid, cfg["kato_samples"], cfg["kato_seed"])
-    worst = -np.inf
-    for u in battery:
-        lhs, rhs = analysis.kato_probe(u, grid)
-        worst = max(worst, lhs / rhs - 1.0)
-    passed = worst <= _KATO_TOL
-    return {
-        "status": "passed" if passed else "failed",
-        "samples": cfg["kato_samples"],
-        "worst_excess": float(worst),
-        "tolerance": _KATO_TOL,
-    }
-
-
-def _suite_herbst(grid, sys_) -> dict:
-    try:
-        rep = analysis.herbst_bound_check(sys_, grid)
-    except BoundViolated as exc:
-        rep = {"status": "failed", "reason": str(exc)}
-    else:
-        rep["status"] = "passed"
-    # the bound is on the square-root h0, whatever kinetic law the system carries
-    rep["kinetic"] = "pseudorelativistic"
-    return rep
-
-
-def _greens_battery(grid):
-    """The resolvent suite's five Gaussian sources, one per column."""
-    widths = [(10.0, 1.5), (14.0, 2.0), (8.0, 1.5), (12.0, 2.5), (16.0, 1.8)]
-    return np.column_stack([np.exp(-(((grid.nodes - c) / s) ** 2)) for (c, s) in widths])
-
-
-def _k2_cosh_integral(t: np.ndarray) -> np.ndarray:
-    """K_2(t) = int_0^inf e^{-t cosh s} cosh 2s ds, by the trapezoid rule.
-
-    Shares no code with greens.bessel_k. The integrand is even in s and
-    analytic, so the trapezoid rule converges geometrically; each t gets
-    200 steps over [0, S], where t (cosh S - 1) = 700 leaves e^-700 of
-    the integrand, and the step S/200 resolves the e^{-t s^2/2} core of
-    large t. The e^-t scale factor is taken out of the integrand.
-    """
-    t = np.asarray(t, dtype=float)[:, None]
-    s = np.arccosh(1.0 + 700.0 / t) * np.linspace(0.0, 1.0, 201)
-    # cosh s - 1 = 2 sinh^2(s/2), without the cancellation that a large t magnifies
-    f = np.exp(-2.0 * t * np.sinh(0.5 * s) ** 2) * np.cosh(2.0 * s)
-    ds = s[:, 1]
-    return np.exp(-t[:, 0]) * ds * (f.sum(axis=1) - 0.5 * (f[:, 0] + f[:, -1]))
-
-
-def _suite_greens(cfg, sys_, eps_homo: float | None):
-    """Standalone kernel suite on a fixed n=400 grid; no SCF solution needed.
-
-    Returns (suite dict, the tabulated kernel it checked).
-    """
-    alpha = sys_.alpha
-    E = cfg.get("greens_energy")
-    if E is None:
-        E = eps_homo if eps_homo is not None else greens.energy_of_nu(1.0, alpha)
-    nu = greens.nu_of_energy(E, alpha)
-    kernel = greens.greens_kernel(E, alpha)
-    checks = {}
-
-    positive = bool(np.all(kernel.values > 0.0))
-    checks["positivity"] = {"passed": positive, "min_value": float(kernel.values.min())}
-
-    env = kernel.envelope()
-    margin = float(np.min(env - kernel.values))
-    checks["est1_envelope"] = {
-        "passed": bool(np.all(kernel.values <= env)),
-        "min_margin": margin,
-        "constant": kernel.c_bound,
-    }
-
-    ts = np.geomspace(1e-3, 1e3, 61)
-    k1_vals = greens.bessel_k(1, ts)
-    checks["k1_bound"] = {
-        "passed": bool(np.all(k1_vals <= 1.0 / ts)),
-        "worst_ratio": float(np.max(k1_vals * ts)),
-    }
-
-    ts2 = np.geomspace(1e-3, 600.0, 40)
-    rec = greens.bessel_k(2, ts2)
-    indep = _k2_cosh_integral(ts2)
-    rec_resid = float(np.max(np.abs(rec - indep) / np.abs(indep)))
-    checks["k2_recurrence"] = {"passed": rec_resid <= 1e-10, "residual": rec_resid}
-
-    slope = greens.tail_slope(kernel)
-    checks["tail_slope"] = {
-        "passed": bool(slope >= -nu - 1e-3),
-        "slope": slope,
-        "nu": nu,
-    }
-
-    moment, tail_frac = greens.exp_moment(kernel, 0.9 * nu)
-    checks["exp_moment"] = {
-        "passed": bool(np.isfinite(moment) and tail_frac < 0.05),
-        "value": moment,
-        "tail_fraction": tail_frac,
-    }
-
-    # resolvent round trip against the discrete operator at n=400; T - E
-    # is diagonal under the DST-I, so its exact inverse is a division
-    rgrid = build_grid(400, 40.0)
-    T = kinetic_operator(rgrid, 0, alpha)
-    F = _greens_battery(rgrid)
-    V = greens.resolvent_apply(F, kernel, rgrid)
-    rt = np.linalg.norm(T.apply(V) - E * V - F, axis=0) / np.linalg.norm(F, axis=0)
-    exact = dst(dst(F) / (T.symbol - E)[:, None])
-    dv = np.linalg.norm(V - exact, axis=0) / np.linalg.norm(exact, axis=0)
-    worst_rt, worst_dense = float(rt.max()), float(dv.max())
-    checks["resolvent_roundtrip"] = {"passed": worst_rt <= 1e-3, "worst": worst_rt}
-    checks["resolvent_vs_dense"] = {"passed": worst_dense <= 1e-3, "worst": worst_dense}
-
-    passed = all(c["passed"] for c in checks.values())
-    return {
-        "status": "passed" if passed else "failed",
-        "E": E, "nu": nu,
-        "checks": checks,
-        "kernel_mesh_size": int(kernel.mesh.size),
-    }, kernel
-
-
-def _suite_binding(sys_, options, known) -> dict:
-    n_max = min(sys_.N, int(np.floor(sys_.Z)))   # stay inside N < Z + 1
-    if n_max < 1:
-        return {"status": "passed", "rows": [], "note": "no bound runs in range"}
-    rows, ok = analysis.binding_monotonicity(sys_, n_max, options, _known=known)
-    return {"status": "passed" if ok else "failed", "rows": rows}
+    if loaded is not None:
+        record, gamma, grid = loaded
+        return fock_build(gamma, grid, sys_, ell_max=options.ell_max), None, record
+    log.info("no converged solve of this configuration in %s; solving first", outdir)
+    report, cert = _solve_and_write(cfg, sys_, options, outdir)
+    return report.fock, cert, report.as_dict()
 
 
 @_command
 def run_verify(cfg: dict, sys_: AtomSystem, options: SolverOptions, outdir: Path) -> int:
+    """Run the enabled suites of `analysis` and write verify.json.
+
+    A solve is read, or made, only for the minimizer and decay suites; its
+    HOMO is then the greens suite's E unless greens_energy is set, and its
+    total energy and HOMO are the binding suite's row N.
+    """
     suites: dict = {}
-    eps_homo = None
-    known = None
+    eps_homo = known = None
     if cfg["verify_minimizer"] or cfg["verify_decay"]:
-        payload, grid, suites = _solution_suites(cfg, sys_, options, outdir)
-        occ_eps = [
-            e["value"] for e in payload["report"]["eigenvalues"] if e["occupation"] > 0.5
-        ]
-        if occ_eps:
-            eps_homo = max(occ_eps)
-            known = {sys_.N: (payload["report"]["energy"]["total"], eps_homo)}
+        fock, cert, record = _final_state(cfg, sys_, options, outdir)
+        grid = fock.grid
+        if cfg["verify_minimizer"]:
+            suites["minimizer"] = analysis.minimizer_suite(fock, cert)
+        if cfg["verify_decay"]:
+            window = None
+            if cfg["decay_window_lo"] is not None:      # parse_config sets both or neither
+                window = (cfg["decay_window_lo"], cfg["decay_window_hi"])
+            suites["decay"] = analysis.decay_suite(fock, window)
+        del fock        # freed before the remaining suites run
+        eps_homo = analysis.homo_eigenvalue(record)
+        if eps_homo is not None:
+            known = {sys_.N: (record["energy"]["total"], eps_homo)}
     else:
         grid = build_grid(cfg["n"], cfg["r_max"])
 
     if cfg["verify_kato"]:
-        suites["kato"] = _suite_kato(grid, cfg)
+        suites["kato"] = analysis.kato_suite(grid, cfg["kato_samples"], cfg["kato_seed"])
     if cfg["verify_herbst"]:
-        suites["herbst"] = _suite_herbst(grid, sys_)
+        suites["herbst"] = analysis.herbst_bound_check(sys_, grid)
     if cfg["verify_greens"]:
-        suites["greens"], _kernel = _suite_greens(cfg, sys_, eps_homo)
+        E = eps_homo if cfg["greens_energy"] is None else cfg["greens_energy"]
+        suites["greens"], _kernel = analysis.greens_suite(sys_.alpha, E)
     if cfg["verify_binding"]:
-        suites["binding"] = _suite_binding(sys_, options, known)
+        suites["binding"] = analysis.binding_suite(sys_, options, known)
 
     all_passed = all(s.get("status") == "passed" for s in suites.values())
     _write_json(outdir / "verify.json", {
@@ -580,7 +392,7 @@ def run_verify(cfg: dict, sys_: AtomSystem, options: SolverOptions, outdir: Path
 
 @_command
 def run_greens(cfg: dict, sys_: AtomSystem, options: SolverOptions, outdir: Path) -> int:
-    suite, kernel = _suite_greens(cfg, sys_, None)
+    suite, kernel = analysis.greens_suite(sys_.alpha, cfg["greens_energy"])
     header = ["u", "G", "term1", "term2", "term3"]
     columns = [kernel.mesh, kernel.values, kernel.term1, kernel.term2, kernel.term3]
     _write_csv(outdir / "greens.csv", header, _fmt_rows(columns))

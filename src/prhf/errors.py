@@ -63,10 +63,6 @@ class WindowTooNoisy(SolverError):
     """Decay-fit window reaches the quadrature noise floor."""
 
 
-class BoundViolated(SolverError):
-    """A discretized eigenvalue undercut an analytic lower bound."""
-
-
 class DomainError(SolverError):
     """Argument outside the mathematical domain of a special function."""
 

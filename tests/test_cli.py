@@ -1,3 +1,4 @@
+import ast
 import json
 import os
 import subprocess
@@ -566,6 +567,73 @@ def test_verify_narrow_window_inconclusive(tmp_path):
     assert verify["suites"]["decay"]["status"] == "inconclusive"
 
 
+def test_verify_anion_with_unbound_homo_is_inconclusive(tmp_path):
+    """He-: the HOMO lies above 0, so decay and greens record inconclusive and verify exits 3."""
+    outdir = tmp_path / "out"
+    cfg = _write_config(tmp_path, outdir, N=3, n=200, r_max=40.0, verify_kato="false",
+                        verify_greens="true")
+    assert run_verify(cfg) == EXIT_CERTIFICATE
+    verify = json.loads((outdir / "verify.json").read_text())
+    suites = verify["suites"]
+    assert verify["all_passed"] is False
+    assert {name: s["status"] for name, s in suites.items()} == {
+        "minimizer": "failed", "decay": "inconclusive", "herbst": "passed", "greens": "inconclusive",
+    }
+    assert suites["minimizer"]["clauses"]["negativity"]["passed"] is False
+    for name in ("decay", "greens"):
+        assert suites[name]["reason"].startswith("E=") and "outside" in suites[name]["reason"]
+    assert suites["greens"]["E"] > 0.0
+
+
+def test_verify_herbst_failure_keeps_its_record(tmp_path, monkeypatch):
+    """A lowest h0 level below the bound fails the herbst record; nothing raises."""
+    spectra = prhf.analysis._channel_spectra
+
+    def sunk(fock, k):
+        ainv = fock.system.alpha_inv
+        return {key: (vals - ainv, vecs) for key, (vals, vecs) in spectra(fock, k).items()}
+
+    monkeypatch.setattr(prhf.analysis, "_channel_spectra", sunk)
+    outdir = tmp_path / "out"
+    cfg = _write_config(tmp_path, outdir, verify_minimizer="false", verify_decay="false",
+                        verify_kato="false")
+    assert run_verify(cfg) == EXIT_CERTIFICATE
+    herbst = json.loads((outdir / "verify.json").read_text())["suites"]["herbst"]
+    assert herbst["status"] == "failed" and herbst["passed"] is False
+    assert herbst["min_eigenvalue"] < herbst["bound"]
+    assert herbst["margin"] == herbst["min_eigenvalue"] - herbst["bound"]
+    assert herbst["kinetic"] == "pseudorelativistic"
+
+
+def test_final_state_is_the_same_from_a_fresh_and_a_stored_solve(tmp_path):
+    cfg = parse_config(_write_config(tmp_path, tmp_path / "out"))
+    sys_, options = prhf.cli._system_from_config(cfg), prhf.cli._options_from_config(cfg)
+    outdir = Path(cfg["output_dir"])
+    outdir.mkdir()
+    fresh, cert, fresh_record = prhf.cli._final_state(cfg, sys_, options, outdir)
+    stored, no_cert, stored_record = prhf.cli._final_state(cfg, sys_, options, outdir)
+    assert cert is not None and no_cert is None
+    assert json.loads(json.dumps(fresh_record)) == stored_record
+    assert fresh.gamma.blocks.keys() == stored.gamma.blocks.keys()
+    for key, blk in fresh.gamma.blocks.items():
+        assert np.array_equal(blk.orbitals, stored.gamma.blocks[key].orbitals)
+        assert np.array_equal(blk.occupations, stored.gamma.blocks[key].occupations)
+    assert prhf.analysis.minimizer_suite(stored) == prhf.analysis.minimizer_suite(fresh, cert)
+
+
+def test_cli_holds_no_suite_verdict_or_tolerance():
+    """Every verify suite, its verdict and its tolerances live in analysis, not in cli."""
+    tree = ast.parse(Path(prhf.cli.__file__).read_text())
+    functions = [n.name for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)]
+    assert [name for name in functions if "suite" in name] == []
+    names = [t.id for n in tree.body if isinstance(n, ast.Assign)
+             for t in n.targets if isinstance(t, ast.Name)]
+    assert [name for name in names if "TOL" in name.upper()] == []
+    # thresholds are float literals; the only ones left bound greens_energy to (-alpha^-1, 0)
+    floats = {n.value for n in ast.walk(tree) if isinstance(n, ast.Constant) and type(n.value) is float}
+    assert floats <= {0.0, 1.0}
+
+
 def test_verify_greens_only_without_solution(tmp_path):
     outdir = tmp_path / "out"
     cfg = _write_config(
@@ -609,7 +677,7 @@ def test_k2_check_is_independent_of_bessel_k(monkeypatch):
         monkeypatch.setattr(prhf.greens, name, refuse)
     ts = np.geomspace(1e-3, 600.0, 40)
     ref = kv(2, ts)
-    assert np.max(np.abs(prhf.cli._k2_cosh_integral(ts) - ref) / ref) <= 1e-14
+    assert np.max(np.abs(prhf.analysis._k2_cosh_integral(ts) - ref) / ref) <= 1e-14
 
 
 def test_verify_every_shipped_config(tmp_path):
