@@ -42,14 +42,14 @@ DESCENT_SLACK = 1e-12     # per-step slack on monotone descent
 # of zero is flat to roundoff: the step keeps gamma (t = 0). A one-electron
 # system's first trial is its h0 density again, and a, b ~ 1e-15 there.
 LINE_ROUNDOFF = 32.0 * np.finfo(float).eps
-# LOBPCG on matrix-free channels: preconditioner shift in units of alpha;
-# residual tolerances relative to the operator's norm, one for the aufbau
-# fill, whose columns become the orbitals (their tails must hold down to
-# 1e-11 of their peak for the decay fits), and one for level tables, of
-# which only eigenvalues and overlaps are read; iteration cap; and the
-# factor on the tolerance above which a residual hands the channel to the
-# dense eigensolve
-LOBPCG_SIGMA = 0.4
+# LOBPCG on matrix-free channels, whose preconditioner takes no constant
+# (each column is shifted by its own Ritz value, `_shifted_symbol`): residual
+# tolerances relative to the operator's norm, one for the aufbau fill,
+# whose columns become the orbitals (their tails must hold down to 1e-11
+# of their peak for the decay fits), and one for level tables, of which
+# only eigenvalues and overlaps are read; iteration cap; and the factor on
+# the tolerance above which a residual hands the channel to the dense
+# eigensolve
 LOBPCG_RTOL = 1e-15
 LOBPCG_LEVEL_RTOL = 1e-11
 LOBPCG_MAXITER = 200
@@ -290,12 +290,30 @@ def _ritz(GA: np.ndarray, GB: np.ndarray, k: int):
     return vals[:k], Rinv @ C[:, :k]
 
 
-def _lobpcg(op, inv: np.ndarray, X: np.ndarray, tol: float, maxiter: int):
+def _shifted_symbol(symbol: np.ndarray, vals: np.ndarray) -> np.ndarray:
+    """Row j is the divisor symbol + max(-vals[j], 0) of column j's residual.
+
+    `symbol` is a positive row (1, n), the diagonal of the operator's
+    leading part. A column whose Ritz value is negative, a bound level, is
+    preconditioned by (T - theta_j)^-1, one whose value is positive, a box
+    state, by T^-1. The shift is never negative, so every divisor is at
+    least the smallest symbol and the preconditioner stays positive
+    definite; a NaN value gives a NaN row.
+    """
+    return symbol + np.maximum(-vals, 0.0)[:, None]
+
+
+def _lobpcg(op, symbol: np.ndarray, X: np.ndarray, tol: float, maxiter: int):
     """Lowest X.shape[1] eigenpairs of the symmetric `op` by block LOBPCG.
 
     Knyazev's method (SIAM J. Sci. Comput. 23 (2001) 517) as scipy's
-    `lobpcg` implements it, for a standard problem with the diagonal
-    preconditioner `inv`. Each step takes the Rayleigh-Ritz pairs of
+    `lobpcg` implements it, for a standard problem with a diagonal
+    preconditioner: `symbol` (an (n, 1) column, positive) is the diagonal
+    of the operator's leading part, and each step divides the residual of
+    column j by it shifted by the column's current Ritz value
+    (`_shifted_symbol`), the kinetic preconditioner with a band-energy
+    shift of plane-wave codes (Teter, Payne and Allan, PRB 40 (1989)
+    12255). Each step takes the Rayleigh-Ritz pairs of
     [X, W, P]: W is the preconditioned residual of the active columns,
     projected off X, and P the last step's update of them, each
     Cholesky-orthonormalized (AP is carried by P's R^-1). The Rayleigh-Ritz
@@ -319,7 +337,7 @@ def _lobpcg(op, inv: np.ndarray, X: np.ndarray, tol: float, maxiter: int):
     def apply(V):
         return np.ascontiguousarray(op(np.ascontiguousarray(V.T)).T)
 
-    inv = inv.T
+    symbol = symbol.T
     X = orth[0]
     AX = apply(X)
     if k == 1:                      # the Rayleigh quotient, as `dsyevd` gives it
@@ -339,7 +357,7 @@ def _lobpcg(op, inv: np.ndarray, X: np.ndarray, tol: float, maxiter: int):
         active &= norms > tol
         if not active.any() or its == maxiter:
             break
-        W = inv * R[active]
+        W = R[active] / _shifted_symbol(symbol, vals[active])
         orth = _orthonormalize(W - (W @ X.T) @ X)
         if orth is None:
             break
@@ -371,10 +389,13 @@ def _lobpcg_levels(fock: FockOperator, key: tuple[int, int], k: int, rtol: float
     """Lowest k eigenpairs of a matrix-free channel by preconditioned LOBPCG.
 
     The iteration (`_lobpcg`) runs in DST-I coordinates y = S x (S is its
-    own inverse), where the kinetic energy and the preconditioner
-    (T + sigma)^-1, the discrete resolvent of the kinetic energy, are
+    own inverse), where the kinetic energy and the preconditioner are
     diagonal (uniform grid only): one transform pair per operator apply,
-    none per preconditioner apply. The residual tolerance is `rtol` times
+    none per preconditioner apply. Column j is preconditioned by
+    (T - theta_j)^-1 at its current Ritz value theta_j when that is
+    negative, a bound level, and by T^-1 otherwise; T's smallest symbol
+    is positive on the Dirichlet grid under both kinetic laws, so each is
+    positive definite. The residual tolerance is `rtol` times
     the operator's norm. A grid of fewer than 5 k nodes is solved densely.
 
     The start block (`_start_block`) depends on the operator alone, so
@@ -399,8 +420,7 @@ def _lobpcg_levels(fock: FockOperator, key: tuple[int, int], k: int, rtol: float
         vals, vecs = _dense_levels(op(np.eye(fock.grid.n)), k)
         its = 0
     else:
-        inv = 1.0 / (t + LOBPCG_SIGMA * fock.system.alpha)
-        vals, vecs, its = _lobpcg(op, inv, Y0, tol, LOBPCG_MAXITER)
+        vals, vecs, its = _lobpcg(op, t, Y0, tol, LOBPCG_MAXITER)
     # both eigensolves return their values in ascending order
     vecs = dst(vecs)
     worst = float(np.max(np.linalg.norm(fock.apply(key, vecs) - vecs * vals, axis=0)))

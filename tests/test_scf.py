@@ -136,16 +136,27 @@ def _broken_ritz(*args):
     return None
 
 
-def _garbage_lobpcg(op, inv, X, tol, maxiter):
+def _garbage_lobpcg(op, symbol, X, tol, maxiter):
     """Finite levels and vectors that are no eigenpairs, after three iterations."""
     return np.zeros(X.shape[1]), X + 1.0, 3
+
+
+_true_ritz = scf._ritz
+
+
+def _nan_ritz(*args):
+    """Every Rayleigh-Ritz step returns its last Ritz value as NaN."""
+    vals, C = _true_ritz(*args)
+    return np.concatenate([vals[:-1], [np.nan]]), C
 
 
 @pytest.mark.parametrize("patch, fill", [
     (("LOBPCG_MAXITER", 1), False), (("_ritz", _broken_ritz), False),
     (("LOBPCG_MAXITER", 1), True), (("_ritz", _broken_ritz), True),
     (("_lobpcg", _garbage_lobpcg), False), (("_lobpcg", _garbage_lobpcg), True),
-], ids=["maxiter", "breakdown", "maxiter-fill", "breakdown-fill", "garbage", "garbage-fill"])
+    (("_ritz", _nan_ritz), False), (("_ritz", _nan_ritz), True),
+], ids=["maxiter", "breakdown", "maxiter-fill", "breakdown-fill", "garbage", "garbage-fill",
+        "nan-ritz", "nan-ritz-fill"])
 def test_lobpcg_nonconvergence_falls_back_to_dense(patch, fill, he_small, monkeypatch, caplog):
     monkeypatch.setattr(scf, *patch)
     fock = fock_build(he_small.gamma, he_small.grid, he_small.sys, ell_max=0)
@@ -174,7 +185,7 @@ def test_lobpcg_nonconvergence_falls_back_to_dense(patch, fill, he_small, monkey
 
 
 def _small_problem(n=150):
-    """A symmetric matrix with a graded diagonal, its diagonal preconditioner and a recording apply."""
+    """A symmetric matrix with a graded diagonal, its positive symbol and a recording apply."""
     rng = np.random.default_rng(11)
     d = np.linspace(1.0, 60.0, n)
     B = 0.3 * rng.standard_normal((n, n))
@@ -185,14 +196,14 @@ def _small_problem(n=150):
         widths.append(Y.shape[1])
         return A @ Y
 
-    return A, (1.0 / (d + 1.0))[:, None], op, widths, rng
+    return A, (d + 1.0)[:, None], op, widths, rng
 
 
 @pytest.mark.parametrize("k", [1, 6])
 def test_inhouse_lobpcg_matches_eigh(k):
-    A, inv, op, widths, rng = _small_problem()
+    A, symbol, op, widths, rng = _small_problem()
     tol = 1e-12 * np.linalg.norm(A, 2)
-    vals, X, its = scf._lobpcg(op, inv, rng.standard_normal((A.shape[0], k)), tol, 200)
+    vals, X, its = scf._lobpcg(op, symbol, rng.standard_normal((A.shape[0], k)), tol, 200)
     dense, dvecs = np.linalg.eigh(A)
     assert 0 < its == len(widths) - 1 < 200
     assert np.max(np.abs(vals - dense[:k])) <= 1e-10
@@ -204,19 +215,46 @@ def test_inhouse_lobpcg_matches_eigh(k):
 
 def test_inhouse_lobpcg_locks_a_converged_column():
     """A start column that is already an eigenvector is never applied again."""
-    A, inv, op, widths, rng = _small_problem()
+    A, symbol, op, widths, rng = _small_problem()
     k = 4
     _dense, dvecs = np.linalg.eigh(A)
     X0 = rng.standard_normal((A.shape[0], k))
     X0[:, 0] = dvecs[:, 0]
     X0[:, 1:] -= np.outer(dvecs[:, 0], dvecs[:, 0] @ X0[:, 1:])
     tol = 1e-10 * np.linalg.norm(A, 2)
-    vals, X, its = scf._lobpcg(op, inv, X0, tol, 200)
+    vals, X, its = scf._lobpcg(op, symbol, X0, tol, 200)
     assert np.max(np.abs(vals - _dense[:k])) <= 1e-10
     # after the start block, every apply is of the active columns alone,
     # and a locked column never comes back
     assert widths[0] == k and all(w < k for w in widths[1:])
     assert widths[1:] == sorted(widths[1:], reverse=True)
+
+
+def test_inhouse_lobpcg_shifts_bound_levels_by_their_ritz_values():
+    """A negative well below the positive symbol: bound levels, each preconditioned at its own value."""
+    A, symbol, _op, _widths, rng = _small_problem()
+    n, k = A.shape[0], 3
+    A = A - np.diag(40.0 * np.exp(-np.arange(n) / 10.0))
+    dense, dvecs = np.linalg.eigh(A)
+    assert np.all(dense[:k] < 0.0)          # every column's shift is its own -theta
+    tol = 1e-12 * np.linalg.norm(A, 2)
+    vals, X, its = scf._lobpcg(lambda Y: A @ Y, symbol, rng.standard_normal((n, k)), tol, 200)
+    assert 0 < its < 200
+    assert np.max(np.abs(vals - dense[:k])) <= 1e-10
+    assert np.max(np.linalg.norm(A @ X - X * vals, axis=0)) <= scf.LOBPCG_SLACK * tol
+    assert np.max(np.abs(X @ X.T - dvecs[:, :k] @ dvecs[:, :k].T)) <= 1e-10
+
+
+def test_shifted_symbol_is_at_least_the_smallest_symbol():
+    """(T + max(-theta, 0))^-1: T - theta below zero, T itself above, never below min T."""
+    symbol = np.linspace(0.25, 30.0, 64)[None, :]
+    vals = np.array([-7.5, -1e-3, -0.0, 0.0, 1e-3, 4.0, 1e3])
+    divisor = scf._shifted_symbol(symbol, vals)
+    assert divisor.shape == (len(vals), symbol.shape[1])
+    assert np.all(divisor >= symbol.min())
+    assert np.array_equal(divisor[vals < 0.0], symbol - vals[vals < 0.0, None])
+    assert np.array_equal(divisor[vals >= 0.0], np.broadcast_to(symbol, divisor[vals >= 0.0].shape))
+    assert np.all(np.isnan(scf._shifted_symbol(symbol, np.array([np.nan]))))
 
 
 def _bad_gram(kind, k=4):
@@ -379,6 +417,28 @@ def test_helium_anion_needs_no_dense_fallback():
     report, _gamma = solve_scf(sys, SolverOptions(n=400, r_max=40.0))
     assert report.converged
     assert report.eigensolves["dense_fallbacks"] == 0
+
+
+def test_heavy_helium_like_ion_needs_no_dense_fallback():
+    """He-like Z = 50 at n = 1200, r_max 30: the 1s level lies at -6.9 in operator units, and
+    each column's Ritz shift brings every solve home well inside the iteration cap."""
+    sys = validate_system(AtomSystem(Z=50.0, N=2, alpha=ALPHA))
+    report, _gamma = solve_scf(sys, SolverOptions(n=1200, r_max=30.0))
+    assert report.converged
+    assert report.eigensolves["dense_fallbacks"] == 0
+    assert max(report.eigensolves["lobpcg_iterations"]) <= 50
+
+
+def test_hydrogen_empty_spin_channel_converges_quickly(hydrogen_limit_solution):
+    """The empty spin channel starts from its bare-charge seed alone and takes few iterations."""
+    assert max(hydrogen_limit_solution.report.eigensolves["lobpcg_iterations"]) <= 30
+
+
+def test_beryllium_cold_fill_converges_quickly(be_solution):
+    """Be's h0 fill (block 2, hydrogenic seeds 1s and 2s at Z = 4) is the run's first solve."""
+    record = be_solution.report.eigensolves
+    assert (record["lobpcg_blocks"][0], record["lobpcg_warm"][0]) == (2, False)
+    assert record["lobpcg_iterations"][0] <= 30
 
 
 def test_warm_start_cuts_helium_work_and_repeats():
