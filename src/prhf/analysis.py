@@ -10,10 +10,11 @@ made. No suite raises to report its verdict.
 
 from __future__ import annotations
 
+import math
+import random
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
-import numpy.random  # loaded with the module, not on verify's first Kato battery
 
 from . import greens
 from .coulomb import DensityMatrix
@@ -276,13 +277,30 @@ def kato_probe(u: np.ndarray, grid: RadialGrid) -> tuple[float, float]:
     return lhs, rhs
 
 
+def _standard_normals(seed: int, shape: tuple[int, ...]) -> np.ndarray:
+    """Seeded standard normal draws without numpy.random.
+
+    Box-Muller on 53-bit uniforms from the stdlib's Mersenne Twister,
+    `random.Random(seed)`, which numpy itself loads: `numpy.random` is left
+    out of every pipeline's start-up.
+    """
+    size = math.prod(shape)
+    words = np.frombuffer(random.Random(seed).randbytes(16 * size), dtype="<u8")
+    u1, u2 = (words >> 11).reshape(2, size) * 2.0**-53     # uniforms in [0, 1)
+    normals = np.sqrt(-2.0 * np.log1p(-u1)) * np.cos(2.0 * np.pi * u2)
+    return normals.reshape(shape)
+
+
 def random_smooth_battery(grid: RadialGrid, count: int, seed: int, modes: int = 30):
-    """Deterministic battery of normalized smooth s-channel probe functions."""
-    rng = np.random.default_rng(seed)
+    """Deterministic battery of normalized smooth s-channel probe functions.
+
+    Probe i is sum_m c_im sin(m pi r / r_max) with c_im = z_im / m and
+    standard normal z (`_standard_normals`), normalized in the grid inner
+    product.
+    """
     basis = np.sin(np.outer(grid.nodes, np.arange(1, modes + 1)) * np.pi / grid.r_max)
     out = []
-    for _ in range(count):
-        c = rng.standard_normal(modes) / np.arange(1, modes + 1)
+    for c in _standard_normals(seed, (count, modes)) / np.arange(1, modes + 1):
         u = basis @ c
         u /= np.sqrt(inner(grid, u, u))
         out.append(u)

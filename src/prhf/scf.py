@@ -44,16 +44,43 @@ DESCENT_SLACK = 1e-12     # per-step slack on monotone descent
 LINE_ROUNDOFF = 32.0 * np.finfo(float).eps
 # LOBPCG on matrix-free channels, whose preconditioner takes no constant
 # (each column is shifted by its own Ritz value, `_shifted_symbol`): residual
-# tolerances relative to the operator's norm, one for the aufbau fill,
-# whose columns become the orbitals (their tails must hold down to 1e-11
-# of their peak for the decay fits), and one for level tables, of which
-# only eigenvalues and overlaps are read; iteration cap; and the factor on
-# the tolerance above which a residual hands the channel to the dense
-# eigensolve
+# tolerances relative to the operator's norm. LOBPCG_RTOL is for fills whose
+# columns can become the orbitals written out (their tails must hold down
+# to 1e-11 of their peak for the decay fits): the h0 start, the purity
+# finish, and every SCF iteration whose commutator residual r already meets
+# tol_commutator, since that iteration may be the last and its trial the
+# final state. Any other SCF fill is only a search direction, whose true
+# energy the line search evaluates, so it solves to
+# max(LOBPCG_RTOL, min(LOBPCG_FILL_CAP, LOBPCG_FILL_FACTOR * r)) (`_fill_rtol`),
+# the residual-tied tolerance of DFTK's adaptive diagtol (Herbst, Levitt
+# and Cances, JuliaCon Proc. 3 (2021) 69). On He at n = 1600 this cuts the
+# LOBPCG work from 208 to 162, and on Li (n = 1200) from 1776 to 1324, with
+# the same iterations; occupied levels move by at most 1.0e-11 Ha on He, Li
+# and Be, n = 400 to 1600. Looser rules failed: a cap of 1e-6 left the
+# first fills loose enough to move Be's 1s level 4.9e-10 Ha at every n,
+# loose fills in every iteration left He's written orbitals from a loose
+# final trial (its last step takes t = 1), a factor of 1e-4 moved He's
+# level 2.2e-10 Ha, and one of 1e-2 changes He's path. LOBPCG_LEVEL_RTOL is
+# for level tables, of which only eigenvalues and overlaps are read. Then
+# the iteration cap, and the factor on the tolerance above which a
+# residual hands the channel to the dense eigensolve.
 LOBPCG_RTOL = 1e-15
+LOBPCG_FILL_FACTOR = 1e-5
+LOBPCG_FILL_CAP = 1e-8
 LOBPCG_LEVEL_RTOL = 1e-11
 LOBPCG_MAXITER = 200
 LOBPCG_SLACK = 10.0
+
+
+def _fill_rtol(residual: float, tol_commutator: float) -> float:
+    """LOBPCG tolerance of an SCF iteration's aufbau fill from its commutator residual.
+
+    LOBPCG_RTOL once the residual meets tol_commutator, the residual-tied
+    search-direction tolerance otherwise (see LOBPCG_FILL_FACTOR).
+    """
+    if residual < tol_commutator:
+        return LOBPCG_RTOL
+    return max(LOBPCG_RTOL, min(LOBPCG_FILL_CAP, LOBPCG_FILL_FACTOR * residual))
 
 
 @dataclass
@@ -70,17 +97,19 @@ class FockOperator:
     matrix-free: `apply` takes T through the DST-I, the local potential
     as a vector and exchange through slater_yk sweeps, and its levels
     come from the block LOBPCG of `_lobpcg`: the aufbau fill asks each
-    spin group for the levels it can reach, at the fill tolerance, and a
-    level table asks for its count at the looser level tolerance. Each
-    solve starts from the orbitals of gamma on its channel, completed by
-    hydrogenic seeds at the operator's charge (`_start_block`), and falls
-    back to dense eigh if its residuals fail. Any other operator applies
-    its dense `matrices`, which are assembled on first access only, and
-    computes its fill and its table by one `eigh`. Nothing is modified
-    after the build, so each eigensolve (channel, count, tolerance) runs
-    once and is kept. Every LOBPCG solve appends a (block, iterations,
-    warm, fell back to dense) record to `eigensolves`, a list the caller
-    may share between operators.
+    spin group for the levels it can reach, at the tolerance its caller
+    passes (LOBPCG_RTOL, or `_fill_rtol` of the commutator residual for an
+    SCF search direction), and a level table asks for its count at the
+    looser level tolerance. Each solve starts from the orbitals of gamma
+    on its channel, completed by hydrogenic seeds at the operator's charge
+    (`_start_block`), and falls back to dense eigh if its residuals fail.
+    Any other operator applies its dense `matrices`, which are assembled
+    on first access only, and computes its fill and its table by one
+    `eigh`, whatever the tolerance asked. Nothing is modified after the
+    build, so each eigensolve (channel, count, tolerance) runs once and is
+    kept. Every LOBPCG solve appends a (block, iterations, warm, fell back
+    to dense, rtol) record to `eigensolves`, a list the caller may share
+    between operators.
     """
 
     system: AtomSystem
@@ -406,7 +435,7 @@ def _lobpcg_levels(fock: FockOperator, key: tuple[int, int], k: int, rtol: float
     falls back to dense eigh, so a wrong level never passes; a bad start
     costs one LOBPCG run to at most LOBPCG_MAXITER iterations and then
     the dense solve. The solve is recorded in `fock.eigensolves` as
-    (block, iterations, warm, fell back), with `_lobpcg`'s count of
+    (block, iterations, warm, fell back, rtol), with `_lobpcg`'s count of
     applies after the first as its iterations (0 on a dense solve).
     """
     t = fock.kinetic[key[0]].symbol[:, None]
@@ -425,7 +454,7 @@ def _lobpcg_levels(fock: FockOperator, key: tuple[int, int], k: int, rtol: float
     vecs = dst(vecs)
     worst = float(np.max(np.linalg.norm(fock.apply(key, vecs) - vecs * vals, axis=0)))
     fell_back = not worst <= LOBPCG_SLACK * tol     # also catches a NaN residual
-    fock.eigensolves.append((k, its, warm, fell_back))
+    fock.eigensolves.append((k, its, warm, fell_back, rtol))
     if fell_back:
         log.warning(
             "LOBPCG on channel %s left residual %.3e above %.3e; using dense eigh",
@@ -439,21 +468,23 @@ def _lobpcg_levels(fock: FockOperator, key: tuple[int, int], k: int, rtol: float
 
 
 def _eigensolve_summary(records: list) -> dict:
-    """The `eigensolves` record of report.json from (block, iterations, warm, fell back) records.
+    """The `eigensolves` record of report.json from `_lobpcg_levels`' records.
 
     A solve's iterations are `_lobpcg`'s block applies after the first,
     the one of the start block (0 on a dense solve). LOBPCG work is the
     sum of iterations * (1 + block): each iteration applies the operator
     to a block of new directions and LOBPCG's cost grows with the block
-    width.
+    width. `lobpcg_rtol` is each solve's residual tolerance relative to
+    the operator's norm.
     """
     return {
         "lobpcg_solves": len(records),
         "lobpcg_blocks": [k for k, *_ in records],
         "lobpcg_iterations": [its for _k, its, *_ in records],
-        "lobpcg_warm": [warm for _k, _its, warm, _fb in records],
+        "lobpcg_warm": [warm for _k, _its, warm, *_ in records],
+        "lobpcg_rtol": [rtol for *_, rtol in records],
         "lobpcg_work": sum(its * (1 + k) for k, its, *_ in records),
-        "dense_fallbacks": sum(fb for *_, fb in records),
+        "dense_fallbacks": sum(fb for _k, _its, _warm, fb, _rtol in records),
     }
 
 
@@ -515,19 +546,19 @@ def _fill_count(N: float, group_size: int, ell: int) -> int:
     return int(np.ceil(N / (group_size * (2 * ell + 1))))
 
 
-def _fill_spectra(fock: FockOperator, N: float) -> dict:
+def _fill_spectra(fock: FockOperator, N: float, rtol: float = LOBPCG_RTOL) -> dict:
     """The spectra an aufbau fill of N electrons reads, per channel.
 
     Each spin group asks for its `_fill_count` levels at the fill
-    tolerance, or for the table count when two of the computed levels
-    tie, since the count rests on increasing levels.
+    tolerance `rtol`, or for the table count when two of the computed
+    levels tie, since the count rests on increasing levels.
     """
     spectra = {}
     for ell in range(fock.ell_max + 1):
         for grp in fock.groups:
-            level = _group_levels(fock, ell, grp, _fill_count(N, len(grp), ell), LOBPCG_RTOL)
+            level = _group_levels(fock, ell, grp, _fill_count(N, len(grp), ell), rtol)
             if not np.all(np.diff(level[0]) > 0.0):
-                level = _group_levels(fock, ell, grp, _levels_needed(N), LOBPCG_RTOL)
+                level = _group_levels(fock, ell, grp, _levels_needed(N), rtol)
             for spin in grp:
                 spectra[(ell, spin)] = level
     return dict(sorted(spectra.items()))
@@ -557,9 +588,12 @@ def _fill(spectra: dict, N: float) -> dict[tuple[int, int], list[tuple[int, floa
     return chosen
 
 
-def aufbau_projection(fock: FockOperator, N: float) -> DensityMatrix:
-    """Occupy the N lowest Fock levels across channels (ties: lower ell, spin)."""
-    spectra = _fill_spectra(fock, N)
+def aufbau_projection(fock: FockOperator, N: float, rtol: float = LOBPCG_RTOL) -> DensityMatrix:
+    """Occupy the N lowest Fock levels across channels (ties: lower ell, spin).
+
+    A matrix-free channel solves its levels to `rtol` (`_fill_spectra`).
+    """
+    spectra = _fill_spectra(fock, N, rtol)
     blocks = {}
     for key, picks in _fill(spectra, N).items():
         _vals, vecs = spectra[key]
@@ -647,14 +681,16 @@ class StepInfo:
 
 
 def oda_step(
-    gamma: DensityMatrix, fock: FockOperator, e_gamma: EnergyBreakdown
+    gamma: DensityMatrix, fock: FockOperator, e_gamma: EnergyBreakdown,
+    rtol: float = LOBPCG_RTOL,
 ) -> tuple[DensityMatrix, StepInfo]:
     """One optimal-damping step from gamma, whose operator is `fock` and energy e_gamma.
 
-    Aufbau trial on the operator's channels, exact line search, mix.
+    Aufbau trial on the operator's channels, its levels solved to `rtol`,
+    exact line search, mix.
     """
     grid, sys = fock.grid, fock.system
-    trial = aufbau_projection(fock, sys.N)
+    trial = aufbau_projection(fock, sys.N, rtol)
     e_trial = total_energy(trial, grid, sys)
     a, b = line_coefficients(gamma, trial, fock, e_gamma, e_trial)
     if max(abs(a), abs(b)) <= LINE_ROUNDOFF * (1.0 + abs(e_gamma.total)):
@@ -767,7 +803,9 @@ def solve_scf(sys: AtomSystem, options: SolverOptions) -> tuple[SCFReport, Densi
         iterations = it
         fock = fock_build(gamma, grid, sys, ell_max=ell_max, eigensolves=eigensolves)
         residual = commutator_residual(fock, gamma)
-        gamma_next, step = oda_step(gamma, fock, energy)
+        # the trial is a search direction until the residual meets its tolerance
+        rtol = _fill_rtol(residual, opts.tol_commutator)
+        gamma_next, step = oda_step(gamma, fock, energy, rtol)
         dE = energy.total - step.energy.total
         log.debug(
             "iter %3d  E=%.12f  dE=%.3e  t=%.3f  resid=%.3e",

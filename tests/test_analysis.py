@@ -17,7 +17,7 @@ from prhf import (
     minimizer_certificate,
     validate_system,
 )
-from prhf.analysis import binding_monotonicity, random_smooth_battery
+from prhf.analysis import _standard_normals, binding_monotonicity, random_smooth_battery
 from prhf.greens import energy_of_nu
 from prhf.radial import channel_laplacian, kinetic_operator
 from prhf.scf import fock_build
@@ -163,6 +163,16 @@ def test_kato_probe_lowest_box_mode(grid200):
     u /= np.sqrt(grid200.h * (u @ u))
     lhs, rhs = kato_probe(u, grid200)
     assert lhs < rhs
+
+
+def test_standard_normals_are_seeded_standard_normal_draws():
+    """Mean 0, variance 1 and normal third and fourth moments; the seed fixes every draw."""
+    z = _standard_normals(7, (200, 500))
+    assert z.shape == (200, 500) and np.all(np.isfinite(z))
+    assert abs(z.mean()) < 0.02 and abs(z.var() - 1.0) < 0.02
+    assert abs(np.mean(z**3)) < 0.05 and abs(np.mean(z**4) - 3.0) < 0.1
+    assert np.array_equal(_standard_normals(7, (100000,)), z.ravel())
+    assert not np.array_equal(_standard_normals(8, (200, 500)), z)
 
 
 def test_kato_probe_random_battery(grid200):

@@ -266,7 +266,8 @@ def test_verify_resolves_a_stored_nan_occupation(tmp_path, caplog):
 
 
 def test_report_records_the_eigensolver_work(tmp_path):
-    """He at n = 400: one-column fills, the table at N + 4, warm starts, no fallback; CSVs unchanged."""
+    """He at n = 400: one-column fills, the table at N + 4, warm starts, no fallback, each
+    solve's tolerance; CSVs unchanged."""
     outdir = tmp_path / "out"
     cfg = _write_config(tmp_path, outdir, n=400)
     assert run_solve(cfg) == EXIT_OK
@@ -280,6 +281,13 @@ def test_report_records_the_eigensolver_work(tmp_path):
     assert record["dense_fallbacks"] == 0
     # only the fill of the h0 guess, whose density is empty, starts cold
     assert record["lobpcg_warm"] == [False] + [True] * (len(blocks) - 1)
+    # the h0 fill and the last fill solve to full tolerance, the table to the level one,
+    # and a search direction's fill to at most 1e-6
+    rtols = record["lobpcg_rtol"]
+    assert len(rtols) == len(blocks)
+    assert rtols[0] == rtols[-2] == prhf.scf.LOBPCG_RTOL
+    assert rtols[-1] == prhf.scf.LOBPCG_LEVEL_RTOL
+    assert max(rtols) <= 1e-6
     for name in ("energy_trace.csv", "orbitals.csv"):
         text = (outdir / name).read_text()
         assert "lobpcg" not in text and "warm" not in text
@@ -752,6 +760,17 @@ def test_cli_import_leaves_unused_scipy_subpackages_unloaded():
     cfg = Path(__file__).resolve().parents[1] / "configs" / "helium.cfg"
     code = f"import sys, prhf.cli\nprhf.cli.parse_config({str(cfg)!r})\n" + _loaded_line("scipy")
     assert _fresh_interpreter(code) == ["loaded:"]
+
+
+def test_cli_import_loads_no_numpy_random():
+    """import prhf.cli and parse_config leave numpy.random unloaded.
+
+    verify's Kato battery draws from the stdlib's `random`, so no pipeline
+    pays numpy.random's import at start-up.
+    """
+    cfg = Path(__file__).resolve().parents[1] / "configs" / "helium.cfg"
+    code = f"import sys, prhf.cli\nprhf.cli.parse_config({str(cfg)!r})\n"
+    assert _fresh_interpreter(code + _loaded_line("numpy.random")) == ["loaded:"]
 
 
 def test_s_only_solve_and_verify_load_no_fft_or_linalg(tmp_path):

@@ -171,8 +171,9 @@ def test_lobpcg_nonconvergence_falls_back_to_dense(patch, fill, he_small, monkey
     # orbitals fails and dense eigh takes over
     assert len(caplog.records) == 1
     assert "using dense eigh" in caplog.text
-    assert [(block, warm, fell_back) for block, _its, warm, fell_back in fock.eigensolves] == [
-        (k, True, True)]
+    rtol = scf.LOBPCG_RTOL if fill else scf.LOBPCG_LEVEL_RTOL
+    assert [(block, warm, fb, tol) for block, _its, warm, fb, tol in fock.eigensolves] == [
+        (k, True, True, rtol)]
     summary = scf._eigensolve_summary(fock.eigensolves)
     assert summary["lobpcg_warm"] == [True] and summary["dense_fallbacks"] == 1
     vals, vecs = scipy.linalg.eigh(fock.matrices[(0, 0)], subset_by_index=(0, k - 1))
@@ -316,8 +317,8 @@ def test_rank_deficient_start_block_does_not_raise(dependent, he_small, monkeypa
     fock = fock_build(he_small.gamma, he_small.grid, he_small.sys, ell_max=0)
     with caplog.at_level(logging.WARNING, logger="prhf.scf"):
         vals, vecs = scf._lobpcg_levels(fock, (0, 0), k, scf.LOBPCG_LEVEL_RTOL)
-    [(block, its, warm, fell_back)] = fock.eigensolves
-    assert (block, warm) == (k, False)
+    [(block, its, warm, fell_back, rtol)] = fock.eigensolves
+    assert (block, warm, rtol) == (k, False, scf.LOBPCG_LEVEL_RTOL)
     assert fell_back == ("using dense eigh" in caplog.text)
     # a zero column stops the solve before its first apply
     assert dependent == "sum" or (fell_back and its == 0)
@@ -353,8 +354,9 @@ def test_warm_started_levels_match_cold_started_ones(name, request, monkeypatch)
     _cold_only(monkeypatch)
     cold = _h0_and_converged_levels(sol)
     for (warm_records, warm_spectra), (cold_records, cold_spectra) in zip(warm, cold):
-        assert [(w, fb) for _k, _its, w, fb in warm_records] == [(True, False)] * len(warm_records)
-        assert not any(w for _k, _its, w, _fb in cold_records)
+        assert [(w, fb) for _k, _its, w, fb, _rtol in warm_records] == [(True, False)] * len(
+            warm_records)
+        assert not any(w for _k, _its, w, *_ in cold_records)
         for sw, sc in zip(warm_spectra, cold_spectra):
             for key, (vals, vecs) in sw.items():
                 cvals, cvecs = sc[key]
@@ -394,7 +396,7 @@ def test_empty_density_keeps_the_cold_start(grid200):
     again = fock_build(DensityMatrix({}), grid200, sys, ell_max=0)
     assert np.array_equal(scf._start_block(again, (0, 0), 4)[1], Y0)
     aufbau_projection(bare, sys.N)
-    assert [(warm, fb) for _k, _its, warm, fb in bare.eigensolves] == [(False, False)]
+    assert [(warm, fb) for _k, _its, warm, fb, _rtol in bare.eigensolves] == [(False, False)]
 
 
 def test_warm_start_completes_the_orbitals_with_hydrogenic_seeds(he_small):
@@ -515,7 +517,13 @@ def test_fill_of_tied_levels_takes_the_table_count(he_small, monkeypatch):
 
 
 def test_helium_solve_asks_one_column_per_fill(monkeypatch):
-    """He: every fill solve is one column; only the final table asks for N + 4."""
+    """He: every fill solve is one column, at the tolerance its step needs; only the final
+    table asks for N + 4.
+
+    The h0 fill and the fill of every iteration whose commutator residual meets
+    tol_commutator solve to LOBPCG_RTOL; the other fills are search directions at
+    max(LOBPCG_RTOL, min(1e-8, 1e-5 r)).
+    """
     solves = []
     solve = scf._lobpcg_levels
 
@@ -525,12 +533,69 @@ def test_helium_solve_asks_one_column_per_fill(monkeypatch):
 
     monkeypatch.setattr(scf, "_lobpcg_levels", recording)
     sys = validate_system(AtomSystem(Z=2.0, N=2, alpha=ALPHA))
-    report, _gamma = solve_scf(sys, SolverOptions(n=300, r_max=15.0))
+    options = SolverOptions(n=300, r_max=15.0)
+    report, _gamma = solve_scf(sys, options)
     assert report.converged and report.iterations > 3
     *fills, table = solves
-    assert set(fills) == {(1, scf.LOBPCG_RTOL)}
+    assert {k for k, _rtol in fills} == {1}
+    # the h0 fill, then one fill per iteration (every step takes t = 1: no purity finish)
+    h0, *steps = [rtol for _k, rtol in fills]
+    assert h0 == scf.LOBPCG_RTOL and len(steps) == report.iterations
+    for rtol, step in zip(steps, report.steps):
+        r = step["commutator_residual"]
+        if r < options.tol_commutator:
+            assert rtol == scf.LOBPCG_RTOL
+        else:
+            assert rtol == max(scf.LOBPCG_RTOL, min(1e-8, 1e-5 * r)) <= 1e-6
+    assert max(steps) > scf.LOBPCG_RTOL and steps[-1] == scf.LOBPCG_RTOL
     assert table == (_levels_needed(sys.N), scf.LOBPCG_LEVEL_RTOL)
     assert report.eigensolves["lobpcg_blocks"] == [k for k, _rtol in solves]
+    assert report.eigensolves["lobpcg_rtol"] == [rtol for _k, rtol in solves]
+
+
+def _solve_recording_fills(sys, options, monkeypatch):
+    """solve_scf with every aufbau fill recorded as (density, rtol)."""
+    fills = []
+
+    def recording(fock, N, rtol=scf.LOBPCG_RTOL):
+        gamma = aufbau_projection(fock, N, rtol)
+        fills.append((gamma, rtol))
+        return gamma
+
+    monkeypatch.setattr(scf, "aufbau_projection", recording)
+    report, gamma = solve_scf(sys, options)
+    return report, gamma, fills
+
+
+def _occupied_levels(report):
+    """The occupied levels (Ha) in table order."""
+    return np.array([val_h for (*_key, _val, val_h, occ) in report.eigenvalues if occ > 0.5])
+
+
+@pytest.mark.parametrize("Z, n, r_max", [(2.0, 300, 15.0), (3.0, 400, 25.0), (4.0, 400, 30.0)],
+                         ids=["he", "li", "be"])
+def test_residual_tied_fill_tolerance_keeps_the_scf_path(Z, n, r_max, monkeypatch):
+    """Neutral He, Li and Be: loose search-direction fills take the path of full-tolerance ones.
+
+    The oracle solves every fill to LOBPCG_RTOL. Both runs take the same
+    iterations to convergence, their totals agree to 1e-12 Ha and their
+    occupied levels to 1e-10 Ha (the bench references' gate), neither falls
+    back to dense eigh, and the final state comes from a fill at LOBPCG_RTOL.
+    """
+    sys = validate_system(AtomSystem(Z=Z, N=int(Z), alpha=ALPHA))
+    options = SolverOptions(n=n, r_max=r_max)
+    report, gamma, fills = _solve_recording_fills(sys, options, monkeypatch)
+    monkeypatch.setattr(scf, "_fill_rtol", lambda _r, _tol: scf.LOBPCG_RTOL)
+    oracle, _gamma, oracle_fills = _solve_recording_fills(sys, options, monkeypatch)
+    assert report.converged and oracle.converged
+    assert report.iterations == oracle.iterations
+    assert abs(report.energy.total - oracle.energy.total) <= 1e-12
+    assert np.max(np.abs(_occupied_levels(report) - _occupied_levels(oracle))) <= 1e-10
+    assert report.eigensolves["dense_fallbacks"] == oracle.eigensolves["dense_fallbacks"] == 0
+    assert max(rtol for _g, rtol in fills) > scf.LOBPCG_RTOL           # the rule did loosen
+    assert {rtol for _g, rtol in oracle_fills} == {scf.LOBPCG_RTOL}
+    final, rtol = fills[-1]
+    assert final is gamma and rtol == scf.LOBPCG_RTOL
 
 
 def test_neon_fill_and_table_share_one_eigh(grid200, monkeypatch):
