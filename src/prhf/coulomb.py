@@ -47,10 +47,39 @@ class ChannelBlock:
 
 
 class DensityMatrix:
-    """Per-channel density matrix: 0 <= gamma <= Id, or a signed `combine` of such."""
+    """Per-channel density matrix: 0 <= gamma <= Id, or a signed `combine` of such.
+
+    Immutable once built. A block whose arrays are bytes-equal to the block
+    of a lower spin on the same ell becomes that same `ChannelBlock`
+    object (`_share_partners`), whose arrays are then read-only: the two
+    spins of a closed shell hold one block. `owner` maps each channel to
+    the first channel on its ell that holds its block object, and
+    `once_per_block` evaluates per-block work once per such owner.
+    """
 
     def __init__(self, blocks: dict[tuple[int, int], ChannelBlock]):
-        self.blocks = dict(sorted(blocks.items()))
+        self.blocks = _share_partners(dict(sorted(blocks.items())))
+        self.owner = {
+            key: next(k for k, b in self.blocks.items() if k[0] == key[0] and b is blk)
+            for key, blk in self.blocks.items()
+        }
+
+    def once_per_block(self, fn, tag=None) -> list:
+        """[fn(key, block) for every block in order], fn run once per shared block.
+
+        Channels whose blocks are one object take one value; `tag(key)`, when
+        given, tells apart channels whose values differ although they share a
+        block (the spin groups of a Fock operator). A caller that sums the
+        values in this order keeps the bits of a sum over every channel.
+        """
+        memo: dict = {}
+        out = []
+        for key, blk in self.blocks.items():
+            unit = (self.owner[key], None if tag is None else tag(key))
+            if unit not in memo:
+                memo[unit] = fn(key, blk)
+            out.append(memo[unit])
+        return out
 
     def trace(self) -> float:
         return float(sum(b.occupations.sum() for b in self.blocks.values()))
@@ -92,6 +121,32 @@ class DensityMatrix:
         return self
 
 
+def _same_bytes(a: ChannelBlock, b: ChannelBlock) -> bool:
+    """Equal shapes, dtypes and bytes: -0.0 against 0.0, or one ulp, tells blocks apart."""
+    return a is b or all(
+        x.shape == y.shape and x.dtype == y.dtype and x.tobytes() == y.tobytes()
+        for x, y in ((a.occupations, b.occupations), (a.orbitals, b.orbitals))
+    )
+
+
+def _share_partners(blocks: dict) -> dict:
+    """Each block bytes-equal to the block of a lower spin on its ell becomes that block.
+
+    `blocks` is in (ell, spin) order. A shared block's arrays are made
+    read-only, so that no write through one spin can change the other.
+    """
+    out: dict[tuple[int, int], ChannelBlock] = {}
+    for (ell, spin), blk in blocks.items():
+        for (ell_p, _spin_p), partner in out.items():
+            if ell_p == ell and _same_bytes(partner, blk):
+                blk = partner
+                partner.orbitals.flags.writeable = False
+                partner.occupations.flags.writeable = False
+                break
+        out[(ell, spin)] = blk
+    return out
+
+
 def combine(terms) -> DensityMatrix:
     """The signed linear combination sum_i c_i gamma_i of (c_i, gamma_i) pairs.
 
@@ -118,8 +173,9 @@ def combine(terms) -> DensityMatrix:
 def reduced_density(gamma: DensityMatrix, grid: RadialGrid) -> np.ndarray:
     """Radial charge w(r_i) = sum_blocks sum_a f_a P_a(r_i)^2."""
     w = np.zeros(grid.n)
-    for blk in gamma.blocks.values():
-        w += (blk.orbitals**2 * blk.occupations).sum(axis=1)
+    for charge in gamma.once_per_block(
+            lambda _key, blk: (blk.orbitals**2 * blk.occupations).sum(axis=1)):
+        w += charge
     return w
 
 
@@ -238,29 +294,46 @@ def exchange_apply(
     return out / r
 
 
+def _pair_terms(la: int, blka: ChannelBlock, lb: int, blkb: ChannelBlock, grid: RadialGrid):
+    """The terms f_a f_b (3j)^2 R^k(ab;ba) / 2 of one pair of blocks, in summation order."""
+    terms = []
+    for a in range(blka.m):
+        fa = blka.occupations[a]
+        for b in range(blkb.m):
+            fb = blkb.occupations[b]
+            if fa == 0.0 or fb == 0.0:
+                continue
+            prod = blka.orbitals[:, a] * blkb.orbitals[:, b]
+            for k in _k_values(la, lb):
+                wk = exchange_multipole_weight(la, lb, k)
+                if wk == 0.0:
+                    continue
+                # R^k(ab;ba) = int int prod(r) kernel_k(r,s) prod(s) dr ds
+                y = slater_yk(prod, 1.0, k, grid)
+                rk = integrate(grid, prod * y / grid.nodes)
+                terms.append(0.5 * fa * fb * wk * rk)
+    return terms
+
+
 def exchange_energy(gamma: DensityMatrix, grid: RadialGrid) -> float:
-    """Ex = (1/2) sum_spin sum_{a,b} f_a f_b sum_k (3j)^2 R^k(ab;ba)."""
+    """Ex = (1/2) sum_spin sum_{a,b} f_a f_b sum_k (3j)^2 R^k(ab;ba).
+
+    The terms of a pair of blocks are computed once per pair of owners
+    (`DensityMatrix.owner`), so spin partners share them, and are added
+    once per spin.
+    """
     total = 0.0
+    pairs: dict = {}
     items = list(gamma.blocks.items())
     for (la, sa), blka in items:
         for (lb, sb), blkb in items:
             if sa != sb:
                 continue
-            for a in range(blka.m):
-                fa = blka.occupations[a]
-                for b in range(blkb.m):
-                    fb = blkb.occupations[b]
-                    if fa == 0.0 or fb == 0.0:
-                        continue
-                    prod = blka.orbitals[:, a] * blkb.orbitals[:, b]
-                    for k in _k_values(la, lb):
-                        wk = exchange_multipole_weight(la, lb, k)
-                        if wk == 0.0:
-                            continue
-                        # R^k(ab;ba) = int int prod(r) kernel_k(r,s) prod(s) dr ds
-                        y = slater_yk(prod, 1.0, k, grid)
-                        rk = integrate(grid, prod * y / grid.nodes)
-                        total += 0.5 * fa * fb * wk * rk
+            pair = (gamma.owner[(la, sa)], gamma.owner[(lb, sb)])
+            if pair not in pairs:
+                pairs[pair] = _pair_terms(la, blka, lb, blkb, grid)
+            for term in pairs[pair]:
+                total += term
     return total
 
 
@@ -276,11 +349,16 @@ def energy_terms(
     # densities with a p or higher block keep the dense products for every
     # block, so their energies do not move by a roundoff change
     s_only = all(ell == 0 for (ell, _spin) in gamma.blocks)
-    tr_T = 0.0      # h stays factored out of each shell sum: uniform grid only
-    for (ell, _spin), blk in gamma.blocks.items():
-        T = kinetic_operator(grid, ell, sys.alpha, sys.kinetic)
+    h = grid.h      # h stays factored out of each shell sum: uniform grid only
+
+    def kinetic_trace(key, blk):
+        T = kinetic_operator(grid, key[0], sys.alpha, sys.kinetic)
         TP = T.apply(blk.orbitals) if s_only else T.matrix @ blk.orbitals
-        tr_T += float(grid.h * np.sum(blk.occupations * np.einsum("ia,ia->a", blk.orbitals, TP)))
+        return float(h * np.sum(blk.occupations * np.einsum("ia,ia->a", blk.orbitals, TP)))
+
+    tr_T = 0.0      # spin partners share one trace, added once per spin
+    for trace in gamma.once_per_block(kinetic_trace):
+        tr_T += trace
     w = reduced_density(gamma, grid)
     tr_V = sys.z_alpha * integrate(grid, w / r)
     D = 0.5 * integrate(grid, w * hartree_potential(w, grid))

@@ -57,11 +57,17 @@ def total_energy(gamma: DensityMatrix, grid: RadialGrid, sys: AtomSystem) -> Ene
     return EnergyBreakdown(kinetic=kin, nuclear=nuc, direct=D, exchange=Ex, total=tot)
 
 
-def _shell_traces(apply, dm: DensityMatrix, grid: RadialGrid):
-    """Per channel of dm, sum_a f_a <P_a, A P_a> for A given by its blocked apply."""
-    for key, blk in dm.blocks.items():
-        vals = column_inner(grid, blk.orbitals, apply(key, blk.orbitals))
-        yield float(np.sum(blk.occupations * vals))
+def _shell_traces(fock: FockOperator, dm: DensityMatrix, apply=None) -> list[float]:
+    """Per channel of dm, sum_a f_a <P_a, A P_a>, A = F or `apply`, an operator of F's spin groups.
+
+    Evaluated once per block object and spin group (`FockOperator.products`).
+    """
+    products = fock.products(dm, apply)
+    return dm.once_per_block(
+        lambda key, blk: float(np.sum(blk.occupations * column_inner(
+            fock.grid, blk.orbitals, products[key]))),
+        fock.group,
+    )
 
 
 def rank2_delta(
@@ -123,9 +129,9 @@ def rank2_delta(
         (eps, DensityMatrix({(ell, spin): ChannelBlock(u[:, None], np.array([2.0 * ell + 1]))}))
         for u, ell, spin, eps in ((u1, ell1, spin1, eps1), (u2, ell2, spin2, eps2))
     )
-    g = fock_build(delta, grid, sys, ell_max=fock.ell_max).two_body_apply
-    linear = sum(_shell_traces(fock.apply, delta, grid))
-    return sys.alpha_inv * (linear + 0.5 * sum(_shell_traces(g, delta, grid)))
+    g = fock_build(delta, grid, sys, ell_max=fock.ell_max)
+    linear = sum(_shell_traces(fock, delta))
+    return sys.alpha_inv * (linear + 0.5 * sum(_shell_traces(g, delta, g.two_body_apply)))
 
 
 def line_coefficients(
@@ -139,7 +145,8 @@ def line_coefficients(
 
     E(t) = E(gamma) + a t + b t^2 with a = alpha^-1 Tr[h_gamma (target -
     gamma)], h_gamma = `fock` the Fock operator of gamma, and b recovered
-    from the energies e_gamma and e_target of the two ends.
+    from the energies e_gamma and e_target of the two ends. The gamma side
+    reads F applied to gamma's blocks from `fock.own_products`.
     """
     if abs(gamma.trace() - gamma_target.trace()) > 1e-9:
         raise TraceMismatch(
@@ -147,7 +154,7 @@ def line_coefficients(
         )
     a = 0.0
     for dm, sign in ((gamma_target, 1.0), (gamma, -1.0)):
-        for tr in _shell_traces(fock.apply, dm, fock.grid):
+        for tr in _shell_traces(fock, dm):
             a += sign * tr
     a *= fock.system.alpha_inv
     b = e_target.total - e_gamma.total - a

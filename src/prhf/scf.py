@@ -110,6 +110,12 @@ class FockOperator:
     kept. Every LOBPCG solve appends a (block, iterations, warm, fell back
     to dense, rtol) record to `eigensolves`, a list the caller may share
     between operators.
+
+    `groups` are the spins that hold the same block objects of gamma on
+    every channel (`DensityMatrix` shares bytes-equal spin partners); their
+    operators are one operator. F applied to gamma's own blocks
+    (`own_products`) is computed once per spin group and kept, for the
+    commutator residual, the orbital residuals and the line search.
     """
 
     system: AtomSystem
@@ -144,6 +150,29 @@ class FockOperator:
                 for spin in grp:
                     matrices[(ell, spin)] = H
         return matrices
+
+    def group(self, key: tuple[int, int]) -> int:
+        """The index of the spin group of channel key: channels of one group share F."""
+        return next(i for i, grp in enumerate(self.groups) if key[1] in grp)
+
+    def products(self, dm: DensityMatrix, apply=None) -> dict[tuple[int, int], np.ndarray]:
+        """apply(key, orbitals) for every block of dm, F's own `apply` by default.
+
+        `apply` is an operator with this operator's spin groups. Each block
+        object is applied once per spin group; F times gamma's own blocks is
+        `own_products`.
+        """
+        if apply is None:
+            if dm is self.gamma:
+                return self.own_products
+            apply = self.apply
+        return dict(zip(dm.blocks, dm.once_per_block(lambda key, blk: apply(key, blk.orbitals),
+                                                     self.group)))
+
+    @functools.cached_property
+    def own_products(self) -> dict[tuple[int, int], np.ndarray]:
+        """F times the orbitals of each block of gamma, one array per spin group."""
+        return self.products(self.gamma, self.apply)
 
     def apply(self, key: tuple[int, int], X: np.ndarray) -> np.ndarray:
         """The channel operator times a node vector or a block of columns."""
@@ -213,13 +242,13 @@ class SCFReport:
 
 
 def _spin_groups(gamma: DensityMatrix, q: int):
-    """Group spins whose channel content is identical, to share work."""
+    """Group spins that hold the same block objects on every channel, to share work.
+
+    `DensityMatrix` has already made bytes-equal spin partners one object.
+    """
     groups: dict[tuple, list[int]] = {}
     for spin in range(q):
-        key = tuple(
-            (ell, blk.orbitals.shape, blk.occupations.tobytes(), blk.orbitals.tobytes())
-            for (ell, s), blk in gamma.blocks.items() if s == spin
-        )
+        key = tuple(gamma.owner[(ell, s)] for (ell, s) in gamma.blocks if s == spin)
         groups.setdefault(key, []).append(spin)
     return list(groups.values())
 
@@ -452,7 +481,9 @@ def _lobpcg_levels(fock: FockOperator, key: tuple[int, int], k: int, rtol: float
         vals, vecs, its = _lobpcg(op, t, Y0, tol, LOBPCG_MAXITER)
     # both eigensolves return their values in ascending order
     vecs = dst(vecs)
-    worst = float(np.max(np.linalg.norm(fock.apply(key, vecs) - vecs * vals, axis=0)))
+    # a diverged solve's residual may overflow to inf: this check judges it
+    with np.errstate(over="ignore", invalid="ignore"):
+        worst = float(np.max(np.linalg.norm(fock.apply(key, vecs) - vecs * vals, axis=0)))
     fell_back = not worst <= LOBPCG_SLACK * tol     # also catches a NaN residual
     fock.eigensolves.append((k, its, warm, fell_back, rtol))
     if fell_back:
@@ -612,8 +643,7 @@ def _mix_blocks(
     result is an exact eigendecomposition of the mixed operator
     (symmetric orthogonalization comes for free) at O(n m^2) cost.
     """
-    out = {}
-    for key, blk in combine([(1.0 - t, ga), (t, gb)]).blocks.items():
+    def mix(key, blk):
         U, fv = to_unit(grid, blk.orbitals), blk.occupations
         Q, _ = np.linalg.qr(U)
         coef = Q.T @ U                  # columns of U in the Q basis
@@ -623,13 +653,18 @@ def _mix_blocks(
         cap = 2 * ell + 1
         keep = lam > OCC_DROP * cap
         if not np.any(keep):
-            continue
+            return None
         lam = np.clip(lam[keep], 0.0, cap)
         V = V[:, keep]
         order = np.argsort(-lam, kind="stable")
         newC = from_unit(grid, (Q @ V)[:, order])
-        out[key] = ChannelBlock(orbitals=newC, occupations=lam[order])
-    return DensityMatrix(out)
+        return ChannelBlock(orbitals=newC, occupations=lam[order])
+
+    # spin partners of the combination are one block, mixed once
+    mixed = combine([(1.0 - t, ga), (t, gb)])
+    return DensityMatrix({
+        key: blk for key, blk in zip(mixed.blocks, mixed.once_per_block(mix)) if blk is not None
+    })
 
 
 def commutator_residual(fock: FockOperator, gamma: DensityMatrix) -> float:
@@ -643,15 +678,20 @@ def commutator_residual(fock: FockOperator, gamma: DensityMatrix) -> float:
     not cancel as a difference of traces would.
     """
     h = fock.grid.h     # h * (C^T W) keeps other bits than `gram`'s (h C^T) W
-    total = 0.0
-    for (ell, spin), blk in gamma.blocks.items():
+    products = fock.products(gamma)
+
+    def norm2(key, blk):
         C = blk.orbitals
-        lam = blk.occupations / (2 * ell + 1)
-        W = fock.apply((ell, spin), C)
+        lam = blk.occupations / (2 * key[0] + 1)
+        W = products[key]
         M = h * (C.T @ W)
         virtual = (W - C @ M) * lam
         occupied = M * (lam[None, :] - lam[:, None])
-        total += (2 * ell + 1) * (2.0 * h * np.sum(virtual**2) + np.sum(occupied**2))
+        return (2 * key[0] + 1) * (2.0 * h * np.sum(virtual**2) + np.sum(occupied**2))
+
+    total = 0.0     # a spin group's term, added once per spin
+    for term in gamma.once_per_block(norm2, fock.group):
+        total += term
     return float(np.sqrt(total))
 
 
@@ -659,14 +699,18 @@ def orbital_residuals(fock: FockOperator, gamma: DensityMatrix) -> list[tuple]:
     """(channel, index, eps, residual) of every occupied orbital P_a.
 
     eps = <P_a, F P_a> and residual = |F P_a - eps P_a|, both in the grid
-    inner product, from one blocked apply of F per channel.
+    inner product, from F applied once per block and spin group (kept on
+    the operator when gamma is its own density).
     """
-    out = []
-    for key, blk in gamma.blocks.items():
-        C = blk.orbitals
-        FC = fock.apply(key, C)
+    products = fock.products(gamma)
+
+    def rows(key, blk):
+        C, FC = blk.orbitals, products[key]
         eps = column_inner(fock.grid, C, FC)
-        res = np.sqrt(integrate(fock.grid, (FC - C * eps) ** 2))
+        return eps, np.sqrt(integrate(fock.grid, (FC - C * eps) ** 2))
+
+    out = []
+    for (key, blk), (eps, res) in zip(gamma.blocks.items(), gamma.once_per_block(rows, fock.group)):
         out.extend((key, a, float(eps[a]), float(res[a])) for a in range(blk.m))
     return out
 

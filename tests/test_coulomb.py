@@ -444,3 +444,78 @@ def test_two_body_part_is_linear_in_gamma(coefs, seed):
         parts = [c * fock.two_body_apply(key, X) for c, fock in separate]
         scale = sum(np.linalg.norm(p) for p in parts)
         assert np.linalg.norm(combined.two_body_apply(key, X) - sum(parts)) <= 1e-12 * scale
+
+
+def _pair(grid, second_orbitals=None, second_occupations=None):
+    """A density with bytes-equal (ell = 0) blocks on both spins unless a second part is given."""
+    P = _normalized(grid, grid.nodes * np.exp(-grid.nodes))[:, None]
+    orbitals = P.copy() if second_orbitals is None else second_orbitals
+    occupations = np.array([1.0]) if second_occupations is None else second_occupations
+    return DensityMatrix({
+        (0, 0): ChannelBlock(P, np.array([1.0])),
+        (0, 1): ChannelBlock(orbitals, occupations),
+    })
+
+
+def test_equal_spin_partners_share_one_read_only_block(grid200):
+    """Bytes-equal blocks on one ell become one object; a write through it raises."""
+    gamma = _pair(grid200)
+    blk = gamma.blocks[(0, 0)]
+    assert gamma.blocks[(0, 1)] is blk
+    assert gamma.owner == {(0, 0): (0, 0), (0, 1): (0, 0)}
+    with pytest.raises(ValueError, match="read-only"):
+        blk.orbitals[0, 0] = 1.0
+    with pytest.raises(ValueError, match="read-only"):
+        blk.occupations *= 0.5
+    # per-block work runs once per shared block, and every channel gets its value
+    calls = []
+    values = gamma.once_per_block(lambda key, _blk: calls.append(key) or len(calls))
+    assert calls == [(0, 0)] and values == [1, 1]
+    values = gamma.once_per_block(lambda key, _blk: calls.append(key) or len(calls),
+                                  tag=lambda key: key[1])
+    assert calls == [(0, 0), (0, 0), (0, 1)] and values == [2, 3]
+
+
+def test_partners_one_ulp_or_signed_zero_apart_stay_separate(grid200):
+    """Equality is of bytes: one ulp, -0.0 against 0.0, or another ell keeps blocks apart."""
+    P = _pair(grid200).blocks[(0, 0)].orbitals
+    ulp = P.copy()
+    ulp[50, 0] = np.nextafter(ulp[50, 0], np.inf)
+    cases = [
+        _pair(grid200, second_orbitals=ulp),
+        _pair(grid200, second_occupations=np.array([np.nextafter(1.0, 0.0)])),
+    ]
+    zero = np.zeros((grid200.n, 1))
+    negative_zero = zero.copy()
+    negative_zero[3, 0] = -0.0
+    cases.append(DensityMatrix({(0, 0): ChannelBlock(zero, np.array([0.0])),
+                                (0, 1): ChannelBlock(negative_zero, np.array([0.0]))}))
+    cases.append(DensityMatrix({(0, 0): ChannelBlock(zero, np.array([0.0])),
+                                (0, 1): ChannelBlock(zero.copy(), np.array([-0.0]))}))
+    for gamma in cases:
+        assert gamma.blocks[(0, 1)] is not gamma.blocks[(0, 0)]
+        assert gamma.owner == {(0, 0): (0, 0), (0, 1): (0, 1)}
+        assert gamma.blocks[(0, 1)].orbitals.flags.writeable
+    # one block object given on two ells is not a spin partner
+    blk = ChannelBlock(zero, np.array([0.0]))
+    gamma = DensityMatrix({(0, 0): blk, (1, 0): blk})
+    assert gamma.owner == {(0, 0): (0, 0), (1, 0): (1, 0)}
+    assert gamma.once_per_block(lambda key, _blk: key) == [(0, 0), (1, 0)]
+
+
+def test_shared_partners_keep_the_bits_of_separate_blocks(grid200):
+    """Energy terms and the radial charge of shared partners equal those of distinct copies."""
+    sys = AtomSystem(Z=2.0, N=2, alpha=ALPHA)
+    shared = _pair(grid200)
+    copies = DensityMatrix({key: ChannelBlock(blk.orbitals.copy(), blk.occupations.copy())
+                            for key, blk in shared.blocks.items()})
+    assert copies.blocks[(0, 1)] is copies.blocks[(0, 0)]   # copies are shared again
+    terms = energy_terms(shared, grid200, sys)
+    assert terms == energy_terms(copies, grid200, sys)
+    # the sum over two equal separate blocks, term by term
+    one = DensityMatrix({(0, 0): shared.blocks[(0, 0)]})
+    tr_T, _tr_V, _D, Ex = energy_terms(one, grid200, sys)
+    assert terms[0] == 0.0 + tr_T + tr_T
+    assert terms[3] == 0.0 + Ex + Ex
+    w = reduced_density(one, grid200)
+    assert np.array_equal(reduced_density(shared, grid200), np.zeros(grid200.n) + w + w)

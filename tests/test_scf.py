@@ -1,3 +1,4 @@
+import collections
 import functools
 import logging
 import weakref
@@ -24,7 +25,7 @@ from prhf import (
     validate_system,
 )
 from prhf.coulomb import exchange_matrix, hartree_potential, reduced_density
-from prhf import radial, scf
+from prhf import coulomb, radial, scf
 from prhf.scf import (
     _channel_spectra, _levels_needed, _mix_blocks, commutator_residual, density_from_shells,
     orbital_residuals,
@@ -1118,3 +1119,143 @@ def test_every_initial_guess_reaches_the_h0_minimizer(name, guess):
     cert = minimizer_certificate(gamma, report.fock)
     assert cert.passed, cert.clauses
     assert abs(report.energy.total - _solve_from(name, "h0")[0].energy.total) <= 1e-9
+
+
+def _bytes_spin_groups(gamma, q):
+    """Spin groups from the bytes of every block, as they were formed before blocks were shared."""
+    groups = {}
+    for spin in range(q):
+        key = tuple(
+            (ell, blk.orbitals.shape, blk.occupations.tobytes(), blk.orbitals.tobytes())
+            for (ell, s), blk in gamma.blocks.items() if s == spin
+        )
+        groups.setdefault(key, []).append(spin)
+    return list(groups.values())
+
+
+def _defeat_partner_sharing(mp):
+    """Every density holds a distinct copy of each block; spin groups still form by bytes.
+
+    The copies keep their memory layout: BLAS products of C- and
+    F-ordered orbitals differ in their last bits.
+    """
+    mp.setattr(coulomb, "_share_partners", lambda blocks: {
+        key: ChannelBlock(blk.orbitals.copy(order="K"), blk.occupations.copy(order="K"))
+        for key, blk in blocks.items()
+    })
+    mp.setattr(scf, "_spin_groups", _bytes_spin_groups)
+
+
+# (Z, N, r_max, ell_max) of the partner-sharing oracle, all at n = 200
+_PARTNER_ATOMS = {
+    "he": (2.0, 2, 15.0, 0), "he_p": (2.0, 2, 15.0, 1), "li": (3.0, 3, 20.0, 0),
+    "be": (4.0, 4, 20.0, 0), "ne": (10.0, 10, 15.0, 1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_PARTNER_ATOMS))
+def test_partner_sharing_keeps_every_bit(name):
+    """A solve with shared spin partners equals, bit for bit, one that keeps a copy per spin."""
+    Z, N, r_max, ell_max = _PARTNER_ATOMS[name]
+    sys = validate_system(AtomSystem(Z=Z, N=N, alpha=ALPHA))
+    options = SolverOptions(n=200, r_max=r_max, ell_max=ell_max)
+    runs = []
+    for defeat in (False, True):
+        with pytest.MonkeyPatch.context() as mp:
+            if defeat:
+                _defeat_partner_sharing(mp)
+            runs.append(solve_scf(sys, options))
+    (shared, gamma), (separate, gamma_sep) = runs
+    assert gamma_sep.owner == {key: key for key in gamma_sep.blocks}
+    if N % 2 == 0 and name != "ne":
+        assert gamma.blocks[(0, 1)] is gamma.blocks[(0, 0)]
+    for field_ in ("energy_trace", "steps", "eigenvalues", "occupations", "iterations",
+                   "commutator_residual", "max_orbital_residual", "eigensolves"):
+        assert getattr(shared, field_) == getattr(separate, field_), field_
+    assert list(gamma.blocks) == list(gamma_sep.blocks)
+    for key, blk in gamma.blocks.items():
+        other = gamma_sep.blocks[key]
+        assert blk.orbitals.tobytes() == other.orbitals.tobytes()
+        assert blk.occupations.tobytes() == other.occupations.tobytes()
+
+
+def _count_work(mp, counts):
+    """Count DST-I calls, exchange applies, and F applied to a block of its own density.
+
+    An apply to its own block counts under (the operator's number in order
+    of first apply, its spin group).
+    """
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    mp.setattr(radial, "dst", counted("dst", radial.dst))
+    mp.setattr(scf, "dst", counted("dst", scf.dst))
+    mp.setattr(scf, "exchange_apply", counted("exchange_apply", scf.exchange_apply))
+    apply, operators = scf.FockOperator.apply, []
+
+    def spied(fock, key, X):
+        blk = fock.gamma.blocks.get(key)
+        if blk is not None and X is blk.orbitals:
+            if not any(f is fock for f in operators):
+                operators.append(fock)
+            number = next(i for i, f in enumerate(operators) if f is fock)
+            counts[(number, fock.group(key))] += 1
+        return apply(fock, key, X)
+
+    mp.setattr(scf.FockOperator, "apply", spied)
+
+
+def test_helium_solve_counts_its_work():
+    """He at n = 200: F meets each spin group's own block once per operator, and the counts repeat.
+
+    Every operator applies itself to its own blocks once, for the
+    residual and the gamma side of the line search alike. Against a solve
+    that keeps a copy per spin, sharing saves per iteration the second
+    spin's own apply and its trial apply, and at the end its own apply,
+    each one exchange apply and one kinetic DST-I pair, and a kinetic
+    DST-I pair per energy evaluation; the LOBPCG work is the same.
+    """
+    sys = validate_system(AtomSystem(Z=2.0, N=2, alpha=ALPHA))
+    options = SolverOptions(n=200, r_max=15.0)
+    tallies, reports = [], []
+    for defeat in (False, False, True):
+        counts = collections.Counter()
+        with pytest.MonkeyPatch.context() as mp:
+            if defeat:
+                _defeat_partner_sharing(mp)
+            _count_work(mp, counts)
+            reports.append(solve_scf(sys, options)[0])
+        tallies.append(counts)
+    shared, again, separate = tallies
+    assert shared == again
+    its = reports[0].iterations
+    # one spin group, applied once in every operator (each iteration's and
+    # the final one), where the copies take one apply per spin
+    own = {(i, 0): 1 for i in range(its + 1)}
+    assert {k: v for k, v in shared.items() if isinstance(k, tuple)} == own
+    assert {k: v for k, v in separate.items() if isinstance(k, tuple)} == {k: 2 for k in own}
+    assert reports[2].eigensolves == reports[0].eigensolves
+    saved = 2 * its + 1
+    energies = 1 + its + sum(0.0 < step["t"] < 1.0 for step in reports[0].steps)
+    assert separate["exchange_apply"] - shared["exchange_apply"] == saved
+    assert separate["dst"] - shared["dst"] == 2 * saved + 2 * energies
+
+
+def test_diverged_lobpcg_falls_back_to_dense_without_overflow():
+    """A LOBPCG solve that diverges falls back to dense eigh, and its residual check does not warn.
+
+    Z = 9, N = 8, n = 148, 12 levels of the h0 fill's operator: the Ritz
+    values reach 1e161, and the residual overflows to inf (the test suite
+    turns warnings into errors).
+    """
+    sys = AtomSystem(Z=9.0, N=8.0, alpha=ALPHA, q=2)
+    grid = build_grid(148, 10.0)
+    fock = fock_build(DensityMatrix({}), grid, sys, ell_max=0)
+    fock = fock_build(aufbau_projection(fock, sys.N), grid, sys, ell_max=0)
+    vals, _vecs = scf._group_levels(fock, 0, [0, 1], _levels_needed(sys.N), scf.LOBPCG_RTOL)
+    assert fock.eigensolves[-1][3]      # fell back to dense
+    dense = scipy.linalg.eigh(fock.matrices[(0, 0)], eigvals_only=True, subset_by_index=(0, 11))
+    assert np.array_equal(vals, dense)
