@@ -10,6 +10,7 @@ made. No suite raises to report its verdict.
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 from dataclasses import asdict, dataclass, replace
@@ -52,9 +53,17 @@ def orbital_label(ell: int, spin: int, idx: int) -> str:
     return f"P_l{ell}_s{spin}_{idx}"
 
 
-def homo_eigenvalue(report: dict) -> float | None:
-    """A report record's largest eigenvalue with occupation > 0.5; None if there is none."""
-    return max((e["value"] for e in report["eigenvalues"] if e["occupation"] > 0.5), default=None)
+def homo_eigenvalue(fock: FockOperator) -> float | None:
+    """The HOMO of fock.gamma; None if no orbital is occupied above 0.5.
+
+    The largest orbital energy <P_a, F P_a> over the orbitals whose
+    occupation f_a exceeds 0.5 (`orbital_residuals`), Koopmans' ionization
+    energy (Physica 1 (1934) 104). It needs no level table, and a stored
+    solve read back gives the bits of the solve itself.
+    """
+    gamma = fock.gamma
+    return max((eps for key, a, eps, _res in orbital_residuals(fock, gamma)
+                if gamma.blocks[key].occupations[a] > 0.5), default=None)
 
 
 @dataclass(frozen=True)
@@ -263,16 +272,25 @@ def minimizer_suite(fock: FockOperator, cert: CertificateReport | None = None) -
     return {**asdict(cert), "status": _status(cert.passed)}
 
 
+@functools.lru_cache(maxsize=8)
+def _momentum_symbol(grid: RadialGrid) -> np.ndarray:
+    """|p| in DST-I mode order: the square root of the ell = 0 Laplacian symbol; read-only."""
+    symbol = np.sqrt(laplacian_symbol(grid))
+    symbol.flags.writeable = False
+    return symbol
+
+
 def kato_probe(u: np.ndarray, grid: RadialGrid) -> tuple[float, float]:
     """(int u^2/r dr, (pi/2) <u, |p| u>) for an s-channel function u.
 
     |p| is the square root of the ell = 0 Laplacian, diagonal under the
-    DST-I, so rhs is a Parseval sum: uniform grid only. The coupling
-    inequality lhs <= rhs holds up to discretization slack (KATO_TOL).
+    DST-I (`_momentum_symbol`, kept per grid), so rhs is a Parseval sum:
+    uniform grid only. The coupling inequality lhs <= rhs holds up to
+    discretization slack (KATO_TOL).
     """
     u = np.asarray(u, dtype=float)
     coef = dst(u)
-    rhs = 0.5 * np.pi * grid.h * float(coef @ (np.sqrt(laplacian_symbol(grid)) * coef))
+    rhs = 0.5 * np.pi * grid.h * float(coef @ (_momentum_symbol(grid) * coef))
     lhs = integrate(grid, u * u / grid.nodes)
     return lhs, rhs
 
@@ -433,9 +451,9 @@ def binding_monotonicity(
     Every row is `system` with its electron count replaced, so Z, alpha,
     q and the kinetic law are the template's. Each step must gain at
     least half the (Hartree-scale) frontier eigenvalue of the larger-N
-    run. Propagates NotConverged. `_known` maps N to the (total, HOMO
-    eigenvalue) of a converged solve with these options, which then is
-    not solved again.
+    run, whose HOMO is `homo_eigenvalue` of its final state. Propagates
+    NotConverged. `_known` maps N to the (total, HOMO eigenvalue) of a
+    converged solve with these options, which then is not solved again.
     """
     alpha = system.alpha
     rows = []
@@ -446,7 +464,7 @@ def binding_monotonicity(
             total, eps_homo = _known[N]
         else:
             report, _gamma = solve_scf(validate_system(replace(system, N=N)), options)
-            total, eps_homo = report.energy.total, homo_eigenvalue(report.as_dict())
+            total, eps_homo = report.energy.total, homo_eigenvalue(report.fock)
             eps_homo = float("nan") if eps_homo is None else eps_homo
         row = {
             "N": N,

@@ -345,8 +345,9 @@ def run_verify(cfg: dict, sys_: AtomSystem, options: SolverOptions, outdir: Path
     """Run the enabled suites of `analysis` and write verify.json.
 
     A solve is read, or made, only for the minimizer and decay suites; its
-    HOMO is then the greens suite's E unless greens_energy is set, and its
-    total energy and HOMO are the binding suite's row N.
+    HOMO (`analysis.homo_eigenvalue`) is then the greens suite's E unless
+    greens_energy is set, and its total energy and HOMO are the binding
+    suite's row N.
     """
     suites: dict = {}
     eps_homo = known = None
@@ -360,8 +361,8 @@ def run_verify(cfg: dict, sys_: AtomSystem, options: SolverOptions, outdir: Path
             if cfg["decay_window_lo"] is not None:      # parse_config sets both or neither
                 window = (cfg["decay_window_lo"], cfg["decay_window_hi"])
             suites["decay"] = analysis.decay_suite(fock, window)
+        eps_homo = analysis.homo_eigenvalue(fock)
         del fock        # freed before the remaining suites run
-        eps_homo = analysis.homo_eigenvalue(record)
         if eps_homo is not None:
             known = {sys_.N: (record["energy"]["total"], eps_homo)}
     else:

@@ -417,6 +417,11 @@ def radial_convolution(f: np.ndarray, g: np.ndarray, mesh: np.ndarray) -> np.nda
     m = mesh.size
     cols = np.arange(m)
     out = np.empty_like(mesh)
+    # full-width rows of far terms, allocated once: each chunk restores the
+    # previous chunk's band and writes its own
+    terms = np.empty((min(_CONV_CHUNK, m), m))
+    terms[:] = far_terms
+    band = slice(0, 0)
     for lo in range(0, m, _CONV_CHUNK):
         hi = min(lo + _CONV_CHUNK, m)
         r = mesh[lo:hi]
@@ -439,12 +444,12 @@ def radial_convolution(f: np.ndarray, g: np.ndarray, mesh: np.ndarray) -> np.nda
         rows = np.flatnonzero((k < edges.size) & (edges[k - 1] < r))
         j = k[rows] - 1 - c0
         minus[rows, j] = Q[rows, j] + Q[rows, j + 1]
-        terms = np.empty((hi - lo, m))
-        terms[:] = far_terms
-        terms[:, c0:c1] = sf[c0:c1] * (plus - minus)
+        terms[:, band] = far_terms[band]
+        band = slice(c0, c1)
+        terms[:hi - lo, band] = sf[band] * (plus - minus)
         # summed over the full width, the row sees the terms of a sweep over
         # every cell in the same order, so the sum is bit for bit the same
-        out[lo:hi] = terms.sum(axis=1)
+        out[lo:hi] = terms[:hi - lo].sum(axis=1)
     return 2.0 * np.pi * out / mesh
 
 

@@ -109,25 +109,36 @@ def sweeps(grid: RadialGrid, inside: np.ndarray, outside: np.ndarray):
     return np.cumsum(inside, axis=0) * h, np.cumsum(outside[::-1], axis=0)[::-1] * h - outside * h
 
 
-def channel_laplacian(grid: RadialGrid, ell: int) -> np.ndarray:
-    """-d^2/dr^2 + ell(ell+1)/r^2 with Dirichlet ends, second-order stencil."""
+def _laplacian_bands(grid: RadialGrid, ell: int) -> tuple[np.ndarray, np.ndarray]:
+    """(diagonal, off-diagonal) of the tridiagonal channel Laplacian L_ell."""
     if ell < 0:
         raise BadGrid(f"angular momentum ell={ell} must be non-negative")
-    n, h, r = grid.n, grid.h, grid.nodes
-    mat = np.zeros((n, n))
-    idx = np.arange(n)
-    mat[idx, idx] = 2.0 / h**2 + ell * (ell + 1) / r**2
-    mat[idx[:-1], idx[:-1] + 1] = -1.0 / h**2
-    mat[idx[:-1] + 1, idx[:-1]] = -1.0 / h**2
+    h, r = grid.h, grid.nodes
+    return 2.0 / h**2 + ell * (ell + 1) / r**2, np.full(grid.n - 1, -1.0 / h**2)
+
+
+def channel_laplacian(grid: RadialGrid, ell: int) -> np.ndarray:
+    """-d^2/dr^2 + ell(ell+1)/r^2 with Dirichlet ends, second-order stencil."""
+    diag, off = _laplacian_bands(grid, ell)
+    mat = np.diag(diag)
+    idx = np.arange(grid.n - 1)
+    mat[idx, idx + 1] = mat[idx + 1, idx] = off
     return mat
 
 
 def spectral_function(grid: RadialGrid, ell: int, f) -> np.ndarray:
-    """f(L_ell) as a dense symmetric matrix, through the Laplacian's spectrum."""
+    """f(L_ell) as a dense symmetric matrix, through the Laplacian's spectrum.
+
+    The spectrum comes from LAPACK's tridiagonal `stemr` on L_ell's bands:
+    the same bits as a dense `eigh` of `channel_laplacian`, whose `syevr`
+    reduces the matrix to that tridiagonal form first, without the O(n^3)
+    reduction.
+    """
     import scipy.linalg
 
     try:
-        vals, vecs = scipy.linalg.eigh(channel_laplacian(grid, ell))
+        vals, vecs = scipy.linalg.eigh_tridiagonal(*_laplacian_bands(grid, ell),
+                                                   lapack_driver="stemr")
     except scipy.linalg.LinAlgError as exc:  # pragma: no cover
         raise EigFailure(str(exc)) from exc
     fvals = np.asarray(f(vals), dtype=float)

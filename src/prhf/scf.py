@@ -62,14 +62,17 @@ LINE_ROUNDOFF = 32.0 * np.finfo(float).eps
 # final trial (its last step takes t = 1), a factor of 1e-4 moved He's
 # level 2.2e-10 Ha, and one of 1e-2 changes He's path. LOBPCG_LEVEL_RTOL is
 # for level tables, of which only eigenvalues and overlaps are read. Then
-# the iteration cap, and the factor on the tolerance above which a
-# residual hands the channel to the dense eigensolve.
+# the iteration cap, the factor on the tolerance above which a residual
+# hands the channel to the dense eigensolve, and the factor on the
+# operator's norm bound past which a Ritz value shows a diverged solve
+# (a Rayleigh quotient of the operator cannot leave its norm).
 LOBPCG_RTOL = 1e-15
 LOBPCG_FILL_FACTOR = 1e-5
 LOBPCG_FILL_CAP = 1e-8
 LOBPCG_LEVEL_RTOL = 1e-11
 LOBPCG_MAXITER = 200
 LOBPCG_SLACK = 10.0
+LOBPCG_DIVERGED = 100.0
 
 
 def _fill_rtol(residual: float, tol_commutator: float) -> float:
@@ -196,11 +199,18 @@ class FockOperator:
 
 @dataclass
 class SCFReport:
+    """The record of one solve; `fock` is the operator of its final density.
+
+    The level table (`eigenvalues`) is solved on `fock` when it,
+    `eigensolves` or `as_dict()` is first read, and kept: a caller that
+    reads only the energy and the occupied orbitals, such as the binding
+    rows, never pays for it.
+    """
+
     converged: bool
     iterations: int
     energy: EnergyBreakdown
     energy_trace: list = field(default_factory=list)
-    eigenvalues: list = field(default_factory=list)
     occupations: list = field(default_factory=list)
     commutator_residual: float = float("nan")
     max_orbital_residual: float = float("nan")
@@ -208,10 +218,25 @@ class SCFReport:
     message: str = ""
     # one record per iteration: E, dE, t, a, b, commutator_residual
     steps: list = field(default_factory=list)
-    # the eigensolver's work over the whole solve (`_eigensolve_summary`)
-    eigensolves: dict = field(default_factory=dict)
     # the operator of the final density; not serialized
     fock: FockOperator | None = field(default=None, repr=False, compare=False)
+
+    @functools.cached_property
+    def eigenvalues(self) -> list:
+        """The merged level table of the final density (`_final_eigen_table`)."""
+        return _final_eigen_table(self.fock, self.fock.gamma, _levels_needed(self.fock.system.N))
+
+    @functools.cached_property
+    def eigensolves(self) -> dict:
+        """The eigensolver's work over the whole solve, its level table last (`_eigensolve_summary`).
+
+        The records of `fock.eigensolves`, which every operator of the
+        solve shares, once the table is solved. The certificate asks for
+        the table's levels: when it solves them first, it leaves the same
+        records.
+        """
+        self.eigenvalues        # solved first
+        return _eigensolve_summary(self.fock.eigensolves)
 
     def as_dict(self) -> dict:
         return {
@@ -361,7 +386,8 @@ def _shifted_symbol(symbol: np.ndarray, vals: np.ndarray) -> np.ndarray:
     return symbol + np.maximum(-vals, 0.0)[:, None]
 
 
-def _lobpcg(op, symbol: np.ndarray, X: np.ndarray, tol: float, maxiter: int):
+def _lobpcg(op, symbol: np.ndarray, X: np.ndarray, tol: float, maxiter: int, *,
+            ceiling: float = math.inf):
     """Lowest X.shape[1] eigenpairs of the symmetric `op` by block LOBPCG.
 
     Knyazev's method (SIAM J. Sci. Comput. 23 (2001) 517) as scipy's
@@ -377,9 +403,11 @@ def _lobpcg(op, symbol: np.ndarray, X: np.ndarray, tol: float, maxiter: int):
     Cholesky-orthonormalized (AP is carried by P's R^-1). The Rayleigh-Ritz
     pencil is formed in full, S A S^T and S S^T for the rows S = [X, W, P].
     A column whose residual falls below `tol` is locked for good. The
-    solve ends when every column is locked, after `maxiter` applies, or
-    when W is numerically dependent; a P or a Rayleigh-Ritz pencil that
-    is not positive definite restarts the step without P.
+    solve ends when every column is locked, after `maxiter` applies, when
+    W is numerically dependent, or when a Ritz value's magnitude exceeds
+    `ceiling`, which no Rayleigh quotient of `op` reaches: the iteration
+    has diverged. A P or a Rayleigh-Ritz pencil that is not positive
+    definite restarts the step without P.
 
     Returns (values, vectors, iterations), the iterations counting the
     applies of `op` after the first; the values are NaN when X is rank
@@ -413,7 +441,7 @@ def _lobpcg(op, symbol: np.ndarray, X: np.ndarray, tol: float, maxiter: int):
         R = AX - vals[:, None] * X
         norms = np.sqrt(np.einsum("ij,ij->i", R, R))
         active &= norms > tol
-        if not active.any() or its == maxiter:
+        if not active.any() or its == maxiter or np.max(np.abs(vals)) > ceiling:
             break
         W = R[active] / _shifted_symbol(symbol, vals[active])
         orth = _orthonormalize(W - (W @ X.T) @ X)
@@ -453,8 +481,10 @@ def _lobpcg_levels(fock: FockOperator, key: tuple[int, int], k: int, rtol: float
     (T - theta_j)^-1 at its current Ritz value theta_j when that is
     negative, a bound level, and by T^-1 otherwise; T's smallest symbol
     is positive on the Dirichlet grid under both kinetic laws, so each is
-    positive definite. The residual tolerance is `rtol` times
-    the operator's norm. A grid of fewer than 5 k nodes is solved densely.
+    positive definite. The residual tolerance is `rtol` times the
+    operator's norm bound max T + max |V|, and a Ritz value past
+    LOBPCG_DIVERGED times that bound ends the solve as diverged. A grid of
+    fewer than 5 k nodes is solved densely.
 
     The start block (`_start_block`) depends on the operator alone, so
     repeated solves agree bit for bit. Where its density has orbitals on
@@ -468,7 +498,8 @@ def _lobpcg_levels(fock: FockOperator, key: tuple[int, int], k: int, rtol: float
     applies after the first as its iterations (0 on a dense solve).
     """
     t = fock.kinetic[key[0]].symbol[:, None]
-    tol = rtol * (t.max() + np.abs(fock.potential).max())
+    norm = t.max() + np.abs(fock.potential).max()
+    tol = rtol * norm
 
     def op(Y):
         return t * Y + dst(fock.potential_apply(key, dst(Y)))
@@ -478,7 +509,7 @@ def _lobpcg_levels(fock: FockOperator, key: tuple[int, int], k: int, rtol: float
         vals, vecs = _dense_levels(op(np.eye(fock.grid.n)), k)
         its = 0
     else:
-        vals, vecs, its = _lobpcg(op, t, Y0, tol, LOBPCG_MAXITER)
+        vals, vecs, its = _lobpcg(op, t, Y0, tol, LOBPCG_MAXITER, ceiling=LOBPCG_DIVERGED * norm)
     # both eigensolves return their values in ascending order
     vecs = dst(vecs)
     # a diverged solve's residual may overflow to inf: this check judges it
@@ -881,14 +912,13 @@ def solve_scf(sys: AtomSystem, options: SolverOptions) -> tuple[SCFReport, Densi
             trace.append(energy)
 
     # after a t = 0 step or a rejected purity finish, `fock` is already the
-    # operator of the final density (matrix-free, it then solves its table
-    # beside its fill); rebinding it frees the old operator's matrices
-    # before the final ones are built
+    # operator of the final density (matrix-free, its level table is then
+    # solved beside its fill); rebinding it frees the old operator's
+    # matrices before the final ones are built
     if fock.gamma is not gamma:
         fock = fock_build(gamma, grid, sys, ell_max=ell_max, eigensolves=eigensolves)
     residual = commutator_residual(fock, gamma)
     orb_res = orbital_residuals(fock, gamma)
-    table = _final_eigen_table(fock, gamma, _levels_needed(sys.N))
     if converged:
         message = ""
     elif stalled:
@@ -900,7 +930,6 @@ def solve_scf(sys: AtomSystem, options: SolverOptions) -> tuple[SCFReport, Densi
         iterations=iterations,
         energy=energy,
         energy_trace=trace,
-        eigenvalues=table,
         occupations=[
             {"ell": ell, "spin": spin, "index": idx, "f": f, "lambda": lam}
             for (ell, spin, idx, f, lam) in gamma.occupation_list()
@@ -910,7 +939,6 @@ def solve_scf(sys: AtomSystem, options: SolverOptions) -> tuple[SCFReport, Densi
         anion_regime=sys.N >= sys.Z + 1,
         message=message,
         steps=steps,
-        eigensolves=_eigensolve_summary(eigensolves),
         fock=fock,
     )
     if not converged:

@@ -17,10 +17,13 @@ from prhf import (
     minimizer_certificate,
     validate_system,
 )
-from prhf.analysis import _standard_normals, binding_monotonicity, random_smooth_battery
+from prhf.analysis import (
+    _momentum_symbol, _standard_normals, binding_monotonicity, homo_eigenvalue,
+    random_smooth_battery,
+)
 from prhf.greens import energy_of_nu
-from prhf.radial import channel_laplacian, kinetic_operator
-from prhf.scf import fock_build
+from prhf.radial import channel_laplacian, dst, kinetic_operator, laplacian_symbol
+from prhf.scf import fock_build, solve_scf
 
 ALPHA = 1.0 / 137.036
 
@@ -116,7 +119,8 @@ def test_certificate_passes_on_converged(he_small):
 
 
 def test_certificate_reuses_the_final_spectrum(he_small, monkeypatch):
-    # solve_scf's eigenvalue table already diagonalized the final operator
+    # the final operator's levels come from LOBPCG, solved once for the
+    # report's table and the certificate, whichever reads them first
     def no_eigh(*args, **kwargs):
         raise AssertionError("the final Fock operator was diagonalized again")
 
@@ -196,6 +200,19 @@ def _dense_kato_probe(u, grid):
     return grid.h * float(np.sum(u * u / grid.nodes)), rhs
 
 
+def test_kato_probe_keeps_one_read_only_symbol_per_grid(grid200):
+    """The |p| symbol is made once per grid and cannot be written; the probe keeps its bits."""
+    symbol = _momentum_symbol(grid200)
+    assert _momentum_symbol(build_grid(200, 12.0)) is symbol
+    with pytest.raises(ValueError):
+        symbol[0] = 0.0
+    assert np.array_equal(symbol, np.sqrt(laplacian_symbol(grid200)))
+    for u in random_smooth_battery(grid200, 5, seed=7):
+        coef = dst(u)
+        rhs = 0.5 * np.pi * grid200.h * float(coef @ (np.sqrt(laplacian_symbol(grid200)) * coef))
+        assert kato_probe(u, grid200)[1] == rhs
+
+
 def _dense_herbst_lowest(sys, grid, ell_max=0):
     """Lowest eigenvalue of T - Z alpha/r over the channels, by dense eigh."""
     lowest = np.inf
@@ -258,6 +275,41 @@ def test_herbst_bound_checks_the_square_root_operator(grid200):
     sys = AtomSystem(Z=2.0, N=2, alpha=ALPHA)
     nonrel = herbst_bound_check(replace(sys, kinetic="nonrelativistic"), grid200)
     assert nonrel == herbst_bound_check(sys, grid200)
+
+
+# (Z, r_max) of the neutral atoms whose two HOMO rules are compared, and
+# the session fixture that solves each at n = 1200
+_HOMO_ATOMS = {"he": (2.0, 20.0, "he_solution"), "li": (3.0, 25.0, "li_solution"),
+               "be": (4.0, 30.0, "be_solution")}
+
+
+@pytest.mark.parametrize("n", [400, 1200])
+@pytest.mark.parametrize("atom", sorted(_HOMO_ATOMS))
+def test_homo_from_the_orbitals_matches_the_level_table(atom, n, request):
+    """He, Li and Be: the largest occupied orbital energy is the table's HOMO within 1e-10 Ha."""
+    Z, r_max, fixture = _HOMO_ATOMS[atom]
+    if n == 1200:
+        report = request.getfixturevalue(fixture).report
+    else:
+        sys = validate_system(AtomSystem(Z=Z, N=int(Z), alpha=ALPHA))
+        report, _gamma = solve_scf(sys, SolverOptions(n=n, r_max=r_max))
+    homo = homo_eigenvalue(report.fock)
+    table = max(val for (_l, _s, _i, val, _vh, occ) in report.eigenvalues if occ > 0.5)
+    assert abs(homo - table) / ALPHA <= 1e-10
+
+
+def test_homo_needs_an_orbital_occupied_above_half(grid200):
+    """Only orbitals with occupation above 0.5 count; without one there is no HOMO."""
+    sys = AtomSystem(Z=2.0, N=1, alpha=ALPHA)
+    P = grid200.nodes * np.exp(-2.0 * grid200.nodes)
+    P /= np.sqrt(grid200.h * (P @ P))
+    for f, has_homo in ((0.5, False), (0.75, True)):
+        gamma = DensityMatrix({(0, 0): ChannelBlock(P[:, None].copy(), np.array([f]))})
+        fock = fock_build(gamma, grid200, sys, ell_max=0)
+        homo = homo_eigenvalue(fock)
+        assert (homo is not None) == has_homo
+        if has_homo:
+            assert homo == pytest.approx(grid200.h * float(P @ fock.apply((0, 0), P)), rel=1e-13)
 
 
 def test_binding_single_row():

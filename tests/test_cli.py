@@ -385,6 +385,33 @@ def test_verify_binding_row_from_solution(tmp_path, monkeypatch):
     assert ok and verify["suites"]["binding"]["rows"] == rows
 
 
+def test_binding_rows_and_sweep_solve_no_level_table(tmp_path, monkeypatch):
+    """Binding rows read each solve's energy and HOMO only: no level table is solved.
+
+    Only a level table (or the certificate, which asks for the same levels)
+    solves at LOBPCG_LEVEL_RTOL.
+    """
+    tables, rtols = [], []
+    table, levels = prhf.scf._final_eigen_table, prhf.scf._lobpcg_levels
+
+    def counting_table(*args):
+        tables.append(args)
+        return table(*args)
+
+    def recording(fock, key, k, rtol):
+        rtols.append(rtol)
+        return levels(fock, key, k, rtol)
+
+    monkeypatch.setattr(prhf.scf, "_final_eigen_table", counting_table)
+    monkeypatch.setattr(prhf.scf, "_lobpcg_levels", recording)
+    system = AtomSystem(Z=2.0, N=2, alpha=1.0 / 137.036)
+    rows, ok = binding_monotonicity(system, 2, SolverOptions(n=240, r_max=14.0))
+    assert ok and [row["N"] for row in rows] == [1, 2]
+    assert run_sweep(_write_config(tmp_path, tmp_path / "out", Z=3.0, N=3, r_max=16.0)) == EXIT_OK
+    assert rtols and prhf.scf.LOBPCG_LEVEL_RTOL not in rtols
+    assert tables == []
+
+
 def test_verify_s_only_forms_no_dense_matrix(tmp_path, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("a dense n x n path ran")
@@ -785,6 +812,20 @@ def test_s_only_solve_and_verify_load_no_fft_or_linalg(tmp_path):
     verify = json.loads((tmp_path / "out" / "verify.json").read_text())
     assert verify["all_passed"] is True
     assert set(verify["suites"]) == {"minimizer", "decay", "kato", "herbst", "greens", "binding"}
+
+
+def test_sweep_and_greens_load_no_scipy(tmp_path):
+    """A lithium sweep and a greens run, n + 1 = 401 prime, load no scipy module."""
+    cfg = _write_config(tmp_path, tmp_path / "out", Z=3.0, N=3, n=400, r_max=25.0)
+    code = (
+        "import sys\nfrom prhf.cli import main\n"
+        f"assert main(['sweep', {str(cfg)!r}]) == main(['greens', {str(cfg)!r}]) == 0\n"
+        + _loaded_line("scipy")
+    )
+    assert _fresh_interpreter(code) == ["loaded:"]
+    rows = json.loads((tmp_path / "out" / "sweep.json").read_text())["rows"]
+    assert [row["N"] for row in rows] == [1, 2, 3]
+    assert (tmp_path / "out" / "greens.csv").is_file()
 
 
 def test_run_path_loads_no_numpy_submodule_on_first_use(tmp_path):

@@ -305,6 +305,22 @@ def test_spectral_function_composition():
     assert np.allclose(direct, chained, rtol=0, atol=1e-9 * np.abs(direct).max())
 
 
+# the grids of the tridiagonal spectrum's oracle; above 800 nodes only the
+# channels a p-shell atom builds (ell = 0, 1), to bound the dense eighs' time
+_SPECTRUM_GRIDS = [(n, ell) for n in (148, 200, 300, 400, 599, 800) for ell in range(4)] + [
+    (n, ell) for n in (1200, 1600) for ell in (0, 1)]
+
+
+@pytest.mark.parametrize("n, ell", _SPECTRUM_GRIDS)
+def test_spectral_function_equals_the_dense_eigh_oracle(n, ell):
+    """The tridiagonal spectrum gives the bits of a dense eigh of the channel Laplacian."""
+    grid = build_grid(n, 20.0)
+    T = kinetic_operator(grid, ell, ALPHA)
+    vals, vecs = scipy.linalg.eigh(channel_laplacian(grid, ell))
+    oracle = (vecs * T.evaluate(vals)) @ vecs.T
+    assert np.array_equal(spectral_function(grid, ell, T.evaluate), 0.5 * (oracle + oracle.T))
+
+
 def test_spectral_sqrt_squares_back():
     grid = build_grid(80, 8.0)
     lap = channel_laplacian(grid, 1)
