@@ -26,7 +26,7 @@ from .radial import (
     RadialGrid, build_grid, dst, gram, inner, integrate, kinetic_operator, laplacian_symbol,
 )
 from .scf import (
-    FockOperator, _channel_spectra, _levels_needed, fock_build, orbital_residuals, solve_scf,
+    FockOperator, _channel_spectra, fock_build, orbital_residuals, solve_scf,
 )
 
 NOISE_FLOOR_REL = 1e-14
@@ -206,6 +206,16 @@ def minimizer_certificate(gamma: DensityMatrix, fock: FockOperator) -> Certifica
     (b) trace equals N; (c) the occupied levels are the N lowest across
     channels (tie tolerance 1e-8 alpha^-1); (d) occupied eigenvalues in
     (-alpha^-1, 0); (e) per-orbital eigen-residual below 1e-7 alpha^-1.
+
+    Clause (c) reads the level table of `_channel_spectra`: the m + 1
+    lowest levels of a channel on which gamma holds m orbitals. That is
+    enough. Where the occupied span is invariant under F, as (e) checks,
+    each level lies in it or is orthogonal to it, and at most m levels lie
+    in an m-dimensional span; so the channel's lowest unoccupied level is
+    among its m + 1 lowest. It lies at or below every other unoccupied
+    level of the channel, so an occupied level above any of them lies above
+    it, and "max occupied minus min unoccupied" over the table measures the
+    same gap as over the whole spectrum.
     """
     sys, grid = fock.system, fock.grid
     ainv = sys.alpha_inv
@@ -226,7 +236,7 @@ def minimizer_certificate(gamma: DensityMatrix, fock: FockOperator) -> Certifica
     occupied = orbital_residuals(fock, gamma)
     occ_eps = [eps for _key, _idx, eps, _res in occupied]
     unocc_eps = []
-    spectra = _channel_spectra(fock, _levels_needed(sys.N))
+    spectra = _channel_spectra(fock)
     for key, (vals, vecs) in spectra.items():
         blk = gamma.blocks.get(key)
         if blk is not None and blk.m:
@@ -346,7 +356,7 @@ def herbst_bound_check(sys: AtomSystem, grid: RadialGrid) -> dict:
     ainv = sys.alpha_inv
     bound = ainv * (np.sqrt(max(1.0 - (np.pi * sys.z_alpha / 2.0) ** 2, 0.0)) - 1.0)
     h0 = fock_build(DensityMatrix({}), grid, replace(sys, kinetic="pseudorelativistic"), 0)
-    spectra = _channel_spectra(h0, 1)
+    spectra = _channel_spectra(h0)     # the empty density: one level per channel
     lowest = min(float(vals[0]) for vals, _vecs in spectra.values())
     ok = bool(lowest >= bound - 1e-8 * ainv)
     return {

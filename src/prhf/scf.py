@@ -61,7 +61,12 @@ LINE_ROUNDOFF = 32.0 * np.finfo(float).eps
 # loose fills in every iteration left He's written orbitals from a loose
 # final trial (its last step takes t = 1), a factor of 1e-4 moved He's
 # level 2.2e-10 Ha, and one of 1e-2 changes He's path. LOBPCG_LEVEL_RTOL is
-# for level tables, of which only eigenvalues and overlaps are read. Then
+# for level tables, of which only eigenvalues and overlaps are read. A
+# table's block ends at its channel's lowest unoccupied level, often a box
+# state close below the next one, and LOBPCG fixes that column only to the
+# tolerance over the gap: at 1e-11 the spin-down table of Li (n = 1200)
+# from a warm and from a cold start differed by 1.0e-10 in its projector,
+# at 1e-12 by 3.9e-12, with the same iterations on He and Li. Then
 # the iteration cap, the factor on the tolerance above which a residual
 # hands the channel to the dense eigensolve, and the factor on the
 # operator's norm bound past which a Ritz value shows a diverged solve
@@ -69,7 +74,7 @@ LINE_ROUNDOFF = 32.0 * np.finfo(float).eps
 LOBPCG_RTOL = 1e-15
 LOBPCG_FILL_FACTOR = 1e-5
 LOBPCG_FILL_CAP = 1e-8
-LOBPCG_LEVEL_RTOL = 1e-11
+LOBPCG_LEVEL_RTOL = 1e-12
 LOBPCG_MAXITER = 200
 LOBPCG_SLACK = 10.0
 LOBPCG_DIVERGED = 100.0
@@ -102,9 +107,10 @@ class FockOperator:
     come from the block LOBPCG of `_lobpcg`: the aufbau fill asks each
     spin group for the levels it can reach, at the tolerance its caller
     passes (LOBPCG_RTOL, or `_fill_rtol` of the commutator residual for an
-    SCF search direction), and a level table asks for its count at the
-    looser level tolerance. Each solve starts from the orbitals of gamma
-    on its channel, completed by hydrogenic seeds at the operator's charge
+    SCF search direction), and a level table asks for one level more than
+    gamma has orbitals on the channel, at the looser level tolerance.
+    Each solve starts from the orbitals of gamma on its channel,
+    completed by hydrogenic seeds at the operator's charge
     (`_start_block`), and falls back to dense eigh if its residuals fail.
     Any other operator applies its dense `matrices`, which are assembled
     on first access only, and computes its fill and its table by one
@@ -224,7 +230,7 @@ class SCFReport:
     @functools.cached_property
     def eigenvalues(self) -> list:
         """The merged level table of the final density (`_final_eigen_table`)."""
-        return _final_eigen_table(self.fock, self.fock.gamma, _levels_needed(self.fock.system.N))
+        return _final_eigen_table(self.fock)
 
     @functools.cached_property
     def eigensolves(self) -> dict:
@@ -574,15 +580,20 @@ def _group_levels(fock: FockOperator, ell: int, grp: list, count: int, rtol: flo
     return level[0][:k], level[1][:, :k]
 
 
-def _channel_spectra(fock: FockOperator, count: int):
-    """Lowest `count` eigenpairs per channel, one eigensolve per spin group.
+def _channel_spectra(fock: FockOperator):
+    """The level table's eigenpairs per channel, one eigensolve per spin group.
 
-    For level tables, of which only eigenvalues and overlaps are read:
-    LOBPCG solves at the level tolerance.
+    A channel on which fock.gamma holds m orbitals gets its m + 1 lowest
+    levels, an empty channel its lowest one: every occupied level and the
+    channel's lowest unoccupied one, which is all the table's readers
+    need (`analysis.minimizer_certificate` says why). Only eigenvalues and
+    overlaps are read, so LOBPCG solves at the level tolerance.
     """
     spectra = {}
     for ell in range(fock.ell_max + 1):
         for grp in fock.groups:
+            blk = fock.gamma.blocks.get((ell, grp[0]))
+            count = 1 if blk is None else blk.m + 1
             level = _group_levels(fock, ell, grp, count, LOBPCG_LEVEL_RTOL)
             for spin in grp:
                 spectra[(ell, spin)] = level
@@ -590,8 +601,13 @@ def _channel_spectra(fock: FockOperator, count: int):
 
 
 def _levels_needed(N: float) -> int:
-    # the count of a level table: worst case all electrons in one channel
-    # with unit capacity, plus four unoccupied levels
+    """ceil(N) + 4: all electrons in one channel of unit capacity, plus four levels.
+
+    The levels a dense channel solves once and slices for its fill and
+    its table (a smaller subset would change neon's bits), and the fill's
+    count when computed levels tie (`_fill_spectra`). Level tables ask
+    for fewer (`_channel_spectra`).
+    """
     return int(np.ceil(N)) + 4
 
 
@@ -612,8 +628,8 @@ def _fill_spectra(fock: FockOperator, N: float, rtol: float = LOBPCG_RTOL) -> di
     """The spectra an aufbau fill of N electrons reads, per channel.
 
     Each spin group asks for its `_fill_count` levels at the fill
-    tolerance `rtol`, or for the table count when two of the computed
-    levels tie, since the count rests on increasing levels.
+    tolerance `rtol`, or for `_levels_needed(N)` levels when two of the
+    computed levels tie, since the count rests on increasing levels.
     """
     spectra = {}
     for ell in range(fock.ell_max + 1):
@@ -833,10 +849,10 @@ def density_from_shells(shells, sys: AtomSystem, grid: RadialGrid) -> DensityMat
     return DensityMatrix(blocks)
 
 
-def _final_eigen_table(fock: FockOperator, gamma: DensityMatrix, count: int):
-    """Merged eigenvalue table with occupations matched by subspace overlap."""
-    spectra = _channel_spectra(fock, count)
-    grid = fock.grid
+def _final_eigen_table(fock: FockOperator):
+    """Merged eigenvalue table of `_channel_spectra`, occupations in fock.gamma by overlap."""
+    spectra = _channel_spectra(fock)
+    grid, gamma = fock.grid, fock.gamma
     table = []
     for (ell, spin), (vals, vecs) in sorted(spectra.items()):
         blk = gamma.blocks.get((ell, spin))

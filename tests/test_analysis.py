@@ -22,8 +22,9 @@ from prhf.analysis import (
     random_smooth_battery,
 )
 from prhf.greens import energy_of_nu
-from prhf.radial import channel_laplacian, dst, kinetic_operator, laplacian_symbol
-from prhf.scf import fock_build, solve_scf
+from prhf import scf
+from prhf.radial import channel_laplacian, dst, gram, kinetic_operator, laplacian_symbol
+from prhf.scf import _levels_needed, fock_build, orbital_residuals, solve_scf
 
 ALPHA = 1.0 / 137.036
 
@@ -146,6 +147,57 @@ def test_certificate_detects_wrong_occupation_order(he_small):
     assert cert.passed is False
     failed = [name for name, c in cert.clauses.items() if not c["passed"]]
     assert "aufbau" in failed and "trace" not in failed and "idempotent" not in failed
+
+
+def _gap_over_the_old_table(gamma, fock):
+    """The aufbau gap over the ceil(N) + 4 lowest levels of each s-channel, as it was read."""
+    occupied = [eps for *_, eps, _res in orbital_residuals(fock, gamma)]
+    unoccupied = []
+    for grp in fock.groups:
+        vals, vecs = scf._group_levels(fock, 0, grp, _levels_needed(fock.system.N),
+                                       scf.LOBPCG_LEVEL_RTOL)
+        proj = np.sum(gram(fock.grid, gamma.blocks[(0, grp[0])].orbitals, vecs) ** 2, axis=0)
+        unoccupied.extend(vals[proj < 0.5])
+    return max(occupied) - min(unoccupied)
+
+
+def _s_density(vecs, picks):
+    """Both spins occupy the columns `picks` of vecs, once each."""
+    block = ChannelBlock(vecs[:, picks].copy(), np.ones(len(picks)))
+    return DensityMatrix({(0, 0): block, (0, 1): block})
+
+
+@pytest.mark.parametrize("case, passes", [
+    ("he", True), ("he_2s", False), ("be", True), ("be_1s2_3s2", False),
+])
+def test_aufbau_clause_on_the_smaller_table_is_as_strict_as_before(
+        case, passes, he_small, be_solution):
+    """The table holds each channel's m + 1 lowest levels; the aufbau gap it measures is
+    the gap over the ceil(N) + 4 levels read before, and it fails the same excited states.
+
+    he_2s: helium with its 2s level occupied in place of 1s. be_1s2_3s2: beryllium with
+    the 1s and 3s levels of its bare operator occupied and 2s left empty.
+    """
+    if case.startswith("he"):
+        sol, picks = he_small, [1]
+    else:
+        sol, picks = be_solution, [0, 2]
+    gamma, fock = sol.gamma, sol.fock
+    if case in ("he_2s", "be_1s2_3s2"):
+        # the levels of the ground operator for helium, of the bare one for beryllium
+        source = fock if case == "he_2s" else fock_build(
+            DensityMatrix({}), sol.grid, sol.sys, ell_max=0)
+        _vals, vecs = scf._group_levels(source, 0, [0, 1], 3, scf.LOBPCG_RTOL)
+        gamma = _s_density(vecs, picks)
+        fock = fock_build(gamma, sol.grid, sol.sys, ell_max=0)
+    cert = minimizer_certificate(gamma, fock)
+    aufbau = cert.clauses["aufbau"]
+    assert aufbau["passed"] is passes
+    for key, (vals, _vecs) in scf._channel_spectra(fock).items():
+        assert vals.size == gamma.blocks[key].m + 1
+    assert abs(aufbau["measured"] - _gap_over_the_old_table(gamma, fock)) <= 1e-12 * sol.sys.alpha
+    if not passes:
+        assert aufbau["measured"] > 0.05 * sol.sys.alpha      # an unoccupied level 0.05 Ha lower
 
 
 def test_certificate_detects_fractional_occupation(he_small):

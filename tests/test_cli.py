@@ -266,15 +266,15 @@ def test_verify_resolves_a_stored_nan_occupation(tmp_path, caplog):
 
 
 def test_report_records_the_eigensolver_work(tmp_path):
-    """He at n = 400: one-column fills, the table at N + 4, warm starts, no fallback, each
-    solve's tolerance; CSVs unchanged."""
+    """He at n = 400: one-column fills, the table at its one orbital plus one, warm starts,
+    no fallback, each solve's tolerance; CSVs unchanged."""
     outdir = tmp_path / "out"
     cfg = _write_config(tmp_path, outdir, n=400)
     assert run_solve(cfg) == EXIT_OK
     record = json.loads((outdir / "report.json").read_text())["report"]["eigensolves"]
     blocks, iterations = record["lobpcg_blocks"], record["lobpcg_iterations"]
     *fills, table = blocks
-    assert fills and set(fills) == {1} and table == 2 + 4
+    assert fills and set(fills) == {1} and table == 1 + 1
     assert record["lobpcg_solves"] == len(blocks) == len(iterations)
     assert all(its > 1 for its in iterations)
     assert record["lobpcg_work"] == sum(its * (1 + k) for k, its in zip(blocks, iterations))
@@ -624,9 +624,9 @@ def test_verify_herbst_failure_keeps_its_record(tmp_path, monkeypatch):
     """A lowest h0 level below the bound fails the herbst record; nothing raises."""
     spectra = prhf.analysis._channel_spectra
 
-    def sunk(fock, k):
+    def sunk(fock):
         ainv = fock.system.alpha_inv
-        return {key: (vals - ainv, vecs) for key, (vals, vecs) in spectra(fock, k).items()}
+        return {key: (vals - ainv, vecs) for key, (vals, vecs) in spectra(fock).items()}
 
     monkeypatch.setattr(prhf.analysis, "_channel_spectra", sunk)
     outdir = tmp_path / "out"

@@ -120,11 +120,12 @@ def test_lobpcg_levels_match_dense(name, request, caplog):
     """At a fixed density the matrix-free levels are the dense eigh levels."""
     sol = request.getfixturevalue(name)
     fock = fock_build(sol.gamma, sol.grid, sol.sys, ell_max=0)
-    k = _levels_needed(sol.sys.N)
     with caplog.at_level(logging.WARNING, logger="prhf.scf"):
-        spectra = _channel_spectra(fock, k)
+        spectra = _channel_spectra(fock)
     assert not caplog.records              # no fallback to the dense eigensolve
     for key, (vals, vecs) in spectra.items():
+        k = sol.gamma.blocks[key].m + 1
+        assert vals.size == k
         dense, dvecs = scipy.linalg.eigh(fock.matrices[key], subset_by_index=(0, k - 1))
         assert np.max(np.abs(vals - dense)) / sol.sys.alpha <= 1e-10
         overlap = np.abs(np.sum(vecs * dvecs, axis=0)) * np.sqrt(sol.grid.h)
@@ -161,13 +162,14 @@ def _nan_ritz(*args):
 def test_lobpcg_nonconvergence_falls_back_to_dense(patch, fill, he_small, monkeypatch, caplog):
     monkeypatch.setattr(scf, *patch)
     fock = fock_build(he_small.gamma, he_small.grid, he_small.sys, ell_max=0)
-    # the fill of helium's one spin group asks for one level
-    k = 1 if fill else _levels_needed(he_small.sys.N)
+    # the fill of helium's one spin group asks for one level, its table for
+    # one more than its one orbital
+    k = 1 if fill else 2
     with caplog.at_level(logging.WARNING, logger="prhf.scf"):
         if fill:
             spectra = scf._fill_spectra(fock, he_small.sys.N)
         else:
-            spectra = _channel_spectra(fock, k)
+            spectra = _channel_spectra(fock)
     # one eigensolve for the one spin group: its warm start from helium's
     # orbitals fails and dense eigh takes over
     assert len(caplog.records) == 1
@@ -342,7 +344,7 @@ def _h0_and_converged_levels(sol):
     out = []
     for gamma in (aufbau_projection(bare, N), sol.gamma):
         fock = fock_build(gamma, sol.grid, sol.sys, ell_max=0)
-        spectra = [scf._fill_spectra(fock, N), _channel_spectra(fock, _levels_needed(N))]
+        spectra = [scf._fill_spectra(fock, N), _channel_spectra(fock)]
         out.append((fock.eigensolves, spectra))
     return out
 
@@ -372,7 +374,7 @@ def test_warm_start_repeats_bit_for_bit(he_small):
     levels = []
     for _ in range(2):
         fock = fock_build(he_small.gamma, he_small.grid, he_small.sys, ell_max=0)
-        levels.append([scf._fill_spectra(fock, N), _channel_spectra(fock, _levels_needed(N))])
+        levels.append([scf._fill_spectra(fock, N), _channel_spectra(fock)])
     for first, again in zip(*levels):
         for key, (vals, vecs) in first.items():
             assert np.array_equal(vals, again[key][0]) and np.array_equal(vecs, again[key][1])
@@ -519,7 +521,8 @@ def test_fill_of_tied_levels_takes_the_table_count(he_small, monkeypatch):
 
 def test_helium_solve_asks_one_column_per_fill(monkeypatch):
     """He: every fill solve is one column, at the tolerance its step needs; only the final
-    table asks for N + 4, on the report's first read of it, and its solve comes last.
+    table asks for two, its one orbital plus one, on the report's first read of it, and
+    its solve comes last.
 
     The h0 fill and the fill of every iteration whose commutator residual meets
     tol_commutator solve to LOBPCG_RTOL; the other fills are search directions at
@@ -551,7 +554,7 @@ def test_helium_solve_asks_one_column_per_fill(monkeypatch):
         else:
             assert rtol == max(scf.LOBPCG_RTOL, min(1e-8, 1e-5 * r)) <= 1e-6
     assert max(steps) > scf.LOBPCG_RTOL and steps[-1] == scf.LOBPCG_RTOL
-    assert table == (_levels_needed(sys.N), scf.LOBPCG_LEVEL_RTOL)
+    assert table == (2, scf.LOBPCG_LEVEL_RTOL)
     assert report.eigensolves["lobpcg_blocks"] == [k for k, _rtol in solves]
     assert report.eigensolves["lobpcg_rtol"] == [rtol for _k, rtol in solves]
 
@@ -629,10 +632,60 @@ def test_neon_fill_and_table_share_one_eigh(grid200, monkeypatch):
     monkeypatch.setattr(scf, "_dense_levels", recording)
     sys = AtomSystem(Z=10.0, N=10, alpha=ALPHA)
     bare = fock_build(DensityMatrix({}), grid200, sys, ell_max=1)
-    gamma = aufbau_projection(bare, sys.N)
-    scf._final_eigen_table(bare, gamma, _levels_needed(sys.N))
+    aufbau_projection(bare, sys.N)
+    scf._final_eigen_table(bare)
     assert counts == [14, 14]            # ell = 0 and 1, one spin group
     assert bare.eigensolves == []
+
+
+def test_dense_table_rows_are_slices_of_one_eigh(monkeypatch):
+    """Neon (n = 200, ell_max 1): each channel's m + 1 table rows are the first m + 1 levels
+    of its one eigh of _levels_needed(N) levels, bit for bit, vectors included."""
+    counts = []
+    dense = scf._dense_levels
+
+    def recording(H, k):
+        counts.append(k)
+        return dense(H, k)
+
+    grid = build_grid(200, 15.0)
+    sys = AtomSystem(Z=10.0, N=10, alpha=ALPHA)
+    gamma = aufbau_projection(fock_build(DensityMatrix({}), grid, sys, ell_max=1), sys.N)
+    fock = fock_build(gamma, grid, sys, ell_max=1)
+    monkeypatch.setattr(scf, "_dense_levels", recording)
+    spectra = _channel_spectra(fock)
+    assert counts == [_levels_needed(sys.N)] * 2         # ell = 0 and 1, one spin group
+    assert {key: blk.m for key, blk in gamma.blocks.items()} == {
+        (0, 0): 2, (0, 1): 2, (1, 0): 1, (1, 1): 1}
+    for key, (vals, vecs) in spectra.items():
+        k = gamma.blocks[key].m + 1
+        full_vals, full_vecs = scipy.linalg.eigh(
+            fock.matrices[key], subset_by_index=(0, _levels_needed(sys.N) - 1))
+        assert np.array_equal(vals, full_vals[:k])
+        assert np.array_equal(vecs, radial.from_unit(grid, full_vecs)[:, :k])
+    assert fock.eigensolves == []
+
+
+@pytest.mark.parametrize("Z, n, r_max, ell_max", [
+    (2.0, 300, 15.0, 0), (3.0, 300, 20.0, 0), (10.0, 200, 15.0, 1), (2.0, 200, 15.0, 1),
+], ids=["he", "li", "neon", "he-ell1"])
+def test_level_table_holds_each_channels_orbitals_plus_one(Z, n, r_max, ell_max):
+    """The report's table has m_c + 1 rows on every channel c where gamma holds m_c orbitals:
+    the occupied levels and the channel's lowest unoccupied one. Li's spins differ, and He
+    with ell_max 1 has empty p-channels, which give one row each."""
+    sys = validate_system(AtomSystem(Z=Z, N=int(Z), alpha=ALPHA))
+    report, gamma = solve_scf(sys, SolverOptions(n=n, r_max=r_max, ell_max=ell_max))
+    assert report.converged
+    m = {(ell, spin): gamma.blocks[(ell, spin)].m if (ell, spin) in gamma.blocks else 0
+         for ell in range(ell_max + 1) for spin in range(sys.q)}
+    table = report.eigenvalues
+    assert len(table) == sum(mc + 1 for mc in m.values())
+    for key, mc in m.items():
+        rows = sorted((idx, occ) for ell, spin, idx, _val, _val_h, occ in table
+                      if (ell, spin) == key)
+        assert [idx for idx, _occ in rows] == list(range(mc + 1))
+        assert [occ > 0.5 for _idx, occ in rows] == [True] * mc + [False]
+    assert report.eigensolves["dense_fallbacks"] == 0
 
 
 def test_neon_fock_matrices_are_exactly_symmetric():
@@ -714,7 +767,10 @@ def test_solve_keeps_the_operator_of_a_kept_density(monkeypatch):
     assert len(builds) == 2         # the h0 guess and iteration 1
     assert report.fock is builds[1] and report.fock.gamma is gamma
     fresh = build(gamma, report.fock.grid, sys, ell_max=0)
-    assert report.eigenvalues == scf._final_eigen_table(fresh, gamma, _levels_needed(sys.N))
+    assert report.eigenvalues == scf._final_eigen_table(fresh)
+    # the table asks the occupied spin for its orbital plus one, the empty spin for one
+    assert [(block, rtol) for block, *_, rtol in fresh.eigensolves] == [
+        (2, scf.LOBPCG_LEVEL_RTOL), (1, scf.LOBPCG_LEVEL_RTOL)]
     assert report.commutator_residual == commutator_residual(fresh, gamma)
     assert report.max_orbital_residual == max(res for *_, res in orbital_residuals(fresh, gamma))
 
