@@ -198,14 +198,14 @@ class CertificateReport:
     passed: bool
 
 
-def minimizer_certificate(gamma: DensityMatrix, fock: FockOperator) -> CertificateReport:
-    """Check the structural properties of a converged minimizer.
+def minimizer_certificate(fock: FockOperator) -> CertificateReport:
+    """Check the structural properties of a converged minimizer gamma = fock.gamma.
 
-    `fock` is the Fock operator of gamma; the system, the grid and the
-    channels checked are its own. (a) occupations within 1e-6 of {0,1};
-    (b) trace equals N; (c) the occupied levels are the N lowest across
-    channels (tie tolerance 1e-8 alpha^-1); (d) occupied eigenvalues in
-    (-alpha^-1, 0); (e) per-orbital eigen-residual below 1e-7 alpha^-1.
+    The system, the grid and the channels checked are the operator's. (a)
+    occupations within 1e-6 of {0,1}; (b) trace equals N; (c) the occupied
+    levels are the N lowest across channels (tie tolerance 1e-8 alpha^-1);
+    (d) occupied eigenvalues in (-alpha^-1, 0); (e) per-orbital
+    eigen-residual below 1e-7 alpha^-1.
 
     Clause (c) reads the level table of `_channel_spectra`: the m + 1
     lowest levels of a channel on which gamma holds m orbitals. That is
@@ -217,7 +217,7 @@ def minimizer_certificate(gamma: DensityMatrix, fock: FockOperator) -> Certifica
     it, and "max occupied minus min unoccupied" over the table measures the
     same gap as over the whole spectrum.
     """
-    sys, grid = fock.system, fock.grid
+    sys, grid, gamma = fock.system, fock.grid, fock.gamma
     ainv = sys.alpha_inv
     clauses = {}
 
@@ -275,10 +275,9 @@ def minimizer_certificate(gamma: DensityMatrix, fock: FockOperator) -> Certifica
     return CertificateReport(clauses=clauses, passed=all(c["passed"] for c in clauses.values()))
 
 
-def minimizer_suite(fock: FockOperator, cert: CertificateReport | None = None) -> dict:
-    """verify's minimizer record: the certificate of fock.gamma, or `cert` when given."""
-    if cert is None:
-        cert = minimizer_certificate(fock.gamma, fock)
+def minimizer_suite(fock: FockOperator) -> dict:
+    """verify's minimizer record: the certificate of fock.gamma, from the levels kept on fock."""
+    cert = minimizer_certificate(fock)
     return {**asdict(cert), "status": _status(cert.passed)}
 
 

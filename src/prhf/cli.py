@@ -100,12 +100,14 @@ _SCHEMA = {
 def parse_config(path: str | Path) -> dict:
     """Read a flat key=value config; unknown and repeated keys are rejected by name."""
     path = Path(path)
-    if not path.is_file():
-        raise ConfigError(f"config file not found: {path}")
+    try:        # a missing file, a directory and non-UTF-8 bytes alike
+        text = path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     values: dict = {}
     unknown: list[str] = []
     seen: dict[str, int] = {}
-    for lineno, raw in enumerate(path.read_text().splitlines(), start=1):
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -192,8 +194,8 @@ def _write_json(path: Path, payload: dict) -> None:
         fh.write("\n")
 
 
-def _write_solution(outdir: Path, cfg: dict, report, gamma, certificates) -> None:
-    grid = report.fock.grid
+def _write_solution(outdir: Path, cfg: dict, report, certificates) -> None:
+    grid, gamma = report.fock.grid, report.fock.gamma
     _write_json(outdir / "report.json", {
         "config": {k: cfg[k] for k in sorted(cfg)},
         "grid": {"n": grid.n, "r_max": grid.r_max, "h": grid.h},   # the uniform grid's record
@@ -269,8 +271,9 @@ def _command(pipeline):
     """A command on a config path from a body `pipeline(cfg, sys_, options, outdir)`.
 
     The config, the system and the solver options are checked before the
-    output directory is made and the body runs. NotConverged exits 2 and
-    any other SolverError exits 1; otherwise the body's exit code stands.
+    output directory is made and the body runs; an output directory that
+    cannot be made is a ConfigError. NotConverged exits 2 and any other
+    SolverError exits 1; otherwise the body's exit code stands.
     """
 
     @functools.wraps(pipeline)
@@ -280,7 +283,10 @@ def _command(pipeline):
             sys_ = _system_from_config(cfg)
             options = _options_from_config(cfg)
             outdir = Path(cfg["output_dir"])
-            outdir.mkdir(parents=True, exist_ok=True)
+            try:
+                outdir.mkdir(parents=True, exist_ok=True)
+            except OSError as exc:
+                raise ConfigError(f"cannot make output_dir {outdir}: {exc}") from exc
             return pipeline(cfg, sys_, options, outdir)
         except NotConverged as exc:
             log.error("SCF did not converge: %s", exc)
@@ -299,14 +305,13 @@ def _solve_and_write(cfg: dict, sys_: AtomSystem, options: SolverOptions, outdir
     NotConverged is raised again.
     """
     try:
-        report, gamma = solve_scf(sys_, options)
+        report, _gamma = solve_scf(sys_, options)
     except NotConverged as exc:
-        if exc.report is not None and exc.density is not None:
-            _write_solution(outdir, cfg, exc.report, exc.density,
-                            {"passed": False, "clauses": {}, "skipped": "not converged"})
+        _write_solution(outdir, cfg, exc.report,
+                        {"passed": False, "clauses": {}, "skipped": "not converged"})
         raise
-    cert = analysis.minimizer_certificate(gamma, report.fock)
-    _write_solution(outdir, cfg, report, gamma, dataclasses.asdict(cert))
+    cert = analysis.minimizer_certificate(report.fock)
+    _write_solution(outdir, cfg, report, dataclasses.asdict(cert))
     log.info(
         "converged=%s iterations=%d total=%.12f certificate=%s",
         report.converged, report.iterations, report.energy.total, cert.passed,
@@ -323,21 +328,21 @@ run_solve = _command(_solve_pipeline)
 
 
 def _final_state(cfg: dict, sys_: AtomSystem, options: SolverOptions, outdir: Path):
-    """(fock, certificate, report record) of this configuration's converged solve.
+    """(fock, report record) of this configuration's converged solve.
 
     `fock.gamma` is the density. A converged solve stored in outdir is
-    read back and its Fock operator built on the options' channels, with
-    no certificate; otherwise the configuration is solved and written
-    first, and the solve's own operator and certificate are returned.
-    Either way the suites see the same state.
+    read back and its Fock operator built on the options' channels;
+    otherwise the configuration is solved and written first, and the
+    solve's own operator, which keeps the level table its certificate
+    solved, is returned. Either way the suites see the same state.
     """
     loaded = _load_solution(outdir, sys_, options)
     if loaded is not None:
         record, gamma, grid = loaded
-        return fock_build(gamma, grid, sys_, ell_max=options.ell_max), None, record
+        return fock_build(gamma, grid, sys_, ell_max=options.ell_max), record
     log.info("no converged solve of this configuration in %s; solving first", outdir)
-    report, cert = _solve_and_write(cfg, sys_, options, outdir)
-    return report.fock, cert, report.as_dict()
+    report, _cert = _solve_and_write(cfg, sys_, options, outdir)
+    return report.fock, report.as_dict()
 
 
 @_command
@@ -352,10 +357,10 @@ def run_verify(cfg: dict, sys_: AtomSystem, options: SolverOptions, outdir: Path
     suites: dict = {}
     eps_homo = known = None
     if cfg["verify_minimizer"] or cfg["verify_decay"]:
-        fock, cert, record = _final_state(cfg, sys_, options, outdir)
+        fock, record = _final_state(cfg, sys_, options, outdir)
         grid = fock.grid
         if cfg["verify_minimizer"]:
-            suites["minimizer"] = analysis.minimizer_suite(fock, cert)
+            suites["minimizer"] = analysis.minimizer_suite(fock)
         if cfg["verify_decay"]:
             window = None
             if cfg["decay_window_lo"] is not None:      # parse_config sets both or neither

@@ -71,7 +71,6 @@ def _shell_traces(fock: FockOperator, dm: DensityMatrix, apply=None) -> list[flo
 
 
 def rank2_delta(
-    gamma: DensityMatrix,
     fock: FockOperator,
     u1: np.ndarray,
     u2: np.ndarray,
@@ -82,13 +81,12 @@ def rank2_delta(
     ell2: int,
     spin2: int,
 ) -> float:
-    """Energy change from gamma to gamma + eps1*u1u1* + eps2*u2u2*.
+    """Energy change from gamma = fock.gamma to gamma + eps1*u1u1* + eps2*u2u2*.
 
-    `fock` is the Fock operator of gamma; the grid, the system and the
-    channel set are its own. u1, u2 are orbitals of channels (ell1,
-    spin1) and (ell2, spin2) with eigenvalue weights eps1, eps2 (a shell
-    of 2*ell+1 degenerate orbitals each); for ell = 0 shells this is the
-    literal rank-two increment
+    The grid, the system and the channel set are the operator's. u1, u2
+    are orbitals of channels (ell1, spin1) and (ell2, spin2) with
+    eigenvalue weights eps1, eps2 (a shell of 2*ell+1 degenerate orbitals
+    each); for ell = 0 shells this is the literal rank-two increment
 
         alpha^-1 eps1 <u1,h u1> + alpha^-1 eps2 <u2,h u2> + eps1 eps2 R_u
 
@@ -110,7 +108,7 @@ def rank2_delta(
             )
         if abs(inner(grid, u, u) - 1.0) > 1e-8:
             raise NotAdmissible("perturbation orbitals must be normalized")
-        blk = gamma.blocks.get((ell, spin))
+        blk = fock.gamma.blocks.get((ell, spin))
         lam_here = 0.0
         if blk is not None and blk.m:
             # occupation gamma already assigns along u; exact when u matches
@@ -135,19 +133,19 @@ def rank2_delta(
 
 
 def line_coefficients(
-    gamma: DensityMatrix,
-    gamma_target: DensityMatrix,
     fock: FockOperator,
+    gamma_target: DensityMatrix,
     e_gamma: EnergyBreakdown,
     e_target: EnergyBreakdown,
 ) -> tuple[float, float]:
     """Exact quadratic profile along the segment (1-t) gamma + t gamma_target.
 
-    E(t) = E(gamma) + a t + b t^2 with a = alpha^-1 Tr[h_gamma (target -
-    gamma)], h_gamma = `fock` the Fock operator of gamma, and b recovered
-    from the energies e_gamma and e_target of the two ends. The gamma side
-    reads F applied to gamma's blocks from `fock.own_products`.
+    gamma is fock.gamma. E(t) = E(gamma) + a t + b t^2 with a = alpha^-1
+    Tr[F (target - gamma)], F = `fock`, and b recovered from the energies
+    e_gamma and e_target of the two ends. The gamma side reads F applied
+    to gamma's blocks from `fock.own_products`.
     """
+    gamma = fock.gamma
     if abs(gamma.trace() - gamma_target.trace()) > 1e-9:
         raise TraceMismatch(
             f"traces differ: {gamma.trace()} vs {gamma_target.trace()}"

@@ -98,8 +98,8 @@ class FockOperator:
     h0 = T - Z*alpha/r is the one-body part; G(gamma) = alpha*(R - K) is
     the two-body part, linear in gamma, which `two_body_apply` applies.
     Its channels, ell = 0..ell_max for every spin, are the channel set of
-    the run: the SCF stages and the certificate take the grid, the system
-    and the channels from the operator they are given.
+    the run: the SCF stages and the certificate take gamma, the grid, the
+    system and the channels from the operator alone.
 
     An operator whose channels are all s-channels (ell_max = 0) is
     matrix-free: `apply` takes T through the DST-I, the local potential
@@ -111,14 +111,15 @@ class FockOperator:
     gamma has orbitals on the channel, at the looser level tolerance.
     Each solve starts from the orbitals of gamma on its channel,
     completed by hydrogenic seeds at the operator's charge
-    (`_start_block`), and falls back to dense eigh if its residuals fail.
-    Any other operator applies its dense `matrices`, which are assembled
-    on first access only, and computes its fill and its table by one
-    `eigh`, whatever the tolerance asked. Nothing is modified after the
-    build, so each eigensolve (channel, count, tolerance) runs once and is
-    kept. Every LOBPCG solve appends a (block, iterations, warm, fell back
-    to dense, rtol) record to `eigensolves`, a list the caller may share
-    between operators.
+    (`_start_block`), and falls back to a dense eigh of its own apply if
+    its residuals fail: it never builds `matrices`. Any other operator
+    applies its dense `matrices`, which are assembled on first access
+    only, and computes its fill and its table by one `eigh`, whatever the
+    tolerance asked. Nothing is modified after the build, so each
+    eigensolve (channel, count, tolerance) runs once and is kept: a level
+    table read twice is solved once. Every LOBPCG solve appends a (block,
+    iterations, warm, fell back to dense, rtol) record to `eigensolves`, a
+    list the caller may share between operators.
 
     `groups` are the spins that hold the same block objects of gamma on
     every channel (`DensityMatrix` shares bytes-equal spin partners); their
@@ -489,19 +490,20 @@ def _lobpcg_levels(fock: FockOperator, key: tuple[int, int], k: int, rtol: float
     is positive on the Dirichlet grid under both kinetic laws, so each is
     positive definite. The residual tolerance is `rtol` times the
     operator's norm bound max T + max |V|, and a Ritz value past
-    LOBPCG_DIVERGED times that bound ends the solve as diverged. A grid of
-    fewer than 5 k nodes is solved densely.
+    LOBPCG_DIVERGED times that bound ends the solve as diverged.
 
     The start block (`_start_block`) depends on the operator alone, so
     repeated solves agree bit for bit. Where its density has orbitals on
     the channel, which the SCF has converged to within its commutator
     residual, the solve starts warm from them. A solve whose residuals,
     from a fresh apply, exceed the tolerance by more than LOBPCG_SLACK
-    falls back to dense eigh, so a wrong level never passes; a bad start
-    costs one LOBPCG run to at most LOBPCG_MAXITER iterations and then
-    the dense solve. The solve is recorded in `fock.eigensolves` as
-    (block, iterations, warm, fell back, rtol), with `_lobpcg`'s count of
-    applies after the first as its iterations (0 on a dense solve).
+    falls back, so a wrong level never passes; a bad start costs one
+    LOBPCG run to at most LOBPCG_MAXITER iterations and then the dense
+    solve. A fallback and a grid of fewer than 5 k nodes alike take that
+    one dense solve: `eigh` of op(I), the operator in DST-I coordinates,
+    mapped back. The solve is recorded in `fock.eigensolves` as (block,
+    iterations, warm, fell back, rtol), with `_lobpcg`'s count of applies
+    after the first as its iterations (0 on a tiny grid).
     """
     t = fock.kinetic[key[0]].symbol[:, None]
     norm = t.max() + np.abs(fock.potential).max()
@@ -511,24 +513,21 @@ def _lobpcg_levels(fock: FockOperator, key: tuple[int, int], k: int, rtol: float
         return t * Y + dst(fock.potential_apply(key, dst(Y)))
 
     warm, Y0 = _start_block(fock, key, k)
-    if fock.grid.n < 5 * k:
-        vals, vecs = _dense_levels(op(np.eye(fock.grid.n)), k)
-        its = 0
-    else:
+    its, fell_back = 0, False
+    if fock.grid.n >= 5 * k:
         vals, vecs, its = _lobpcg(op, t, Y0, tol, LOBPCG_MAXITER, ceiling=LOBPCG_DIVERGED * norm)
-    # both eigensolves return their values in ascending order
-    vecs = dst(vecs)
-    # a diverged solve's residual may overflow to inf: this check judges it
-    with np.errstate(over="ignore", invalid="ignore"):
-        worst = float(np.max(np.linalg.norm(fock.apply(key, vecs) - vecs * vals, axis=0)))
-    fell_back = not worst <= LOBPCG_SLACK * tol     # also catches a NaN residual
+        vecs = dst(vecs)
+        # a diverged solve's residual may overflow to inf: this check judges it
+        with np.errstate(over="ignore", invalid="ignore"):
+            worst = float(np.max(np.linalg.norm(fock.apply(key, vecs) - vecs * vals, axis=0)))
+        fell_back = not worst <= LOBPCG_SLACK * tol     # also catches a NaN residual
+        if fell_back:
+            log.warning("LOBPCG on channel %s left residual %.3e above %.3e; using dense eigh",
+                        key, worst, LOBPCG_SLACK * tol)
     fock.eigensolves.append((k, its, warm, fell_back, rtol))
-    if fell_back:
-        log.warning(
-            "LOBPCG on channel %s left residual %.3e above %.3e; using dense eigh",
-            key, worst, LOBPCG_SLACK * tol,
-        )
-        vals, vecs = _dense_levels(fock.matrices[key], k)
+    if fell_back or fock.grid.n < 5 * k:
+        vals, vecs = _dense_levels(op(np.eye(fock.grid.n)), k)
+        vecs = dst(vecs)
     # sign convention P > 0 at the first node, so the orbitals written out
     # do not depend on the start block, the iteration count or a fallback
     vecs *= np.where(vecs[0] < 0.0, -1.0, 1.0)
@@ -768,22 +767,20 @@ class StepInfo:
     a: float
     b: float
     energy: EnergyBreakdown
-    trial_energy: EnergyBreakdown
 
 
 def oda_step(
-    gamma: DensityMatrix, fock: FockOperator, e_gamma: EnergyBreakdown,
-    rtol: float = LOBPCG_RTOL,
+    fock: FockOperator, e_gamma: EnergyBreakdown, rtol: float = LOBPCG_RTOL,
 ) -> tuple[DensityMatrix, StepInfo]:
-    """One optimal-damping step from gamma, whose operator is `fock` and energy e_gamma.
+    """One optimal-damping step from gamma = fock.gamma, whose energy is e_gamma.
 
     Aufbau trial on the operator's channels, its levels solved to `rtol`,
     exact line search, mix.
     """
-    grid, sys = fock.grid, fock.system
+    grid, sys, gamma = fock.grid, fock.system, fock.gamma
     trial = aufbau_projection(fock, sys.N, rtol)
     e_trial = total_energy(trial, grid, sys)
-    a, b = line_coefficients(gamma, trial, fock, e_gamma, e_trial)
+    a, b = line_coefficients(fock, trial, e_gamma, e_trial)
     if max(abs(a), abs(b)) <= LINE_ROUNDOFF * (1.0 + abs(e_gamma.total)):
         t = 0.0
     elif b > 0.0:
@@ -801,7 +798,7 @@ def oda_step(
         raise LineSearchFailure(
             f"energy rose from {e_gamma.total!r} to {e_next.total!r} at t={t}"
         )
-    return nxt, StepInfo(t=t, a=a, b=b, energy=e_next, trial_energy=e_trial)
+    return nxt, StepInfo(t=t, a=a, b=b, energy=e_next)
 
 
 def _initial_density(
@@ -896,7 +893,7 @@ def solve_scf(sys: AtomSystem, options: SolverOptions) -> tuple[SCFReport, Densi
         residual = commutator_residual(fock, gamma)
         # the trial is a search direction until the residual meets its tolerance
         rtol = _fill_rtol(residual, opts.tol_commutator)
-        gamma_next, step = oda_step(gamma, fock, energy, rtol)
+        gamma_next, step = oda_step(fock, energy, rtol)
         dE = energy.total - step.energy.total
         log.debug(
             "iter %3d  E=%.12f  dE=%.3e  t=%.3f  resid=%.3e",

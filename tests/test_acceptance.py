@@ -126,7 +126,7 @@ def test_c06_lieb_purification(name, he_solution, li_solution, be_solution):
 @pytest.mark.parametrize("name", ["he", "li", "be"])
 def test_c07_aufbau_and_negativity(name, he_solution, li_solution, be_solution):
     sol = {"he": he_solution, "li": li_solution, "be": be_solution}[name]
-    cert = minimizer_certificate(sol.gamma, sol.fock)
+    cert = minimizer_certificate(sol.fock)
     for clause in ("aufbau", "negativity", "hf_equations"):
         assert cert.clauses[clause]["passed"], cert.clauses[clause]
     print(
@@ -231,7 +231,7 @@ def test_c12_rank2_and_line(he_solution, rng):
                 u -= grid.h * (blk.orbitals[:, a] @ u) * blk.orbitals[:, a]
             u /= np.sqrt(grid.h * (u @ u))
         eps1, eps2 = rng.uniform(0.05, 0.95, size=2)
-        delta = rank2_delta(gamma, sol.fock, u1, u2, eps1, eps2, 0, 0, 0, 1)
+        delta = rank2_delta(sol.fock, u1, u2, eps1, eps2, 0, 0, 0, 1)
         perturbed = combine([(1.0, gamma)] + [
             (eps, DensityMatrix({(0, spin): ChannelBlock(u[:, None], np.array([1.0]))}))
             for spin, u, eps in ((0, u1, eps1), (1, u2, eps2))
@@ -242,7 +242,7 @@ def test_c12_rank2_and_line(he_solution, rng):
 
     trial = aufbau_projection(sol.fock, sys.N)
     e_gamma = total_energy(gamma, grid, sys)
-    a, b = line_coefficients(gamma, trial, sol.fock, e_gamma, total_energy(trial, grid, sys))
+    a, b = line_coefficients(sol.fock, trial, e_gamma, total_energy(trial, grid, sys))
     e0 = e_gamma.total
     mid = _mix_blocks(gamma, trial, 0.5, grid)
     e_mid = total_energy(mid, grid, sys).total

@@ -115,7 +115,7 @@ def test_decay_fit_auto_window_is_above_roundoff(hydrogen_limit_solution):
 
 
 def test_certificate_passes_on_converged(he_small):
-    cert = minimizer_certificate(he_small.gamma, he_small.fock)
+    cert = minimizer_certificate(he_small.fock)
     assert cert.passed, cert.clauses
 
 
@@ -126,7 +126,7 @@ def test_certificate_reuses_the_final_spectrum(he_small, monkeypatch):
         raise AssertionError("the final Fock operator was diagonalized again")
 
     monkeypatch.setattr(scipy.linalg, "eigh", no_eigh)
-    cert = minimizer_certificate(he_small.gamma, he_small.report.fock)
+    cert = minimizer_certificate(he_small.report.fock)
     assert cert.passed, cert.clauses
 
 
@@ -143,7 +143,7 @@ def test_certificate_detects_wrong_occupation_order(he_small):
         (0, 1): he_small.gamma.blocks[(0, 1)],
     })
     fock_bad = fock_build(bad, grid, sys, ell_max=0)
-    cert = minimizer_certificate(bad, fock_bad)
+    cert = minimizer_certificate(fock_bad)
     assert cert.passed is False
     failed = [name for name, c in cert.clauses.items() if not c["passed"]]
     assert "aufbau" in failed and "trace" not in failed and "idempotent" not in failed
@@ -190,7 +190,7 @@ def test_aufbau_clause_on_the_smaller_table_is_as_strict_as_before(
         _vals, vecs = scf._group_levels(source, 0, [0, 1], 3, scf.LOBPCG_RTOL)
         gamma = _s_density(vecs, picks)
         fock = fock_build(gamma, sol.grid, sol.sys, ell_max=0)
-    cert = minimizer_certificate(gamma, fock)
+    cert = minimizer_certificate(fock)
     aufbau = cert.clauses["aufbau"]
     assert aufbau["passed"] is passes
     for key, (vals, _vecs) in scf._channel_spectra(fock).items():
@@ -209,7 +209,7 @@ def test_certificate_detects_fractional_occupation(he_small):
     blocks[(0, 0)].occupations[0] = 0.5
     bad = DensityMatrix(blocks)
     fock_bad = fock_build(bad, grid, sys, ell_max=0)
-    cert = minimizer_certificate(bad, fock_bad)
+    cert = minimizer_certificate(fock_bad)
     assert not cert.clauses["idempotent"]["passed"]
     assert not cert.clauses["trace"]["passed"]
 
@@ -392,7 +392,7 @@ def test_grid_refinement_stability(he_solution):
     )
     coarse_grid = build_grid(600, he_solution.grid.r_max)
     coarse_fock = fock_build(coarse_gamma, coarse_grid, sys, ell_max=0)
-    cert = minimizer_certificate(coarse_gamma, coarse_fock)
+    cert = minimizer_certificate(coarse_fock)
     assert cert.passed
     assert coarse_gamma.max_impurity() <= 1e-6
     assert abs(coarse_gamma.trace() - sys.N) <= 1e-9

@@ -1,5 +1,6 @@
 import ast
 import json
+import logging
 import os
 import subprocess
 import sys
@@ -160,9 +161,10 @@ def test_verify_reuses_existing_solution(tmp_path):
 
 
 def test_verify_from_an_empty_directory_reuses_the_solves_operator(tmp_path, monkeypatch):
-    builds, certificates = [], []
+    builds, certificates, suite_solves = [], [], []
     fock_build = prhf.scf.fock_build
     certificate = prhf.analysis.minimizer_certificate
+    suite = prhf.analysis.minimizer_suite
 
     def counting_build(*args, **kwargs):
         builds.append(args)
@@ -172,14 +174,24 @@ def test_verify_from_an_empty_directory_reuses_the_solves_operator(tmp_path, mon
         certificates.append(args)
         return certificate(*args, **kwargs)
 
+    def recording_suite(fock):
+        before = len(fock.eigensolves)
+        record = suite(fock)
+        suite_solves.append((before, len(fock.eigensolves)))
+        return record
+
     for module in (prhf.scf, prhf.cli, prhf.analysis):
         monkeypatch.setattr(module, "fock_build", counting_build)
     monkeypatch.setattr(prhf.analysis, "minimizer_certificate", counting_certificate)
+    monkeypatch.setattr(prhf.analysis, "minimizer_suite", recording_suite)
     outdir = tmp_path / "out"
     cfg = _write_config(tmp_path, outdir, verify_kato="false", verify_herbst="false")
     assert run_verify(cfg) == EXIT_OK
     assert len(builds) == 10        # the solve's; a rebuild for the suites made 11
-    assert len(certificates) == 1   # the solve's, reused by the minimizer suite
+    assert len(certificates) == 2   # the solve's, and the minimizer suite's on its operator
+    # the suite's certificate reads the level table the solve's certificate solved
+    [(before, after)] = suite_solves
+    assert before > 0 and after == before
     solved = json.loads((outdir / "verify.json").read_text())
     builds.clear(), certificates.clear()
     assert run_verify(cfg) == EXIT_OK       # on the stored solve: one build, one certificate
@@ -485,6 +497,29 @@ def test_key_set_twice_exits_1_before_any_work(tmp_path, monkeypatch, runner):
     assert not outdir.exists()
 
 
+@pytest.mark.parametrize("case", ["non_utf8_config", "output_dir_below_a_file"])
+def test_unreadable_config_or_unmakeable_output_dir_exits_1(tmp_path, monkeypatch, caplog, case):
+    """Bad input is a configuration error: one log line and exit 1, no traceback and no solve."""
+    def no_work(*args, **kwargs):
+        raise AssertionError("solved for a config that cannot run")
+
+    monkeypatch.setattr(prhf.cli, "solve_scf", no_work)
+    if case == "non_utf8_config":
+        outdir = tmp_path / "out"
+        cfg = _write_config(tmp_path, outdir)
+        cfg.write_bytes(cfg.read_bytes() + b"# \xff\n")
+    else:
+        blocker = tmp_path / "file"
+        blocker.write_text("not a directory\n")
+        outdir = blocker / "out"
+        cfg = _write_config(tmp_path, outdir)
+    with caplog.at_level(logging.INFO, logger="prhf"):
+        assert run_solve(cfg) == EXIT_CONFIG
+    assert not outdir.exists()
+    [record] = caplog.records
+    assert record.levelno == logging.ERROR and record.exc_info is None
+
+
 # carbon asking for a p-shell seed on the s channels alone
 _CARBON_P_SEED = {
     "Z": 6.0, "N": 6, "n": 200, "ell_max": 0, "include_p_shells": "true", "initial_guess": "shells",
@@ -645,15 +680,14 @@ def test_final_state_is_the_same_from_a_fresh_and_a_stored_solve(tmp_path):
     sys_, options = prhf.cli._system_from_config(cfg), prhf.cli._options_from_config(cfg)
     outdir = Path(cfg["output_dir"])
     outdir.mkdir()
-    fresh, cert, fresh_record = prhf.cli._final_state(cfg, sys_, options, outdir)
-    stored, no_cert, stored_record = prhf.cli._final_state(cfg, sys_, options, outdir)
-    assert cert is not None and no_cert is None
+    fresh, fresh_record = prhf.cli._final_state(cfg, sys_, options, outdir)
+    stored, stored_record = prhf.cli._final_state(cfg, sys_, options, outdir)
     assert json.loads(json.dumps(fresh_record)) == stored_record
     assert fresh.gamma.blocks.keys() == stored.gamma.blocks.keys()
     for key, blk in fresh.gamma.blocks.items():
         assert np.array_equal(blk.orbitals, stored.gamma.blocks[key].orbitals)
         assert np.array_equal(blk.occupations, stored.gamma.blocks[key].occupations)
-    assert prhf.analysis.minimizer_suite(stored) == prhf.analysis.minimizer_suite(fresh, cert)
+    assert prhf.analysis.minimizer_suite(stored) == prhf.analysis.minimizer_suite(fresh)
 
 
 def test_cli_holds_no_suite_verdict_or_tolerance():

@@ -179,13 +179,55 @@ def test_lobpcg_nonconvergence_falls_back_to_dense(patch, fill, he_small, monkey
         (k, True, True, rtol)]
     summary = scf._eigensolve_summary(fock.eigensolves)
     assert summary["lobpcg_warm"] == [True] and summary["dense_fallbacks"] == 1
-    vals, vecs = scipy.linalg.eigh(fock.matrices[(0, 0)], subset_by_index=(0, k - 1))
-    # the fallback keeps the sign convention, P > 0 at the first node
-    vecs *= np.where(vecs[0] < 0.0, -1.0, 1.0)
+    vals, vecs = _dst_dense_levels(fock, (0, 0), k)
     for key in ((0, 0), (0, 1)):
         assert np.array_equal(spectra[key][0], vals)
         assert np.array_equal(spectra[key][1], vecs / np.sqrt(he_small.grid.h))
         assert np.all(spectra[key][1][0] > 0.0)
+    _assert_matches_node_space_eigh(fock, (0, 0), vals, vecs)
+
+
+def _dst_dense_levels(fock, key, k):
+    """Lowest k eigenpairs of the channel's operator in DST-I coordinates, mapped back.
+
+    The operator is built here, column by column from the identity, and the
+    vectors are signed P > 0 at the first node, in the unit inner product.
+    """
+    t = fock.kinetic[key[0]].symbol[:, None]
+    eye = np.eye(fock.grid.n)
+    A = t * eye + radial.dst(fock.potential_apply(key, radial.dst(eye)))
+    vals, vecs = scipy.linalg.eigh(A, subset_by_index=(0, k - 1))
+    vecs = radial.dst(vecs)
+    vecs *= np.where(vecs[0] < 0.0, -1.0, 1.0)
+    return vals, vecs
+
+
+def _assert_matches_node_space_eigh(fock, key, vals, vecs):
+    """An independent oracle: eigh of the node-space matrix, levels in Ha and unit vectors."""
+    k = vals.size
+    dense, dvecs = scipy.linalg.eigh(fock.matrices[key], subset_by_index=(0, k - 1))
+    dvecs *= np.where(dvecs[0] < 0.0, -1.0, 1.0)
+    assert np.max(np.abs(vals - dense)) / fock.system.alpha <= 1e-10
+    assert np.max(np.abs(vecs - dvecs)) <= 1e-10
+
+
+@pytest.mark.parametrize("patch", [("_lobpcg", _garbage_lobpcg), ("LOBPCG_MAXITER", 1)],
+                         ids=["garbage", "maxiter"])
+def test_s_only_fallback_builds_no_dense_operator(patch, he_small, monkeypatch, caplog):
+    """A matrix-free channel whose LOBPCG fails falls back without a node-space matrix."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("a dense node-space operator was built")
+
+    monkeypatch.setattr(scf, *patch)
+    monkeypatch.setattr(scf, "exchange_matrix", refuse)
+    monkeypatch.setattr(radial, "spectral_function", refuse)
+    fock = fock_build(he_small.gamma, he_small.grid, he_small.sys, ell_max=0)
+    with caplog.at_level(logging.WARNING, logger="prhf.scf"):
+        scf._fill_spectra(fock, he_small.sys.N)
+        _channel_spectra(fock)
+    assert "using dense eigh" in caplog.text
+    assert [fb for _k, _its, _warm, fb, _rtol in fock.eigensolves] == [True, True]
+    assert "matrices" not in vars(fock)
 
 
 def _small_problem(n=150):
@@ -567,10 +609,10 @@ def test_level_table_records_do_not_depend_on_who_solves_first(he_small):
     sys, options = he_small.sys, he_small.options
     table_first, gamma = solve_scf(sys, options)
     expected = (table_first.eigenvalues, table_first.eigensolves)
-    assert minimizer_certificate(gamma, table_first.fock).passed
+    assert minimizer_certificate(table_first.fock).passed
     assert table_first.eigensolves["lobpcg_solves"] == len(table_first.fock.eigensolves)
     report, gamma = solve_scf(sys, options)
-    assert minimizer_certificate(gamma, report.fock).passed
+    assert minimizer_certificate(report.fock).passed
     assert (report.eigenvalues, report.eigensolves) == expected
     assert report.eigensolves["lobpcg_rtol"][-1] == scf.LOBPCG_LEVEL_RTOL
 
@@ -745,7 +787,7 @@ def test_s_only_solve_builds_no_dense_operator(monkeypatch):
     report, gamma = solve_scf(sys, SolverOptions(n=250, r_max=13.0))  # a grid no other test builds
     assert report.converged
     assert "matrices" not in vars(report.fock)
-    assert minimizer_certificate(gamma, report.fock).passed
+    assert minimizer_certificate(report.fock).passed
 
 
 def test_solve_keeps_the_operator_of_a_kept_density(monkeypatch):
@@ -923,7 +965,7 @@ def test_aufbau_fractional_frontier(grid200):
 def test_oda_stationary_at_minimizer(he_small):
     grid, sys, gamma = he_small.grid, he_small.sys, he_small.gamma
     e_gamma = total_energy(gamma, grid, sys)
-    nxt, step = oda_step(gamma, he_small.fock, e_gamma)
+    nxt, step = oda_step(he_small.fock, e_gamma)
     e0 = e_gamma.total
     assert abs(step.energy.total - e0) <= 1e-12 * (1.0 + abs(e0))
     assert step.t <= 1e-5 or abs(step.a) <= 1e-12 * (1 + abs(e0))
@@ -934,7 +976,7 @@ def test_oda_first_step_descends(grid200):
     bare = fock_build(DensityMatrix({}), grid200, sys, ell_max=0)
     gamma0 = aufbau_projection(bare, sys.N)
     e0 = total_energy(gamma0, grid200, sys)
-    nxt, step = oda_step(gamma0, fock_build(gamma0, grid200, sys, ell_max=0), e0)
+    nxt, step = oda_step(fock_build(gamma0, grid200, sys, ell_max=0), e0)
     assert step.energy.total < e0.total
 
 
@@ -944,7 +986,7 @@ def test_oda_tstar_matches_scan(grid200):
     gamma0 = aufbau_projection(bare, sys.N)
     fock0 = fock_build(gamma0, grid200, sys, ell_max=0)
     trial = aufbau_projection(fock0, sys.N)
-    _, step = oda_step(gamma0, fock0, total_energy(gamma0, grid200, sys))
+    _, step = oda_step(fock0, total_energy(gamma0, grid200, sys))
     ts = np.linspace(0.0, 1.0, 101)
     energies = [
         total_energy(_mix_blocks(gamma0, trial, float(t), grid200), grid200, sys).total
@@ -1008,7 +1050,7 @@ def test_oda_run_monotone_and_admissible(grid200):
     energy = e_gamma.total
     e_bare = scipy.linalg.eigh(bare.matrices[(0, 0)], subset_by_index=(0, 0), eigvals_only=True)[0]
     for _ in range(12):
-        gamma, step = oda_step(gamma, fock_build(gamma, grid200, sys, ell_max=0), e_gamma)
+        gamma, step = oda_step(fock_build(gamma, grid200, sys, ell_max=0), e_gamma)
         e_gamma = step.energy
         assert step.energy.total <= energy + 1e-12 * (1.0 + abs(energy))
         # descent direction: the aufbau trial makes the linear term negative
@@ -1086,6 +1128,8 @@ def test_solve_not_converged_carries_report(grid200):
     assert info.value.report is not None
     assert info.value.density is not None
     assert not info.value.report.converged
+    # the unconverged solve's orbitals are written from the report's operator
+    assert info.value.report.fock.gamma is info.value.density
 
 
 def test_solve_anion_regime_flag(grid200):
@@ -1124,7 +1168,7 @@ def test_solve_neon_closed_p_shell():
     for o in report.occupations:
         occ[(o["ell"], o["spin"])] += o["f"]
     assert occ == {(0, 0): 2.0, (0, 1): 2.0, (1, 0): 3.0, (1, 1): 3.0}
-    assert minimizer_certificate(gamma, report.fock).passed
+    assert minimizer_certificate(report.fock).passed
 
 
 def test_solve_boron_open_shell_is_honestly_fractional():
@@ -1137,7 +1181,7 @@ def test_solve_boron_open_shell_is_honestly_fractional():
     report, gamma = solve_scf(sys, opts)
     assert report.converged
     assert gamma.max_impurity() == pytest.approx(1.0 / 3.0, abs=1e-9)
-    cert = minimizer_certificate(gamma, report.fock)
+    cert = minimizer_certificate(report.fock)
     assert not cert.clauses["idempotent"]["passed"]
     for clause in ("trace", "aufbau", "negativity", "hf_equations"):
         assert cert.clauses[clause]["passed"], cert.clauses[clause]
@@ -1159,7 +1203,7 @@ def test_p_seeded_beryllium_relaxes_to_s_shells():
     e_gamma = total_energy(gamma, grid, sys)
     energy = e_gamma.total
     for _ in range(200):
-        gamma, step = oda_step(gamma, fock_build(gamma, grid, sys, ell_max=opts.ell_max), e_gamma)
+        gamma, step = oda_step(fock_build(gamma, grid, sys, ell_max=opts.ell_max), e_gamma)
         e_gamma = step.energy
         if abs(energy - step.energy.total) < 1e-10:
             energy = step.energy.total
@@ -1190,7 +1234,7 @@ def test_every_initial_guess_reaches_the_h0_minimizer(name, guess):
     """The screened and shell seeds converge, certify and land on the h0 guess's total."""
     report, gamma = _solve_from(name, guess)
     assert report.converged
-    cert = minimizer_certificate(gamma, report.fock)
+    cert = minimizer_certificate(report.fock)
     assert cert.passed, cert.clauses
     assert abs(report.energy.total - _solve_from(name, "h0")[0].energy.total) <= 1e-9
 
@@ -1330,8 +1374,10 @@ def test_diverged_lobpcg_falls_back_to_dense_without_overflow():
     grid = build_grid(148, 10.0)
     fock = fock_build(DensityMatrix({}), grid, sys, ell_max=0)
     fock = fock_build(aufbau_projection(fock, sys.N), grid, sys, ell_max=0)
-    vals, _vecs = scf._group_levels(fock, 0, [0, 1], _levels_needed(sys.N), scf.LOBPCG_RTOL)
+    vals, vecs = scf._group_levels(fock, 0, [0, 1], _levels_needed(sys.N), scf.LOBPCG_RTOL)
     _k, its, _warm, fell_back, _rtol = fock.eigensolves[-1]
     assert fell_back and its < scf.LOBPCG_MAXITER // 2
-    dense = scipy.linalg.eigh(fock.matrices[(0, 0)], eigvals_only=True, subset_by_index=(0, 11))
+    dense, dvecs = _dst_dense_levels(fock, (0, 0), 12)
     assert np.array_equal(vals, dense)
+    assert np.array_equal(vecs, dvecs / np.sqrt(grid.h))
+    _assert_matches_node_space_eigh(fock, (0, 0), dense, dvecs)
