@@ -50,13 +50,13 @@ class NotConverged(SolverError):
 
     Either the iteration cap was reached or an optimal-damping step
     took t = 0 (a stall: every later step would repeat it). Carries the
-    best iterate and its diagnostics so callers can inspect or resume.
+    report of the last iterate, whose `fock.gamma` is its density, so
+    callers can inspect or resume.
     """
 
-    def __init__(self, message, report=None, density=None):
+    def __init__(self, message, report=None):
         super().__init__(message)
         self.report = report
-        self.density = density
 
 
 class WindowTooNoisy(SolverError):

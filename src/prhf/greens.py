@@ -23,12 +23,14 @@ cumulative_trapezoid and cumulative_simpson, equal to them bit for bit,
 and K0, K1 and int_0^x K0 are numpy series, so that importing this
 module loads no scipy.
 
-radial_convolution tabulates the third term in O(m * band) interpolations
-on an m-point mesh: the cumulative of the short-range K_1 profile is
-constant to the last bit past a saturation point near u = 33 alpha
-(0.244 bohr at alpha = 1/137), and every cell farther than that from the
-row contributes an exact zero, so only a band of cells around each row
-is evaluated.
+radial_convolution tabulates the third term in O(m * band) work on an
+m-point mesh: the cumulative of the short-range K_1 profile is constant
+to the last bit past a saturation point near u = 33 alpha (0.244 bohr at
+alpha = 1/137), and every cell farther than that from the row
+contributes an exact zero, so only a band of cells around each row is
+evaluated and summed. One signed rule (_signed) integrates g(|r - s|)
+over a cell left of r, right of r or across it, there and in
+resolvent_apply.
 
 resolvent_apply realizes v = G_E * f for reduced s-channel functions
 through exact per-cell integrals of the reduced pair kernel
@@ -334,14 +336,26 @@ def _cumulative_simpson(y: np.ndarray, x: np.ndarray, initial: float) -> np.ndar
     return np.concatenate([[initial], res])
 
 
-def _abs_interval(r, a, b, F):
-    """int_a^b g(|r - s|) ds given the antiderivative F(x) = int_0^x g.
+def _signed(F, y):
+    """F~(y) = sign(y) F(|y|) for an antiderivative F of g from 0.
 
-    Three cases: cell entirely left of r, entirely right, or straddling.
+    Then int_a^b g(|r - s|) ds = F~(b - r) - F~(a - r) for a cell left
+    of r, right of r or across it. The sign is set by negation, not
+    copysign: F may be negative (the convolution's tail-anchored A is).
     """
-    ra = F(np.abs(r - a))
-    rb = F(np.abs(r - b))
-    return np.where(r >= b, ra - rb, np.where(r <= a, rb - ra, ra + rb))
+    out = F(np.abs(y))
+    return np.negative(out, out=out, where=y < 0)
+
+
+def _abs_interval(r, a, b, F):
+    """int_a^b g(|r - s|) ds given the antiderivative F(x) = int_0^x g."""
+    return _signed(F, b - r) - _signed(F, a - r)
+
+
+def _require_kernel_mesh(mesh: np.ndarray) -> None:
+    if not (mesh.ndim == 1 and mesh.size >= 2 and np.all(np.isfinite(mesh))
+            and mesh[0] > 0.0 and np.all(mesh[1:] > mesh[:-1])):
+        raise DomainError("a kernel mesh is 1-D, finite, strictly increasing from above 0")
 
 
 def radial_convolution(f: np.ndarray, g: np.ndarray, mesh: np.ndarray) -> np.ndarray:
@@ -352,29 +366,30 @@ def radial_convolution(f: np.ndarray, g: np.ndarray, mesh: np.ndarray) -> np.nda
     The inner integral is taken from tail-anchored cumulatives (so the
     far field is free of cancellation against the saturated total) and
     is itself integrated in closed form over each source cell through a
-    second cumulative. That product integration keeps profiles with
-    sub-mesh range (short-range Bessel spikes) exact in mass where point
-    sampling of the inner difference would miss them. The result is
-    symmetrized over the two orderings, making the discrete operation
-    symmetric by construction.
+    second cumulative A, by one signed rule at the |r - s| end (`_signed`).
+    That product integration keeps profiles with sub-mesh range
+    (short-range Bessel spikes) exact in mass where point sampling of the
+    inner difference would miss them. The result is symmetrized over the
+    two orderings, making the discrete operation symmetric by
+    construction.
 
-    The double cumulative acc of the inner profile is bit for bit constant
+    The double cumulative of the inner profile is bit for bit constant
     past a saturation point x_sat (_saturation_point), so a cell whose
-    edges all lie at least x_sat from r, on either side, gets P and Q
-    values that are all acc[-1]: its term is sf * (+0.0) exactly (r + s
-    is then at least x_sat too). Each chunk of rows therefore evaluates
-    only its band of cells within x_sat; a short-range inner profile
-    makes that band narrow, one that never settles makes it the whole
-    mesh. The band's terms are written into a full-width row whose other
-    entries are those exact zeros, and the row is summed whole: the sum
-    adds the same values in the same order as a sweep over every cell, so
-    the result does not move by a bit.
+    edges all lie at least x_sat from r, on either side, contributes an
+    exact zero (r + s is then at least x_sat too). Each chunk of rows
+    therefore evaluates and sums only its band of cells within x_sat, by
+    one matrix-vector product; a short-range inner profile makes that
+    band narrow, one that never settles makes it the whole mesh.
     """
     f = np.asarray(f, dtype=float)
     g = np.asarray(g, dtype=float)
     mesh = np.asarray(mesh, dtype=float)
+    _require_kernel_mesh(mesh)
     if f.shape != mesh.shape or g.shape != mesh.shape:
         raise DomainError("f, g, mesh must share a shape")
+    # a cell past the band is never read: a non-finite value there would not show
+    if not np.all(np.isfinite(f) & np.isfinite(g)):
+        raise DomainError("f and g must be finite")
 
     # Canonical ordering: the shorter-range profile goes to the inner
     # cumulative (its mass, possibly concentrated below the mesh spacing,
@@ -411,20 +426,12 @@ def radial_convolution(f: np.ndarray, g: np.ndarray, mesh: np.ndarray) -> np.nda
         return out
 
     sf = mesh * outer
-    # the term of a cell past the band: sf * (+0.0), sign and NaN included
-    far_terms = sf * 0.0
     x_sat = _saturation_point(mesh, acc)
     m = mesh.size
-    cols = np.arange(m)
     out = np.empty_like(mesh)
-    # full-width rows of far terms, allocated once: each chunk restores the
-    # previous chunk's band and writes its own
-    terms = np.empty((min(_CONV_CHUNK, m), m))
-    terms[:] = far_terms
-    band = slice(0, 0)
     for lo in range(0, m, _CONV_CHUNK):
         hi = min(lo + _CONV_CHUNK, m)
-        r = mesh[lo:hi]
+        r = mesh[lo:hi, None]
         # band of cells [c0, c1): a cell left of it has r - b >= x_sat for
         # every row, one right of it a - r >= x_sat. Floating-point
         # subtraction is monotone in both operands, so the first and last
@@ -433,23 +440,9 @@ def radial_convolution(f: np.ndarray, g: np.ndarray, mesh: np.ndarray) -> np.nda
         c1 = m - np.count_nonzero(edges[:-1] - r[-1] >= x_sat)
         e = edges[c0:c1 + 1]
         # each edge is shared by two neighbouring cells: one A per edge
-        P = np.interp(r[:, None] + e, mesh, acc)
-        Q = A(np.abs(r[:, None] - e))
-        plus = P[:, 1:] - P[:, :-1]
-        # int_cell g(|r - s|) ds: Q[b] - Q[a] right of r, Q[a] - Q[b] left
-        # of r (b <= r), Q[a] + Q[b] for the cell straddling r
-        minus = Q[:, 1:] - Q[:, :-1]
-        k = np.searchsorted(edges, r, side="right")        # edges <= r
-        np.negative(minus, out=minus, where=cols[c0:c1] < (k - 1)[:, None])
-        rows = np.flatnonzero((k < edges.size) & (edges[k - 1] < r))
-        j = k[rows] - 1 - c0
-        minus[rows, j] = Q[rows, j] + Q[rows, j + 1]
-        terms[:, band] = far_terms[band]
-        band = slice(c0, c1)
-        terms[:hi - lo, band] = sf[band] * (plus - minus)
-        # summed over the full width, the row sees the terms of a sweep over
-        # every cell in the same order, so the sum is bit for bit the same
-        out[lo:hi] = terms[:hi - lo].sum(axis=1)
+        P = np.interp(r + e, mesh, acc)
+        Q = _signed(A, e - r)
+        out[lo:hi] = ((P[:, 1:] - P[:, :-1]) - (Q[:, 1:] - Q[:, :-1])) @ sf[c0:c1]
     return 2.0 * np.pi * out / mesh
 
 
@@ -522,6 +515,7 @@ def greens_kernel(E: float, alpha: float, mesh: np.ndarray | None = None) -> Gre
     if mesh is None:
         mesh = default_kernel_mesh(E, alpha)
     u = np.asarray(mesh, dtype=float)
+    _require_kernel_mesh(u)
     term1 = (E + ainv) * np.exp(-nu * u) / (4.0 * np.pi * u)
     k1 = _k1(ainv * u)                  # shared by term2, f_tab and the envelope
     term2 = (ainv / (2.0 * np.pi**2)) * k1 / u

@@ -501,9 +501,10 @@ def _lobpcg_levels(fock: FockOperator, key: tuple[int, int], k: int, rtol: float
     LOBPCG run to at most LOBPCG_MAXITER iterations and then the dense
     solve. A fallback and a grid of fewer than 5 k nodes alike take that
     one dense solve: `eigh` of op(I), the operator in DST-I coordinates,
-    mapped back. The solve is recorded in `fock.eigensolves` as (block,
-    iterations, warm, fell back, rtol), with `_lobpcg`'s count of applies
-    after the first as its iterations (0 on a tiny grid).
+    mapped back; a tiny grid builds no start block. The solve is recorded
+    in `fock.eigensolves` as (block, iterations, warm, fell back, rtol),
+    with `_lobpcg`'s count of applies after the first as its iterations
+    (0 on a tiny grid).
     """
     t = fock.kinetic[key[0]].symbol[:, None]
     norm = t.max() + np.abs(fock.potential).max()
@@ -512,9 +513,9 @@ def _lobpcg_levels(fock: FockOperator, key: tuple[int, int], k: int, rtol: float
     def op(Y):
         return t * Y + dst(fock.potential_apply(key, dst(Y)))
 
-    warm, Y0 = _start_block(fock, key, k)
     its, fell_back = 0, False
     if fock.grid.n >= 5 * k:
+        warm, Y0 = _start_block(fock, key, k)
         vals, vecs, its = _lobpcg(op, t, Y0, tol, LOBPCG_MAXITER, ceiling=LOBPCG_DIVERGED * norm)
         vecs = dst(vecs)
         # a diverged solve's residual may overflow to inf: this check judges it
@@ -524,6 +525,10 @@ def _lobpcg_levels(fock: FockOperator, key: tuple[int, int], k: int, rtol: float
         if fell_back:
             log.warning("LOBPCG on channel %s left residual %.3e above %.3e; using dense eigh",
                         key, worst, LOBPCG_SLACK * tol)
+    else:
+        # the record's warmth without a start block, which the dense solve does not read
+        blk = fock.gamma.blocks.get(key)
+        warm = blk is not None and blk.m > 0
     fock.eigensolves.append((k, its, warm, fell_back, rtol))
     if fell_back or fock.grid.n < 5 * k:
         vals, vecs = _dense_levels(op(np.eye(fock.grid.n)), k)
@@ -869,7 +874,7 @@ def _final_eigen_table(fock: FockOperator):
 def solve_scf(sys: AtomSystem, options: SolverOptions) -> tuple[SCFReport, DensityMatrix]:
     """Minimize the functional; returns the report and the final density.
 
-    Raises NotConverged (with the best iterate attached) when the
+    Raises NotConverged (with the report of the last iterate) when the
     tolerances are not met within max_iter iterations, or when an
     optimal-damping step takes t = 0 without meeting them.
     """
@@ -959,7 +964,6 @@ def solve_scf(sys: AtomSystem, options: SolverOptions) -> tuple[SCFReport, Densi
         raise NotConverged(
             f"{reason} (|dE| tol {opts.tol_energy}, commutator tol {opts.tol_commutator})",
             report=report,
-            density=gamma,
         )
     return report, gamma
 

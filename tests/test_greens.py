@@ -42,7 +42,11 @@ def _abs_interval_oracle(r, a, b, F):
 
 
 def _radial_convolution_oracle(f, g, mesh):
-    """radial_convolution as a row-chunked sweep with four A calls per cell."""
+    """radial_convolution as a row-chunked sweep with four A calls per cell.
+
+    Returns the convolution and, per row, the sum of the absolute values
+    of its terms in the same units (scaled by 2 pi / r like the result).
+    """
     def _rms_range(p):
         mass = np.trapezoid(np.abs(p) * mesh**2, mesh)
         if mass <= 0.0:
@@ -65,6 +69,7 @@ def _radial_convolution_oracle(f, g, mesh):
 
     sf = mesh * outer
     out = np.empty_like(mesh)
+    size = np.empty_like(mesh)
     for lo in range(0, mesh.size, 256):
         hi = min(lo + 256, mesh.size)
         r = mesh[lo:hi, None]
@@ -72,8 +77,10 @@ def _radial_convolution_oracle(f, g, mesh):
         b = edges[None, 1:]
         plus = A(r + b) - A(r + a)
         minus = _abs_interval_oracle(r, a, b, A)
-        out[lo:hi] = (sf[None, :] * (plus - minus)).sum(axis=1)
-    return 2.0 * np.pi * out / mesh
+        terms = sf[None, :] * (plus - minus)
+        out[lo:hi] = terms.sum(axis=1)
+        size[lo:hi] = np.abs(terms).sum(axis=1)
+    return 2.0 * np.pi * out / mesh, 2.0 * np.pi * size / mesh
 
 
 def _resolvent_apply_oracle(f, kernel, grid):
@@ -321,7 +328,78 @@ def _gaussian_pair(n, u_max, sig_f, sig_g):
         "default_kernel_mesh_nu0.3", "default_kernel_mesh_nu20", "default_kernel_mesh_alpha1e-3",
         "unsaturated"])
 def test_convolution_equals_loop_oracle(f, g, mesh):
-    assert np.array_equal(radial_convolution(f, g, mesh), _radial_convolution_oracle(f, g, mesh))
+    """Each row is the oracle's up to the worst-case error of summing its terms in any order.
+
+    Any order of summing m terms is within (m - 1) u sum|terms| of the
+    exact sum (u = eps / 2; Higham, Accuracy and Stability of Numerical
+    Algorithms, ch. 4), so two orders differ by under m eps sum|terms|;
+    the two roundings of the 2 pi / r scaling on each side add 2 eps.
+    """
+    conv = radial_convolution(f, g, mesh)
+    ref, size = _radial_convolution_oracle(f, g, mesh)
+    m = mesh.size
+    assert np.all(np.abs(conv - ref) <= (m + 2) * np.finfo(float).eps * size)
+
+
+def test_abs_interval_equals_the_three_case_oracle():
+    """The signed rule F~(b - r) - F~(a - r) is the left/right/straddle rule bit for bit."""
+    rng = np.random.default_rng(11)
+    mesh = np.geomspace(1e-3, 5.0, 300)
+    tg = cumulative_simpson(mesh * np.exp(-3.0 * mesh), x=mesh, initial=0.0)
+    tg -= tg[-1]
+    acc = cumulative_simpson(tg, x=mesh, initial=0.0)
+
+    def A(x):
+        # negative, with the linear continuation below mesh[0]
+        return np.interp(x, mesh, acc) + np.minimum(x - mesh[0], 0.0) * tg[0]
+
+    def cum_exp(x):
+        return (1.0 - np.exp(-2.0 * x)) / 2.0
+
+    r = rng.uniform(0.0, 4.0, (500, 1))
+    width = rng.uniform(1e-4, 0.5, (1, 40))
+    # cells left of r, right of r, straddling r, and ones with an edge
+    # within mesh[0] of r, where A continues linearly
+    a = np.concatenate([r - 2.0 * width - 1e-3, r + 1e-3 + np.zeros_like(width),
+                        r - rng.uniform(0.0, 1.0, (500, 40)) * width,
+                        r - 1e-4 * rng.uniform(0.0, 1.0, (500, 40))], axis=1)
+    b = a + np.concatenate([width] * 4, axis=1)
+    assert np.any(b < r) and np.any(a > r) and np.any((a < r) & (r < b))
+    for F in (A, cum_exp):
+        assert np.array_equal(greens._abs_interval(r, a, b, F), _abs_interval_oracle(r, a, b, F))
+
+
+@pytest.mark.parametrize("mesh", [
+    np.linspace(0.0, 10.0, 200),
+    np.linspace(-1.0, 10.0, 200),
+    np.linspace(10.0, 0.01, 200),
+    np.array([0.1, 0.2, 0.2, 0.3]),
+    np.array([0.1, 0.2, np.nan, 0.3]),
+    np.array([0.1, 0.2, np.inf]),
+    np.array([0.5]),
+], ids=["from_zero", "negative", "decreasing", "repeated", "nan", "inf", "one_point"])
+def test_convolution_rejects_a_bad_mesh(mesh):
+    f, g = np.exp(-mesh), np.exp(-2.0 * mesh)
+    with pytest.raises(DomainError):
+        radial_convolution(f, g, mesh)
+
+
+def test_convolution_rejects_non_finite_profiles():
+    mesh = np.linspace(0.01, 10.0, 200)
+    f = np.exp(-mesh)
+    bad = f.copy()
+    bad[-1] = np.nan
+    with pytest.raises(DomainError):
+        radial_convolution(f, bad, mesh)
+    with pytest.raises(DomainError):
+        radial_convolution(bad, f, mesh)
+
+
+@pytest.mark.parametrize("mesh", [np.linspace(0.0, 40.0, 500), np.linspace(-1.0, 40.0, 500)],
+                         ids=["from_zero", "negative"])
+def test_kernel_rejects_a_mesh_that_does_not_start_above_zero(mesh):
+    with pytest.raises(DomainError):
+        greens_kernel(energy_of_nu(1.0, ALPHA), ALPHA, mesh=mesh)
 
 
 def _interp_points(monkeypatch, f, g, mesh):

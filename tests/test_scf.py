@@ -444,6 +444,30 @@ def test_empty_density_keeps_the_cold_start(grid200):
     assert [(warm, fb) for _k, _its, warm, fb, _rtol in bare.eigensolves] == [(False, False)]
 
 
+def test_tiny_grid_fill_builds_no_start_block(monkeypatch):
+    """Below 5 k nodes the dense solve runs at once: no hydrogenic seed, warmth from the density."""
+    grid = build_grid(16, 8.0)
+    sys = AtomSystem(Z=3.0, N=3, alpha=ALPHA)
+    seeds = []
+    hydrogenic_seed = scf._hydrogenic_seed
+    bare = fock_build(DensityMatrix({}), grid, sys, ell_max=0)
+    gamma = aufbau_projection(bare, sys.N)
+
+    def counting_seed(*args):
+        seeds.append(args)
+        return hydrogenic_seed(*args)
+
+    monkeypatch.setattr(scf, "_hydrogenic_seed", counting_seed)
+    for density, warm in ((DensityMatrix({}), False), (gamma, True)):
+        fock = fock_build(density, grid, sys, ell_max=0)
+        assert fock.matrix_free
+        vals, _vecs = scf._lobpcg_levels(fock, (0, 0), 4, scf.LOBPCG_LEVEL_RTOL)
+        assert fock.eigensolves == [(4, 0, warm, False, scf.LOBPCG_LEVEL_RTOL)]
+        dense = scipy.linalg.eigh(fock.matrices[(0, 0)], subset_by_index=(0, 3), eigvals_only=True)
+        assert np.max(np.abs(vals - dense)) / sys.alpha <= 1e-10
+    assert seeds == []
+
+
 def test_warm_start_completes_the_orbitals_with_hydrogenic_seeds(he_small):
     """A channel with fewer orbitals than columns starts from them, then from seeds j = m..k-1."""
     k = 4
@@ -1125,11 +1149,14 @@ def test_solve_not_converged_carries_report(grid200):
     opts = SolverOptions(n=grid200.n, r_max=grid200.r_max, max_iter=1, tol_energy=1e-15)
     with pytest.raises(NotConverged) as info:
         solve_scf(sys, opts)
-    assert info.value.report is not None
-    assert info.value.density is not None
-    assert not info.value.report.converged
-    # the unconverged solve's orbitals are written from the report's operator
-    assert info.value.report.fock.gamma is info.value.density
+    report = info.value.report
+    assert report is not None
+    assert report.fock.gamma is not None
+    assert not report.converged
+    # the unconverged solve's orbitals are written from the report's
+    # operator, whose density is the one the report describes
+    assert [tuple(o.values()) for o in report.occupations] == list(
+        report.fock.gamma.occupation_list())
 
 
 def test_solve_anion_regime_flag(grid200):
