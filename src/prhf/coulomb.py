@@ -21,7 +21,6 @@ pins this normalization).
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -230,14 +229,23 @@ def _k_values(ell_a: int, ell_b: int):
     return range(abs(ell_a - ell_b), ell_a + ell_b + 1, 2)
 
 
-@functools.lru_cache(maxsize=8)
-def multipole_kernel(grid: RadialGrid, k: int) -> np.ndarray:
-    """Dense pair kernel min(r_i,r_j)^k / max(r_i,r_j)^{k+1}, cached."""
-    r = grid.nodes
-    mx = np.maximum.outer(r, r)
-    if k == 0:
-        return 1.0 / mx
-    return np.minimum.outer(r, r) ** k / mx ** (k + 1)
+# rows of K filled per pass of the term sum; 32 and 128-400 were slower at n = 800
+_ROW_BLOCK = 64
+
+
+def _kernel_rows(rk: np.ndarray, rk1: np.ndarray, i0: int, i1: int) -> np.ndarray:
+    """Rows i0:i1 of the pair kernel min(r_i,r_j)^k / max(r_i,r_j)^{k+1}.
+
+    rk = r**k and rk1 = r**(k+1) are increasing, so off the diagonal block
+    the kernel is rk[j] / rk1[i] left of it and rk[i] / rk1[j] right of
+    it, the same bits as powers of the pair's min and max.
+    """
+    rows = np.empty((i1 - i0, rk.size))
+    np.divide(rk[:i0], rk1[i0:i1, None], out=rows[:, :i0])
+    np.divide(np.minimum.outer(rk[i0:i1], rk[i0:i1]), np.maximum.outer(rk1[i0:i1], rk1[i0:i1]),
+              out=rows[:, i0:i1])
+    np.divide(rk[i0:i1, None], rk1[i1:], out=rows[:, i1:])
+    return rows
 
 
 def exchange_matrix(gamma: DensityMatrix, ell: int, spin: int, grid: RadialGrid) -> np.ndarray:
@@ -247,27 +255,40 @@ def exchange_matrix(gamma: DensityMatrix, ell: int, spin: int, grid: RadialGrid)
              sum_k (3j(ell k ell';000))^2 * kernel_k(r_i,r_j) * P_a(r_i) P_a(r_j).
 
     Only same-spin blocks couple. Positive semidefinite because every
-    multipole kernel is a positive-definite pair kernel.
+    multipole kernel is a positive-definite pair kernel. K is filled
+    _ROW_BLOCK rows at a time, every term in turn on each block of rows
+    with its kernel rows (`_kernel_rows`), then scaled by h and
+    symmetrized in place block pair by block pair: no n x n buffer
+    beside K itself.
     """
     n = grid.n
-    K = np.zeros((n, n))
-    G = np.empty((n, n))        # one buffer for every term, filled in place
+    r = grid.nodes
+    terms = []
     for (ell_b, spin_b), blk in gamma.blocks.items():
         if spin_b != spin:
             continue
         for k in _k_values(ell, ell_b):
             wk = exchange_multipole_weight(ell, ell_b, k)
-            if wk == 0.0:
-                continue
-            weighted = blk.orbitals * blk.occupations
-            np.matmul(weighted, blk.orbitals.T, out=G)
-            G *= multipole_kernel(grid, k)
+            if wk != 0.0:
+                terms.append((blk.orbitals * blk.occupations, blk.orbitals, k, wk))
+    powers = {k: (r**k, r ** (k + 1)) for k in {term[2] for term in terms}}
+    K = np.zeros((n, n))
+    for i0 in range(0, n, _ROW_BLOCK):
+        i1 = min(i0 + _ROW_BLOCK, n)
+        for weighted, P, k, wk in terms:
+            G = weighted[i0:i1] @ P.T
+            G *= _kernel_rows(*powers[k], i0, i1)
             G *= wk
-            K += G
+            K[i0:i1] += G
     K *= grid.h     # the quadrature weight, factored out of the term sum: uniform grid only
-    G[...] = K.T
-    K += G
-    K *= 0.5
+    for a0 in range(0, n, _ROW_BLOCK):
+        a = slice(a0, a0 + _ROW_BLOCK)
+        for b0 in range(a0, n, _ROW_BLOCK):
+            b = slice(b0, b0 + _ROW_BLOCK)
+            s = K[a, b] + K[b, a].T
+            s *= 0.5
+            K[a, b] = s
+            K[b, a] = s.T
     return K
 
 

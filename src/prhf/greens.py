@@ -625,10 +625,12 @@ def resolvent_apply(f: np.ndarray, kernel: GreensKernel, grid: RadialGrid) -> np
         return (c1 * (1.0 - np.exp(-nu * x)) / nu + _itk0(ainv * x) / (ainv * np.pi)
                 - 2.0 * np.pi * a3)
 
-    i = np.arange(n)                            # node r = (i + 1) h
+    # node r = (i + 1) h; toeplitz[i - j + n - 1] is the |r - s| cell of nodes i, j
     toeplitz = _abs_interval(h * np.arange(1 - n, n), -0.5 * h, 0.5 * h, phi)
     # the r + s cell of nodes i, j spans (i + j + 3/2) h to (i + j + 5/2) h
     ends = phi(h * (np.arange(2 * n) + 1.5))
     hankel = ends[1:] - ends[:-1]
-    W = toeplitz[i[:, None] - i + (n - 1)] - hankel[i[:, None] + i]
+    # strided views: row i of the first is toeplitz[i + n - 1], ..., toeplitz[i]
+    windows = np.lib.stride_tricks.sliding_window_view
+    W = windows(toeplitz[::-1], n)[::-1] - windows(hankel, n)
     return W @ f

@@ -148,15 +148,21 @@ class FockOperator:
 
     @functools.cached_property
     def matrices(self) -> dict[tuple[int, int], np.ndarray]:
-        """Dense channel matrices; spins of one group share one array."""
+        """Dense channel matrices; spins of one group share one array.
+
+        Each is T - alpha K formed in the array of K, with the potential
+        added on the diagonal only: (T_ii + potential_i) - alpha K_ii.
+        """
         matrices: dict[tuple[int, int], np.ndarray] = {}
         for ell, kin in enumerate(self.kinetic):
-            local = kin.matrix + np.diag(self.potential)
+            T = kin.matrix
             for grp in self.groups:
                 H = exchange_matrix(self.gamma, ell, grp[0], self.grid)
                 H *= self.system.alpha
-                # local and K are each exactly symmetric, so H is too
-                np.subtract(local, H, out=H)
+                diagonal = (T.diagonal() + self.potential) - H.diagonal()
+                # T and K are each exactly symmetric, so H is too
+                np.subtract(T, H, out=H)
+                np.fill_diagonal(H, diagonal)
                 for spin in grp:
                     matrices[(ell, spin)] = H
         return matrices

@@ -34,9 +34,11 @@ from prhf import (
     validate_system,
 )
 from prhf.analysis import binding_monotonicity, random_smooth_battery
-from prhf.coulomb import ChannelBlock, DensityMatrix, combine, multipole_kernel
+from prhf.coulomb import ChannelBlock, DensityMatrix, combine
 from prhf.greens import energy_of_nu
 from prhf.scf import _mix_blocks, aufbau_projection
+
+from oracles import multipole_kernel
 
 ALPHA = 1.0 / 137.036
 AINV = 137.036

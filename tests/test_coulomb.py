@@ -20,14 +20,17 @@ from prhf import (
     slater_yk,
 )
 from prhf.coulomb import (
+    _ROW_BLOCK,
     _k_values,
+    _kernel_rows,
     combine,
     exchange_apply,
     exchange_energy,
     exchange_multipole_weight,
-    multipole_kernel,
 )
-from prhf.scf import aufbau_projection, fock_build
+from prhf.scf import _mix_blocks, aufbau_projection, fock_build
+
+from oracles import multipole_kernel
 
 ALPHA = 1.0 / 137.036
 
@@ -311,17 +314,41 @@ def _exchange_matrix_by_products(gamma, ell, spin, grid):
 
 
 def test_in_place_dense_builds_keep_their_bits(grid200):
-    """exchange_matrix and the Fock matrices equal their product forms bit for bit."""
+    """exchange_matrix and the Fock matrices equal their product forms bit for bit.
+
+    Also on a density from `_mix_blocks`, whose blocks are Fortran-ordered.
+    """
     gamma = _p_block_density(grid200)
     sys = AtomSystem(Z=4.0, N=4, alpha=ALPHA)
-    fock = fock_build(gamma, grid200, sys, ell_max=1)
-    for ell in (0, 1):
-        local = fock.kinetic[ell].matrix + np.diag(fock.potential)
-        for spin in (0, 1):
-            K = _exchange_matrix_by_products(gamma, ell, spin, grid200)
-            assert np.array_equal(exchange_matrix(gamma, ell, spin, grid200), K)
-            H = local - ALPHA * K
-            assert np.array_equal(fock.matrices[(ell, spin)], 0.5 * (H + H.T))
+    trial = aufbau_projection(fock_build(gamma, grid200, sys, ell_max=1), sys.N)
+    mixed = _mix_blocks(gamma, trial, 0.3, grid200)
+    assert all(blk.orbitals.flags.f_contiguous and not blk.orbitals.flags.c_contiguous
+               for blk in mixed.blocks.values())
+    for dm in (gamma, mixed):
+        fock = fock_build(dm, grid200, sys, ell_max=1)
+        for ell in (0, 1):
+            local = fock.kinetic[ell].matrix + np.diag(fock.potential)
+            for spin in (0, 1):
+                K = _exchange_matrix_by_products(dm, ell, spin, grid200)
+                assert np.array_equal(exchange_matrix(dm, ell, spin, grid200), K)
+                H = local - ALPHA * K
+                assert np.array_equal(fock.matrices[(ell, spin)], 0.5 * (H + H.T))
+
+
+@pytest.mark.parametrize("n", [200, 256, 263, 800, 1600])
+def test_kernel_rows_equal_the_full_kernel(n):
+    """Every row block of `_kernel_rows` is the dense kernel's, bit for bit.
+
+    256 and 1600 are multiples of the row block, the others are not; 800
+    is neon's bench grid and 1600 its double.
+    """
+    grid = build_grid(n, 15.0)
+    r = grid.nodes
+    for k in range(4):
+        kernel = multipole_kernel(grid, k)
+        for i0 in range(0, n, _ROW_BLOCK):
+            i1 = min(i0 + _ROW_BLOCK, n)
+            assert np.array_equal(_kernel_rows(r**k, r ** (k + 1), i0, i1), kernel[i0:i1])
 
 
 # --- energy terms ------------------------------------------------------------

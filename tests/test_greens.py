@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.integrate import cumulative_simpson, cumulative_trapezoid, quad
@@ -604,6 +606,22 @@ def test_resolvent_applies_a_block_column_by_column(kernel):
         resolvent_apply(np.ones((grid.n + 1, 2)), kernel, grid)
     with pytest.raises(DomainError):
         resolvent_apply(np.ones((grid.n, 2, 2)), kernel, grid)
+
+
+def test_resolvent_apply_peaks_below_one_and_a_half_matrices(kernel):
+    """W is one n x n array read from strided Toeplitz and Hankel views.
+
+    Two n x n index arrays and their gathers peaked at 3 n^2 float64.
+    """
+    grid = build_grid(400, 30.0)
+    f = np.exp(-grid.nodes)
+    tracemalloc.start()
+    try:
+        resolvent_apply(f, kernel, grid)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * 8 * grid.n**2
 
 
 @pytest.mark.parametrize("n, r_max", [(400, 40.0), (63, 20.0)])

@@ -1,6 +1,7 @@
 import collections
 import functools
 import logging
+import tracemalloc
 import weakref
 from dataclasses import replace
 
@@ -772,6 +773,28 @@ def test_neon_fock_matrices_are_exactly_symmetric():
             old = local - ALPHA * exchange_matrix(gamma, ell, spin, grid)
             assert np.array_equal(H, H.T)
             assert np.array_equal(H, 0.5 * (old + old.T))
+
+
+def test_neon_dense_build_holds_only_its_channel_matrices():
+    """A dense build keeps its channel matrices and no n x n kernel, buffer or copy.
+
+    The grid is built by no other test, so no cache is warm for it but
+    the kinetic matrices, which the bare operator's fill has built.
+    """
+    grid = build_grid(263, 15.0)
+    sys = AtomSystem(Z=10.0, N=10, alpha=ALPHA)
+    gamma = aufbau_projection(fock_build(DensityMatrix({}), grid, sys, ell_max=1), sys.N)
+    tracemalloc.start()
+    try:
+        fock = fock_build(gamma, grid, sys, ell_max=1)
+        matrices = sum({id(H): H.nbytes for H in fock.matrices.values()}.values())
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    n2 = 8 * grid.n**2
+    assert matrices == 2 * n2           # one array per channel, shared by the two spins
+    assert matrices <= retained < matrices + 16 * 8 * grid.n
+    assert peak < matrices + 1.5 * n2
 
 
 def test_neon_solve_holds_one_dense_operator_at_a_time(monkeypatch):
