@@ -393,11 +393,12 @@ def greens_suite(alpha: float, E: float | None = None):
 
     Needs no solution: the round trip runs on its own n = 400 grid. An E
     outside (-alpha^-1, 0), such as the HOMO of an anion that binds no
-    last electron, makes the record inconclusive, with no kernel.
+    last electron, makes the record inconclusive, with no kernel; so does
+    E = None when nu = 1 lies outside (0, alpha^-1), at alpha >= 1.
     """
-    if E is None:
-        E = greens.energy_of_nu(1.0, alpha)
     try:
+        if E is None:
+            E = greens.energy_of_nu(1.0, alpha)
         nu = nu_of_energy(E, alpha)
     except DomainError as exc:
         return {"status": "inconclusive", "reason": str(exc), "E": E}, None

@@ -399,9 +399,10 @@ def run_verify(cfg: dict, sys_: AtomSystem, options: SolverOptions, outdir: Path
 @_command
 def run_greens(cfg: dict, sys_: AtomSystem, options: SolverOptions, outdir: Path) -> int:
     suite, kernel = analysis.greens_suite(sys_.alpha, cfg["greens_energy"])
-    header = ["u", "G", "term1", "term2", "term3"]
-    columns = [kernel.mesh, kernel.values, kernel.term1, kernel.term2, kernel.term3]
-    _write_csv(outdir / "greens.csv", header, _fmt_rows(columns))
+    if kernel is not None:      # None with an inconclusive suite
+        header = ["u", "G", "term1", "term2", "term3"]
+        columns = [kernel.mesh, kernel.values, kernel.term1, kernel.term2, kernel.term3]
+        _write_csv(outdir / "greens.csv", header, _fmt_rows(columns))
     _write_json(outdir / "greens.json", {"suite": suite})
     log.info("greens suite %s", suite["status"])
     return EXIT_OK if suite["status"] == "passed" else EXIT_CERTIFICATE

@@ -20,12 +20,13 @@ The DST-I of length n is taken by Rader's algorithm (Proc. IEEE 56
 beryllium grids (n = 1200, 1600, 4800). For such lengths pocketfft
 falls back to Bluestein's algorithm and is several times slower; Rader
 turns the transform into real cyclic correlations of length n, and n is
-smooth on those grids. The correlations take numpy.fft's rfft and
-irfft, the same pocketfft as scipy.fft's and equal to it bit for bit
-(tested). Every other n goes to scipy.fft.dst unchanged. Only that
-branch imports scipy.fft, and only the dense `spectral_function`
-imports scipy.linalg, so an s-only solve on a grid with n + 1 prime
-loads neither.
+smooth on those grids. Every other n, as on the lithium_sweep and
+hydrogen_limit grids (n = 800, 1500), takes the rfft of the odd
+extension of length 2(n + 1), the steps of scipy's DST-I. Both ways run
+on numpy.fft's rfft and irfft, the same pocketfft as scipy's, and give
+scipy's DST-I bit for bit (tested). In this module only the dense
+`spectral_function` imports scipy (scipy.linalg), so an s-only solve
+on any grid loads no scipy module.
 """
 
 from __future__ import annotations
@@ -229,17 +230,22 @@ def _rader_plan(n: int) -> _RaderPlan | None:
 def dst(X: np.ndarray) -> np.ndarray:
     """Orthonormal DST-I of node vectors (one vector, or columns); its own inverse.
 
-    float64 input whose length n has n + 1 an odd prime goes by Rader's
-    algorithm, both correlations of every column in one rfft/irfft pair;
-    anything else goes to scipy.fft.dst.
+    Both ways run on numpy.fft, in float64. A length n with n + 1 an odd
+    prime goes by Rader's algorithm, both correlations of every column in
+    one rfft/irfft pair. Any other n takes -Im rfft of the odd extension
+    [0, x, 0, -reverse(x)] of length 2(n + 1), scaled after the transform
+    by 1/sqrt(2(n + 1)): the steps and the bits of scipy's DST-I.
     """
-    X = np.asarray(X)
-    plan = _rader_plan(X.shape[0]) if X.ndim in (1, 2) and X.dtype == np.float64 else None
-    if plan is None:
-        import scipy.fft
-
-        return scipy.fft.dst(X, type=1, norm="ortho", axis=0)
+    X = np.asarray(X, dtype=np.float64)
     n = X.shape[0]
+    plan = _rader_plan(n)
+    if plan is None:
+        Z = np.zeros((2 * (n + 1),) + X.shape[1:])
+        Z[1:n + 1] = X
+        np.negative(X[::-1], out=Z[n + 2:])
+        # rounded from long double, as pocketfft rounds its orthonormal factor
+        scale = float(1 / np.sqrt(np.longdouble(2 * (n + 1))))
+        return np.fft.rfft(Z, axis=0)[1:n + 1].imag * -scale
     cols = X.reshape(n, -1)
     k = cols.shape[1]
     # both correlations of each column run along the last, contiguous axis

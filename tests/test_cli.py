@@ -777,6 +777,30 @@ def test_greens_command(tmp_path):
     assert payload["suite"]["status"] == "passed"
 
 
+def _assert_nu_one_inconclusive(suite):
+    assert suite == {"status": "inconclusive", "reason": "nu=1.0 outside (0, alpha^-1)", "E": None}
+
+
+def test_verify_greens_at_alpha_one_is_inconclusive(tmp_path):
+    """At alpha >= 1 the default nu = 1 has no energy; the greens record says so and verify exits 3."""
+    outdir = tmp_path / "out"
+    cfg = _write_config(tmp_path, outdir, Z=0.5, N=1, alpha=1.0, verify_minimizer="false",
+                        verify_decay="false", verify_greens="true")
+    assert run_verify(cfg) == EXIT_CERTIFICATE
+    suites = json.loads((outdir / "verify.json").read_text())["suites"]
+    assert set(suites) == {"kato", "herbst", "greens"}
+    _assert_nu_one_inconclusive(suites["greens"])
+
+
+def test_greens_command_at_alpha_one_is_inconclusive(tmp_path):
+    """With no kernel to tabulate, greens writes greens.json alone and exits 3."""
+    outdir = tmp_path / "out"
+    cfg = _write_config(tmp_path, outdir, Z=0.5, N=1, alpha=1.0)
+    assert run_greens(cfg) == EXIT_CERTIFICATE
+    _assert_nu_one_inconclusive(json.loads((outdir / "greens.json").read_text())["suite"])
+    assert not (outdir / "greens.csv").exists()
+
+
 def test_sweep_command(tmp_path):
     outdir = tmp_path / "out"
     cfg = _write_config(tmp_path, outdir)
@@ -814,9 +838,9 @@ def _loaded_line(prefix) -> str:
 def test_cli_import_leaves_unused_scipy_subpackages_unloaded():
     """import prhf.cli and parse_config load no scipy module at all.
 
-    Only the dense eigensolve and a composite-length DST import scipy
-    (scipy.linalg, scipy.fft). Other tests import scipy subpackages as
-    oracles, so the check runs in a fresh interpreter.
+    Only the dense eigensolve imports scipy (scipy.linalg); the DST-I of
+    every grid length runs on numpy.fft. Other tests import scipy
+    subpackages as oracles, so the check runs in a fresh interpreter.
     """
     cfg = Path(__file__).resolve().parents[1] / "configs" / "helium.cfg"
     code = f"import sys, prhf.cli\nprhf.cli.parse_config({str(cfg)!r})\n" + _loaded_line("scipy")
@@ -835,31 +859,39 @@ def test_cli_import_loads_no_numpy_random():
 
 
 def test_s_only_solve_and_verify_load_no_fft_or_linalg(tmp_path):
-    """An s-only helium solve and its verify, n + 1 = 241 prime, load no scipy module."""
-    cfg = _write_config(tmp_path, tmp_path / "out", verify_greens="true", verify_binding="true")
-    code = (
-        "import sys\nfrom prhf.cli import main\n"
-        f"assert main(['solve', {str(cfg)!r}]) == main(['verify', {str(cfg)!r}]) == 0\n"
-        + _loaded_line("scipy")
-    )
-    assert _fresh_interpreter(code) == ["loaded:"]
-    verify = json.loads((tmp_path / "out" / "verify.json").read_text())
-    assert verify["all_passed"] is True
-    assert set(verify["suites"]) == {"minimizer", "decay", "kato", "herbst", "greens", "binding"}
+    """An s-only helium solve and its verify load no scipy module.
+
+    With n + 1 = 241 prime the DST-I goes by Rader's algorithm, with
+    801 = 9*89 by the odd extension; each grid runs in its own interpreter.
+    """
+    for n in (240, 800):
+        outdir = tmp_path / f"n{n}"
+        cfg = _write_config(tmp_path, outdir, n=n, verify_greens="true", verify_binding="true")
+        code = (
+            "import sys\nfrom prhf.cli import main\n"
+            f"assert main(['solve', {str(cfg)!r}]) == main(['verify', {str(cfg)!r}]) == 0\n"
+            + _loaded_line("scipy")
+        )
+        assert _fresh_interpreter(code) == ["loaded:"], n
+        verify = json.loads((outdir / "verify.json").read_text())
+        assert verify["all_passed"] is True
+        assert set(verify["suites"]) == {"minimizer", "decay", "kato", "herbst", "greens", "binding"}
 
 
 def test_sweep_and_greens_load_no_scipy(tmp_path):
-    """A lithium sweep and a greens run, n + 1 = 401 prime, load no scipy module."""
-    cfg = _write_config(tmp_path, tmp_path / "out", Z=3.0, N=3, n=400, r_max=25.0)
-    code = (
-        "import sys\nfrom prhf.cli import main\n"
-        f"assert main(['sweep', {str(cfg)!r}]) == main(['greens', {str(cfg)!r}]) == 0\n"
-        + _loaded_line("scipy")
-    )
-    assert _fresh_interpreter(code) == ["loaded:"]
-    rows = json.loads((tmp_path / "out" / "sweep.json").read_text())["rows"]
-    assert [row["N"] for row in rows] == [1, 2, 3]
-    assert (tmp_path / "out" / "greens.csv").is_file()
+    """A lithium sweep and a greens run load no scipy module, with n + 1 = 401 prime or 801 = 9*89."""
+    for n in (400, 800):
+        outdir = tmp_path / f"n{n}"
+        cfg = _write_config(tmp_path, outdir, Z=3.0, N=3, n=n, r_max=25.0)
+        code = (
+            "import sys\nfrom prhf.cli import main\n"
+            f"assert main(['sweep', {str(cfg)!r}]) == main(['greens', {str(cfg)!r}]) == 0\n"
+            + _loaded_line("scipy")
+        )
+        assert _fresh_interpreter(code) == ["loaded:"], n
+        rows = json.loads((outdir / "sweep.json").read_text())["rows"]
+        assert [row["N"] for row in rows] == [1, 2, 3]
+        assert (outdir / "greens.csv").is_file()
 
 
 def test_run_path_loads_no_numpy_submodule_on_first_use(tmp_path):

@@ -238,11 +238,14 @@ def test_dst_rader_on_numpy_fft_equals_scipy_fft(n, rng):
         assert np.array_equal(dst(X), _scipy_rader_dst(X))
 
 
-# n + 1 composite: 18, 200, 801 = 9*89, 1501 = 19*79, 1600
-@pytest.mark.parametrize("n", [17, 199, 800, 1500, 1599])
+# n + 1 composite: 18, 120, 200, 801 = 9*89, 1501 = 19*79, 1600, 2400, 4800.
+# At 120 and 2400 a scale rounded in double, not long double, is an ulp off.
+@pytest.mark.parametrize("n", [17, 119, 199, 800, 1500, 1599, 2399, 4799])
 def test_dst_composite_length_is_scipy(n, rng):
-    for X in (rng.standard_normal(n), rng.standard_normal((n, 6))):
-        assert np.array_equal(dst(X), _scipy_dst(X))
+    base = rng.standard_normal((2 * n, 12))
+    for X in (base[:n, 0], base[:n, :6].copy(), np.asfortranarray(base[:n, :6]), base[::2, 1::2]):
+        out = dst(X)
+        assert out.dtype == np.float64 and np.array_equal(out, _scipy_dst(X))
 
 
 @pytest.mark.parametrize("n", [240, 1200, 800])
@@ -251,17 +254,18 @@ def test_dst_is_an_involution(n, rng):
     assert np.max(np.abs(dst(dst(X)) - X)) <= 1e-14 * np.max(np.abs(X))
 
 
-def test_dst_prime_length_takes_the_rader_path(rng, monkeypatch):
+def test_dst_runs_on_numpy_fft_alone(rng, monkeypatch):
+    """Rader's length (n + 1 = 241 prime) and the odd extension's (240) call no scipy.fft."""
     x = rng.standard_normal(240)
-    ref = _scipy_dst(x)
+    refs = [_scipy_dst(x), _scipy_dst(x[:-1])]
 
     def refuse(*args, **kwargs):
-        raise AssertionError("scipy.fft.dst called")
+        raise AssertionError("scipy.fft called")
 
-    monkeypatch.setattr(scipy.fft, "dst", refuse)
-    assert np.max(np.abs(dst(x) - ref)) <= 1e-14 * np.max(np.abs(ref))
-    with pytest.raises(AssertionError, match="scipy.fft.dst called"):
-        dst(x[:-1])     # n + 1 = 240 is composite
+    for name in ("dst", "rfft"):
+        monkeypatch.setattr(scipy.fft, name, refuse)
+    assert np.max(np.abs(dst(x) - refs[0])) <= 1e-14 * np.max(np.abs(refs[0]))
+    assert np.array_equal(dst(x[:-1]), refs[1])
 
 
 def test_laplacian_box_ground_state():
