@@ -23,11 +23,9 @@ from .errors import DomainError, WindowTooNoisy
 from .greens import nu_of_energy
 from .model import AtomSystem, SolverOptions, validate_system
 from .radial import (
-    RadialGrid, build_grid, dst, gram, inner, integrate, kinetic_operator, laplacian_symbol,
+    RadialGrid, build_grid, dst, inner, integrate, kinetic_operator, laplacian_symbol,
 )
-from .scf import (
-    FockOperator, _channel_spectra, fock_build, orbital_residuals, solve_scf,
-)
+from .scf import FockOperator, fock_build, orbital_residuals, solve_scf
 
 NOISE_FLOOR_REL = 1e-14
 # the automatic fit window ends where |P| falls below this fraction of
@@ -207,8 +205,9 @@ def minimizer_certificate(fock: FockOperator) -> CertificateReport:
     (d) occupied eigenvalues in (-alpha^-1, 0); (e) per-orbital
     eigen-residual below 1e-7 alpha^-1.
 
-    Clause (c) reads the level table of `_channel_spectra`: the m + 1
-    lowest levels of a channel on which gamma holds m orbitals. That is
+    Clause (c) reads the operator's level table (`fock.levels`): the m + 1
+    lowest levels of a channel on which gamma holds m orbitals, where a
+    level projecting below 0.5 onto gamma's orbitals is unoccupied. That is
     enough. Where the occupied span is invariant under F, as (e) checks,
     each level lies in it or is orthogonal to it, and at most m levels lie
     in an m-dimensional span; so the channel's lowest unoccupied level is
@@ -217,7 +216,7 @@ def minimizer_certificate(fock: FockOperator) -> CertificateReport:
     it, and "max occupied minus min unoccupied" over the table measures the
     same gap as over the whole spectrum.
     """
-    sys, grid, gamma = fock.system, fock.grid, fock.gamma
+    sys, gamma = fock.system, fock.gamma
     ainv = sys.alpha_inv
     clauses = {}
 
@@ -235,18 +234,7 @@ def minimizer_certificate(fock: FockOperator) -> CertificateReport:
     # orthogonal to the occupied orbitals
     occupied = orbital_residuals(fock, gamma)
     occ_eps = [eps for _key, _idx, eps, _res in occupied]
-    unocc_eps = []
-    spectra = _channel_spectra(fock)
-    for key, (vals, vecs) in spectra.items():
-        blk = gamma.blocks.get(key)
-        if blk is not None and blk.m:
-            overlaps = gram(grid, blk.orbitals, vecs)   # (m, k)
-            proj = np.sum(overlaps**2, axis=0)
-        else:
-            proj = np.zeros(vals.size)
-        for i, val in enumerate(vals):
-            if proj[i] < 0.5:
-                unocc_eps.append(float(val))
+    unocc_eps = [lv.value for lv in fock.levels if lv.projection < 0.5]
     worst_gap = -np.inf
     if occ_eps and unocc_eps:
         worst_gap = max(occ_eps) - min(unocc_eps)
@@ -355,8 +343,7 @@ def herbst_bound_check(sys: AtomSystem, grid: RadialGrid) -> dict:
     ainv = sys.alpha_inv
     bound = ainv * (np.sqrt(max(1.0 - (np.pi * sys.z_alpha / 2.0) ** 2, 0.0)) - 1.0)
     h0 = fock_build(DensityMatrix({}), grid, replace(sys, kinetic="pseudorelativistic"), 0)
-    spectra = _channel_spectra(h0)     # the empty density: one level per channel
-    lowest = min(float(vals[0]) for vals, _vecs in spectra.values())
+    lowest = h0.levels[0].value     # the table's first row; one level per channel
     ok = bool(lowest >= bound - 1e-8 * ainv)
     return {
         "Z": sys.Z, "alpha": sys.alpha, "bound": bound,

@@ -32,7 +32,7 @@ from .coulomb import ChannelBlock, DensityMatrix
 from .errors import ConfigError, NotConverged, SolverError
 from .model import AtomSystem, SolverOptions, validate_system
 from .radial import build_grid
-from .scf import fock_build, solve_scf
+from .scf import ALGORITHM, fock_build, solve_scf
 
 log = logging.getLogger("prhf")
 
@@ -40,9 +40,6 @@ EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_NOT_CONVERGED = 2
 EXIT_CERTIFICATE = 3
-
-# the one SCF algorithm, which the `algorithm` key may name
-_ALGORITHM = "optimal-damping"
 
 # key -> (parser, default); required keys carry the REQUIRED sentinel
 _REQUIRED = object()
@@ -62,8 +59,8 @@ def _parse_auto_float(text: str):
 
 
 def _parse_algorithm(text: str) -> str:
-    if text != _ALGORITHM:
-        raise ValueError(f"unknown algorithm {text!r}; the solver runs {_ALGORITHM!r}")
+    if text != ALGORITHM:
+        raise ValueError(f"unknown algorithm {text!r}; the solver runs {ALGORITHM!r}")
     return text
 
 
@@ -81,7 +78,7 @@ _SCHEMA = {
         SolverOptions, n=int, r_max=float, max_iter=int, tol_energy=float,
         tol_commutator=float, initial_guess=str, ell_max=int,
     ),
-    "algorithm": (_parse_algorithm, _ALGORITHM),
+    "algorithm": (_parse_algorithm, ALGORITHM),
     "output_dir": (str, _REQUIRED),
     "verify_minimizer": (_parse_bool, True),
     "verify_decay": (_parse_bool, True),
@@ -223,10 +220,10 @@ def _load_solution(outdir: Path, sys_: AtomSystem, options: SolverOptions):
     """Rebuild (report record, gamma, grid) from a completed solve directory.
 
     None unless that solve converged for an equal system and equal options
-    and its files read back whole, with orthonormal orbitals and admissible
-    occupations: a damaged solve counts as absent. So does a solve whose
-    stored config does not parse under this version, which the warning
-    names apart from a damaged solve.
+    and its files read back whole on the grid of those options, with
+    orthonormal orbitals and admissible occupations: a damaged solve counts
+    as absent. So does a solve whose stored config does not parse under
+    this version, which the warning names apart from a damaged solve.
     """
     report_path = outdir / "report.json"
     orbitals_path = outdir / "orbitals.csv"
@@ -242,7 +239,7 @@ def _load_solution(outdir: Path, sys_: AtomSystem, options: SolverOptions):
         if not (_system_from_config(stored) == sys_ and _options_from_config(stored) == options):
             return None
         failure = "ignoring the damaged solve in %s"
-        grid = build_grid(payload["grid"]["n"], payload["grid"]["r_max"])
+        grid = build_grid(options.n, options.r_max)
         with open(orbitals_path) as fh:
             header = fh.readline().strip().split(",")
         data = np.loadtxt(orbitals_path, delimiter=",", skiprows=1, ndmin=2)

@@ -78,6 +78,8 @@ LOBPCG_LEVEL_RTOL = 1e-12
 LOBPCG_MAXITER = 200
 LOBPCG_SLACK = 10.0
 LOBPCG_DIVERGED = 100.0
+# the one SCF algorithm: report.json's `algorithm`, which a config may name
+ALGORITHM = "optimal-damping"
 
 
 def _fill_rtol(residual: float, tol_commutator: float) -> float:
@@ -89,6 +91,23 @@ def _fill_rtol(residual: float, tol_commutator: float) -> float:
     if residual < tol_commutator:
         return LOBPCG_RTOL
     return max(LOBPCG_RTOL, min(LOBPCG_FILL_CAP, LOBPCG_FILL_FACTOR * residual))
+
+
+@dataclass(frozen=True)
+class Level:
+    """Level `index` of channel (ell, spin) in a level table (`FockOperator.levels`).
+
+    value / alpha is in hartree. With coef the level's overlaps with gamma's
+    orbitals on the channel, `occupation` = coef^T f coef and `projection` =
+    |coef|^2; both are 0 where gamma holds no orbital.
+    """
+
+    ell: int
+    spin: int
+    index: int
+    value: float
+    occupation: float
+    projection: float
 
 
 @dataclass
@@ -167,6 +186,11 @@ class FockOperator:
                     matrices[(ell, spin)] = H
         return matrices
 
+    @functools.cached_property
+    def levels(self) -> list[Level]:
+        """The level table: gamma's occupied levels, each channel's lowest unoccupied one."""
+        return _level_table(self)
+
     def group(self, key: tuple[int, int]) -> int:
         """The index of the spin group of channel key: channels of one group share F."""
         return next(i for i, grp in enumerate(self.groups) if key[1] in grp)
@@ -214,7 +238,8 @@ class FockOperator:
 class SCFReport:
     """The record of one solve; `fock` is the operator of its final density.
 
-    The level table (`eigenvalues`) is solved on `fock` when it,
+    The final state itself (its density, occupations and level table) is
+    read from `fock`. The table (`fock.levels`) is solved when it,
     `eigensolves` or `as_dict()` is first read, and kept: a caller that
     reads only the energy and the occupied orbitals, such as the binding
     rows, never pays for it.
@@ -222,22 +247,20 @@ class SCFReport:
 
     converged: bool
     iterations: int
-    energy: EnergyBreakdown
-    energy_trace: list = field(default_factory=list)
-    occupations: list = field(default_factory=list)
-    commutator_residual: float = float("nan")
-    max_orbital_residual: float = float("nan")
-    anion_regime: bool = False
-    message: str = ""
+    # the energy of the initial density, then of every density adopted
+    energy_trace: list
+    commutator_residual: float
+    max_orbital_residual: float
+    message: str
     # one record per iteration: E, dE, t, a, b, commutator_residual
-    steps: list = field(default_factory=list)
+    steps: list
     # the operator of the final density; not serialized
-    fock: FockOperator | None = field(default=None, repr=False, compare=False)
+    fock: FockOperator = field(repr=False, compare=False)
 
-    @functools.cached_property
-    def eigenvalues(self) -> list:
-        """The merged level table of the final density (`_final_eigen_table`)."""
-        return _final_eigen_table(self.fock)
+    @property
+    def energy(self) -> EnergyBreakdown:
+        """The energy of the final density, the last of `energy_trace`."""
+        return self.energy_trace[-1]
 
     @functools.cached_property
     def eigensolves(self) -> dict:
@@ -248,31 +271,29 @@ class SCFReport:
         the table's levels: when it solves them first, it leaves the same
         records.
         """
-        self.eigenvalues        # solved first
+        self.fock.levels        # solved first
         return _eigensolve_summary(self.fock.eigensolves)
 
     def as_dict(self) -> dict:
+        sys, gamma = self.fock.system, self.fock.gamma
         return {
             "converged": self.converged,
             "iterations": self.iterations,
-            "algorithm": "optimal-damping",
+            "algorithm": ALGORITHM,
             "energy": asdict(self.energy),
             "energy_trace": [asdict(e) for e in self.energy_trace],
             "eigenvalues": [
-                {
-                    "ell": ell,
-                    "spin": spin,
-                    "index": idx,
-                    "value": val,
-                    "value_hartree": val_h,
-                    "occupation": occ,
-                }
-                for (ell, spin, idx, val, val_h, occ) in self.eigenvalues
+                {"ell": lv.ell, "spin": lv.spin, "index": lv.index, "value": lv.value,
+                 "value_hartree": lv.value / sys.alpha, "occupation": lv.occupation}
+                for lv in self.fock.levels
             ],
-            "occupations": self.occupations,
+            "occupations": [
+                {"ell": ell, "spin": spin, "index": idx, "f": f, "lambda": lam}
+                for (ell, spin, idx, f, lam) in gamma.occupation_list()
+            ],
             "commutator_residual": self.commutator_residual,
             "max_orbital_residual": self.max_orbital_residual,
-            "anion_regime": self.anion_regime,
+            "anion_regime": sys.N >= sys.Z + 1,
             "message": self.message,
             "steps": self.steps,
             "eigensolves": self.eigensolves,
@@ -597,7 +618,7 @@ def _channel_spectra(fock: FockOperator):
     levels, an empty channel its lowest one: every occupied level and the
     channel's lowest unoccupied one, which is all the table's readers
     need (`analysis.minimizer_certificate` says why). Only eigenvalues and
-    overlaps are read, so LOBPCG solves at the level tolerance.
+    overlaps are read (`_level_table`), so LOBPCG solves at the level tolerance.
     """
     spectra = {}
     for ell in range(fock.ell_max + 1):
@@ -615,8 +636,8 @@ def _levels_needed(N: float) -> int:
 
     The levels a dense channel solves once and slices for its fill and
     its table (a smaller subset would change neon's bits), and the fill's
-    count when computed levels tie (`_fill_spectra`). Level tables ask
-    for fewer (`_channel_spectra`).
+    count when computed levels tie (`_fill_spectra`). Level tables
+    (`FockOperator.levels`) ask for fewer (`_channel_spectra`).
     """
     return int(np.ceil(N)) + 4
 
@@ -652,20 +673,24 @@ def _fill_spectra(fock: FockOperator, N: float, rtol: float = LOBPCG_RTOL) -> di
     return dict(sorted(spectra.items()))
 
 
+def _merged(spectra: dict) -> list[tuple[float, int, int, int]]:
+    """(value, ell, spin, index) of every level of `spectra`, sorted: the fill's and table's order.
+
+    Equal values go to the lower ell, then the lower spin, then the lower index.
+    """
+    return sorted((float(val), ell, spin, idx)
+                  for (ell, spin), (vals, _vecs) in spectra.items()
+                  for idx, val in enumerate(vals))
+
+
 def _fill(spectra: dict, N: float) -> dict[tuple[int, int], list[tuple[int, float]]]:
     """Bathtub fill of N electrons: the (index, occupation) picks per channel.
 
-    Levels are taken from the merged spectrum in (value, ell, spin, index)
-    order, capacity 2*ell+1 per level.
+    Levels are taken in `_merged` order, capacity 2*ell+1 per level.
     """
-    levels = []
-    for (ell, spin), (vals, _vecs) in spectra.items():
-        for idx, val in enumerate(vals):
-            levels.append((float(val), ell, spin, idx))
-    levels.sort()
     remaining = float(N)
     chosen: dict[tuple[int, int], list[tuple[int, float]]] = {}
-    for _val, ell, spin, idx in levels:
+    for _val, ell, spin, idx in _merged(spectra):
         if remaining <= 1e-14:
             break
         f = min(float(2 * ell + 1), remaining)
@@ -674,6 +699,21 @@ def _fill(spectra: dict, N: float) -> dict[tuple[int, int], list[tuple[int, floa
     if remaining > 1e-12:
         raise EigFailure("not enough levels computed to place all electrons")
     return chosen
+
+
+def _level_table(fock: FockOperator) -> list[Level]:
+    """The levels of `_channel_spectra` in `_merged` order, matched to fock.gamma by overlap."""
+    spectra = _channel_spectra(fock)
+    table = []
+    for val, ell, spin, idx in _merged(spectra):
+        blk = fock.gamma.blocks.get((ell, spin))
+        occ = proj = 0.0
+        if blk is not None and blk.m:
+            _vals, vecs = spectra[(ell, spin)]
+            coef = gram(fock.grid, blk.orbitals, vecs[:, idx])
+            occ, proj = float(coef @ (blk.occupations * coef)), float(coef @ coef)
+        table.append(Level(ell, spin, idx, val, occ, proj))
+    return table
 
 
 def aufbau_projection(fock: FockOperator, N: float, rtol: float = LOBPCG_RTOL) -> DensityMatrix:
@@ -857,26 +897,6 @@ def density_from_shells(shells, sys: AtomSystem, grid: RadialGrid) -> DensityMat
     return DensityMatrix(blocks)
 
 
-def _final_eigen_table(fock: FockOperator):
-    """Merged eigenvalue table of `_channel_spectra`, occupations in fock.gamma by overlap."""
-    spectra = _channel_spectra(fock)
-    grid, gamma = fock.grid, fock.gamma
-    table = []
-    for (ell, spin), (vals, vecs) in sorted(spectra.items()):
-        blk = gamma.blocks.get((ell, spin))
-        for idx, val in enumerate(vals):
-            occ = 0.0
-            if blk is not None and blk.m:
-                coef = gram(grid, blk.orbitals, vecs[:, idx])
-                occ = float(coef @ (blk.occupations * coef))
-            table.append(
-                (ell, spin, idx, float(val), float(val) / fock.system.alpha,
-                 occ)
-            )
-    table.sort(key=lambda t: (t[3], t[0], t[1]))
-    return table
-
-
 def solve_scf(sys: AtomSystem, options: SolverOptions) -> tuple[SCFReport, DensityMatrix]:
     """Minimize the functional; returns the report and the final density.
 
@@ -952,15 +972,9 @@ def solve_scf(sys: AtomSystem, options: SolverOptions) -> tuple[SCFReport, Densi
     report = SCFReport(
         converged=converged,
         iterations=iterations,
-        energy=energy,
         energy_trace=trace,
-        occupations=[
-            {"ell": ell, "spin": spin, "index": idx, "f": f, "lambda": lam}
-            for (ell, spin, idx, f, lam) in gamma.occupation_list()
-        ],
         commutator_residual=residual,
         max_orbital_residual=max((r for *_, r in orb_res), default=0.0),
-        anion_regime=sys.N >= sys.Z + 1,
         message=message,
         steps=steps,
         fock=fock,

@@ -81,7 +81,7 @@ def test_c02_herbst_lower_bound():
 
 def test_c03_nonrelativistic_hydrogen_limit(hydrogen_limit_solution):
     sol = hydrogen_limit_solution
-    eps1 = min(e for (_l, _s, _i, e, _eh, occ) in sol.report.eigenvalues if occ > 0.5)
+    eps1 = min(lv.value for lv in sol.report.fock.levels if lv.occupation > 0.5)
     value = eps1 / sol.sys.alpha
     rel = abs(value + 0.5) / 0.5
     print(f"C3 hydrogen: alpha^-1 eps1 = {value:.8f} (rel err {rel:.2e}), solve {sol.wall_time:.1f} s")

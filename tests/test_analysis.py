@@ -107,7 +107,7 @@ def test_decay_fit_auto_window_is_above_roundoff(hydrogen_limit_solution):
     _vals, vecs = scipy.linalg.eigh(sol.fock.matrices[(0, 0)], subset_by_index=(0, 0))
     dense = vecs[:, 0] * np.sign(vecs[0, 0] * P[0]) / np.sqrt(sol.grid.h)
     assert np.abs(dense - P).max() <= 1e-12 * np.abs(P).max()
-    eps = min(e for (_l, _s, _i, e, _eh, occ) in sol.report.eigenvalues if occ > 0.5)
+    eps = min(lv.value for lv in sol.report.fock.levels if lv.occupation > 0.5)
     fit = decay_fit(P, eps, sol.grid, sol.sys.alpha)
     fit_dense = decay_fit(dense, eps, sol.grid, sol.sys.alpha)
     assert fit_dense.window == fit.window
@@ -346,7 +346,7 @@ def test_homo_from_the_orbitals_matches_the_level_table(atom, n, request):
         sys = validate_system(AtomSystem(Z=Z, N=int(Z), alpha=ALPHA))
         report, _gamma = solve_scf(sys, SolverOptions(n=n, r_max=r_max))
     homo = homo_eigenvalue(report.fock)
-    table = max(val for (_l, _s, _i, val, _vh, occ) in report.eigenvalues if occ > 0.5)
+    table = max(lv.value for lv in report.fock.levels if lv.occupation > 0.5)
     assert abs(homo - table) / ALPHA <= 1e-10
 
 

@@ -12,6 +12,8 @@ import scipy.linalg
 
 import prhf.analysis
 import prhf.cli
+import prhf.coulomb
+import prhf.functional
 import prhf.greens
 import prhf.radial
 import prhf.scf
@@ -338,6 +340,24 @@ def test_verify_resolves_a_stale_solution(tmp_path, stored, requested):
     assert report["config"]["Z"] == requested.get("Z", 2.0)
 
 
+def test_verify_reads_a_stored_solve_on_the_grid_of_its_options(tmp_path, caplog):
+    """The stored config, not report.json's grid block, names the grid the orbitals are read
+    on: a config edited to another n makes the stored CSV the wrong length, so the solve
+    counts as damaged and the requested grid is solved."""
+    outdir = tmp_path / "out"
+    assert run_solve(_write_config(tmp_path, outdir, n=240)) == EXIT_OK
+    payload = json.loads((outdir / "report.json").read_text())
+    payload["config"]["n"] = 300
+    (outdir / "report.json").write_text(json.dumps(payload))
+    with caplog.at_level("WARNING", logger="prhf.cli"):
+        assert run_verify(_write_config(tmp_path, outdir, n=300)) == EXIT_OK
+    assert "damaged" in caplog.text
+    assert "orbitals.csv is (240, 3), expected (300, 3)" in caplog.text
+    report = json.loads((outdir / "report.json").read_text())
+    assert report["grid"]["n"] == report["config"]["n"] == 300
+    assert len((outdir / "orbitals.csv").read_text().splitlines()) == 1 + 300
+
+
 def test_verify_solves_a_solve_stored_with_the_old_channel_keys_again_once(tmp_path, caplog):
     """A report.json with `ell_max = null` and `include_p_shells` is solved again, then reused."""
     outdir = tmp_path / "out"
@@ -404,7 +424,7 @@ def test_binding_rows_and_sweep_solve_no_level_table(tmp_path, monkeypatch):
     solves at LOBPCG_LEVEL_RTOL.
     """
     tables, rtols = [], []
-    table, levels = prhf.scf._final_eigen_table, prhf.scf._lobpcg_levels
+    table, levels = prhf.scf._level_table, prhf.scf._lobpcg_levels
 
     def counting_table(*args):
         tables.append(args)
@@ -414,7 +434,7 @@ def test_binding_rows_and_sweep_solve_no_level_table(tmp_path, monkeypatch):
         rtols.append(rtol)
         return levels(fock, key, k, rtol)
 
-    monkeypatch.setattr(prhf.scf, "_final_eigen_table", counting_table)
+    monkeypatch.setattr(prhf.scf, "_level_table", counting_table)
     monkeypatch.setattr(prhf.scf, "_lobpcg_levels", recording)
     system = AtomSystem(Z=2.0, N=2, alpha=1.0 / 137.036)
     rows, ok = binding_monotonicity(system, 2, SolverOptions(n=240, r_max=14.0))
@@ -518,6 +538,42 @@ def test_unreadable_config_or_unmakeable_output_dir_exits_1(tmp_path, monkeypatc
     assert not outdir.exists()
     [record] = caplog.records
     assert record.levelno == logging.ERROR and record.exc_info is None
+
+
+def _sink_nuclear_trace(monkeypatch):
+    """Every total falls alpha^-2 Tr gamma below the -alpha^-2 Tr gamma floor."""
+    terms = prhf.functional.energy_terms
+
+    def sunk(gamma, grid, sys):
+        tr_T, tr_V, D, Ex = terms(gamma, grid, sys)
+        return tr_T, tr_V + 2.0 * sys.alpha_inv * gamma.trace(), D, Ex
+
+    monkeypatch.setattr(prhf.functional, "energy_terms", sunk)
+
+
+# guard -> (a monkeypatch that trips it on the first energy or step, its message)
+_RUNTIME_GUARDS = {
+    "EnergyBoundViolated": (_sink_nuclear_trace, "fell below -alpha^-2*Tr"),
+    "NonFiniteEnergy": (
+        lambda mp: mp.setattr(prhf.coulomb, "exchange_energy", lambda gamma, grid: float("nan")),
+        "Ex evaluated to nan"),
+    # a negative slack makes every step's energy read as a rise
+    "LineSearchFailure": (lambda mp: mp.setattr(prhf.scf, "DESCENT_SLACK", -1.0), "energy rose"),
+}
+
+
+@pytest.mark.parametrize("guard", sorted(_RUNTIME_GUARDS))
+def test_solve_exits_1_when_a_runtime_guard_fires(guard, tmp_path, monkeypatch, caplog):
+    """A guard that fires inside the solve is a SolverError: one log line, exit 1, no traceback."""
+    trip, message = _RUNTIME_GUARDS[guard]
+    trip(monkeypatch)
+    outdir = tmp_path / "out"
+    with caplog.at_level(logging.INFO, logger="prhf"):
+        assert main(["solve", str(_write_config(tmp_path, outdir))]) == EXIT_CONFIG
+    [record] = caplog.records
+    assert record.levelno == logging.ERROR and record.exc_info is None
+    assert message in record.getMessage()
+    assert not (outdir / "report.json").exists()
 
 
 # carbon asking for a p-shell seed on the s channels alone
@@ -657,13 +713,13 @@ def test_verify_anion_with_unbound_homo_is_inconclusive(tmp_path):
 
 def test_verify_herbst_failure_keeps_its_record(tmp_path, monkeypatch):
     """A lowest h0 level below the bound fails the herbst record; nothing raises."""
-    spectra = prhf.analysis._channel_spectra
+    spectra = prhf.scf._channel_spectra
 
     def sunk(fock):
         ainv = fock.system.alpha_inv
         return {key: (vals - ainv, vecs) for key, (vals, vecs) in spectra(fock).items()}
 
-    monkeypatch.setattr(prhf.analysis, "_channel_spectra", sunk)
+    monkeypatch.setattr(prhf.scf, "_channel_spectra", sunk)
     outdir = tmp_path / "out"
     cfg = _write_config(tmp_path, outdir, verify_minimizer="false", verify_decay="false",
                         verify_kato="false")

@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from sympy.physics.wigner import wigner_3j
 
 from prhf import (
     AtomSystem,
     ChannelBlock,
     DensityMatrix,
+    NonFiniteEnergy,
     NotAdmissible,
     build_grid,
     energy_terms,
@@ -187,6 +189,17 @@ def test_yk_column_blocks_sweep_each_column(grid200, rng):
 # --- angular coefficients ----------------------------------------------------
 
 
+def test_energy_terms_reject_a_non_finite_term(grid200, monkeypatch):
+    """A NaN energy term raises NonFiniteEnergy, which names the term."""
+    sys = AtomSystem(Z=2.0, N=2, alpha=ALPHA)
+    P = _normalized(grid200, grid200.nodes * np.exp(-2.0 * grid200.nodes))
+    gamma = DensityMatrix({(0, 0): ChannelBlock(P[:, None], np.array([1.0]))})
+    assert all(np.isfinite(energy_terms(gamma, grid200, sys)))
+    monkeypatch.setattr("prhf.coulomb.exchange_energy", lambda gamma, grid: float("nan"))
+    with pytest.raises(NonFiniteEnergy, match="Ex evaluated to nan"):
+        energy_terms(gamma, grid200, sys)
+
+
 def test_angular_coefficient_basics():
     assert exchange_multipole_weight(0, 0, 0) == pytest.approx(1.0, abs=0)
     assert exchange_multipole_weight(0, 1, 0) == 0.0  # parity selection
@@ -196,9 +209,6 @@ def test_angular_coefficient_basics():
 
 
 def test_threej_against_sympy():
-    sympy = pytest.importorskip("sympy")
-    from sympy.physics.wigner import wigner_3j
-
     for la in range(4):
         for lb in range(4):
             for k in range(0, 7):

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
+import prhf.functional
 from prhf import (
     AtomSystem,
     ChannelBlock,
     DensityMatrix,
+    EnergyBoundViolated,
     NotAdmissible,
     TraceMismatch,
     inner,
@@ -70,6 +72,31 @@ def test_global_lower_bound_random(grid200, rng):
         )
         e = total_energy(gamma, grid200, sys)
         assert e.total >= floor
+
+
+def _sink_nuclear_trace(monkeypatch):
+    """Deepen the nuclear trace of every energy_terms call by 2 alpha^-1 Tr gamma.
+
+    The total then falls alpha^-2 Tr gamma below the -alpha^-2 Tr gamma floor.
+    """
+    terms = prhf.functional.energy_terms
+
+    def sunk(gamma, grid, sys):
+        tr_T, tr_V, D, Ex = terms(gamma, grid, sys)
+        return tr_T, tr_V + 2.0 * sys.alpha_inv * gamma.trace(), D, Ex
+
+    monkeypatch.setattr(prhf.functional, "energy_terms", sunk)
+
+
+def test_total_energy_below_the_floor_raises(grid200, monkeypatch):
+    """The -alpha^-2 Tr gamma floor is a runtime assertion: a total below it raises."""
+    sys = AtomSystem(Z=2.0, N=2, alpha=ALPHA)
+    P = _normalized(grid200, grid200.nodes * np.exp(-2.0 * grid200.nodes))
+    gamma = DensityMatrix({(0, 0): ChannelBlock(P[:, None], np.array([1.0]))})
+    assert total_energy(gamma, grid200, sys).total < 0.0
+    _sink_nuclear_trace(monkeypatch)
+    with pytest.raises(EnergyBoundViolated, match="fell below -alpha"):
+        total_energy(gamma, grid200, sys)
 
 
 def test_rank2_zero_eps_is_zero(he_small):

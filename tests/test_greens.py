@@ -1,5 +1,6 @@
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import cumulative_simpson, cumulative_trapezoid, quad
@@ -161,14 +162,12 @@ def test_bessel_domain_and_underflow():
 
 
 def _mp_relative_errors(values, refs):
-    mpmath = pytest.importorskip("mpmath")
     return np.array([float(abs((mpmath.mpf(v) - r) / r)) for v, r in zip(values, refs)])
 
 
 @pytest.mark.parametrize("order", [0, 1])
 def test_bessel_k_matches_mpmath(order):
     """K0 and K1 within 2e-15 relative of 30-digit mpmath, log-spaced over [1e-8, 700]."""
-    mpmath = pytest.importorskip("mpmath")
     ts = np.concatenate([np.geomspace(1e-8, 700.0, 501), np.linspace(1.5, 2.5, 21)])
     with mpmath.workdps(30):
         refs = [mpmath.besselk(order, mpmath.mpf(t)) for t in ts]
@@ -178,7 +177,6 @@ def test_bessel_k_matches_mpmath(order):
 
 def test_itk0_matches_mpmath():
     """int_0^x K0 within 2e-15 relative of mpmath on (1e-8, 35], the band 8-15 included."""
-    mpmath = pytest.importorskip("mpmath")
     xs = np.concatenate([np.geomspace(1e-8, 35.0, 201), np.linspace(8.0, 15.0, 36),
                          np.linspace(1.5, 2.5, 11)])
     with mpmath.workdps(45):
@@ -532,7 +530,6 @@ def test_est1_constant_matches_quadrature(nu):
 @pytest.mark.parametrize("nu, alpha", [(1e-3, ALPHA), (1.0, ALPHA), (30.0, ALPHA), (1.0, 1e-3)])
 def test_est1_constant_matches_mpmath(nu, alpha):
     # at alpha = 1e-3 the quad form above reads 6e-9 relative too high
-    mpmath = pytest.importorskip("mpmath")
     E = energy_of_nu(nu, alpha)
     with mpmath.workdps(20):
         a, Em = 1 / mpmath.mpf(alpha), mpmath.mpf(E)

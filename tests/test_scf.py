@@ -1,9 +1,11 @@
+import ast
 import collections
 import functools
 import logging
 import tracemalloc
 import weakref
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +16,8 @@ from prhf import (
     AtomSystem,
     ChannelBlock,
     DensityMatrix,
+    EigFailure,
+    LineSearchFailure,
     NotConverged,
     SolverOptions,
     aufbau_projection,
@@ -608,7 +612,7 @@ def test_helium_solve_asks_one_column_per_fill(monkeypatch):
     report, _gamma = solve_scf(sys, options)
     assert report.converged and report.iterations > 3
     fills = list(solves)
-    assert report.eigenvalues and solves[:-1] == fills
+    assert report.fock.levels and solves[:-1] == fills
     table = solves[-1]
     assert {k for k, _rtol in fills} == {1}
     # the h0 fill, then one fill per iteration (every step takes t = 1: no purity finish)
@@ -633,12 +637,12 @@ def test_level_table_records_do_not_depend_on_who_solves_first(he_small):
 
     sys, options = he_small.sys, he_small.options
     table_first, gamma = solve_scf(sys, options)
-    expected = (table_first.eigenvalues, table_first.eigensolves)
+    expected = (table_first.fock.levels, table_first.eigensolves)
     assert minimizer_certificate(table_first.fock).passed
     assert table_first.eigensolves["lobpcg_solves"] == len(table_first.fock.eigensolves)
     report, gamma = solve_scf(sys, options)
     assert minimizer_certificate(report.fock).passed
-    assert (report.eigenvalues, report.eigensolves) == expected
+    assert (report.fock.levels, report.eigensolves) == expected
     assert report.eigensolves["lobpcg_rtol"][-1] == scf.LOBPCG_LEVEL_RTOL
 
 
@@ -658,7 +662,8 @@ def _solve_recording_fills(sys, options, monkeypatch):
 
 def _occupied_levels(report):
     """The occupied levels (Ha) in table order."""
-    return np.array([val_h for (*_key, _val, val_h, occ) in report.eigenvalues if occ > 0.5])
+    alpha = report.fock.system.alpha
+    return np.array([lv.value / alpha for lv in report.fock.levels if lv.occupation > 0.5])
 
 
 @pytest.mark.parametrize("Z, n, r_max", [(2.0, 300, 15.0), (3.0, 400, 25.0), (4.0, 400, 30.0)],
@@ -700,7 +705,7 @@ def test_neon_fill_and_table_share_one_eigh(grid200, monkeypatch):
     sys = AtomSystem(Z=10.0, N=10, alpha=ALPHA)
     bare = fock_build(DensityMatrix({}), grid200, sys, ell_max=1)
     aufbau_projection(bare, sys.N)
-    scf._final_eigen_table(bare)
+    bare.levels
     assert counts == [14, 14]            # ell = 0 and 1, one spin group
     assert bare.eigensolves == []
 
@@ -745,11 +750,10 @@ def test_level_table_holds_each_channels_orbitals_plus_one(Z, n, r_max, ell_max)
     assert report.converged
     m = {(ell, spin): gamma.blocks[(ell, spin)].m if (ell, spin) in gamma.blocks else 0
          for ell in range(ell_max + 1) for spin in range(sys.q)}
-    table = report.eigenvalues
+    table = report.fock.levels
     assert len(table) == sum(mc + 1 for mc in m.values())
     for key, mc in m.items():
-        rows = sorted((idx, occ) for ell, spin, idx, _val, _val_h, occ in table
-                      if (ell, spin) == key)
+        rows = sorted((lv.index, lv.occupation) for lv in table if (lv.ell, lv.spin) == key)
         assert [idx for idx, _occ in rows] == list(range(mc + 1))
         assert [occ > 0.5 for _idx, occ in rows] == [True] * mc + [False]
     assert report.eigensolves["dense_fallbacks"] == 0
@@ -856,7 +860,7 @@ def test_solve_keeps_the_operator_of_a_kept_density(monkeypatch):
     assert len(builds) == 2         # the h0 guess and iteration 1
     assert report.fock is builds[1] and report.fock.gamma is gamma
     fresh = build(gamma, report.fock.grid, sys, ell_max=0)
-    assert report.eigenvalues == scf._final_eigen_table(fresh)
+    assert report.fock.levels == fresh.levels
     # the table asks the occupied spin for its orbital plus one, the empty spin for one
     assert [(block, rtol) for block, *_, rtol in fresh.eigensolves] == [
         (2, scf.LOBPCG_LEVEL_RTOL), (1, scf.LOBPCG_LEVEL_RTOL)]
@@ -972,8 +976,8 @@ def test_solution_matches_dense_reference(name, request):
     total, occupied = DENSE_REFERENCE[name]
     assert abs(sol.report.energy.total - total) <= 1e-10
     got = {
-        (ell, spin, idx): val_h
-        for (ell, spin, idx, _val, val_h, occ) in sol.report.eigenvalues if occ > 0.5
+        (lv.ell, lv.spin, lv.index): lv.value / sol.sys.alpha
+        for lv in sol.report.fock.levels if lv.occupation > 0.5
     }
     assert set(got) == set(occupied)
     for key, val in occupied.items():
@@ -1025,6 +1029,63 @@ def test_oda_first_step_descends(grid200):
     e0 = total_energy(gamma0, grid200, sys)
     nxt, step = oda_step(fock_build(gamma0, grid200, sys, ell_max=0), e0)
     assert step.energy.total < e0.total
+
+
+def test_oda_step_raises_when_the_energy_rises(grid200):
+    """Descent is monotone by construction: a step that ends above e_gamma raises.
+
+    The first He step from the h0 density, given an e_gamma 1 Ha below its
+    true energy, ends between the two and so above it.
+    """
+    sys = AtomSystem(Z=2.0, N=2, alpha=ALPHA)
+    gamma0 = aufbau_projection(fock_build(DensityMatrix({}), grid200, sys, ell_max=0), sys.N)
+    fock = fock_build(gamma0, grid200, sys, ell_max=0)
+    e0 = total_energy(gamma0, grid200, sys)
+    with pytest.raises(LineSearchFailure, match="energy rose"):
+        oda_step(fock, replace(e0, total=e0.total - 1.0))
+
+
+def test_fill_raises_when_the_levels_cannot_hold_every_electron():
+    """Two electrons over one s level: EigFailure, not a density of one electron."""
+    spectra = {(0, 0): (np.array([-1.0]), np.zeros((16, 1)))}
+    assert scf._fill(spectra, 1.0) == {(0, 0): [(0, 1.0)]}
+    with pytest.raises(EigFailure, match="not enough levels computed"):
+        scf._fill(spectra, 2.0)
+
+
+def _scf_private_reads(source: str) -> set:
+    """The underscore names of scf that a module's source imports or reads as attributes."""
+    def private(name):
+        return name.startswith("_") and not name.startswith("__")
+
+    tree = ast.parse(source)
+    modules, found = {"prhf.scf"}, set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            if (node.module or "").split(".")[-1] == "scf":     # from .scf / prhf.scf import
+                found |= {a.name for a in node.names if private(a.name)}
+            elif node.module in (None, "prhf"):                 # from . / prhf import scf
+                modules |= {a.asname or a.name for a in node.names if a.name == "scf"}
+        elif isinstance(node, ast.Import):
+            modules |= {a.asname for a in node.names if a.name == "prhf.scf" and a.asname}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and private(node.attr):
+            if ast.unparse(node.value) in modules:
+                found.add(node.attr)
+    return found
+
+
+def test_no_module_but_scf_reads_a_private_name_of_scf():
+    """Which levels a channel reports, their order and their overlaps stay behind scf:
+    no other module of prhf imports or reads an underscore name of scf."""
+    assert _scf_private_reads(
+        "from .scf import FockOperator, _a\nfrom . import scf as s\ns._b(s.__name__)\n"
+        "import prhf.scf\nprhf.scf._c\nfrom prhf.scf import _d\n") == {"_a", "_b", "_c", "_d"}
+    package = Path(scf.__file__).parent
+    reads = {path.name: _scf_private_reads(path.read_text())
+             for path in sorted(package.glob("*.py")) if path.name != "scf.py"}
+    assert "analysis.py" in reads and "cli.py" in reads
+    assert {name: found for name, found in reads.items() if found} == {}
 
 
 def test_oda_tstar_matches_scan(grid200):
@@ -1119,7 +1180,7 @@ def test_solve_hydrogen_nonrelativistic_limit_small():
     sys = validate_system(AtomSystem(Z=1.0, N=1, alpha=1e-3))
     report, gamma = solve_scf(sys, SolverOptions(n=800, r_max=30.0))
     assert report.converged
-    eps1 = min(e for (_l, _s, _i, e, _eh, occ) in report.eigenvalues if occ > 0.5)
+    eps1 = min(lv.value for lv in report.fock.levels if lv.occupation > 0.5)
     assert eps1 / 1e-3 == pytest.approx(-0.5, rel=1e-3)
 
 
@@ -1178,7 +1239,7 @@ def test_solve_not_converged_carries_report(grid200):
     assert not report.converged
     # the unconverged solve's orbitals are written from the report's
     # operator, whose density is the one the report describes
-    assert [tuple(o.values()) for o in report.occupations] == list(
+    assert [tuple(o.values()) for o in report.as_dict()["occupations"]] == list(
         report.fock.gamma.occupation_list())
 
 
@@ -1189,7 +1250,7 @@ def test_solve_anion_regime_flag(grid200):
         report, _ = solve_scf(sys, opts)
     except NotConverged as exc:
         report = exc.report
-    assert report.anion_regime
+    assert report.as_dict()["anion_regime"]
 
 
 def test_solve_spinless_variant():
@@ -1214,8 +1275,9 @@ def test_solve_neon_closed_p_shell():
     opts = SolverOptions(n=500, r_max=14.0, ell_max=1)
     report, gamma = solve_scf(sys, opts)
     assert report.converged
-    occ = {(o["ell"], o["spin"]): 0.0 for o in report.occupations}
-    for o in report.occupations:
+    occupations = report.as_dict()["occupations"]
+    occ = {(o["ell"], o["spin"]): 0.0 for o in occupations}
+    for o in occupations:
         occ[(o["ell"], o["spin"])] += o["f"]
     assert occ == {(0, 0): 2.0, (0, 1): 2.0, (1, 0): 3.0, (1, 1): 3.0}
     assert minimizer_certificate(report.fock).passed
@@ -1337,9 +1399,11 @@ def test_partner_sharing_keeps_every_bit(name):
     assert gamma_sep.owner == {key: key for key in gamma_sep.blocks}
     if N % 2 == 0 and name != "ne":
         assert gamma.blocks[(0, 1)] is gamma.blocks[(0, 0)]
-    for field_ in ("energy_trace", "steps", "eigenvalues", "occupations", "iterations",
+    for field_ in ("energy_trace", "steps", "iterations",
                    "commutator_residual", "max_orbital_residual", "eigensolves"):
         assert getattr(shared, field_) == getattr(separate, field_), field_
+    assert shared.fock.levels == separate.fock.levels
+    assert shared.as_dict()["occupations"] == separate.as_dict()["occupations"]
     assert list(gamma.blocks) == list(gamma_sep.blocks)
     for key, blk in gamma.blocks.items():
         other = gamma_sep.blocks[key]
