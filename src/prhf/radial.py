@@ -24,9 +24,9 @@ smooth on those grids. Every other n, as on the lithium_sweep and
 hydrogen_limit grids (n = 800, 1500), takes the rfft of the odd
 extension of length 2(n + 1), the steps of scipy's DST-I. Both ways run
 on numpy.fft's rfft and irfft, the same pocketfft as scipy's, and give
-scipy's DST-I bit for bit (tested). In this module only the dense
-`spectral_function` imports scipy (scipy.linalg), so an s-only solve
-on any grid loads no scipy module.
+scipy's DST-I bit for bit (tested). The dense `spectral_function`
+takes the Laplacian's spectrum from the LAPACK that numpy links
+(`lapack.stemr`), so no solve on any grid or channel loads scipy.
 """
 
 from __future__ import annotations
@@ -130,18 +130,14 @@ def channel_laplacian(grid: RadialGrid, ell: int) -> np.ndarray:
 def spectral_function(grid: RadialGrid, ell: int, f) -> np.ndarray:
     """f(L_ell) as a dense symmetric matrix, through the Laplacian's spectrum.
 
-    The spectrum comes from LAPACK's tridiagonal `stemr` on L_ell's bands:
-    the same bits as a dense `eigh` of `channel_laplacian`, whose `syevr`
-    reduces the matrix to that tridiagonal form first, without the O(n^3)
-    reduction.
+    The spectrum comes from LAPACK's tridiagonal `dstemr` on L_ell's bands
+    (`lapack.stemr`, on the LAPACK that numpy links): the same bits as a
+    dense `eigh` of `channel_laplacian`, whose `dsyevr` reduces the matrix
+    to that tridiagonal form first, without the O(n^3) reduction.
     """
-    import scipy.linalg
+    from . import lapack    # loaded on first dense use, so an s-only run never compiles it
 
-    try:
-        vals, vecs = scipy.linalg.eigh_tridiagonal(*_laplacian_bands(grid, ell),
-                                                   lapack_driver="stemr")
-    except scipy.linalg.LinAlgError as exc:  # pragma: no cover
-        raise EigFailure(str(exc)) from exc
+    vals, vecs = lapack.stemr(*_laplacian_bands(grid, ell))
     fvals = np.asarray(f(vals), dtype=float)
     if not np.all(np.isfinite(fvals)):
         raise EigFailure("scalar function produced non-finite values on the spectrum")

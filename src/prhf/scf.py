@@ -336,12 +336,9 @@ def fock_build(
 
 
 def _dense_levels(H: np.ndarray, k: int):
-    import scipy.linalg
+    from . import lapack    # loaded on first dense use, so an s-only run never compiles it
 
-    try:
-        return scipy.linalg.eigh(H, subset_by_index=(0, k - 1))
-    except scipy.linalg.LinAlgError as exc:  # pragma: no cover
-        raise EigFailure(str(exc)) from exc
+    return lapack.syevr(H, k)
 
 
 def _start_block(fock: FockOperator, key: tuple[int, int], k: int):

@@ -22,7 +22,7 @@ from prhf.analysis import (
     random_smooth_battery,
 )
 from prhf.greens import energy_of_nu
-from prhf import scf
+from prhf import lapack, scf
 from prhf.radial import channel_laplacian, dst, gram, kinetic_operator, laplacian_symbol
 from prhf.scf import _levels_needed, fock_build, orbital_residuals, solve_scf
 
@@ -125,7 +125,7 @@ def test_certificate_reuses_the_final_spectrum(he_small, monkeypatch):
     def no_eigh(*args, **kwargs):
         raise AssertionError("the final Fock operator was diagonalized again")
 
-    monkeypatch.setattr(scipy.linalg, "eigh", no_eigh)
+    monkeypatch.setattr(lapack, "syevr", no_eigh)
     cert = minimizer_certificate(he_small.report.fock)
     assert cert.passed, cert.clauses
 

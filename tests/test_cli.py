@@ -4,17 +4,18 @@ import logging
 import os
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import numpy as np
 import pytest
-import scipy.linalg
 
 import prhf.analysis
 import prhf.cli
 import prhf.coulomb
 import prhf.functional
 import prhf.greens
+import prhf.lapack
 import prhf.radial
 import prhf.scf
 from prhf import AtomSystem, ConfigError, SolverOptions
@@ -448,7 +449,7 @@ def test_verify_s_only_forms_no_dense_matrix(tmp_path, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("a dense n x n path ran")
 
-    monkeypatch.setattr(scipy.linalg, "eigh", refuse)
+    monkeypatch.setattr(prhf.lapack, "syevr", refuse)
     monkeypatch.setattr(np.linalg, "solve", refuse)
     monkeypatch.setattr(prhf.radial, "spectral_function", refuse)
     outdir = tmp_path / "out"
@@ -894,9 +895,10 @@ def _loaded_line(prefix) -> str:
 def test_cli_import_leaves_unused_scipy_subpackages_unloaded():
     """import prhf.cli and parse_config load no scipy module at all.
 
-    Only the dense eigensolve imports scipy (scipy.linalg); the DST-I of
-    every grid length runs on numpy.fft. Other tests import scipy
-    subpackages as oracles, so the check runs in a fresh interpreter.
+    No module of prhf imports scipy: the dense eigensolves call the LAPACK
+    that numpy links (prhf.lapack), and the DST-I of every grid length runs
+    on numpy.fft. Other tests import scipy subpackages as oracles, so the
+    check runs in a fresh interpreter.
     """
     cfg = Path(__file__).resolve().parents[1] / "configs" / "helium.cfg"
     code = f"import sys, prhf.cli\nprhf.cli.parse_config({str(cfg)!r})\n" + _loaded_line("scipy")
@@ -965,11 +967,55 @@ def test_run_path_loads_no_numpy_submodule_on_first_use(tmp_path):
     assert _fresh_interpreter(code) == ["new:"]
 
 
-def test_p_channel_solve_loads_linalg_and_passes(tmp_path):
-    """ell_max = 1 takes the dense eigensolve, which imports scipy.linalg on first use."""
+def test_p_channel_solve_loads_no_scipy_and_passes(tmp_path):
+    """ell_max = 1 takes the dense eigensolves, on the LAPACK that numpy links: no scipy module loads."""
     cfg = _write_config(tmp_path, tmp_path / "out", ell_max=1)
     code = (
         "import sys\nfrom prhf.cli import main\n"
-        f"assert main(['solve', {str(cfg)!r}]) == 0\n" + _loaded_line(("scipy.linalg",))
+        f"assert main(['solve', {str(cfg)!r}]) == 0\n" + _loaded_line("scipy")
     )
-    assert "scipy.linalg" in _fresh_interpreter(code)
+    assert _fresh_interpreter(code) == ["loaded:"]
+
+
+def test_runs_without_scipy_installed(tmp_path):
+    """With scipy unimportable, solve and verify of helium and an ell_max = 1 solve exit 0.
+
+    A finder first on sys.meta_path refuses scipy and every submodule, as
+    an environment without scipy would: scipy is a test dependency only.
+    """
+    helium = Path(__file__).resolve().parents[1] / "configs" / "helium.cfg"
+    p_cfg = _write_config(tmp_path, tmp_path / "p", ell_max=1)
+    he_cfg = tmp_path / "helium.cfg"
+    he_cfg.write_text(helium.read_text().replace("out/helium", str(tmp_path / "he")))
+    code = (
+        "import sys\n"
+        "class NoScipy:\n"
+        "    def find_spec(self, name, path=None, target=None):\n"
+        "        if name == 'scipy' or name.startswith('scipy.'):\n"
+        "            raise ModuleNotFoundError(f'No module named {name!r}', name=name)\n"
+        "sys.meta_path.insert(0, NoScipy())\n"
+        "try:\n"
+        "    import scipy.linalg\n"
+        "    raise SystemExit('the finder let scipy through')\n"
+        "except ModuleNotFoundError:\n"
+        "    pass\n"
+        "from prhf.cli import main\n"
+        f"codes = [main(['solve', {str(he_cfg)!r}]), main(['verify', {str(he_cfg)!r}]),\n"
+        f"         main(['solve', {str(p_cfg)!r}])]\n"
+        "print('exits:', *codes)\n"
+    )
+    assert _fresh_interpreter(code) == ["exits:", "0", "0", "0"]
+    assert (tmp_path / "he" / "verify.json").is_file() and (tmp_path / "p" / "report.json").is_file()
+
+
+def test_p_channel_solve_without_the_lapack_routines_exits_1(tmp_path, monkeypatch, caplog):
+    """A numpy whose LAPACK lacks dsyevr and dstemr fails an ell_max = 1 solve at its first
+    dense use: one ERROR record naming the routine, exit 1, no traceback."""
+    monkeypatch.setattr(prhf.lapack, "_library", lambda: types.SimpleNamespace())
+    outdir = tmp_path / "out"
+    with caplog.at_level(logging.INFO, logger="prhf"):
+        assert main(["solve", str(_write_config(tmp_path, outdir, ell_max=1))]) == EXIT_CONFIG
+    [record] = caplog.records
+    assert record.levelno == logging.ERROR and record.exc_info is None
+    assert "exports no 64-bit d" in record.getMessage()
+    assert not (outdir / "report.json").exists()
