@@ -6,14 +6,14 @@ diagonalizes the current Fock operator, fills the lowest levels
 (aufbau), and takes the exact minimizer of the quadratic energy
 restriction along the segment towards that trial. Energy descent is
 monotone by construction; a violation raises LineSearchFailure because
-it can only come from a bug.
+it can only come from a bug. The levels come from `eigen`; this module
+chooses the solver, the start block and the preconditioner per channel.
 """
 
 from __future__ import annotations
 
 import functools
 import logging
-import math
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
@@ -28,6 +28,7 @@ from .coulomb import (
     hartree_potential,
     reduced_density,
 )
+from . import eigen
 from .errors import EigFailure, LineSearchFailure, NotConverged
 from .functional import EnergyBreakdown, line_coefficients, total_energy
 from .model import AtomSystem, SolverOptions, default_shells, validate_system
@@ -43,7 +44,7 @@ DESCENT_SLACK = 1e-12     # per-step slack on monotone descent
 # system's first trial is its h0 density again, and a, b ~ 1e-15 there.
 LINE_ROUNDOFF = 32.0 * np.finfo(float).eps
 # LOBPCG on matrix-free channels, whose preconditioner takes no constant
-# (each column is shifted by its own Ritz value, `_shifted_symbol`): residual
+# (each column is shifted by its own Ritz value, `_lobpcg_levels`): residual
 # tolerances relative to the operator's norm. LOBPCG_RTOL is for fills whose
 # columns can become the orbitals written out (their tails must hold down
 # to 1e-11 of their peak for the decay fits): the h0 start, the purity
@@ -123,11 +124,12 @@ class FockOperator:
     An operator whose channels are all s-channels (ell_max = 0) is
     matrix-free: `apply` takes T through the DST-I, the local potential
     as a vector and exchange through slater_yk sweeps, and its levels
-    come from the block LOBPCG of `_lobpcg`: the aufbau fill asks each
-    spin group for the levels it can reach, at the tolerance its caller
-    passes (LOBPCG_RTOL, or `_fill_rtol` of the commutator residual for an
-    SCF search direction), and a level table asks for one level more than
-    gamma has orbitals on the channel, at the looser level tolerance.
+    come from the block LOBPCG of `eigen.lobpcg` (`_lobpcg_levels`): the
+    aufbau fill asks each spin group for the levels it can reach, at the
+    tolerance its caller passes (LOBPCG_RTOL, or `_fill_rtol` of the
+    commutator residual for an SCF search direction), and a level table
+    asks for one level more than gamma has orbitals on the channel, at
+    the looser level tolerance.
     Each solve starts from the orbitals of gamma on its channel,
     completed by hydrogenic seeds at the operator's charge
     (`_start_block`), and falls back to a dense eigh of its own apply if
@@ -335,12 +337,6 @@ def fock_build(
     )
 
 
-def _dense_levels(H: np.ndarray, k: int):
-    from . import lapack    # loaded on first dense use, so an s-only run never compiles it
-
-    return lapack.syevr(H, k)
-
-
 def _start_block(fock: FockOperator, key: tuple[int, int], k: int):
     """LOBPCG start block (warm, Y0) of a channel in DST-I coordinates.
 
@@ -348,10 +344,13 @@ def _start_block(fock: FockOperator, key: tuple[int, int], k: int):
     order, when the density has one; otherwise it is the normalized
     hydrogenic seed of principal number ell + 1 + j at the operator's
     charge Z (`_hydrogenic_seed`). The start is warm when it holds at
-    least one orbital.
+    least one orbital. A grid of fewer than 5 k nodes gets no block
+    (Y0 is None): its dense solve reads none.
     """
     blk = fock.gamma.blocks.get(key)
     m = 0 if blk is None else min(blk.m, k)
+    if fock.grid.n < 5 * k:
+        return m > 0, None
     Y0 = np.empty((fock.grid.n, k))
     if m:
         Y0[:, :m] = dst(to_unit(fock.grid, blk.orbitals[:, :m]))
@@ -362,159 +361,22 @@ def _start_block(fock: FockOperator, key: tuple[int, int], k: int):
     return m > 0, Y0
 
 
-def _inverse_cholesky(G: np.ndarray):
-    """R^-1 for the Cholesky factor R of G = R^T R; None unless G is positive definite.
-
-    LAPACK's Cholesky lets a NaN in G through without an error, but every
-    entry of R feeds the last diagonal one, so a NaN shows there. A 1 x 1
-    G skips numpy.linalg's per-call overhead: R is its square root and
-    R^-1 one division, the same bits as `dpotrf` and `dgesv`.
-    """
-    if G.shape == (1, 1):
-        g = float(G[0, 0])
-        return np.array([[1.0 / math.sqrt(g)]]) if 0.0 < g < math.inf else None
-    try:
-        R = np.linalg.cholesky(G, upper=True)
-    except np.linalg.LinAlgError:
-        return None
-    return np.linalg.inv(R) if math.isfinite(R[-1, -1]) else None
-
-
-def _orthonormalize(V: np.ndarray):
-    """(R^-T V, R^-1) for the rows of V and the Cholesky factor R of V V^T.
-
-    None unless V V^T is positive definite.
-    """
-    Rinv = _inverse_cholesky(V @ V.T)
-    return None if Rinv is None else (Rinv.T @ V, Rinv)
-
-
-def _ritz(GA: np.ndarray, GB: np.ndarray, k: int):
-    """Lowest k eigenpairs of the pencil (GA, GB).
-
-    None if GB is not positive definite or the eigensolve fails.
-    """
-    Rinv = _inverse_cholesky(GB)
-    if Rinv is None:
-        return None
-    try:
-        vals, C = np.linalg.eigh(Rinv.T @ GA @ Rinv)
-    except np.linalg.LinAlgError:
-        return None
-    return vals[:k], Rinv @ C[:, :k]
-
-
-def _shifted_symbol(symbol: np.ndarray, vals: np.ndarray) -> np.ndarray:
-    """Row j is the divisor symbol + max(-vals[j], 0) of column j's residual.
-
-    `symbol` is a positive row (1, n), the diagonal of the operator's
-    leading part. A column whose Ritz value is negative, a bound level, is
-    preconditioned by (T - theta_j)^-1, one whose value is positive, a box
-    state, by T^-1. The shift is never negative, so every divisor is at
-    least the smallest symbol and the preconditioner stays positive
-    definite; a NaN value gives a NaN row.
-    """
-    return symbol + np.maximum(-vals, 0.0)[:, None]
-
-
-def _lobpcg(op, symbol: np.ndarray, X: np.ndarray, tol: float, maxiter: int, *,
-            ceiling: float = math.inf):
-    """Lowest X.shape[1] eigenpairs of the symmetric `op` by block LOBPCG.
-
-    Knyazev's method (SIAM J. Sci. Comput. 23 (2001) 517) as scipy's
-    `lobpcg` implements it, for a standard problem with a diagonal
-    preconditioner: `symbol` (an (n, 1) column, positive) is the diagonal
-    of the operator's leading part, and each step divides the residual of
-    column j by it shifted by the column's current Ritz value
-    (`_shifted_symbol`), the kinetic preconditioner with a band-energy
-    shift of plane-wave codes (Teter, Payne and Allan, PRB 40 (1989)
-    12255). Each step takes the Rayleigh-Ritz pairs of
-    [X, W, P]: W is the preconditioned residual of the active columns,
-    projected off X, and P the last step's update of them, each
-    Cholesky-orthonormalized (AP is carried by P's R^-1). The Rayleigh-Ritz
-    pencil is formed in full, S A S^T and S S^T for the rows S = [X, W, P].
-    A column whose residual falls below `tol` is locked for good. The
-    solve ends when every column is locked, after `maxiter` applies, when
-    W is numerically dependent, or when a Ritz value's magnitude exceeds
-    `ceiling`, which no Rayleigh quotient of `op` reaches: the iteration
-    has diverged. A P or a Rayleigh-Ritz pencil that is not positive
-    definite restarts the step without P.
-
-    Returns (values, vectors, iterations), the iterations counting the
-    applies of `op` after the first; the values are NaN when X is rank
-    deficient.
-    """
-    # the blocks are kept as rows, so that every elementwise step runs
-    # along the grid
-    k = X.shape[1]
-    orth = _orthonormalize(X.T)
-    if orth is None:
-        return np.full(k, np.nan), X, 0
-
-    def apply(V):
-        return np.ascontiguousarray(op(np.ascontiguousarray(V.T)).T)
-
-    symbol = symbol.T
-    X = orth[0]
-    AX = apply(X)
-    if k == 1:                      # the Rayleigh quotient, as `dsyevd` gives it
-        vals = (X @ AX.T)[0]
-    else:
-        try:                        # the rows of X are orthonormal
-            vals, C = np.linalg.eigh(X @ AX.T)
-        except np.linalg.LinAlgError:
-            return np.full(k, np.nan), X.T, 0
-        X, AX = C.T @ X, C.T @ AX
-    active = np.ones(k, dtype=bool)
-    P = AP = None
-    its = 0
-    while True:
-        R = AX - vals[:, None] * X
-        norms = np.sqrt(np.einsum("ij,ij->i", R, R))
-        active &= norms > tol
-        if not active.any() or its == maxiter or np.max(np.abs(vals)) > ceiling:
-            break
-        W = R[active] / _shifted_symbol(symbol, vals[active])
-        orth = _orthonormalize(W - (W @ X.T) @ X)
-        if orth is None:
-            break
-        W = orth[0]
-        S, AS = [X, W], [AX, apply(W)]
-        its += 1
-        orth = None if P is None else _orthonormalize(P[active])
-        if orth is not None:
-            S.append(orth[0])
-            AS.append(orth[1].T @ AP[active])
-        S, AS = np.concatenate(S), np.concatenate(AS)
-        GA = S @ AS.T
-        GA = 0.5 * (GA + GA.T)
-        GB = S @ S.T
-        m = k + len(W)              # the rows of [X, W]
-        ritz = _ritz(GA, GB, k)
-        if ritz is None and len(S) > m:             # restart without P
-            S, AS = S[:m], AS[:m]
-            ritz = _ritz(GA[:m, :m], GB[:m, :m], k)
-        if ritz is None:
-            break
-        vals, C = ritz
-        X, AX = C.T @ S, C.T @ AS
-        P, AP = C[k:].T @ S[k:], C[k:].T @ AS[k:]
-    return vals, X.T, its
-
-
 def _lobpcg_levels(fock: FockOperator, key: tuple[int, int], k: int, rtol: float):
     """Lowest k eigenpairs of a matrix-free channel by preconditioned LOBPCG.
 
-    The iteration (`_lobpcg`) runs in DST-I coordinates y = S x (S is its
-    own inverse), where the kinetic energy and the preconditioner are
+    The iteration (`eigen.lobpcg`) runs in DST-I coordinates y = S x (S is
+    its own inverse), where the kinetic energy and the preconditioner are
     diagonal (uniform grid only): one transform pair per operator apply,
     none per preconditioner apply. Column j is preconditioned by
     (T - theta_j)^-1 at its current Ritz value theta_j when that is
-    negative, a bound level, and by T^-1 otherwise; T's smallest symbol
-    is positive on the Dirichlet grid under both kinetic laws, so each is
-    positive definite. The residual tolerance is `rtol` times the
-    operator's norm bound max T + max |V|, and a Ritz value past
-    LOBPCG_DIVERGED times that bound ends the solve as diverged.
+    negative, a bound level, and by T^-1 otherwise, the band-energy shift
+    of plane-wave codes (Teter, Payne and Allan, PRB 40 (1989) 12255).
+    T's smallest symbol is positive on the Dirichlet grid under both
+    kinetic laws and the shift max(-theta_j, 0) is never negative, so
+    each is positive definite; a NaN Ritz value gives a NaN row. The
+    residual tolerance is `rtol` times the operator's norm bound
+    max T + max |V|, and a Ritz value past LOBPCG_DIVERGED times that
+    bound ends the solve as diverged.
 
     The start block (`_start_block`) depends on the operator alone, so
     repeated solves agree bit for bit. Where its density has orbitals on
@@ -523,12 +385,12 @@ def _lobpcg_levels(fock: FockOperator, key: tuple[int, int], k: int, rtol: float
     from a fresh apply, exceed the tolerance by more than LOBPCG_SLACK
     falls back, so a wrong level never passes; a bad start costs one
     LOBPCG run to at most LOBPCG_MAXITER iterations and then the dense
-    solve. A fallback and a grid of fewer than 5 k nodes alike take that
-    one dense solve: `eigh` of op(I), the operator in DST-I coordinates,
-    mapped back; a tiny grid builds no start block. The solve is recorded
-    in `fock.eigensolves` as (block, iterations, warm, fell back, rtol),
-    with `_lobpcg`'s count of applies after the first as its iterations
-    (0 on a tiny grid).
+    solve. A fallback and a grid of fewer than 5 k nodes, which has no
+    start block, alike take that one dense solve (`eigen.dense`) of
+    op(I), the operator in DST-I coordinates, mapped back. The solve is
+    recorded in `fock.eigensolves` as (block, iterations, warm, fell
+    back, rtol), with `eigen.lobpcg`'s count of applies after the first
+    as its iterations (0 on a tiny grid).
     """
     t = fock.kinetic[key[0]].symbol[:, None]
     norm = t.max() + np.abs(fock.potential).max()
@@ -537,10 +399,14 @@ def _lobpcg_levels(fock: FockOperator, key: tuple[int, int], k: int, rtol: float
     def op(Y):
         return t * Y + dst(fock.potential_apply(key, dst(Y)))
 
+    def precondition(R, theta):
+        return R / (t.T + np.maximum(-theta, 0.0)[:, None])
+
+    warm, Y0 = _start_block(fock, key, k)
     its, fell_back = 0, False
-    if fock.grid.n >= 5 * k:
-        warm, Y0 = _start_block(fock, key, k)
-        vals, vecs, its = _lobpcg(op, t, Y0, tol, LOBPCG_MAXITER, ceiling=LOBPCG_DIVERGED * norm)
+    if Y0 is not None:
+        vals, vecs, its = eigen.lobpcg(op, precondition, Y0, tol, LOBPCG_MAXITER,
+                                       ceiling=LOBPCG_DIVERGED * norm)
         vecs = dst(vecs)
         # a diverged solve's residual may overflow to inf: this check judges it
         with np.errstate(over="ignore", invalid="ignore"):
@@ -549,13 +415,9 @@ def _lobpcg_levels(fock: FockOperator, key: tuple[int, int], k: int, rtol: float
         if fell_back:
             log.warning("LOBPCG on channel %s left residual %.3e above %.3e; using dense eigh",
                         key, worst, LOBPCG_SLACK * tol)
-    else:
-        # the record's warmth without a start block, which the dense solve does not read
-        blk = fock.gamma.blocks.get(key)
-        warm = blk is not None and blk.m > 0
     fock.eigensolves.append((k, its, warm, fell_back, rtol))
-    if fell_back or fock.grid.n < 5 * k:
-        vals, vecs = _dense_levels(op(np.eye(fock.grid.n)), k)
+    if Y0 is None or fell_back:
+        vals, vecs = eigen.dense(op(np.eye(fock.grid.n)), k)
         vecs = dst(vecs)
     # sign convention P > 0 at the first node, so the orbitals written out
     # do not depend on the start block, the iteration count or a fallback
@@ -566,7 +428,7 @@ def _lobpcg_levels(fock: FockOperator, key: tuple[int, int], k: int, rtol: float
 def _eigensolve_summary(records: list) -> dict:
     """The `eigensolves` record of report.json from `_lobpcg_levels`' records.
 
-    A solve's iterations are `_lobpcg`'s block applies after the first,
+    A solve's iterations are `eigen.lobpcg`'s block applies after the first,
     the one of the start block (0 on a dense solve). LOBPCG work is the
     sum of iterations * (1 + block): each iteration applies the operator
     to a block of new directions and LOBPCG's cost grows with the block
@@ -603,29 +465,9 @@ def _group_levels(fock: FockOperator, ell: int, grp: list, count: int, rtol: flo
             vals, vecs = _lobpcg_levels(fock, key, k, rtol)
         else:
             k_solve = min(max(k, _levels_needed(fock.system.N)), fock.grid.n)
-            vals, vecs = _dense_levels(fock.matrices[key], k_solve)
+            vals, vecs = eigen.dense(fock.matrices[key], k_solve)
         level = fock._spectra[memo] = (vals, from_unit(fock.grid, vecs))
     return level[0][:k], level[1][:, :k]
-
-
-def _channel_spectra(fock: FockOperator):
-    """The level table's eigenpairs per channel, one eigensolve per spin group.
-
-    A channel on which fock.gamma holds m orbitals gets its m + 1 lowest
-    levels, an empty channel its lowest one: every occupied level and the
-    channel's lowest unoccupied one, which is all the table's readers
-    need (`analysis.minimizer_certificate` says why). Only eigenvalues and
-    overlaps are read (`_level_table`), so LOBPCG solves at the level tolerance.
-    """
-    spectra = {}
-    for ell in range(fock.ell_max + 1):
-        for grp in fock.groups:
-            blk = fock.gamma.blocks.get((ell, grp[0]))
-            count = 1 if blk is None else blk.m + 1
-            level = _group_levels(fock, ell, grp, count, LOBPCG_LEVEL_RTOL)
-            for spin in grp:
-                spectra[(ell, spin)] = level
-    return dict(sorted(spectra.items()))
 
 
 def _levels_needed(N: float) -> int:
@@ -633,8 +475,8 @@ def _levels_needed(N: float) -> int:
 
     The levels a dense channel solves once and slices for its fill and
     its table (a smaller subset would change neon's bits), and the fill's
-    count when computed levels tie (`_fill_spectra`). Level tables
-    (`FockOperator.levels`) ask for fewer (`_channel_spectra`).
+    count when computed levels tie (`_channel_spectra`). Level tables
+    (`FockOperator.levels`) ask for fewer.
     """
     return int(np.ceil(N)) + 4
 
@@ -652,18 +494,28 @@ def _fill_count(N: float, group_size: int, ell: int) -> int:
     return int(np.ceil(N / (group_size * (2 * ell + 1))))
 
 
-def _fill_spectra(fock: FockOperator, N: float, rtol: float = LOBPCG_RTOL) -> dict:
-    """The spectra an aufbau fill of N electrons reads, per channel.
+def _channel_spectra(fock: FockOperator, N: float | None = None,
+                     rtol: float = LOBPCG_LEVEL_RTOL) -> dict:
+    """Eigenpairs per channel, one eigensolve per spin group: an aufbau fill's or the table's.
 
-    Each spin group asks for its `_fill_count` levels at the fill
-    tolerance `rtol`, or for `_levels_needed(N)` levels when two of the
-    computed levels tie, since the count rests on increasing levels.
+    The fill of N electrons asks each spin group for its `_fill_count`
+    levels at the fill tolerance `rtol`, or for `_levels_needed(N)`
+    levels when two of the computed levels tie, since the count rests on
+    increasing levels. The level table (N None) asks a channel on which
+    fock.gamma holds m orbitals for its m + 1 lowest levels, an empty
+    channel for its lowest one: every occupied level and the channel's
+    lowest unoccupied one, which is all the table's readers need
+    (`analysis.minimizer_certificate` says why). Only the table's
+    eigenvalues and overlaps are read (`_level_table`), so LOBPCG solves
+    it at the level tolerance.
     """
     spectra = {}
     for ell in range(fock.ell_max + 1):
         for grp in fock.groups:
-            level = _group_levels(fock, ell, grp, _fill_count(N, len(grp), ell), rtol)
-            if not np.all(np.diff(level[0]) > 0.0):
+            blk = fock.gamma.blocks.get((ell, grp[0]))
+            count = (1 if blk is None else blk.m + 1) if N is None else _fill_count(N, len(grp), ell)
+            level = _group_levels(fock, ell, grp, count, rtol)
+            if N is not None and not np.all(np.diff(level[0]) > 0.0):
                 level = _group_levels(fock, ell, grp, _levels_needed(N), rtol)
             for spin in grp:
                 spectra[(ell, spin)] = level
@@ -716,9 +568,9 @@ def _level_table(fock: FockOperator) -> list[Level]:
 def aufbau_projection(fock: FockOperator, N: float, rtol: float = LOBPCG_RTOL) -> DensityMatrix:
     """Occupy the N lowest Fock levels across channels (ties: lower ell, spin).
 
-    A matrix-free channel solves its levels to `rtol` (`_fill_spectra`).
+    A matrix-free channel solves its levels to `rtol` (`_channel_spectra`).
     """
-    spectra = _fill_spectra(fock, N, rtol)
+    spectra = _channel_spectra(fock, N, rtol)
     blocks = {}
     for key, picks in _fill(spectra, N).items():
         _vals, vecs = spectra[key]

@@ -905,6 +905,19 @@ def test_cli_import_leaves_unused_scipy_subpackages_unloaded():
     assert _fresh_interpreter(code) == ["loaded:"]
 
 
+def test_cli_import_loads_the_eigensolver_but_not_lapack():
+    """import prhf.cli and parse_config load these prhf modules and no other.
+
+    The eigensolver module comes with scf; prhf.lapack waits for the first
+    dense eigensolve, so an s-only run never compiles it.
+    """
+    cfg = Path(__file__).resolve().parents[1] / "configs" / "helium.cfg"
+    code = f"import sys, prhf.cli\nprhf.cli.parse_config({str(cfg)!r})\n" + _loaded_line("prhf")
+    assert _fresh_interpreter(code) == [
+        "loaded:", "prhf", "prhf.analysis", "prhf.cli", "prhf.coulomb", "prhf.eigen",
+        "prhf.errors", "prhf.functional", "prhf.greens", "prhf.model", "prhf.radial", "prhf.scf"]
+
+
 def test_cli_import_loads_no_numpy_random():
     """import prhf.cli and parse_config leave numpy.random unloaded.
 

@@ -7,7 +7,7 @@ import pytest
 import scipy.linalg
 
 from prhf import AtomSystem, DensityMatrix, EigFailure, aufbau_projection, build_grid, fock_build
-from prhf import lapack, radial, scf
+from prhf import eigen, lapack, radial, scf
 from prhf.radial import _laplacian_bands
 
 ALPHA = 1.0 / 137.036
@@ -65,7 +65,7 @@ def test_non_finite_input_raises_eig_failure():
     with pytest.raises(EigFailure, match="infs or NaNs"):
         lapack.syevr(H, 2)
     with pytest.raises(EigFailure, match="infs or NaNs"):
-        scf._dense_levels(H, 2)
+        eigen.dense(H, 2)
     d, e = _laplacian_bands(build_grid(20, 5.0), 1)
     e[4] = np.inf
     with pytest.raises(EigFailure, match="infs or NaNs"):
@@ -97,7 +97,7 @@ def test_a_lapack_without_the_routines_raises_eig_failure_at_first_dense_use(mon
     """A library exporting neither name of a routine fails the dense path with EigFailure, naming it."""
     monkeypatch.setattr(lapack, "_library", lambda: types.SimpleNamespace())
     with pytest.raises(EigFailure, match="no 64-bit dsyevr"):
-        scf._dense_levels(np.eye(8), 2)
+        eigen.dense(np.eye(8), 2)
     with pytest.raises(EigFailure, match="no 64-bit dstemr"):
         radial.spectral_function(build_grid(50, 5.0), 1, np.sqrt)
 

@@ -30,7 +30,7 @@ from prhf import (
     validate_system,
 )
 from prhf.coulomb import exchange_matrix, hartree_potential, reduced_density
-from prhf import coulomb, radial, scf
+from prhf import coulomb, eigen, radial, scf
 from prhf.scf import (
     _channel_spectra, _levels_needed, _mix_blocks, commutator_residual, density_from_shells,
     orbital_residuals,
@@ -143,12 +143,12 @@ def _broken_ritz(*args):
     return None
 
 
-def _garbage_lobpcg(op, symbol, X, tol, maxiter, ceiling):
+def _garbage_lobpcg(apply, precondition, X, tol, maxiter, ceiling):
     """Finite levels and vectors that are no eigenpairs, after three iterations."""
     return np.zeros(X.shape[1]), X + 1.0, 3
 
 
-_true_ritz = scf._ritz
+_true_ritz = eigen._ritz
 
 
 def _nan_ritz(*args):
@@ -158,21 +158,21 @@ def _nan_ritz(*args):
 
 
 @pytest.mark.parametrize("patch, fill", [
-    (("LOBPCG_MAXITER", 1), False), (("_ritz", _broken_ritz), False),
-    (("LOBPCG_MAXITER", 1), True), (("_ritz", _broken_ritz), True),
-    (("_lobpcg", _garbage_lobpcg), False), (("_lobpcg", _garbage_lobpcg), True),
-    (("_ritz", _nan_ritz), False), (("_ritz", _nan_ritz), True),
+    ((scf, "LOBPCG_MAXITER", 1), False), ((eigen, "_ritz", _broken_ritz), False),
+    ((scf, "LOBPCG_MAXITER", 1), True), ((eigen, "_ritz", _broken_ritz), True),
+    ((eigen, "lobpcg", _garbage_lobpcg), False), ((eigen, "lobpcg", _garbage_lobpcg), True),
+    ((eigen, "_ritz", _nan_ritz), False), ((eigen, "_ritz", _nan_ritz), True),
 ], ids=["maxiter", "breakdown", "maxiter-fill", "breakdown-fill", "garbage", "garbage-fill",
         "nan-ritz", "nan-ritz-fill"])
 def test_lobpcg_nonconvergence_falls_back_to_dense(patch, fill, he_small, monkeypatch, caplog):
-    monkeypatch.setattr(scf, *patch)
+    monkeypatch.setattr(*patch)
     fock = fock_build(he_small.gamma, he_small.grid, he_small.sys, ell_max=0)
     # the fill of helium's one spin group asks for one level, its table for
     # one more than its one orbital
     k = 1 if fill else 2
     with caplog.at_level(logging.WARNING, logger="prhf.scf"):
         if fill:
-            spectra = scf._fill_spectra(fock, he_small.sys.N)
+            spectra = _channel_spectra(fock, he_small.sys.N, scf.LOBPCG_RTOL)
         else:
             spectra = _channel_spectra(fock)
     # one eigensolve for the one spin group: its warm start from helium's
@@ -216,27 +216,35 @@ def _assert_matches_node_space_eigh(fock, key, vals, vecs):
     assert np.max(np.abs(vecs - dvecs)) <= 1e-10
 
 
-@pytest.mark.parametrize("patch", [("_lobpcg", _garbage_lobpcg), ("LOBPCG_MAXITER", 1)],
-                         ids=["garbage", "maxiter"])
+@pytest.mark.parametrize("patch", [
+    (eigen, "lobpcg", _garbage_lobpcg), (scf, "LOBPCG_MAXITER", 1)], ids=["garbage", "maxiter"])
 def test_s_only_fallback_builds_no_dense_operator(patch, he_small, monkeypatch, caplog):
     """A matrix-free channel whose LOBPCG fails falls back without a node-space matrix."""
     def refuse(*args, **kwargs):
         raise AssertionError("a dense node-space operator was built")
 
-    monkeypatch.setattr(scf, *patch)
+    monkeypatch.setattr(*patch)
     monkeypatch.setattr(scf, "exchange_matrix", refuse)
     monkeypatch.setattr(radial, "spectral_function", refuse)
     fock = fock_build(he_small.gamma, he_small.grid, he_small.sys, ell_max=0)
     with caplog.at_level(logging.WARNING, logger="prhf.scf"):
-        scf._fill_spectra(fock, he_small.sys.N)
+        _channel_spectra(fock, he_small.sys.N, scf.LOBPCG_RTOL)
         _channel_spectra(fock)
     assert "using dense eigh" in caplog.text
     assert [fb for _k, _its, _warm, fb, _rtol in fock.eigensolves] == [True, True]
     assert "matrices" not in vars(fock)
 
 
+def _shifted(symbol):
+    """The Ritz-shifted preconditioner (symbol + max(-theta, 0))^-1 of a positive symbol row."""
+    def precondition(R, theta):
+        return R / (symbol + np.maximum(-theta, 0.0)[:, None])
+
+    return precondition
+
+
 def _small_problem(n=150):
-    """A symmetric matrix with a graded diagonal, its positive symbol and a recording apply."""
+    """A symmetric matrix with a graded diagonal, a shifted preconditioner and a recording apply."""
     rng = np.random.default_rng(11)
     d = np.linspace(1.0, 60.0, n)
     B = 0.3 * rng.standard_normal((n, n))
@@ -247,14 +255,14 @@ def _small_problem(n=150):
         widths.append(Y.shape[1])
         return A @ Y
 
-    return A, (d + 1.0)[:, None], op, widths, rng
+    return A, _shifted(d + 1.0), op, widths, rng
 
 
 @pytest.mark.parametrize("k", [1, 6])
 def test_inhouse_lobpcg_matches_eigh(k):
-    A, symbol, op, widths, rng = _small_problem()
+    A, precondition, op, widths, rng = _small_problem()
     tol = 1e-12 * np.linalg.norm(A, 2)
-    vals, X, its = scf._lobpcg(op, symbol, rng.standard_normal((A.shape[0], k)), tol, 200)
+    vals, X, its = eigen.lobpcg(op, precondition, rng.standard_normal((A.shape[0], k)), tol, 200)
     dense, dvecs = np.linalg.eigh(A)
     assert 0 < its == len(widths) - 1 < 200
     assert np.max(np.abs(vals - dense[:k])) <= 1e-10
@@ -266,14 +274,14 @@ def test_inhouse_lobpcg_matches_eigh(k):
 
 def test_inhouse_lobpcg_locks_a_converged_column():
     """A start column that is already an eigenvector is never applied again."""
-    A, symbol, op, widths, rng = _small_problem()
+    A, precondition, op, widths, rng = _small_problem()
     k = 4
     _dense, dvecs = np.linalg.eigh(A)
     X0 = rng.standard_normal((A.shape[0], k))
     X0[:, 0] = dvecs[:, 0]
     X0[:, 1:] -= np.outer(dvecs[:, 0], dvecs[:, 0] @ X0[:, 1:])
     tol = 1e-10 * np.linalg.norm(A, 2)
-    vals, X, its = scf._lobpcg(op, symbol, X0, tol, 200)
+    vals, X, its = eigen.lobpcg(op, precondition, X0, tol, 200)
     assert np.max(np.abs(vals - _dense[:k])) <= 1e-10
     # after the start block, every apply is of the active columns alone,
     # and a locked column never comes back
@@ -283,29 +291,45 @@ def test_inhouse_lobpcg_locks_a_converged_column():
 
 def test_inhouse_lobpcg_shifts_bound_levels_by_their_ritz_values():
     """A negative well below the positive symbol: bound levels, each preconditioned at its own value."""
-    A, symbol, _op, _widths, rng = _small_problem()
+    A, precondition, _op, _widths, rng = _small_problem()
     n, k = A.shape[0], 3
     A = A - np.diag(40.0 * np.exp(-np.arange(n) / 10.0))
     dense, dvecs = np.linalg.eigh(A)
     assert np.all(dense[:k] < 0.0)          # every column's shift is its own -theta
     tol = 1e-12 * np.linalg.norm(A, 2)
-    vals, X, its = scf._lobpcg(lambda Y: A @ Y, symbol, rng.standard_normal((n, k)), tol, 200)
+    X0 = rng.standard_normal((n, k))
+    vals, X, its = eigen.lobpcg(lambda Y: A @ Y, precondition, X0, tol, 200)
     assert 0 < its < 200
     assert np.max(np.abs(vals - dense[:k])) <= 1e-10
     assert np.max(np.linalg.norm(A @ X - X * vals, axis=0)) <= scf.LOBPCG_SLACK * tol
     assert np.max(np.abs(X @ X.T - dvecs[:, :k] @ dvecs[:, :k].T)) <= 1e-10
 
 
-def test_shifted_symbol_is_at_least_the_smallest_symbol():
-    """(T + max(-theta, 0))^-1: T - theta below zero, T itself above, never below min T."""
-    symbol = np.linspace(0.25, 30.0, 64)[None, :]
+def test_shifted_symbol_is_at_least_the_smallest_symbol(he_small, monkeypatch):
+    """(T + max(-theta, 0))^-1: T - theta below zero, T itself above, never below min T.
+
+    The preconditioner that `_lobpcg_levels` hands to `eigen.lobpcg`,
+    applied to unit residual rows at chosen Ritz values.
+    """
+    preconditioners = []
+    solve = eigen.lobpcg
+
+    def recording(apply, precondition, *args, **kwargs):
+        preconditioners.append(precondition)
+        return solve(apply, precondition, *args, **kwargs)
+
+    monkeypatch.setattr(eigen, "lobpcg", recording)
+    fock = fock_build(he_small.gamma, he_small.grid, he_small.sys, ell_max=0)
+    scf._lobpcg_levels(fock, (0, 0), 1, scf.LOBPCG_LEVEL_RTOL)
+    [precondition] = preconditioners
+    symbol = fock.kinetic[0].symbol
     vals = np.array([-7.5, -1e-3, -0.0, 0.0, 1e-3, 4.0, 1e3])
-    divisor = scf._shifted_symbol(symbol, vals)
-    assert divisor.shape == (len(vals), symbol.shape[1])
-    assert np.all(divisor >= symbol.min())
-    assert np.array_equal(divisor[vals < 0.0], symbol - vals[vals < 0.0, None])
-    assert np.array_equal(divisor[vals >= 0.0], np.broadcast_to(symbol, divisor[vals >= 0.0].shape))
-    assert np.all(np.isnan(scf._shifted_symbol(symbol, np.array([np.nan]))))
+    W = precondition(np.ones((len(vals), symbol.size)), vals)
+    assert W.shape == (len(vals), symbol.size)
+    assert np.all(W <= 1.0 / symbol.min())
+    assert np.array_equal(W[vals < 0.0], 1.0 / (symbol - vals[vals < 0.0, None]))
+    assert np.array_equal(W[vals >= 0.0], np.broadcast_to(1.0 / symbol, W[vals >= 0.0].shape))
+    assert np.all(np.isnan(precondition(np.ones((1, symbol.size)), np.array([np.nan]))))
 
 
 def _bad_gram(kind, k=4):
@@ -322,14 +346,14 @@ def _bad_gram(kind, k=4):
 @pytest.mark.parametrize("kind", ["indefinite", "nan"])
 def test_small_factorizations_refuse_a_bad_gram(kind):
     G = _bad_gram(kind)
-    assert scf._inverse_cholesky(G) is None
-    assert scf._ritz(np.diag(np.arange(1.0, 5.0)), G, 2) is None
+    assert eigen._inverse_cholesky(G) is None
+    assert eigen._ritz(np.diag(np.arange(1.0, 5.0)), G, 2) is None
     if kind == "nan":           # a NaN in the projected matrix instead
-        assert scf._ritz(G, np.eye(4), 2) is None
+        assert eigen._ritz(G, np.eye(4), 2) is None
 
 
 def _numpy_inverse_cholesky(G):
-    """`scf._inverse_cholesky` through numpy.linalg alone, at every block size."""
+    """`eigen._inverse_cholesky` through numpy.linalg alone, at every block size."""
     try:
         R = np.linalg.cholesky(G, upper=True)
     except np.linalg.LinAlgError:
@@ -347,7 +371,7 @@ def test_one_by_one_blocks_match_numpy_linalg():
                              -rng.uniform(0.0, 1.0, 50), _SCALAR_EDGES])
     for g in values:
         G = np.array([[g]])
-        ours, ref = scf._inverse_cholesky(G), _numpy_inverse_cholesky(G)
+        ours, ref = eigen._inverse_cholesky(G), _numpy_inverse_cholesky(G)
         assert (ours is None) == (ref is None), g
         if ref is not None:
             assert ours.shape == ref.shape and np.array_equal(ours, ref), g
@@ -391,7 +415,7 @@ def _h0_and_converged_levels(sol):
     out = []
     for gamma in (aufbau_projection(bare, N), sol.gamma):
         fock = fock_build(gamma, sol.grid, sol.sys, ell_max=0)
-        spectra = [scf._fill_spectra(fock, N), _channel_spectra(fock)]
+        spectra = [_channel_spectra(fock, N, scf.LOBPCG_RTOL), _channel_spectra(fock)]
         out.append((fock.eigensolves, spectra))
     return out
 
@@ -421,7 +445,7 @@ def test_warm_start_repeats_bit_for_bit(he_small):
     levels = []
     for _ in range(2):
         fock = fock_build(he_small.gamma, he_small.grid, he_small.sys, ell_max=0)
-        levels.append([scf._fill_spectra(fock, N), _channel_spectra(fock)])
+        levels.append([_channel_spectra(fock, N, scf.LOBPCG_RTOL), _channel_spectra(fock)])
     for first, again in zip(*levels):
         for key, (vals, vecs) in first.items():
             assert np.array_equal(vals, again[key][0]) and np.array_equal(vecs, again[key][1])
@@ -537,7 +561,7 @@ def _fill_pair(fock, N):
         (0, spin): scf._group_levels(fock, 0, grp, _levels_needed(N), scf.LOBPCG_RTOL)
         for grp in fock.groups for spin in grp
     }
-    return scf._fill(scf._fill_spectra(fock, N), N), scf._fill(full, N)
+    return scf._fill(_channel_spectra(fock, N, scf.LOBPCG_RTOL), N), scf._fill(full, N)
 
 
 @settings(deadline=None, max_examples=30, suppress_health_check=[HealthCheck.too_slow])
@@ -586,7 +610,7 @@ def test_fill_of_tied_levels_takes_the_table_count(he_small, monkeypatch):
         return vals, vecs
 
     monkeypatch.setattr(scf, "_lobpcg_levels", tied)
-    spectra = scf._fill_spectra(fock, N)
+    spectra = _channel_spectra(fock, N, scf.LOBPCG_RTOL)
     assert spectra[(0, 0)][0].size == _levels_needed(N)
 
 
@@ -695,13 +719,13 @@ def test_residual_tied_fill_tolerance_keeps_the_scf_path(Z, n, r_max, monkeypatc
 def test_neon_fill_and_table_share_one_eigh(grid200, monkeypatch):
     """A dense operator keeps the table count for its fill: one eigh per channel group."""
     counts = []
-    dense = scf._dense_levels
+    dense = eigen.dense
 
     def recording(H, k):
         counts.append(k)
         return dense(H, k)
 
-    monkeypatch.setattr(scf, "_dense_levels", recording)
+    monkeypatch.setattr(eigen, "dense", recording)
     sys = AtomSystem(Z=10.0, N=10, alpha=ALPHA)
     bare = fock_build(DensityMatrix({}), grid200, sys, ell_max=1)
     aufbau_projection(bare, sys.N)
@@ -714,7 +738,7 @@ def test_dense_table_rows_are_slices_of_one_eigh(monkeypatch):
     """Neon (n = 200, ell_max 1): each channel's m + 1 table rows are the first m + 1 levels
     of its one eigh of _levels_needed(N) levels, bit for bit, vectors included."""
     counts = []
-    dense = scf._dense_levels
+    dense = eigen.dense
 
     def recording(H, k):
         counts.append(k)
@@ -724,7 +748,7 @@ def test_dense_table_rows_are_slices_of_one_eigh(monkeypatch):
     sys = AtomSystem(Z=10.0, N=10, alpha=ALPHA)
     gamma = aufbau_projection(fock_build(DensityMatrix({}), grid, sys, ell_max=1), sys.N)
     fock = fock_build(gamma, grid, sys, ell_max=1)
-    monkeypatch.setattr(scf, "_dense_levels", recording)
+    monkeypatch.setattr(eigen, "dense", recording)
     spectra = _channel_spectra(fock)
     assert counts == [_levels_needed(sys.N)] * 2         # ell = 0 and 1, one spin group
     assert {key: blk.m for key, blk in gamma.blocks.items()} == {
@@ -782,8 +806,8 @@ def test_neon_fock_matrices_are_exactly_symmetric():
 def test_neon_dense_build_holds_only_its_channel_matrices():
     """A dense build keeps its channel matrices and no n x n kernel, buffer or copy.
 
-    The grid is built by no other test, so no cache is warm for it but
-    the kinetic matrices, which the bare operator's fill has built.
+    No cache holds anything for the grid but the kinetic matrices, which
+    the bare operator's fill has built before the trace starts.
     """
     grid = build_grid(263, 15.0)
     sys = AtomSystem(Z=10.0, N=10, alpha=ALPHA)
@@ -1477,12 +1501,15 @@ def test_helium_solve_counts_its_work():
 
 
 def test_diverged_lobpcg_falls_back_to_dense_without_overflow():
-    """A LOBPCG solve that diverges stops early, falls back to dense eigh, and does not warn.
+    """A LOBPCG solve that stalls stops early, falls back to dense eigh, and does not warn.
 
-    Z = 9, N = 8, n = 148, 12 levels of the h0 fill's operator: the Ritz
-    values stall, then grow past any Rayleigh quotient of the operator.
-    The solve ends once one exceeds LOBPCG_DIVERGED times the norm bound,
-    where it ran all LOBPCG_MAXITER iterations to Ritz values near 1e161.
+    Z = 9, N = 8, n = 148, 12 levels of the h0 fill's operator: the worst
+    residual bottoms out at iteration 21, above the tolerance, and then
+    grows, and the Ritz values grow past any Rayleigh quotient of the
+    operator. The divergence stop (LOBPCG_DIVERGED times the norm bound)
+    ended it at iteration 67, where it ran all LOBPCG_MAXITER iterations
+    to Ritz values near 1e161; the stall stop (`eigen.STALL_APPLIES`)
+    ends it at iteration 36.
     """
     sys = AtomSystem(Z=9.0, N=8.0, alpha=ALPHA, q=2)
     grid = build_grid(148, 10.0)
@@ -1490,7 +1517,7 @@ def test_diverged_lobpcg_falls_back_to_dense_without_overflow():
     fock = fock_build(aufbau_projection(fock, sys.N), grid, sys, ell_max=0)
     vals, vecs = scf._group_levels(fock, 0, [0, 1], _levels_needed(sys.N), scf.LOBPCG_RTOL)
     _k, its, _warm, fell_back, _rtol = fock.eigensolves[-1]
-    assert fell_back and its < scf.LOBPCG_MAXITER // 2
+    assert fell_back and its <= 36
     dense, dvecs = _dst_dense_levels(fock, (0, 0), 12)
     assert np.array_equal(vals, dense)
     assert np.array_equal(vecs, dvecs / np.sqrt(grid.h))
