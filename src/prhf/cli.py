@@ -11,7 +11,9 @@ Exit codes: 0 success, 1 configuration error, 2 not converged,
 CSV numbers use 17-significant-digit scientific notation so identical
 runs produce byte-identical files. BLAS thread counts are taken from
 the usual environment variables (OMP_NUM_THREADS and friends); nothing
-else is read from the environment.
+else is read from the environment. When BLAS runs one thread per call,
+the dense channel solves of an ell_max >= 1 run go side by side on the
+usable cores (`prhf.lapack.syevr_each`), with the same results.
 """
 
 from __future__ import annotations

@@ -18,11 +18,15 @@ import numpy as np
 STALL_APPLIES = 25
 
 
-def dense(H: np.ndarray, k: int):
-    """Lowest k eigenpairs of the symmetric H, from its lower triangle (LAPACK `dsyevr`)."""
+def dense(Hs: list, k: int) -> list:
+    """Lowest k eigenpairs of each symmetric H of Hs, from its lower triangle (LAPACK `dsyevr`).
+
+    The solves may run side by side (`lapack.syevr_each`); the results
+    come in the order of Hs.
+    """
     from . import lapack    # loaded on first dense use, so an s-only run never compiles it
 
-    return lapack.syevr(H, k)
+    return lapack.syevr_each(Hs, k)
 
 
 def _inverse_cholesky(G: np.ndarray):

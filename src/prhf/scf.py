@@ -135,12 +135,15 @@ class FockOperator:
     (`_start_block`), and falls back to a dense eigh of its own apply if
     its residuals fail: it never builds `matrices`. Any other operator
     applies its dense `matrices`, which are assembled on first access
-    only, and computes its fill and its table by one `eigh`, whatever the
-    tolerance asked. Nothing is modified after the build, so each
-    eigensolve (channel, count, tolerance) runs once and is kept: a level
-    table read twice is solved once. Every LOBPCG solve appends a (block,
-    iterations, warm, fell back to dense, rtol) record to `eigensolves`, a
-    list the caller may share between operators.
+    only, and computes its fill and its table by one `eigh` per spin
+    group and channel, all in one `eigen.dense` call (`_dense_levels`),
+    whatever the tolerance asked. Nothing is modified after the build (a
+    dense solve factors a matrix in place and restores its bits before
+    it returns), so each eigensolve (channel, count, tolerance) runs
+    once and is kept: a level table read twice is solved once. Every
+    LOBPCG solve appends a (block, iterations, warm, fell back to dense,
+    rtol) record to `eigensolves`, a list the caller may share between
+    operators.
 
     `groups` are the spins that hold the same block objects of gamma on
     every channel (`DensityMatrix` shares bytes-equal spin partners); their
@@ -417,7 +420,7 @@ def _lobpcg_levels(fock: FockOperator, key: tuple[int, int], k: int, rtol: float
                         key, worst, LOBPCG_SLACK * tol)
     fock.eigensolves.append((k, its, warm, fell_back, rtol))
     if Y0 is None or fell_back:
-        vals, vecs = eigen.dense(op(np.eye(fock.grid.n)), k)
+        [(vals, vecs)] = eigen.dense([op(np.eye(fock.grid.n))], k)
         vecs = dst(vecs)
     # sign convention P > 0 at the first node, so the orbitals written out
     # do not depend on the start block, the iteration count or a fallback
@@ -450,24 +453,44 @@ def _group_levels(fock: FockOperator, ell: int, grp: list, count: int, rtol: flo
     """Lowest `count` eigenpairs of channel ell of one spin group, grid-normalized.
 
     The one choice of eigensolver. A matrix-free channel runs one LOBPCG
-    solve per (count, rtol). A dense channel runs one `eigh` of
-    max(count, _levels_needed(N)) levels, and every request is a slice of
-    it: a smaller subset would change the bits of the levels, and `rtol`
-    does not concern it. Memoized on the operator; callers must not
-    modify the arrays.
+    solve per (count, rtol). A dense channel's request is a slice of
+    `_dense_levels`: a smaller subset would change the bits of the
+    levels, and `rtol` does not concern it. Memoized on the operator;
+    callers must not modify the arrays.
     """
     key = (ell, grp[0])
     k = min(count, fock.grid.n)
-    memo = (key, k, rtol) if fock.matrix_free else key
-    level = fock._spectra.get(memo)
-    if level is None or len(level[0]) < k:
-        if fock.matrix_free:
-            vals, vecs = _lobpcg_levels(fock, key, k, rtol)
-        else:
-            k_solve = min(max(k, _levels_needed(fock.system.N)), fock.grid.n)
-            vals, vecs = eigen.dense(fock.matrices[key], k_solve)
-        level = fock._spectra[memo] = (vals, from_unit(fock.grid, vecs))
+    if not fock.matrix_free:
+        level = _dense_levels(fock, key, k)
+    elif (level := fock._spectra.get((key, k, rtol))) is None:
+        vals, vecs = _lobpcg_levels(fock, key, k, rtol)
+        level = fock._spectra[(key, k, rtol)] = (vals, from_unit(fock.grid, vecs))
     return level[0][:k], level[1][:, :k]
+
+
+def _dense_levels(fock: FockOperator, key: tuple[int, int], k: int):
+    """At least k lowest eigenpairs of dense channel `key`, grid-normalized, kept on the operator.
+
+    The first request solves every channel of every spin group at
+    min(_levels_needed(N), n) levels in one `eigen.dense` call, which
+    runs the solves side by side. It hands LAPACK `fock.matrices[key].T`,
+    the F-ordered view of an exactly symmetric C array: the numbers of
+    the copy it would make otherwise, without the copy. A channel asked
+    for more levels is solved again alone.
+    """
+    if not fock._spectra:
+        keys = [(ell, grp[0]) for ell in range(fock.ell_max + 1) for grp in fock.groups]
+        _solve_dense(fock, keys, min(_levels_needed(fock.system.N), fock.grid.n))
+    if len(fock._spectra[key][0]) < k:
+        _solve_dense(fock, [key], k)
+    return fock._spectra[key]
+
+
+def _solve_dense(fock: FockOperator, keys: list, k: int) -> None:
+    """Solve the dense channels `keys` at k levels in one call and keep them on the operator."""
+    solved = eigen.dense([fock.matrices[key].T for key in keys], k)
+    for key, (vals, vecs) in zip(keys, solved):
+        fock._spectra[key] = (vals, from_unit(fock.grid, vecs))
 
 
 def _levels_needed(N: float) -> int:

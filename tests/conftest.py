@@ -1,3 +1,5 @@
+import ctypes
+
 import numpy as np
 import pytest
 
@@ -33,6 +35,22 @@ class Solution:
                 eps = self.grid.h * float(P @ (H @ P))
                 out.append((ell, spin, a, P, eps))
         return out
+
+
+@pytest.fixture
+def one_blas_thread():
+    """numpy's OpenBLAS on one thread per call, the setting under which `lapack` runs dense
+    solves side by side; its former thread count is restored after the test."""
+    from prhf import lapack
+
+    get = lapack._function("scipy_openblas_get_num_threads64_", ctypes.c_int, ())
+    put = lapack._function("scipy_openblas_set_num_threads64_", None, (ctypes.c_int,))
+    threads = get()
+    put(1)
+    try:
+        yield
+    finally:
+        put(threads)
 
 
 def _solve(Z, N, n, r_max, alpha=ALPHA, **opt_kw):

@@ -4,6 +4,7 @@ import logging
 import os
 import subprocess
 import sys
+import threading
 import types
 from pathlib import Path
 
@@ -443,6 +444,17 @@ def test_binding_rows_and_sweep_solve_no_level_table(tmp_path, monkeypatch):
     assert run_sweep(_write_config(tmp_path, tmp_path / "out", Z=3.0, N=3, r_max=16.0)) == EXIT_OK
     assert rtols and prhf.scf.LOBPCG_LEVEL_RTOL not in rtols
     assert tables == []
+
+
+def test_s_only_solve_and_verify_start_no_thread(tmp_path, monkeypatch):
+    """Only dense channel solves run side by side: helium's solve and verify start no thread."""
+    def refuse(self):
+        raise AssertionError("a thread was started")
+
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    cfg = _write_config(tmp_path, tmp_path / "out", verify_greens="true", verify_binding="true")
+    assert run_solve(cfg) == EXIT_OK
+    assert run_verify(cfg) == EXIT_OK
 
 
 def test_verify_s_only_forms_no_dense_matrix(tmp_path, monkeypatch):
@@ -927,6 +939,14 @@ def test_cli_import_loads_no_numpy_random():
     cfg = Path(__file__).resolve().parents[1] / "configs" / "helium.cfg"
     code = f"import sys, prhf.cli\nprhf.cli.parse_config({str(cfg)!r})\n"
     assert _fresh_interpreter(code + _loaded_line("numpy.random")) == ["loaded:"]
+
+
+def test_cli_import_loads_no_thread_pool():
+    """import prhf.cli and parse_config leave concurrent.futures unloaded: only the first
+    side-by-side dense solve imports it."""
+    cfg = Path(__file__).resolve().parents[1] / "configs" / "helium.cfg"
+    code = f"import sys, prhf.cli\nprhf.cli.parse_config({str(cfg)!r})\n"
+    assert _fresh_interpreter(code + _loaded_line("concurrent")) == ["loaded:"]
 
 
 def test_s_only_solve_and_verify_load_no_fft_or_linalg(tmp_path):

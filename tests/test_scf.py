@@ -2,6 +2,7 @@ import ast
 import collections
 import functools
 import logging
+import threading
 import tracemalloc
 import weakref
 from dataclasses import replace
@@ -30,7 +31,7 @@ from prhf import (
     validate_system,
 )
 from prhf.coulomb import exchange_matrix, hartree_potential, reduced_density
-from prhf import coulomb, eigen, radial, scf
+from prhf import coulomb, eigen, lapack, radial, scf
 from prhf.scf import (
     _channel_spectra, _levels_needed, _mix_blocks, commutator_residual, density_from_shells,
     orbital_residuals,
@@ -717,20 +718,21 @@ def test_residual_tied_fill_tolerance_keeps_the_scf_path(Z, n, r_max, monkeypatc
 
 
 def test_neon_fill_and_table_share_one_eigh(grid200, monkeypatch):
-    """A dense operator keeps the table count for its fill: one eigh per channel group."""
+    """A dense operator keeps the table count for its fill: one eigh per channel group,
+    every channel of the operator in one call."""
     counts = []
     dense = eigen.dense
 
-    def recording(H, k):
-        counts.append(k)
-        return dense(H, k)
+    def recording(Hs, k):
+        counts.append((len(Hs), k))
+        return dense(Hs, k)
 
     monkeypatch.setattr(eigen, "dense", recording)
     sys = AtomSystem(Z=10.0, N=10, alpha=ALPHA)
     bare = fock_build(DensityMatrix({}), grid200, sys, ell_max=1)
     aufbau_projection(bare, sys.N)
     bare.levels
-    assert counts == [14, 14]            # ell = 0 and 1, one spin group
+    assert counts == [(2, 14)]           # ell = 0 and 1, one spin group, in one call
     assert bare.eigensolves == []
 
 
@@ -740,9 +742,9 @@ def test_dense_table_rows_are_slices_of_one_eigh(monkeypatch):
     counts = []
     dense = eigen.dense
 
-    def recording(H, k):
-        counts.append(k)
-        return dense(H, k)
+    def recording(Hs, k):
+        counts.append((len(Hs), k))
+        return dense(Hs, k)
 
     grid = build_grid(200, 15.0)
     sys = AtomSystem(Z=10.0, N=10, alpha=ALPHA)
@@ -750,7 +752,7 @@ def test_dense_table_rows_are_slices_of_one_eigh(monkeypatch):
     fock = fock_build(gamma, grid, sys, ell_max=1)
     monkeypatch.setattr(eigen, "dense", recording)
     spectra = _channel_spectra(fock)
-    assert counts == [_levels_needed(sys.N)] * 2         # ell = 0 and 1, one spin group
+    assert counts == [(2, _levels_needed(sys.N))]        # ell = 0 and 1, one spin group
     assert {key: blk.m for key, blk in gamma.blocks.items()} == {
         (0, 0): 2, (0, 1): 2, (1, 0): 1, (1, 1): 1}
     for key, (vals, vecs) in spectra.items():
@@ -760,6 +762,59 @@ def test_dense_table_rows_are_slices_of_one_eigh(monkeypatch):
         assert np.array_equal(vals, full_vals[:k])
         assert np.array_equal(vecs, radial.from_unit(grid, full_vecs)[:, :k])
     assert fock.eigensolves == []
+
+
+def test_dense_request_past_the_shared_solve_solves_its_channel_alone(monkeypatch):
+    """Neon (n = 200, ell_max 1): 20 levels of the s-channel, past the 14 that every channel
+    gets in the first call, come from a solve of that channel alone at 20 levels; the
+    p-channel keeps its first solve."""
+    calls = []
+    dense = eigen.dense
+
+    def recording(Hs, k):
+        calls.append((len(Hs), k))
+        return dense(Hs, k)
+
+    grid = build_grid(200, 15.0)
+    sys = AtomSystem(Z=10.0, N=10, alpha=ALPHA)
+    fock = fock_build(DensityMatrix({}), grid, sys, ell_max=1)
+    monkeypatch.setattr(eigen, "dense", recording)
+    p_levels = scf._group_levels(fock, 1, [0, 1], 3, scf.LOBPCG_RTOL)
+    vals, vecs = scf._group_levels(fock, 0, [0, 1], 20, scf.LOBPCG_RTOL)
+    assert calls == [(2, _levels_needed(sys.N)), (1, 20)]
+    ref_vals, ref_vecs = scipy.linalg.eigh(fock.matrices[(0, 0)], subset_by_index=(0, 19))
+    assert np.array_equal(vals, ref_vals)
+    assert np.array_equal(vecs, radial.from_unit(grid, ref_vecs))
+    again = scf._group_levels(fock, 1, [0, 1], 3, scf.LOBPCG_RTOL)
+    assert all(np.array_equal(a, b) for a, b in zip(again, p_levels))
+    assert calls == [(2, _levels_needed(sys.N)), (1, 20)]
+
+
+def test_neon_solve_is_the_same_on_one_worker_and_on_two(monkeypatch, one_blas_thread):
+    """Neon (n = 200, ell_max 1) with its dense channel solves serial and side by side:
+    the report (levels and eigensolves records included) and the orbitals are identical."""
+    sys = validate_system(AtomSystem(Z=10.0, N=10, alpha=ALPHA))
+    options = SolverOptions(n=200, r_max=15.0, ell_max=1)
+    solve = lapack.syevr
+    runs = []
+    for workers in (1, 2):
+        on_main = []
+
+        def recording(H, k):
+            on_main.append(threading.current_thread() is threading.main_thread())
+            return solve(H, k)
+
+        monkeypatch.setattr(lapack, "_workers", lambda count, w=workers: min(count, w))
+        monkeypatch.setattr(lapack, "syevr", recording)
+        report, gamma = solve_scf(sys, options)
+        assert report.converged and on_main and set(on_main) == {workers == 1}
+        runs.append((report.as_dict(), gamma))
+    (serial, serial_gamma), (threaded, threaded_gamma) = runs
+    assert serial == threaded
+    assert serial_gamma.blocks.keys() == threaded_gamma.blocks.keys()
+    for key, blk in serial_gamma.blocks.items():
+        assert np.array_equal(blk.orbitals, threaded_gamma.blocks[key].orbitals)
+        assert np.array_equal(blk.occupations, threaded_gamma.blocks[key].occupations)
 
 
 @pytest.mark.parametrize("Z, n, r_max, ell_max", [
