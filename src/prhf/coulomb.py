@@ -21,6 +21,7 @@ pins this normalization).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -225,8 +226,12 @@ def exchange_multipole_weight(ell_a: int, ell_b: int, k: int) -> float:
     return val
 
 
-def _k_values(ell_a: int, ell_b: int):
-    return range(abs(ell_a - ell_b), ell_a + ell_b + 1, 2)
+@functools.cache
+def _multipoles(ell_a: int, ell_b: int) -> tuple[tuple[int, float], ...]:
+    """The exchange sums' one table: (k, 3j(ell_a k ell_b; 0 0 0)^2) for k from |ell_a - ell_b|
+    to ell_a + ell_b in steps of 2, where parity and the triangle rule hold: every weight is > 0."""
+    return tuple((k, exchange_multipole_weight(ell_a, ell_b, k))
+                 for k in range(abs(ell_a - ell_b), ell_a + ell_b + 1, 2))
 
 
 # rows of K filled per pass of the term sum; 32 and 128-400 were slower at n = 800
@@ -254,8 +259,9 @@ def exchange_matrix(gamma: DensityMatrix, ell: int, spin: int, grid: RadialGrid)
     K[i,j] = h * sum_{blocks (ell',spin)} sum_a f_a *
              sum_k (3j(ell k ell';000))^2 * kernel_k(r_i,r_j) * P_a(r_i) P_a(r_j).
 
-    Only same-spin blocks couple. Positive semidefinite because every
-    multipole kernel is a positive-definite pair kernel. K is filled
+    k and its weight run over `_multipoles(ell, ell')`. Only same-spin
+    blocks couple. Positive semidefinite because every multipole kernel
+    is a positive-definite pair kernel. K is filled
     _ROW_BLOCK rows at a time, every term in turn on each block of rows
     with its kernel rows (`_kernel_rows`), then scaled by h and
     symmetrized in place block pair by block pair: no n x n buffer
@@ -267,10 +273,8 @@ def exchange_matrix(gamma: DensityMatrix, ell: int, spin: int, grid: RadialGrid)
     for (ell_b, spin_b), blk in gamma.blocks.items():
         if spin_b != spin:
             continue
-        for k in _k_values(ell, ell_b):
-            wk = exchange_multipole_weight(ell, ell_b, k)
-            if wk != 0.0:
-                terms.append((blk.orbitals * blk.occupations, blk.orbitals, k, wk))
+        for k, wk in _multipoles(ell, ell_b):
+            terms.append((blk.orbitals * blk.occupations, blk.orbitals, k, wk))
     powers = {k: (r**k, r ** (k + 1)) for k in {term[2] for term in terms}}
     K = np.zeros((n, n))
     for i0 in range(0, n, _ROW_BLOCK):
@@ -297,17 +301,14 @@ def exchange_apply(
 ) -> np.ndarray:
     """K^(ell,spin) X without the n x n matrix of exchange_matrix.
 
-    (K x)(r) = sum_a f_a sum_k (3j)^2 P_a(r) Y^k[P_a x](r) / r: one
-    slater_yk sweep per shell and multipole, O(n m) per column of X.
+    (K x)(r) = sum_a f_a sum_k (3j)^2 P_a(r) Y^k[P_a x](r) / r over `_multipoles`:
+    one slater_yk sweep per shell and multipole, O(n m) per column of X.
     """
     out = np.zeros(X.shape)
     for (ell_b, spin_b), blk in gamma.blocks.items():
         if spin_b != spin:
             continue
-        for k in _k_values(ell, ell_b):
-            wk = exchange_multipole_weight(ell, ell_b, k)
-            if wk == 0.0:
-                continue
+        for k, wk in _multipoles(ell, ell_b):
             for P, f in zip(blk.orbitals.T, blk.occupations):
                 P = P if X.ndim == 1 else P[:, None]
                 out += (wk * f) * P * slater_yk(P, X, k, grid)
@@ -325,10 +326,7 @@ def _pair_terms(la: int, blka: ChannelBlock, lb: int, blkb: ChannelBlock, grid: 
             if fa == 0.0 or fb == 0.0:
                 continue
             prod = blka.orbitals[:, a] * blkb.orbitals[:, b]
-            for k in _k_values(la, lb):
-                wk = exchange_multipole_weight(la, lb, k)
-                if wk == 0.0:
-                    continue
+            for k, wk in _multipoles(la, lb):
                 # R^k(ab;ba) = int int prod(r) kernel_k(r,s) prod(s) dr ds
                 y = slater_yk(prod, 1.0, k, grid)
                 rk = integrate(grid, prod * y / grid.nodes)
@@ -337,7 +335,7 @@ def _pair_terms(la: int, blka: ChannelBlock, lb: int, blkb: ChannelBlock, grid: 
 
 
 def exchange_energy(gamma: DensityMatrix, grid: RadialGrid) -> float:
-    """Ex = (1/2) sum_spin sum_{a,b} f_a f_b sum_k (3j)^2 R^k(ab;ba).
+    """Ex = (1/2) sum_spin sum_{a,b} f_a f_b sum_k (3j)^2 R^k(ab;ba), k over `_multipoles`.
 
     The terms of a pair of blocks are computed once per pair of owners
     (`DensityMatrix.owner`), so spin partners share them, and are added

@@ -76,10 +76,13 @@ def lobpcg(apply, precondition, X: np.ndarray, tol: float, maxiter: int, *,
     """Lowest X.shape[1] eigenpairs of the symmetric operator `apply` by block LOBPCG.
 
     Knyazev's method (SIAM J. Sci. Comput. 23 (2001) 517) as scipy's
-    `lobpcg` implements it, for a standard problem. `apply` maps a block
-    of columns to the operator times it. `precondition(R, theta)` maps the
-    residuals of the active columns, as rows R, to their preconditioned
-    rows, given the columns' current Ritz values theta. Each step takes
+    `lobpcg` implements it, for a standard problem, started from the
+    Rayleigh-Ritz pairs of the orthonormalized X by one `eigh` at every
+    width (of a 1 x 1 block it returns the entry and [[1.0]]). `apply`
+    maps a block of columns to the operator times it.
+    `precondition(R, theta)` maps the residuals of the active columns, as
+    rows R, to their preconditioned rows, given the columns' current Ritz
+    values theta. Each step takes
     the Rayleigh-Ritz pairs of [X, W, P]: W is the preconditioned residual
     of the active columns, projected off X, and P the last step's update
     of them, each Cholesky-orthonormalized (AP is carried by P's R^-1).
@@ -109,14 +112,11 @@ def lobpcg(apply, precondition, X: np.ndarray, tol: float, maxiter: int, *,
 
     X = orth[0]
     AX = applied(X)
-    if k == 1:                      # the Rayleigh quotient, as `dsyevd` gives it
-        vals = (X @ AX.T)[0]
-    else:
-        try:                        # the rows of X are orthonormal
-            vals, C = np.linalg.eigh(X @ AX.T)
-        except np.linalg.LinAlgError:
-            return np.full(k, np.nan), X.T, 0
-        X, AX = C.T @ X, C.T @ AX
+    try:                            # the rows of X are orthonormal
+        vals, C = np.linalg.eigh(X @ AX.T)
+    except np.linalg.LinAlgError:
+        return np.full(k, np.nan), X.T, 0
+    X, AX = C.T @ X, C.T @ AX
     active = np.ones(k, dtype=bool)
     P = AP = None
     worst = []                      # the worst active residual after each apply

@@ -493,19 +493,14 @@ class GreensKernel:
     values: np.ndarray
     c_bound: float
 
-    def envelope(self, u=None) -> np.ndarray:
-        """Pointwise upper bound C e^{-nu u}/(4 pi u) + (a/2pi^2) K1(a u)/u.
+    def envelope(self) -> np.ndarray:
+        """Pointwise upper bound C e^{-nu u}/(4 pi u) + (a/2pi^2) K1(a u)/u on the mesh.
 
-        On the mesh (u None) the K1 part is term2, which is that
-        expression bit for bit, so K1 is not evaluated again.
+        The K1 part is term2, which is that expression bit for bit, so K1
+        is not evaluated again.
         """
-        ainv = 1.0 / self.alpha
-        if u is None:
-            u, k1_part = self.mesh, self.term2
-        else:
-            k1_part = (ainv / (2.0 * np.pi**2)) * _k1(np.asarray(ainv * u, dtype=float)) / u
-        yuk = self.c_bound * np.exp(-self.nu * u) / (4.0 * np.pi * u)
-        return yuk + k1_part
+        u = self.mesh
+        return self.c_bound * np.exp(-self.nu * u) / (4.0 * np.pi * u) + self.term2
 
 
 def greens_kernel(E: float, alpha: float, mesh: np.ndarray | None = None) -> GreensKernel:

@@ -88,7 +88,9 @@ def _routine(name: str):
 
 
 def _finite(name: str, *arrays: np.ndarray) -> None:
-    if not all(np.isfinite(a).all() for a in arrays):
+    """EigFailure unless every entry is finite, read _BLOCK columns (band entries) at a time."""
+    if not all(np.isfinite(a[..., j:j + _BLOCK]).all()
+               for a in arrays for j in range(0, a.shape[-1], _BLOCK)):
         raise EigFailure(f"{name}: the input holds infs or NaNs")
 
 

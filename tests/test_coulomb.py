@@ -1,4 +1,6 @@
+import ast
 import functools
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from sympy.physics.wigner import wigner_3j
 
+import prhf
 from prhf import (
     AtomSystem,
     ChannelBlock,
@@ -23,8 +26,8 @@ from prhf import (
 )
 from prhf.coulomb import (
     _ROW_BLOCK,
-    _k_values,
     _kernel_rows,
+    _multipoles,
     combine,
     exchange_apply,
     exchange_energy,
@@ -208,6 +211,36 @@ def test_angular_coefficient_basics():
     assert exchange_multipole_weight(2, 0, 2) > 0.0
 
 
+def test_multipole_table_holds_every_coupling_k_with_its_positive_weight():
+    """`_multipoles(la, lb)`: k from |la - lb| to la + lb in steps of 2, each with its
+    `exchange_multipole_weight`, which is positive there and zero at every other k."""
+    for la in range(5):
+        for lb in range(5):
+            table = _multipoles(la, lb)
+            ks = [k for k, _wk in table]
+            assert ks == list(range(abs(la - lb), la + lb + 1, 2))
+            assert all(wk > 0.0 and wk == exchange_multipole_weight(la, lb, k) for k, wk in table)
+            assert all(exchange_multipole_weight(la, lb, k) == 0.0
+                       for k in range(la + lb + 3) if k not in ks)
+
+
+def test_only_the_multipole_table_computes_exchange_weights():
+    """Over every module of prhf, `exchange_multipole_weight` is read only inside
+    `_multipoles`: the exchange sums read that one table, not an enumeration of their own."""
+
+    def readers(node, owner):
+        for child in ast.iter_child_nodes(node):
+            name = getattr(child, "id", getattr(child, "attr", None))
+            if name == "exchange_multipole_weight" and isinstance(child.ctx, ast.Load):
+                yield owner
+            is_def = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+            yield from readers(child, child.name if is_def else owner)
+
+    found = [(path.name, owner) for path in sorted(Path(prhf.__file__).parent.glob("*.py"))
+             for owner in readers(ast.parse(path.read_text()), None)]
+    assert found == [("coulomb.py", "_multipoles")]
+
+
 def test_threej_against_sympy():
     for la in range(4):
         for lb in range(4):
@@ -314,7 +347,7 @@ def _exchange_matrix_by_products(gamma, ell, spin, grid):
     for (ell_b, spin_b), blk in gamma.blocks.items():
         if spin_b != spin:
             continue
-        for k in _k_values(ell, ell_b):
+        for k in range(abs(ell - ell_b), ell + ell_b + 1, 2):
             wk = exchange_multipole_weight(ell, ell_b, k)
             if wk != 0.0:
                 weighted = blk.orbitals * blk.occupations

@@ -76,3 +76,26 @@ def test_lobpcg_on_neons_p_channel_matches_syevr(neon_p, k, start):
     # the spans agree: the projectors onto them coincide
     V = S @ X
     assert np.max(np.abs(V @ V.T - ref_vecs @ ref_vecs.T)) <= 1e-10
+
+
+@pytest.mark.parametrize("case", ["random", "zero", "nan", "inf"])
+def test_one_column_start_is_its_rayleigh_quotient_bit_for_bit(case, rng):
+    """With maxiter 0 a one-column solve returns the Rayleigh quotient of the
+    orthonormalized start and that start, the bits the start's own formula gives:
+    the 1 x 1 eigh returns its entry and [[1.0]]."""
+    n = 40
+    A = rng.standard_normal((n, n))
+    A = {"random": A + A.T, "zero": np.zeros((n, n)),
+         "nan": np.full((n, n), np.nan), "inf": np.diag(np.full(n, np.inf))}[case]
+    X0 = rng.standard_normal((n, 1))
+
+    def apply(Y):
+        return A @ Y
+
+    with np.errstate(invalid="ignore"):
+        vals, X, its = eigen.lobpcg(apply, lambda R, theta: R, X0, 1e-12, 0)
+        start = eigen._orthonormalize(X0.T)[0]
+        quotient = (start @ np.ascontiguousarray(apply(np.ascontiguousarray(start.T)).T).T)[0]
+    assert its == 0
+    assert vals.shape == (1,) and vals.tobytes() == quotient.tobytes()
+    assert X.shape == (n, 1) and X.tobytes() == start.T.tobytes()

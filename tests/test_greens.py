@@ -484,7 +484,6 @@ def test_kernel_shares_one_k1_evaluation(monkeypatch):
     assert np.array_equal(kern.term3, term3)
     assert np.array_equal(kern.values, term1 + term2 + term3)
     assert np.array_equal(env, ref_env)
-    assert np.array_equal(kern.envelope(u), ref_env)
 
 
 def _cumulative_cases():

@@ -207,6 +207,22 @@ def test_non_finite_input_raises_eig_failure():
         lapack.stemr(d, e)
 
 
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_finiteness_scan_holds_no_n_by_n_mask(order, rng):
+    """`_finite` on an 800 x 800 matrix allocates under 0.25 n^2 bytes: a whole-matrix
+    isfinite mask would take n^2. A non-finite entry in the last block still fails."""
+    n = 800
+    H = np.array(rng.standard_normal((n, n)), order=order)
+    tracemalloc.start()
+    lapack._finite("dsyevr", H)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert peak < 0.25 * n * n
+    H[n - 1, n - 1] = -np.inf
+    with pytest.raises(EigFailure, match="dsyevr: the input holds infs or NaNs"):
+        lapack._finite("dsyevr", H)
+
+
 def test_shapes_are_checked_before_any_pointer_is_passed():
     """A non-square matrix, a k out of 1..n or mismatched bands never reach LAPACK."""
     with pytest.raises(ValueError, match="square"):
