@@ -133,16 +133,18 @@ class FockOperator:
     Each solve starts from the orbitals of gamma on its channel,
     completed by hydrogenic seeds at the operator's charge
     (`_start_block`), and falls back to a dense eigh of its own apply if
-    its residuals fail: it never builds `matrices`. Any other operator
-    applies its dense `matrices`, which are assembled on first access
-    only, and computes its fill and its table by one `eigh` per spin
-    group and channel, all in one `eigen.dense` call (`_dense_levels`),
-    whatever the tolerance asked. Nothing is modified after the build (a
-    dense solve factors a matrix in place and restores its bits before
-    it returns), so each eigensolve (channel, count, tolerance) runs
-    once and is kept: a level table read twice is solved once. Every
-    LOBPCG solve appends a (block, iterations, warm, fell back to dense,
-    rtol) record to `eigensolves`, a list the caller may share between
+    its residuals fail: it never builds `matrices`. Each request runs its
+    own solve: no solve, verify or sweep asks one operator twice for one
+    (channel, count, tolerance).
+    Any other operator applies its dense `matrices`, which are assembled
+    on first access only, and slices its fill and its table from
+    `dense_spectra`, one `eigh` per spin group and channel, all in one
+    `eigen.dense` call, whatever the tolerance asked. Nothing is
+    modified after the build (a dense solve factors a matrix in place
+    and restores its bits before it returns), and the level table is a
+    cached property: a table read twice is solved once. Every LOBPCG
+    solve appends a (block, iterations, warm, fell back to dense, rtol)
+    record to `eigensolves`, a list the caller may share between
     operators.
 
     `groups` are the spins that hold the same block objects of gamma on
@@ -160,7 +162,6 @@ class FockOperator:
     hartree: np.ndarray     # alpha*R on the nodes, the local part of G(gamma)
     groups: list            # spins with equal channel content share work
     eigensolves: list = field(default_factory=list, repr=False, compare=False)
-    _spectra: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def ell_max(self) -> int:
@@ -190,6 +191,21 @@ class FockOperator:
                 for spin in grp:
                     matrices[(ell, spin)] = H
         return matrices
+
+    @functools.cached_property
+    def dense_spectra(self) -> dict[tuple[int, int], tuple[np.ndarray, np.ndarray]]:
+        """The min(_levels_needed(N), n) lowest eigenpairs of each dense channel, grid-normalized.
+
+        Keyed by (ell, the first spin of its group). One `eigen.dense` call
+        solves every channel of every spin group side by side. It hands
+        LAPACK `matrices[key].T`, the F-ordered view of an exactly
+        symmetric C array: the numbers of the copy it would make
+        otherwise, without the copy.
+        """
+        keys = [(ell, grp[0]) for ell in range(self.ell_max + 1) for grp in self.groups]
+        solved = eigen.dense([self.matrices[key].T for key in keys],
+                             min(_levels_needed(self.system.N), self.grid.n))
+        return {key: (vals, from_unit(self.grid, vecs)) for key, (vals, vecs) in zip(keys, solved)}
 
     @functools.cached_property
     def levels(self) -> list[Level]:
@@ -393,7 +409,7 @@ def _lobpcg_levels(fock: FockOperator, key: tuple[int, int], k: int, rtol: float
     op(I), the operator in DST-I coordinates, mapped back. The solve is
     recorded in `fock.eigensolves` as (block, iterations, warm, fell
     back, rtol), with `eigen.lobpcg`'s count of applies after the first
-    as its iterations (0 on a tiny grid).
+    as its iterations (0 on a tiny grid). The vectors are grid-normalized.
     """
     t = fock.kinetic[key[0]].symbol[:, None]
     norm = t.max() + np.abs(fock.potential).max()
@@ -425,7 +441,7 @@ def _lobpcg_levels(fock: FockOperator, key: tuple[int, int], k: int, rtol: float
     # sign convention P > 0 at the first node, so the orbitals written out
     # do not depend on the start block, the iteration count or a fallback
     vecs *= np.where(vecs[0] < 0.0, -1.0, 1.0)
-    return vals, vecs
+    return vals, from_unit(fock.grid, vecs)
 
 
 def _eigensolve_summary(records: list) -> dict:
@@ -453,53 +469,35 @@ def _group_levels(fock: FockOperator, ell: int, grp: list, count: int, rtol: flo
     """Lowest `count` eigenpairs of channel ell of one spin group, grid-normalized.
 
     The one choice of eigensolver. A matrix-free channel runs one LOBPCG
-    solve per (count, rtol). A dense channel's request is a slice of
-    `_dense_levels`: a smaller subset would change the bits of the
-    levels, and `rtol` does not concern it. Memoized on the operator;
-    callers must not modify the arrays.
+    solve to `rtol` per call. A dense channel's request is a slice of
+    `fock.dense_spectra`, and `rtol` does not concern it: a smaller subset
+    would change the bits of the levels. A request for more levels than
+    that store holds, which the table of a fractional state can make,
+    solves its channel alone at `count` levels. Callers must not modify
+    the arrays.
     """
     key = (ell, grp[0])
     k = min(count, fock.grid.n)
-    if not fock.matrix_free:
-        level = _dense_levels(fock, key, k)
-    elif (level := fock._spectra.get((key, k, rtol))) is None:
-        vals, vecs = _lobpcg_levels(fock, key, k, rtol)
-        level = fock._spectra[(key, k, rtol)] = (vals, from_unit(fock.grid, vecs))
-    return level[0][:k], level[1][:, :k]
-
-
-def _dense_levels(fock: FockOperator, key: tuple[int, int], k: int):
-    """At least k lowest eigenpairs of dense channel `key`, grid-normalized, kept on the operator.
-
-    The first request solves every channel of every spin group at
-    min(_levels_needed(N), n) levels in one `eigen.dense` call, which
-    runs the solves side by side. It hands LAPACK `fock.matrices[key].T`,
-    the F-ordered view of an exactly symmetric C array: the numbers of
-    the copy it would make otherwise, without the copy. A channel asked
-    for more levels is solved again alone.
-    """
-    if not fock._spectra:
-        keys = [(ell, grp[0]) for ell in range(fock.ell_max + 1) for grp in fock.groups]
-        _solve_dense(fock, keys, min(_levels_needed(fock.system.N), fock.grid.n))
-    if len(fock._spectra[key][0]) < k:
-        _solve_dense(fock, [key], k)
-    return fock._spectra[key]
-
-
-def _solve_dense(fock: FockOperator, keys: list, k: int) -> None:
-    """Solve the dense channels `keys` at k levels in one call and keep them on the operator."""
-    solved = eigen.dense([fock.matrices[key].T for key in keys], k)
-    for key, (vals, vecs) in zip(keys, solved):
-        fock._spectra[key] = (vals, from_unit(fock.grid, vecs))
+    if fock.matrix_free:
+        return _lobpcg_levels(fock, key, k, rtol)
+    vals, vecs = fock.dense_spectra[key]
+    if len(vals) < k:
+        [(vals, vecs)] = eigen.dense([fock.matrices[key].T], k)
+        vecs = from_unit(fock.grid, vecs)
+    return vals[:k], vecs[:, :k]
 
 
 def _levels_needed(N: float) -> int:
     """ceil(N) + 4: all electrons in one channel of unit capacity, plus four levels.
 
     The levels a dense channel solves once and slices for its fill and
-    its table (a smaller subset would change neon's bits), and the fill's
-    count when computed levels tie (`_channel_spectra`). Level tables
-    (`FockOperator.levels`) ask for fewer.
+    its table (`FockOperator.dense_spectra`; a smaller subset would change
+    neon's bits), and the fill's count when computed levels tie
+    (`_channel_spectra`). A level table (`FockOperator.levels`) asks a
+    channel for one level more than gamma's orbitals on it. That is fewer
+    when gamma is a projection, but a state of fractional occupations may
+    spread more than ceil(N) + 3 orbitals over one channel, and its table
+    then asks for more.
     """
     return int(np.ceil(N)) + 4
 

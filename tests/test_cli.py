@@ -804,36 +804,42 @@ def test_verify_tabulates_the_kernel_once(tmp_path, monkeypatch):
     assert len(calls) == 1
 
 
-def test_k2_check_is_independent_of_bessel_k(monkeypatch):
-    """The k2_recurrence check's reference calls no Bessel code of prhf and matches kv."""
-    from scipy.special import kv
+SHIPPED = Path(__file__).resolve().parents[1] / "configs"
 
-    def refuse(*args):
-        raise AssertionError("the reference must not call the code it checks")
 
-    for name in ("_k0", "_k1", "bessel_k"):
-        monkeypatch.setattr(prhf.greens, name, refuse)
-    ts = np.geomspace(1e-3, 600.0, 40)
-    ref = kv(2, ts)
-    assert np.max(np.abs(prhf.analysis._k2_cosh_integral(ts) - ref) / ref) <= 1e-14
+def _shipped_copy(tmp_path: Path, shipped: Path) -> tuple[Path, Path]:
+    """(config, output_dir): the shipped config with its output_dir moved under tmp_path."""
+    outdir = tmp_path / shipped.stem
+    lines = [
+        f"output_dir = {outdir}" if line.split("=")[0].strip() == "output_dir" else line
+        for line in shipped.read_text().splitlines()
+    ]
+    cfg = tmp_path / shipped.name
+    cfg.write_text("\n".join(lines) + "\n")
+    return cfg, outdir
 
 
 def test_verify_every_shipped_config(tmp_path):
-    configs = sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.cfg"))
+    configs = sorted(SHIPPED.glob("*.cfg"))
     assert configs
     failed = {}
     for shipped in configs:
-        outdir = tmp_path / shipped.stem
-        lines = [
-            f"output_dir = {outdir}" if line.split("=")[0].strip() == "output_dir" else line
-            for line in shipped.read_text().splitlines()
-        ]
-        cfg = tmp_path / shipped.name
-        cfg.write_text("\n".join(lines) + "\n")
+        cfg, _outdir = _shipped_copy(tmp_path, shipped)
         code = run_verify(cfg)
         if code != EXIT_OK:
             failed[shipped.stem] = code
     assert failed == {}
+
+
+def test_helium_verify_writes_only_the_checks_that_read_the_kernel(tmp_path):
+    """Every check of helium's greens record depends on the kernel at its HOMO."""
+    cfg, outdir = _shipped_copy(tmp_path, SHIPPED / "helium.cfg")
+    assert run_verify(cfg) == EXIT_OK
+    greens = json.loads((outdir / "verify.json").read_text())["suites"]["greens"]
+    assert set(greens["checks"]) == {
+        "positivity", "est1_envelope", "tail_slope", "exp_moment", "resolvent_roundtrip",
+        "resolvent_vs_dense"}
+    assert greens["status"] == "passed"
 
 
 def test_greens_command(tmp_path):

@@ -790,6 +790,48 @@ def test_dense_request_past_the_shared_solve_solves_its_channel_alone(monkeypatc
     assert calls == [(2, _levels_needed(sys.N)), (1, 20)]
 
 
+def test_fractional_table_past_the_shared_solve_solves_its_channel_alone(monkeypatch):
+    """Neon (n = 200, ell_max 1) on a fractional density with ceil(N) + 4 = 14 columns on
+    the s-channel: its level table asks that channel for 15 levels, which one more dense
+    call solves alone, and those rows are a dsyevr subset of 15 levels, bit for bit."""
+    calls = []
+    dense = eigen.dense
+
+    def recording(Hs, k):
+        solved = dense(Hs, k)
+        calls.append((len(Hs), k, solved))
+        return solved
+
+    grid = build_grid(200, 15.0)
+    sys = AtomSystem(Z=10.0, N=10, alpha=ALPHA)
+    _vals, vecs = fock_build(DensityMatrix({}), grid, sys, ell_max=1).dense_spectra[(0, 0)]
+    k = _levels_needed(sys.N)
+    assert vecs.shape == (grid.n, k)
+    block = ChannelBlock(vecs.copy(), np.full(k, sys.N / (2 * k)))
+    fock = fock_build(DensityMatrix({(0, 0): block, (0, 1): block}), grid, sys, ell_max=1)
+    monkeypatch.setattr(eigen, "dense", recording)
+    rows = [lv for lv in fock.levels if (lv.ell, lv.spin) == (0, 0)]
+    assert [(n, count) for n, count, _solved in calls] == [(2, k), (1, k + 1)]
+    [(extra_vals, extra_vecs)] = calls[-1][2]
+    ref_vals, ref_vecs = scipy.linalg.eigh(fock.matrices[(0, 0)], subset_by_index=(0, k))
+    assert np.array_equal(extra_vals, ref_vals) and np.array_equal(extra_vecs, ref_vecs)
+    assert [lv.index for lv in rows] == list(range(k + 1))
+    assert np.array_equal([lv.value for lv in rows], ref_vals)
+
+
+def test_repeated_matrix_free_request_solves_again(he_small):
+    """No memo: a second request of one (channel, count, rtol) runs LOBPCG again, and
+    gives the first one's values and vectors bit for bit."""
+    fock = fock_build(he_small.gamma, he_small.grid, he_small.sys, ell_max=0)
+    first = scf._group_levels(fock, 0, [0, 1], 2, scf.LOBPCG_LEVEL_RTOL)
+    again = scf._group_levels(fock, 0, [0, 1], 2, scf.LOBPCG_LEVEL_RTOL)
+    assert [(k, rtol) for k, _its, _warm, _fb, rtol in fock.eigensolves] == [
+        (2, scf.LOBPCG_LEVEL_RTOL)] * 2
+    assert fock.eigensolves[0] == fock.eigensolves[1]
+    assert first[0] is not again[0]
+    assert np.array_equal(first[0], again[0]) and np.array_equal(first[1], again[1])
+
+
 def test_neon_solve_is_the_same_on_one_worker_and_on_two(monkeypatch, one_blas_thread):
     """Neon (n = 200, ell_max 1) with its dense channel solves serial and side by side:
     the report (levels and eigensolves records included) and the orbitals are identical."""
